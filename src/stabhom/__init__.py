@@ -19,7 +19,6 @@ from .algebra import (
     Relation,
     Representation,
     SubRep,
-    build_algebra,
     direct_sum,
     dual_module,
     indec_injective,

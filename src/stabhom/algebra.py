@@ -5,9 +5,14 @@ arrow a: u -> v satisfies a = e_v * a * e_u.  Paths are stored in
 traversal order: the tuple (a1, ..., ak) is the algebra element
 ak * ... * a1, with source src(a1) and target tgt(ak).
 
-Left modules carry one matrix per arrow mapping the source vertex space
-to the target vertex space; right modules map the target space to the
-source space (right action by a sends M e_v into M e_u for a: u -> v).
+One orientation rule decides every left/right difference: the action
+matrix of an arrow a: u -> v maps the space at u to the space at v on a
+left module, and the space at v to the space at u on a right module
+(right action by a sends M e_v into M e_u).  arrow_ends states the rule
+for one arrow.  For a path it means that a right module applies the
+arrows in reverse order; in_application_order and compose_path are the
+only code that knows this.  Every side-dependent construction below
+derives its choices from these helpers instead of branching on the side.
 """
 from __future__ import annotations
 
@@ -109,6 +114,39 @@ class Relation:
 
     def __repr__(self) -> str:
         return "Relation(" + " + ".join(f"{c}*{list(p)}" for c, p in self.terms) + ")"
+
+
+def other_side(side: str) -> str:
+    return RIGHT if side == LEFT else LEFT
+
+
+def arrow_ends(arrow: Arrow, side: str) -> Tuple[str, str]:
+    """Vertices (x, y) such that the action matrix of arrow on a module of
+    the given side maps the space at x to the space at y."""
+    if side == LEFT:
+        return arrow.source, arrow.target
+    return arrow.target, arrow.source
+
+
+def arrow_shape(dims: Dict[str, int], arrow: Arrow, side: str) -> Tuple[int, int]:
+    """Shape of the action matrix of arrow for these vertex dimensions."""
+    x, y = arrow_ends(arrow, side)
+    return dims[y], dims[x]
+
+
+def in_application_order(pieces: Sequence, side: str) -> Tuple:
+    """Consecutive pieces of a path (arrows or subpaths, in traversal
+    order) in the order their action matrices are applied."""
+    return tuple(pieces) if side == LEFT else tuple(reversed(pieces))
+
+
+def compose_path(maps: Dict[str, Matrix], arrows: Sequence[str], side: str) -> Matrix:
+    """Action matrix of a nonempty path from the matrices of its arrows."""
+    first, *rest = in_application_order(arrows, side)
+    acc = maps[first]
+    for name in rest:
+        acc = maps[name] @ acc
+    return acc
 
 
 def _path_target(quiver: Quiver, path: Path) -> str:
@@ -310,15 +348,6 @@ class BoundQuiverAlgebra:
         )
 
 
-def build_algebra(
-    quiver: Quiver,
-    relations: Sequence[Relation],
-    field: Field,
-    nilpotency_bound: int,
-) -> BoundQuiverAlgebra:
-    return BoundQuiverAlgebra(quiver, relations, field, nilpotency_bound)
-
-
 # -- representations ------------------------------------------------------
 
 
@@ -326,9 +355,8 @@ class Representation:
     """Finite-dimensional left or right module, given vertexwise.
 
     dims maps each vertex to its dimension; arrow_maps[a] is the matrix
-    of the action of arrow a (source-to-target space for left modules,
-    target-to-source for right ones).  Relations are checked at
-    construction.
+    of the action of arrow a, oriented as arrow_ends says.  Relations are
+    checked at construction.
     """
 
     __slots__ = ("algebra", "side", "dims", "arrow_maps")
@@ -351,7 +379,7 @@ class Representation:
         maps = {}
         for a in algebra.quiver.arrows:
             m = arrow_maps.get(a.name)
-            rshape = self._arrow_shape(a)
+            rshape = arrow_shape(self.dims, a, side)
             if m is None:
                 m = Matrix.zeros(algebra.field, *rshape)
             if m.shape != rshape:
@@ -365,11 +393,6 @@ class Representation:
         if not _trusted:
             self._check_relations()
 
-    def _arrow_shape(self, a: Arrow) -> Tuple[int, int]:
-        if self.side == LEFT:
-            return (self.dims[a.target], self.dims[a.source])
-        return (self.dims[a.source], self.dims[a.target])
-
     def _check_relations(self):
         for rel in self.algebra.relations:
             acc = None
@@ -380,9 +403,6 @@ class Representation:
             if acc is not None and not acc.is_zero():
                 raise AlgebraError(f"representation violates relation {rel}")
 
-    def arrow_matrix(self, name: str) -> Matrix:
-        return self.arrow_maps[name]
-
     def path_map(self, path: Path) -> Matrix:
         """Action of a monomial path.
 
@@ -392,16 +412,7 @@ class Representation:
         src, arrows = path
         if not arrows:
             return Matrix.identity(self.algebra.field, self.dims[src])
-        mats = [self.arrow_maps[name] for name in arrows]
-        if self.side == LEFT:
-            acc = mats[0]
-            for m in mats[1:]:
-                acc = m @ acc
-        else:
-            acc = mats[-1]
-            for m in reversed(mats[:-1]):
-                acc = m @ acc
-        return acc
+        return compose_path(self.arrow_maps, arrows, self.side)
 
     @property
     def vertices(self) -> Tuple[str, ...]:
@@ -468,9 +479,8 @@ class ModuleMap:
             self._check_intertwiner()
 
     def _check_intertwiner(self):
-        left = self.domain.side == LEFT
         for a in self.domain.algebra.quiver.arrows:
-            x, y = (a.source, a.target) if left else (a.target, a.source)
+            x, y = arrow_ends(a, self.domain.side)
             lhs = self.vertex_maps[y] @ self.domain.arrow_maps[a.name]
             rhs = self.codomain.arrow_maps[a.name] @ self.vertex_maps[x]
             if lhs != rhs:
@@ -658,12 +668,10 @@ def sub_to_rep(
 
     Raises if the subspaces are not invariant under the arrow action.
     """
-    field = m.algebra.field
-    left = m.side == LEFT
     dims = {v: subspaces[v].dim for v in m.vertices}
     maps = {}
     for a in m.algebra.quiver.arrows:
-        x, y = (a.source, a.target) if left else (a.target, a.source)
+        x, y = arrow_ends(a, m.side)
         bx = subspaces[x].basis
         by = subspaces[y].basis
         image = m.arrow_maps[a.name] @ bx.transpose()
@@ -682,12 +690,11 @@ def quotient_rep(
     m: Representation, subspaces: Dict[str, Subspace]
 ) -> Tuple[Representation, ModuleMap]:
     """Quotient by arrow-invariant vertexwise subspaces, with the projection."""
-    left = m.side == LEFT
     quots = {v: subspaces[v].quotient() for v in m.vertices}
     dims = {v: quots[v].dim for v in m.vertices}
     maps = {}
     for a in m.algebra.quiver.arrows:
-        x, y = (a.source, a.target) if left else (a.target, a.source)
+        x, y = arrow_ends(a, m.side)
         induced = quots[y].projection @ m.arrow_maps[a.name] @ quots[x].section
         if induced @ quots[x].projection != quots[y].projection @ m.arrow_maps[a.name]:
             raise AlgebraError(f"subspaces not invariant under arrow {a.name}")
@@ -703,11 +710,9 @@ def quotient_rep(
 def radical_subspaces(m: Representation) -> Dict[str, Subspace]:
     """Image of the arrow action: the Jacobson radical of the module."""
     field = m.algebra.field
-    left = m.side == LEFT
     rows: Dict[str, List[Matrix]] = {v: [] for v in m.vertices}
     for a in m.algebra.quiver.arrows:
-        y = a.target if left else a.source
-        rows[y].append(m.arrow_maps[a.name].transpose())
+        rows[arrow_ends(a, m.side)[1]].append(m.arrow_maps[a.name].transpose())
     return {
         v: Subspace(field, m.dims[v], vstack(field, rows[v], cols=m.dims[v]))
         for v in m.vertices
@@ -719,14 +724,13 @@ def socle_subspaces(m: Representation) -> Dict[str, Subspace]:
     from .exactla import kernel_basis
 
     field = m.algebra.field
-    left = m.side == LEFT
     out: Dict[str, Subspace] = {}
     for v in m.vertices:
-        mats = []
-        for a in m.algebra.quiver.arrows:
-            x = a.source if left else a.target
-            if x == v:
-                mats.append(m.arrow_maps[a.name])
+        mats = [
+            m.arrow_maps[a.name]
+            for a in m.algebra.quiver.arrows
+            if arrow_ends(a, m.side)[0] == v
+        ]
         if not mats:
             out[v] = Subspace.full(field, m.dims[v])
         else:
@@ -755,9 +759,8 @@ def radical_top_socle(m: Representation) -> RadicalTopSocle:
 
 def dual_module(m: Representation) -> Representation:
     """Vector-space dual, a module on the other side with transposed maps."""
-    side = RIGHT if m.side == LEFT else LEFT
     maps = {a: mat.transpose() for a, mat in m.arrow_maps.items()}
-    return Representation(m.algebra, side, dict(m.dims), maps, _trusted=True)
+    return Representation(m.algebra, other_side(m.side), dict(m.dims), maps, _trusted=True)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -773,9 +776,8 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 def to_opposite(m: Representation) -> Representation:
     """Reinterpret a right module as a left module over the opposite algebra
     (and vice versa).  The matrices are reused unchanged."""
-    side = LEFT if m.side == RIGHT else RIGHT
-    return Representation(m.algebra.opposite(), side, dict(m.dims), dict(m.arrow_maps),
-                          _trusted=True)
+    return Representation(m.algebra.opposite(), other_side(m.side), dict(m.dims),
+                          dict(m.arrow_maps), _trusted=True)
 
 
 # -- direct sums ------------------------------------------------------------
@@ -832,6 +834,30 @@ def simple(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representat
     return algebra._cache[key]
 
 
+def extension_matrix(
+    algebra: BoundQuiverAlgebra,
+    a: Arrow,
+    side: str,
+    dom_labels: Sequence[Path],
+    cod_labels: Sequence[Path],
+) -> Matrix:
+    """Matrix sending each path class of dom_labels to its extension by the
+    arrow a, written in the classes cod_labels.  The extension is the action
+    of a on a side module: left modules append a to a path, right modules
+    prepend it."""
+    field = algebra.field
+    index = {p: i for i, p in enumerate(cod_labels)}
+    mat = Matrix.zeros(field, len(cod_labels), len(dom_labels)).data.copy()
+    for j, (src, arrows) in enumerate(dom_labels):
+        if side == LEFT:
+            path = (src, arrows + (a.name,))
+        else:
+            path = (a.source, (a.name,) + arrows)
+        for c, bp in algebra.normal_form(path):
+            mat[index[bp], j] = field.add(mat[index[bp], j], c)
+    return Matrix(field, mat, _trusted=True)
+
+
 def _projective_with_labels(
     algebra: BoundQuiverAlgebra, v: str, side: str
 ) -> Tuple[Representation, Dict[str, List[Path]]]:
@@ -841,30 +867,16 @@ def _projective_with_labels(
     if key in algebra._cache:
         return algebra._cache[key]
     q = algebra.quiver
-    field = algebra.field
-    if side == LEFT:
-        labels = {w: algebra.block_basis(v, w) for w in q.vertices}
-    else:
-        labels = {w: algebra.block_basis(w, v) for w in q.vertices}
+    # left P(v) at w: paths v -> w; right P(v) at w: paths w -> v
+    labels = {
+        w: algebra.block_basis(v, w) if side == LEFT else algebra.block_basis(w, v)
+        for w in q.vertices
+    }
     dims = {w: len(labels[w]) for w in q.vertices}
-    index = {w: {p: i for i, p in enumerate(labels[w])} for w in q.vertices}
     maps = {}
     for a in q.arrows:
-        if side == LEFT:
-            # postcomposition: class(pi) in component u goes to class(pi then a)
-            x, y = a.source, a.target
-            mat = Matrix.zeros(field, dims[y], dims[x]).data.copy()
-            for j, p in enumerate(labels[x]):
-                for c, bp in algebra.normal_form((p[0], p[1] + (a.name,))):
-                    mat[index[y][bp], j] = field.add(mat[index[y][bp], j], c)
-        else:
-            # precomposition: class(pi) in component w goes to class(a then pi)
-            x, y = a.target, a.source
-            mat = Matrix.zeros(field, dims[y], dims[x]).data.copy()
-            for j, p in enumerate(labels[x]):
-                for c, bp in algebra.normal_form((a.source, (a.name,) + p[1])):
-                    mat[index[y][bp], j] = field.add(mat[index[y][bp], j], c)
-        maps[a.name] = Matrix(field, mat, _trusted=True)
+        x, y = arrow_ends(a, side)
+        maps[a.name] = extension_matrix(algebra, a, side, labels[x], labels[y])
     rep = Representation(algebra, side, dims, maps)
     algebra._cache[key] = (rep, labels)
     return algebra._cache[key]
@@ -877,8 +889,7 @@ def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> R
 def indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
     key = ("inj", v, side)
     if key not in algebra._cache:
-        other = RIGHT if side == LEFT else LEFT
-        algebra._cache[key] = dual_module(indec_projective(algebra, v, other))
+        algebra._cache[key] = dual_module(indec_projective(algebra, v, other_side(side)))
     return algebra._cache[key]
 
 

@@ -22,13 +22,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algebra import (
-    LEFT,
     AlgebraError,
     BoundQuiverAlgebra,
     ModuleMap,
     Representation,
     SubRep,
+    arrow_ends,
+    arrow_shape,
+    compose_path,
     direct_sum,
+    in_application_order,
     indec_projective,
 )
 from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix
@@ -56,18 +59,12 @@ def _random_dims(alg: BoundQuiverAlgebra, max_dim: int, rng) -> Dict[str, int]:
     return {v: rng.randrange(max_dim + 1) for v in alg.quiver.vertices}
 
 
-def _arrow_shape(alg, side, dims, arrow) -> Tuple[int, int]:
-    if side == LEFT:
-        return dims[arrow.target], dims[arrow.source]
-    return dims[arrow.source], dims[arrow.target]
-
-
 def _random_arrows(alg, side, dims, rng, skip=None):
     maps = {}
     for a in alg.quiver.arrows:
         if skip is not None and a.name == skip:
             continue
-        rows, cols = _arrow_shape(alg, side, dims, a)
+        rows, cols = arrow_shape(dims, a, side)
         maps[a.name] = random_matrix(alg.field, rows, cols, rng)
     return maps
 
@@ -89,21 +86,6 @@ def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
     return None
 
 
-def _term_product(alg, side, maps, arrows, dims) -> Matrix:
-    """Matrix of the path given by arrows, using the supplied arrow maps."""
-    first = alg.quiver.arrow_by_name[arrows[0]]
-    if side == LEFT:
-        acc = Matrix.identity(alg.field, dims[first.source])
-        for name in arrows:
-            acc = maps[name] @ acc
-    else:
-        last = alg.quiver.arrow_by_name[arrows[-1]]
-        acc = Matrix.identity(alg.field, dims[last.target])
-        for name in reversed(arrows):
-            acc = maps[name] @ acc
-    return acc
-
-
 def _linear_system(alg, side, dims, maps, target: str):
     """Stacked system A vec(X) = rhs for the target arrow's matrix X.
 
@@ -113,7 +95,7 @@ def _linear_system(alg, side, dims, maps, target: str):
     """
     field = alg.field
     tgt_arrow = alg.quiver.arrow_by_name[target]
-    x_rows, x_cols = _arrow_shape(alg, side, dims, tgt_arrow)
+    x_rows, x_cols = arrow_shape(dims, tgt_arrow, side)
     blocks = []
     rhs_parts = []
     for rel in alg.relations:
@@ -121,7 +103,7 @@ def _linear_system(alg, side, dims, maps, target: str):
         if not touches:
             acc = None
             for coeff, arrows in rel.terms:
-                term = _term_product(alg, side, maps, arrows, dims).scale(coeff)
+                term = compose_path(maps, arrows, side).scale(coeff)
                 acc = term if acc is None else acc + term
             if acc is not None and not acc.is_zero():
                 return None, None, (x_rows, x_cols)
@@ -130,35 +112,24 @@ def _linear_system(alg, side, dims, maps, target: str):
         const = None
         for coeff, arrows in rel.terms:
             if target not in arrows:
-                term = _term_product(alg, side, maps, arrows, dims).scale(coeff)
+                term = compose_path(maps, arrows, side).scale(coeff)
                 const = term if const is None else const + term
                 continue
             pos = arrows.index(target)
-            before, after = arrows[:pos], arrows[pos + 1 :]
-            # Left modules compose a path a1..ak as M_ak ... M_a1, so the
-            # factors after the target multiply on the left.
-            if side == LEFT:
-                left = (
-                    _term_product(alg, side, maps, after, dims)
-                    if after
-                    else Matrix.identity(field, x_rows)
-                )
-                right = (
-                    _term_product(alg, side, maps, before, dims)
-                    if before
-                    else Matrix.identity(field, x_cols)
-                )
-            else:
-                left = (
-                    _term_product(alg, side, maps, before, dims)
-                    if before
-                    else Matrix.identity(field, x_rows)
-                )
-                right = (
-                    _term_product(alg, side, maps, after, dims)
-                    if after
-                    else Matrix.identity(field, x_cols)
-                )
+            # the term is L X R: R acts before the target arrow, L after it
+            applied_first, applied_last = in_application_order(
+                (arrows[:pos], arrows[pos + 1 :]), side
+            )
+            left = (
+                compose_path(maps, applied_last, side)
+                if applied_last
+                else Matrix.identity(field, x_rows)
+            )
+            right = (
+                compose_path(maps, applied_first, side)
+                if applied_first
+                else Matrix.identity(field, x_cols)
+            )
             kron = Matrix(
                 field,
                 field.normalize(np.kron(left.data, right.data.T)),
@@ -235,10 +206,7 @@ def _invariant_span(parent: Representation, vectors) -> Dict[str, Subspace]:
     while changed:
         changed = False
         for a in parent.algebra.quiver.arrows:
-            if parent.side == LEFT:
-                src, tgt = a.source, a.target
-            else:
-                src, tgt = a.target, a.source
+            src, tgt = arrow_ends(a, parent.side)
             basis = spans[src].basis
             if basis.rows == 0:
                 continue
@@ -326,11 +294,9 @@ def random_catalog(
     return modules, stats
 
 
-def random_hom_element(
-    a: Representation, b: Representation, rng, hom=None
-) -> ModuleMap:
+def random_hom_element(a: Representation, b: Representation, rng) -> ModuleMap:
     """Random element of Hom(a, b); the zero map when the space is zero."""
-    hom = hom if hom is not None else hom_basis(a, b)
+    hom = hom_basis(a, b)
     if hom.dim == 0:
         return ModuleMap.zero(a, b)
     field = a.algebra.field

@@ -21,7 +21,7 @@ from ..algebra import (
     Quiver,
     Relation,
     Representation,
-    build_algebra,
+    arrow_shape,
 )
 from ..exactla import Field, Matrix
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor
@@ -40,6 +40,15 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ParseError(f"{where}: missing key {key!r}")
     return doc[key]
+
+
+def _reject_unknown_keys(doc, known, where: str):
+    """Misspelled keys would otherwise be ignored and their defaults used."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
+    for key in doc:
+        if key not in known:
+            raise ParseError(f"{where}: unknown key {key!r}")
 
 
 def _scalars(field: Field, values, where: str) -> List:
@@ -120,6 +129,7 @@ def algebra_to_dict(alg: BoundQuiverAlgebra) -> dict:
 
 
 def algebra_from_dict(doc, where: str = "algebra") -> BoundQuiverAlgebra:
+    _reject_unknown_keys(doc, ("field", "quiver", "relations", "nilpotency_bound"), where)
     field = field_from_dict(_require(doc, "field", where), f"{where}.field")
     qdoc = _require(doc, "quiver", where)
     vertices = _require(qdoc, "vertices", f"{where}.quiver")
@@ -163,7 +173,7 @@ def algebra_from_dict(doc, where: str = "algebra") -> BoundQuiverAlgebra:
     if not isinstance(bound, int) or bound < 1:
         raise ParseError(f"{where}.nilpotency_bound: expected a positive integer")
     try:
-        return build_algebra(quiver, relations, field, bound)
+        return BoundQuiverAlgebra(quiver, relations, field, bound)
     except ValueError as exc:
         # NotFiniteDimensional passes through for its own exit code.
         from ..algebra import NotFiniteDimensional
@@ -208,35 +218,29 @@ def module_from_dict(
     base_dir: str = ".",
     where: str = "module",
 ) -> Representation:
+    _reject_unknown_keys(doc, ("algebra", "side", "dims", "arrows"), where)
     alg = _resolve_algebra(_require(doc, "algebra", where), algebra, base_dir, where)
     side = _require(doc, "side", where)
     if side not in (LEFT, RIGHT):
         raise ParseError(f"{where}.side: expected 'left' or 'right'")
     dims_doc = _require(doc, "dims", where)
+    _reject_unknown_keys(dims_doc, alg.quiver.vertices, f"{where}.dims")
     dims = {}
     for v in alg.quiver.vertices:
         d = dims_doc.get(v, 0)
         if not isinstance(d, int) or d < 0:
             raise ParseError(f"{where}.dims[{v!r}]: expected a nonnegative integer")
         dims[v] = d
-    for v in dims_doc:
-        if v not in alg.quiver.vertices:
-            raise ParseError(f"{where}.dims: unknown vertex {v!r}")
     arrows_doc = doc.get("arrows", {})
+    _reject_unknown_keys(arrows_doc, alg.quiver.arrow_by_name, f"{where}.arrows")
     arrow_maps: Dict[str, Matrix] = {}
     for a in alg.quiver.arrows:
         if a.name not in arrows_doc:
             continue
-        if side == LEFT:
-            rows, cols = dims[a.target], dims[a.source]
-        else:
-            rows, cols = dims[a.source], dims[a.target]
+        rows, cols = arrow_shape(dims, a, side)
         arrow_maps[a.name] = matrix_from_list(
             alg.field, rows, cols, arrows_doc[a.name], f"{where}.arrows[{a.name!r}]"
         )
-    for name in arrows_doc:
-        if name not in alg.quiver.arrow_by_name:
-            raise ParseError(f"{where}.arrows: unknown arrow {name!r}")
     return Representation(alg, side, dims, arrow_maps)
 
 
@@ -254,6 +258,7 @@ def map_from_dict(
     base_dir: str = ".",
     where: str = "map",
 ) -> ModuleMap:
+    _reject_unknown_keys(doc, ("domain", "codomain", "maps"), where)
     dom = module_from_dict(
         _require(doc, "domain", where), algebra, base_dir, f"{where}.domain"
     )
@@ -261,6 +266,7 @@ def map_from_dict(
         _require(doc, "codomain", where), dom.algebra, base_dir, f"{where}.codomain"
     )
     maps_doc = _require(doc, "maps", where)
+    _reject_unknown_keys(maps_doc, dom.vertices, f"{where}.maps")
     field = dom.algebra.field
     vertex_maps = {}
     for v in dom.vertices:
@@ -285,6 +291,7 @@ def functor_from_dict(
     base_dir: str = ".",
     where: str = "functor",
 ) -> FpFunctor:
+    _reject_unknown_keys(doc, ("variance", "presentation"), where)
     variance = _require(doc, "variance", where)
     if variance not in (COVARIANT, CONTRAVARIANT):
         raise ParseError(

@@ -221,9 +221,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.data.any()
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Matrix"):
@@ -464,11 +461,6 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
-    def contains_vector(self, vec: np.ndarray) -> bool:
-        if self.dim == 0:
-            return not np.asarray(vec).any()
-        return solve_right(self.basis.transpose(), vec) is not None
-
     def contains(self, other: "Subspace") -> bool:
         if other.dim == 0:
             return True
@@ -512,14 +504,6 @@ class Subspace:
         return QuotientSpace(
             Matrix(field, proj, _trusted=True), Matrix(field, sect, _trusted=True)
         )
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.cols, m)
-
-
-def column_space(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.rows, m.transpose())
 
 
 def coordinates_in_rows(basis: Matrix, vectors: Matrix) -> Optional[Matrix]:

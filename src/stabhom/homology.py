@@ -36,11 +36,14 @@ from .algebra import (
     Representation,
     SubRep,
     _projective_with_labels,
+    arrow_ends,
     direct_sum,
     dual_map,
     dual_module,
+    extension_matrix,
     indec_projective,
     map_from_flat,
+    other_side,
     quotient_rep,
     radical_top_socle,
     zero_module,
@@ -105,10 +108,9 @@ def hom_basis(a: Representation, b: Representation) -> HomSpace:
     for v in verts:
         offs[v] = total
         total += b.dims[v] * a.dims[v]
-    left = a.side == LEFT
     rows: List[Matrix] = []
     for ar in alg.quiver.arrows:
-        x, y = (ar.source, ar.target) if left else (ar.target, ar.source)
+        x, y = arrow_ends(ar, a.side)
         da_x, db_y = a.dims[x], b.dims[y]
         nrows = db_y * da_x
         if nrows == 0:
@@ -339,33 +341,19 @@ def push_coords(
     return target.coords_of_flats(fm)
 
 
-def extend_over(
-    h: ModuleMap,
-    gamma: ModuleMap,
-    hom_bc: Optional[HomSpace] = None,
-    hom_ac: Optional[HomSpace] = None,
-) -> Optional[ModuleMap]:
+def extend_over(h: ModuleMap, gamma: ModuleMap) -> Optional[ModuleMap]:
     """Solve beta with beta(gamma(x)) = h(x), for h: A -> C and gamma: A -> B."""
-    if hom_bc is None:
-        hom_bc = hom_basis(gamma.codomain, h.codomain)
-    if hom_ac is None:
-        hom_ac = hom_basis(h.domain, h.codomain)
+    hom_bc = hom_basis(gamma.codomain, h.codomain)
+    hom_ac = hom_basis(h.domain, h.codomain)
     t = push_coords(hom_bc, hom_ac, lambda g: g @ gamma)
     x = solve_right(t.transpose(), hom_ac.coords_of(h))
     return None if x is None else hom_bc.element(x)
 
 
-def lift_along(
-    h: ModuleMap,
-    s: ModuleMap,
-    hom_ab: Optional[HomSpace] = None,
-    hom_ac: Optional[HomSpace] = None,
-) -> Optional[ModuleMap]:
+def lift_along(h: ModuleMap, s: ModuleMap) -> Optional[ModuleMap]:
     """Solve beta with s(beta(x)) = h(x), for h: A -> C and s: B -> C."""
-    if hom_ab is None:
-        hom_ab = hom_basis(h.domain, s.domain)
-    if hom_ac is None:
-        hom_ac = hom_basis(h.domain, h.codomain)
+    hom_ab = hom_basis(h.domain, s.domain)
+    hom_ac = hom_basis(h.domain, h.codomain)
     t = push_coords(hom_ab, hom_ac, lambda g: s @ g)
     x = solve_right(t.transpose(), hom_ac.coords_of(h))
     return None if x is None else hom_ab.element(x)
@@ -494,32 +482,18 @@ def _right_mult_map(alg: BoundQuiverAlgebra, arrow_name: str, side: str) -> Modu
     key = ("mult", arrow_name, side)
     if key in alg._cache:
         return alg._cache[key]
-    field = alg.field
+    # multiplying by the arrow from the other side extends path classes as
+    # the other side's action does, between the projectives at its ends
     ar = alg.quiver.arrow_by_name[arrow_name]
-    if side == LEFT:
-        dom_rep, dom_labels = _projective_with_labels(alg, ar.target, LEFT)
-        cod_rep, cod_labels = _projective_with_labels(alg, ar.source, LEFT)
-        maps = {}
-        for w in alg.quiver.vertices:
-            idx = {p: i for i, p in enumerate(cod_labels[w])}
-            mat = Matrix.zeros(field, cod_rep.dims[w], dom_rep.dims[w]).data.copy()
-            for j, p in enumerate(dom_labels[w]):
-                for c, bp in alg.normal_form((ar.source, (arrow_name,) + p[1])):
-                    mat[idx[bp], j] = field.add(mat[idx[bp], j], c)
-            maps[w] = Matrix(field, mat, _trusted=True)
-        out = ModuleMap(dom_rep, cod_rep, maps)
-    else:
-        dom_rep, dom_labels = _projective_with_labels(alg, ar.source, RIGHT)
-        cod_rep, cod_labels = _projective_with_labels(alg, ar.target, RIGHT)
-        maps = {}
-        for w in alg.quiver.vertices:
-            idx = {p: i for i, p in enumerate(cod_labels[w])}
-            mat = Matrix.zeros(field, cod_rep.dims[w], dom_rep.dims[w]).data.copy()
-            for j, p in enumerate(dom_labels[w]):
-                for c, bp in alg.normal_form((p[0], p[1] + (arrow_name,))):
-                    mat[idx[bp], j] = field.add(mat[idx[bp], j], c)
-            maps[w] = Matrix(field, mat, _trusted=True)
-        out = ModuleMap(dom_rep, cod_rep, maps)
+    star_side = other_side(side)
+    x, y = arrow_ends(ar, star_side)
+    dom_rep, dom_labels = _projective_with_labels(alg, x, side)
+    cod_rep, cod_labels = _projective_with_labels(alg, y, side)
+    maps = {
+        w: extension_matrix(alg, ar, star_side, dom_labels[w], cod_labels[w])
+        for w in alg.quiver.vertices
+    }
+    out = ModuleMap(dom_rep, cod_rep, maps)
     alg._cache[key] = out
     return out
 
@@ -538,21 +512,15 @@ class StarDual:
 
 def star_dual(m: Representation) -> StarDual:
     alg = m.algebra
-    field = alg.field
     homs = {
         v: hom_basis(m, indec_projective(alg, v, m.side)) for v in m.vertices
     }
     dims = {v: homs[v].dim for v in m.vertices}
     maps: Dict[str, Matrix] = {}
-    star_side = RIGHT if m.side == LEFT else LEFT
+    star_side = other_side(m.side)
     for ar in alg.quiver.arrows:
         mult = _right_mult_map(alg, ar.name, m.side)
-        if m.side == LEFT:
-            # star is a right module: component at target -> component at source
-            x, y = ar.target, ar.source
-        else:
-            # star is a left module: component at source -> component at target
-            x, y = ar.source, ar.target
+        x, y = arrow_ends(ar, star_side)
         maps[ar.name] = push_coords(homs[x], homs[y], lambda f: mult @ f).transpose()
     rep = Representation(alg, star_side, dims, maps)
     return StarDual(rep, homs)
@@ -567,16 +535,12 @@ def star_dual_map(f: ModuleMap, sd_dom: StarDual, sd_cod: StarDual) -> ModuleMap
     return ModuleMap(sd_cod.module, sd_dom.module, maps)
 
 
-def eval_double_dual(
-    m: Representation, sd: Optional[StarDual] = None, sdd: Optional[StarDual] = None
-) -> Tuple[ModuleMap, StarDual, StarDual]:
+def eval_double_dual(m: Representation) -> Tuple[ModuleMap, StarDual, StarDual]:
     """The evaluation map m -> m** together with both star duals."""
     alg = m.algebra
     field = alg.field
-    if sd is None:
-        sd = star_dual(m)
-    if sdd is None:
-        sdd = star_dual(sd.module)
+    sd = star_dual(m)
+    sdd = star_dual(sd.module)
     vmaps: Dict[str, Matrix] = {}
     for v in m.vertices:
         dv = m.dims[v]
@@ -589,9 +553,7 @@ def eval_double_dual(
             cursor = 0
             for w in m.vertices:
                 hw = sd.hom[w]
-                pv_dim_at_w = len(
-                    alg.block_basis(w, v) if m.side == LEFT else alg.block_basis(v, w)
-                )
+                pv_dim_at_w = indec_projective(alg, w, m.side).dims[v]
                 block = np.zeros((pv_dim_at_w, hw.dim), dtype=field.dtype)
                 for k, f in enumerate(hw.basis_maps()):
                     block[:, k] = f.vertex_maps[v].data[:, i]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,9 @@ from stabhom.algebra import (
     to_opposite,
     zero_module,
 )
+from stabhom.cli.randmod import random_catalog
 from stabhom.exactla import Field, Matrix
+from stabhom.homology import hom_basis, injective_envelope, projective_cover, star_dual
 
 
 # -- algebra construction ---------------------------------------------------
@@ -167,13 +171,40 @@ def test_opposite_involution(square):
     }
 
 
+def _homological_dims(m, others):
+    cov = projective_cover(m)
+    env = injective_envelope(m)
+    return (
+        [hom_basis(m, n).dim for n in others],
+        [hom_basis(n, m).dim for n in others],
+        cov.middle.dim_vector(),
+        cov.left.dim_vector(),
+        env.middle.dim_vector(),
+        env.right.dim_vector(),
+        star_dual(m).module.dim_vector(),
+    )
+
+
 def test_right_projective_is_left_projective_over_opposite(a2):
     e2_right = indec_projective(a2, "2", RIGHT)
     assert e2_right.dim_vector() == (1, 1)
-    flipped = to_opposite(e2_right)
-    expected = indec_projective(a2.opposite(), "2", LEFT)
-    assert flipped.side == LEFT
-    assert flipped.dim_vector() == expected.dim_vector()
+    # Right modules are computed directly, not as left modules over the
+    # opposite algebra; going through the opposite is the independent check.
+    # One test loops over every fixture so that its id stays unchanged.
+    for name in sorted(BUILDERS):
+        alg = BUILDERS[name]()
+        op = alg.opposite()
+        mods = []
+        for v in alg.quiver.vertices:
+            p, i = indec_projective(alg, v, RIGHT), indec_injective(alg, v, RIGHT)
+            assert to_opposite(p).dim_vector() == indec_projective(op, v, LEFT).dim_vector()
+            assert to_opposite(i).dim_vector() == indec_injective(op, v, LEFT).dim_vector()
+            mods += [p, i]
+        mods += random_catalog(alg, RIGHT, 3, 2, random.Random(11))[0]
+        flipped = [to_opposite(m) for m in mods]
+        for m, fm in zip(mods, flipped):
+            assert fm.algebra is op and fm.side == LEFT
+            assert _homological_dims(m, mods) == _homological_dims(fm, flipped), name
 
 
 def test_dual_swaps_projectives_and_injectives(a3):

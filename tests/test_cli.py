@@ -8,7 +8,7 @@ from algebras import (
     loop2_algebra,
     square_algebra,
 )
-from stabhom.algebra import LEFT, RIGHT, ModuleMap, simple
+from stabhom.algebra import LEFT, RIGHT, ModuleMap, indec_projective, simple
 from stabhom.cli import laws as laws_mod
 from stabhom.cli.laws import LawResult, UnknownLaw, build_context, run_laws
 from stabhom.cli.main import main
@@ -128,23 +128,34 @@ def test_module_file_resolves_algebra_by_path(tmp_path, a2_file, capsys):
 def test_module_with_unknown_vertex_rejected():
     alg = a2_algebra()
     doc = {
+        "algebra": "a2.json",
         "side": "left",
         "dims": {"1": 1, "7": 1},
         "arrows": {},
     }
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="dims: unknown key '7'"):
         module_from_dict(doc, algebra=alg)
 
 
 def test_module_with_unknown_arrow_rejected():
     alg = a2_algebra()
     doc = {
+        "algebra": "a2.json",
         "side": "left",
         "dims": {"1": 1, "2": 1},
         "arrows": {"zz": ["1"]},
     }
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="arrows: unknown key 'zz'"):
         module_from_dict(doc, algebra=alg)
+
+
+@pytest.mark.parametrize("field", ["dims", "arrows"])
+def test_module_fields_must_be_objects(field):
+    # a list is a parse error, not an empty mapping or a crash
+    doc = module_to_dict(indec_projective(a2_algebra(), "1"))
+    doc[field] = list(doc[field].values())
+    with pytest.raises(ParseError, match=f"{field}: expected an object"):
+        module_from_dict(doc, algebra=a2_algebra())
 
 
 def test_map_round_trip():
@@ -177,6 +188,63 @@ def test_functor_round_trip():
 def test_parse_error_on_malformed_document():
     with pytest.raises(ParseError):
         algebra_from_dict({"field": {"kind": "prime", "p": 5}})
+
+
+def _functor_doc():
+    alg = a2_algebra()
+    return functor_to_dict(present_tensor(simple(alg, "2", RIGHT)))
+
+
+@pytest.mark.parametrize(
+    "load, make_doc, bad_key",
+    [
+        (algebra_from_dict, lambda: dict(A2_DOC), "nilpotency_bnd"),
+        (
+            lambda doc: module_from_dict(doc, algebra=a2_algebra()),
+            lambda: module_to_dict(simple(a2_algebra(), "1")),
+            "arrow_maps",
+        ),
+        (
+            lambda doc: map_from_dict(doc, algebra=a2_algebra()),
+            lambda: _functor_doc()["presentation"],
+            "map",
+        ),
+        (lambda doc: functor_from_dict(doc, algebra=a2_algebra()), _functor_doc, "variant"),
+    ],
+    ids=["algebra", "module", "map", "functor"],
+)
+def test_unknown_top_level_key_rejected(load, make_doc, bad_key):
+    doc = make_doc()
+    load(doc)  # the document as written loads
+    doc[bad_key] = doc.get(bad_key, {})
+    with pytest.raises(ParseError, match=f"unknown key '{bad_key}'"):
+        load(doc)
+
+
+def test_map_with_unknown_vertex_rejected():
+    alg = a2_algebra()
+    s1 = simple(alg, "1")
+    doc = map_to_dict(ModuleMap.identity(s1))
+    doc["maps"]["7"] = []
+    with pytest.raises(ParseError, match="unknown key '7'"):
+        map_from_dict(doc, algebra=alg)
+
+
+def test_readme_module_document_exits_0_and_misspelled_key_exits_2(
+    tmp_path, a2_file, capsys
+):
+    doc = {"algebra": "a2.json", "side": "left", "dims": {"1": 1, "2": 1}}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(dict(doc, arrows={"a": ["1"]})))
+    code, report = _run_json(capsys, ["invariants", a2_file, str(good)])
+    assert code == 0
+    # a = 1 gives the projective P(1), which has no torsion; dropping the
+    # map would give S(1) + S(2), whose torsion is S(1)
+    assert report["torsion"] == [0, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, arrow_maps={"a": ["1"]})))
+    code, _ = _run(capsys, ["invariants", a2_file, str(bad)])
+    assert code == 2
 
 
 # -- info / invariants / stablehom / tensor / functor --------------------------------
