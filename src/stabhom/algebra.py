@@ -26,7 +26,7 @@ from .exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
-    solve_matrix,
+    coordinates,
     vstack,
 )
 
@@ -615,7 +615,7 @@ class SubRep:
         self.parent = parent
         field = parent.algebra.field
         self.subspaces = {
-            v: subspaces.get(v, Subspace.zero(field, parent.dims[v]))
+            v: subspaces[v] if v in subspaces else Subspace.zero(field, parent.dims[v])
             for v in parent.vertices
         }
         for v, s in self.subspaces.items():
@@ -672,13 +672,11 @@ def sub_to_rep(
     maps = {}
     for a in m.algebra.quiver.arrows:
         x, y = arrow_ends(a, m.side)
-        bx = subspaces[x].basis
-        by = subspaces[y].basis
-        image = m.arrow_maps[a.name] @ bx.transpose()
-        sol = solve_matrix(by.transpose(), image)
+        image = m.arrow_maps[a.name] @ subspaces[x].basis.transpose()
+        sol = coordinates(subspaces[y].basis, subspaces[y].pivots, image.transpose())
         if sol is None:
             raise AlgebraError(f"subspaces not invariant under arrow {a.name}")
-        maps[a.name] = sol
+        maps[a.name] = sol.transpose()
     rep = Representation(m.algebra, m.side, dims, maps, _trusted=True)
     incl = ModuleMap(
         rep, m, {v: subspaces[v].basis.transpose() for v in m.vertices}, _trusted=True

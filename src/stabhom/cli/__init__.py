@@ -1,5 +1,1 @@
 """Serialization, random catalogs, law registry, and command line tools."""
-
-from .main import main
-
-__all__ = ["main"]

@@ -42,6 +42,17 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list")
+    return value
+
+
+def _is_int(value) -> bool:
+    """JSON true/false load as bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _reject_unknown_keys(doc, known, where: str):
     """Misspelled keys would otherwise be ignored and their defaults used."""
     if not isinstance(doc, dict):
@@ -95,7 +106,7 @@ def field_from_dict(doc, where: str = "field") -> Field:
     kind = _require(doc, "kind", where)
     if kind == PRIME:
         p = _require(doc, "p", where)
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise ParseError(f"{where}: p must be an integer")
         try:
             return Field.prime(p)
@@ -138,31 +149,31 @@ def algebra_from_dict(doc, where: str = "algebra") -> BoundQuiverAlgebra:
     ):
         raise ParseError(f"{where}.quiver.vertices: expected a list of strings")
     arrows = []
-    for i, adoc in enumerate(_require(qdoc, "arrows", f"{where}.quiver")):
+    arrow_docs = _list(_require(qdoc, "arrows", f"{where}.quiver"), f"{where}.quiver.arrows")
+    for i, adoc in enumerate(arrow_docs):
         loc = f"{where}.quiver.arrows[{i}]"
-        arrows.append(
-            Arrow(
-                _require(adoc, "name", loc),
-                _require(adoc, "from", loc),
-                _require(adoc, "to", loc),
-            )
-        )
+        ends = [_require(adoc, key, loc) for key in ("name", "from", "to")]
+        if not all(isinstance(x, str) for x in ends):
+            raise ParseError(f"{loc}: name, from and to must be strings")
+        arrows.append(Arrow(*ends))
     try:
         quiver = Quiver(vertices, arrows)
     except ValueError as exc:
         raise ParseError(f"{where}.quiver: {exc}")
     relations = []
-    for i, rdoc in enumerate(doc.get("relations", [])):
+    for i, rdoc in enumerate(_list(doc.get("relations", []), f"{where}.relations")):
         loc = f"{where}.relations[{i}]"
         terms = []
-        for j, tdoc in enumerate(_require(rdoc, "terms", loc)):
+        for j, tdoc in enumerate(_list(_require(rdoc, "terms", loc), f"{loc}.terms")):
             coeff = _require(tdoc, "coeff", f"{loc}.terms[{j}]")
             path = _require(tdoc, "path", f"{loc}.terms[{j}]")
             if not isinstance(coeff, str):
                 raise ParseError(f"{loc}.terms[{j}]: coeff must be a string")
-            if not isinstance(path, list) or not path:
+            if not isinstance(path, list) or not path or not all(
+                isinstance(x, str) for x in path
+            ):
                 raise ParseError(
-                    f"{loc}.terms[{j}]: path must be a nonempty arrow list"
+                    f"{loc}.terms[{j}]: path must be a nonempty list of arrow names"
                 )
             try:
                 terms.append((field.parse_scalar(coeff), tuple(path)))
@@ -170,7 +181,7 @@ def algebra_from_dict(doc, where: str = "algebra") -> BoundQuiverAlgebra:
                 raise ParseError(f"{loc}.terms[{j}]: bad coeff: {exc}")
         relations.append(Relation(terms))
     bound = doc.get("nilpotency_bound", 16)
-    if not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise ParseError(f"{where}.nilpotency_bound: expected a positive integer")
     try:
         return BoundQuiverAlgebra(quiver, relations, field, bound)
@@ -228,7 +239,7 @@ def module_from_dict(
     dims = {}
     for v in alg.quiver.vertices:
         d = dims_doc.get(v, 0)
-        if not isinstance(d, int) or d < 0:
+        if not _is_int(d) or d < 0:
             raise ParseError(f"{where}.dims[{v!r}]: expected a nonnegative integer")
         dims[v] = d
     arrows_doc = doc.get("arrows", {})

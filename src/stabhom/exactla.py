@@ -9,7 +9,11 @@ Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
     into k^r.
   * A Subspace of k^n is stored as a matrix whose rows form a basis,
-    kept in reduced row echelon form so equality is literal comparison.
+    kept in reduced row echelon form so equality is literal comparison,
+    together with the pivot columns that elimination found.
+  * A kernel basis (null_rows) is the identity on the free columns of the
+    eliminated matrix.  So both kinds of basis are the identity on known
+    columns, where coordinates are read off and then checked by a product.
 """
 from __future__ import annotations
 
@@ -355,18 +359,35 @@ def rank(m: Matrix) -> int:
     return rref(m)[1]
 
 
+def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]]:
+    """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
+    columns, and the free columns; row k is the identity on free column k."""
+    field = r.field
+    free = [c for c in range(r.cols) if c not in pivots]
+    out = Matrix.zeros(field, len(free), r.cols).data.copy()
+    out[range(len(free)), free] = field.one()
+    out[:, list(pivots)] = field.normalize(-r.data[: len(pivots), free].T)
+    return Matrix(field, out, _trusted=True), tuple(free)
+
+
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis (as rows) of the right kernel {x : m x = 0}."""
-    field = m.field
-    r, nrank, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = Matrix.zeros(field, len(free), m.cols).data.copy()
-    one = field.one()
-    for k, fc in enumerate(free):
-        out[k, fc] = one
-        for i, pc in enumerate(pivots):
-            out[k, pc] = field.normalize(-r.data[i, fc])
-    return Matrix(field, out, _trusted=True)
+    r, _, pivots = rref(m) if m.rows else (m, 0, ())
+    return null_rows(r, pivots)[0]
+
+
+def free_columns(kernel: Matrix) -> Tuple[int, ...]:
+    """The free columns of a kernel_basis result.  Row k is nonzero only at
+    free column k and at pivot columns left of it (an rref row is zero left
+    of its pivot), so free column k is the last nonzero entry of row k."""
+    return tuple(int(np.flatnonzero(row != 0)[-1]) for row in kernel.data)
+
+
+def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:
+    """C with C @ basis = vectors, read off at columns cols where basis is the
+    identity; None if the product shows some row is outside the span."""
+    c = Matrix(vectors.field, vectors.data[:, list(cols)], _trusted=True)
+    return c if c @ basis == vectors else None
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -418,9 +439,10 @@ class QuotientSpace:
 
 
 class Subspace:
-    """Subspace of k^n given by a row-basis matrix held in rref."""
+    """Subspace of k^n given by a row-basis matrix held in rref, with the
+    pivot columns where that basis is the identity."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Optional[Matrix] = None):
         self.field = field
@@ -429,7 +451,7 @@ class Subspace:
             rows = Matrix.zeros(field, 0, ambient_dim)
         if rows.cols != ambient_dim:
             raise ShapeMismatch("basis rows do not match ambient dimension")
-        r, nrank, _ = rref(rows)
+        r, nrank, self.pivots = rref(rows) if rows.rows else (rows, 0, ())
         self.basis = Matrix(field, r.data[:nrank].copy(), _trusted=True)
 
     @classmethod
@@ -489,28 +511,7 @@ class Subspace:
     def quotient(self) -> QuotientSpace:
         """Canonical surjection of the ambient space with this as kernel."""
         field = self.field
-        n = self.ambient_dim
-        _, _, pivots = rref(self.basis)
-        free = [c for c in range(n) if c not in pivots]
-        proj = Matrix.zeros(field, len(free), n).data.copy()
-        one = field.one()
-        for j, fc in enumerate(free):
-            proj[j, fc] = one
-            for i, pc in enumerate(pivots):
-                proj[j, pc] = field.normalize(-self.basis.data[i, fc])
-        sect = Matrix.zeros(field, n, len(free)).data.copy()
-        for j, fc in enumerate(free):
-            sect[fc, j] = one
-        return QuotientSpace(
-            Matrix(field, proj, _trusted=True), Matrix(field, sect, _trusted=True)
-        )
-
-
-def coordinates_in_rows(basis: Matrix, vectors: Matrix) -> Optional[Matrix]:
-    """Express each row of `vectors` in the row basis `basis`.
-
-    Returns C with C @ basis = vectors, or None if some row is outside
-    the span.
-    """
-    sol = solve_matrix(basis.transpose(), vectors.transpose())
-    return None if sol is None else sol.transpose()
+        proj, free = null_rows(self.basis, self.pivots)
+        sect = Matrix.zeros(field, self.ambient_dim, len(free)).data.copy()
+        sect[list(free), range(len(free))] = field.one()
+        return QuotientSpace(proj, Matrix(field, sect, _trusted=True))

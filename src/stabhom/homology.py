@@ -17,7 +17,8 @@ import numpy as np
 from .exactla import (
     Matrix,
     Subspace,
-    coordinates_in_rows,
+    coordinates,
+    free_columns,
     hstack,
     kernel_basis,
     kron,
@@ -54,15 +55,18 @@ class HomSpace:
     """Basis of Hom(domain, codomain) in flattened coordinates.
 
     stack is a (dim x D) matrix whose rows are the flattened basis maps,
-    D being the total number of matrix entries of a vertexwise map.
+    D being the total number of matrix entries of a vertexwise map.  It is
+    the kernel basis of the intertwiner equations, so it is the identity on
+    their free columns `free`, and a map's coordinates are its entries there.
     """
 
-    __slots__ = ("domain", "codomain", "stack", "_maps")
+    __slots__ = ("domain", "codomain", "stack", "free", "_maps")
 
     def __init__(self, domain: Representation, codomain: Representation, stack: Matrix):
         self.domain = domain
         self.codomain = codomain
         self.stack = stack
+        self.free = free_columns(stack)
         self._maps: Optional[List[ModuleMap]] = None
 
     @property
@@ -84,13 +88,10 @@ class HomSpace:
 
     def coords_of(self, f: ModuleMap) -> np.ndarray:
         flat = Matrix(self.stack.field, f.flat().reshape(1, -1))
-        c = coordinates_in_rows(self.stack, flat)
-        if c is None:
-            raise AlgebraError("map is not in the computed hom space")
-        return c.data[0].copy()
+        return self.coords_of_flats(flat).data[0].copy()
 
     def coords_of_flats(self, flats: Matrix) -> Matrix:
-        c = coordinates_in_rows(self.stack, flats)
+        c = coordinates(self.stack, self.free, flats)
         if c is None:
             raise AlgebraError("maps are not in the computed hom space")
         return c
@@ -332,13 +333,8 @@ def push_coords(
     """Matrix (rows: source basis) of a map Hom_src -> Hom_tgt in coordinates."""
     field = source.stack.field
     flats = [transform(f).flat() for f in source.basis_maps()]
-    width = target.stack.cols
-    fm = (
-        Matrix(field, np.array(flats).reshape(len(flats), width))
-        if flats
-        else Matrix.zeros(field, 0, width)
-    )
-    return target.coords_of_flats(fm)
+    fm = np.array(flats, dtype=field.dtype).reshape(len(flats), target.stack.cols)
+    return target.coords_of_flats(Matrix(field, fm))
 
 
 def extend_over(h: ModuleMap, gamma: ModuleMap) -> Optional[ModuleMap]:

@@ -535,6 +535,76 @@ def test_relation_violating_module_exits_2(tmp_path, loop2_file, capsys):
     assert code == 2
 
 
+def _a2_doc_with(path, value):
+    """A copy of A2_DOC with the entry at the key sequence `path` replaced."""
+    doc = json.loads(json.dumps(A2_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("relations",), 5, "relations: expected a list"),
+        (("relations",), [{"terms": 5}], r"relations\[0\].terms: expected a list"),
+        (
+            ("relations",),
+            [{"terms": [{"coeff": "1", "path": [["a"], "a"]}]}],
+            "path must be a nonempty list of arrow names",
+        ),
+        (("quiver", "arrows"), 7, "arrows: expected a list"),
+        (("quiver", "arrows", 0, "name"), 1, "must be strings"),
+        (("quiver", "arrows", 0, "from"), ["1"], "must be strings"),
+        (("quiver", "arrows", 0, "to"), None, "must be strings"),
+        (("nilpotency_bound",), True, "expected a positive integer"),
+        (("field", "p"), True, "p must be an integer"),
+    ],
+    ids=["relations", "terms", "path", "arrows", "name", "from", "to", "bound-bool", "p-bool"],
+)
+def test_malformed_algebra_document_exits_2(tmp_path, capsys, path, value, message):
+    doc = _a2_doc_with(path, value)
+    with pytest.raises(ParseError, match=message):
+        algebra_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _ = _run(capsys, ["info", str(bad)])
+    assert code == 2
+
+
+def test_boolean_dimension_exits_2(tmp_path, a2_file, capsys):
+    doc = {"algebra": "a2.json", "side": "left", "dims": {"1": True}}
+    with pytest.raises(ParseError, match="expected a nonnegative integer"):
+        module_from_dict(doc, algebra=a2_algebra())
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps(doc))
+    code, _ = _run(capsys, ["invariants", a2_file, str(path)])
+    assert code == 2
+
+
+def test_python_dash_m_entry_point_writes_nothing_to_stderr(a2_file):
+    import os
+    import subprocess
+    import sys
+
+    import stabhom
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabhom.cli.main", "info", a2_file],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "dimension" in proc.stdout
+
+
 # -- generation machinery -----------------------------------------------------------
 
 

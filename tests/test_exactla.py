@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabhom import exactla
 from stabhom.exactla import (
     Field,
     FieldMismatch,
     Matrix,
     ShapeMismatch,
     Subspace,
+    coordinates,
+    free_columns,
     kernel_basis,
+    null_rows,
     rank,
     rref,
     solve_matrix,
@@ -116,6 +120,39 @@ def test_subspace_ambient_mismatch_rejected():
         u + v
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_zero_and_full_subspaces_equal_the_eliminated_ones(field, n):
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    assert zero == Subspace(field, n, Matrix.zeros(field, 0, n))
+    assert zero.pivots == Subspace(field, n, Matrix.zeros(field, 0, n)).pivots == ()
+    assert full == Subspace(field, n, Matrix.identity(field, n))
+    assert full.pivots == Subspace(field, n, Matrix.identity(field, n)).pivots
+    assert full.pivots == tuple(range(n))
+
+
+def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):
+    from stabhom.algebra import indec_projective
+    from stabhom.homology import hom_basis
+    from algebras import a2_algebra
+
+    alg = a2_algebra()
+    hom = hom_basis(indec_projective(alg, "1"), indec_projective(alg, "1"))
+    u = Subspace(alg.field, 3, Matrix.from_rows(alg.field, [[1, 2, 0]]))
+    calls = []
+    real = exactla.rref
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(exactla, "rref", counted)
+    Subspace.zero(alg.field, 4)
+    u.quotient()
+    hom.coords_of_flats(hom.stack.scale(3))
+    assert calls == []
+
+
 def test_scalar_round_trip_formats():
     q = Field.rational()
     assert q.format_scalar(q.parse_scalar("-3/7")) == "-3/7"
@@ -139,6 +176,47 @@ def test_rref_idempotent(m):
     r, nrank, pivots = rref(m)
     r2, nrank2, pivots2 = rref(r)
     assert r2 == r and nrank2 == nrank and pivots2 == pivots
+
+
+def _null_rows_by_loop(r, pivots):
+    """The entry-by-entry construction that null_rows vectorizes."""
+    field = r.field
+    free = [c for c in range(r.cols) if c not in pivots]
+    out = Matrix.zeros(field, len(free), r.cols).data.copy()
+    for k, fc in enumerate(free):
+        out[k, fc] = field.one()
+        for i, pc in enumerate(pivots):
+            out[k, pc] = field.normalize(-r.data[i, fc])
+    return Matrix(field, out, _trusted=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_strategy(max_dim=5))
+def test_kernel_basis_is_the_identity_on_its_free_columns(m):
+    r, _, pivots = rref(m)
+    ker, free = null_rows(r, pivots)
+    assert ker == kernel_basis(m) == _null_rows_by_loop(r, pivots)
+    assert free == free_columns(ker)
+    assert free == tuple(c for c in range(m.cols) if c not in pivots)
+    unit = Matrix(m.field, ker.data[:, list(free)], _trusted=True)
+    assert unit == Matrix.identity(m.field, len(free))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_strategy(max_dim=5), st.integers(0, 10 ** 6))
+def test_coordinates_read_off_either_echelon_form(m, seed):
+    rng = np.random.RandomState(seed)
+    u = Subspace(m.field, m.cols, m)
+    ker = kernel_basis(m)
+    for basis, cols in ((u.basis, u.pivots), (ker, free_columns(ker))):
+        c = Matrix.from_rows(m.field, rng.randint(-3, 4, size=(3, basis.rows)).tolist())
+        assert coordinates(basis, cols, c @ basis) == c
+        outside = [j for j in range(m.cols) if j not in cols]
+        if outside:
+            # a unit vector off the identity columns reads as 0 there
+            e = Matrix.zeros(m.field, 1, m.cols).data.copy()
+            e[0, outside[0]] = m.field.one()
+            assert coordinates(basis, cols, Matrix(m.field, e)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,6 +277,8 @@ def test_quotient_kills_exactly_the_subspace(m):
     u = Subspace(m.field, m.cols, m)
     q = u.quotient()
     assert q.dim == m.cols - u.dim
+    assert u.pivots == rref(m)[2]
+    assert q.projection == kernel_basis(u.basis)
     if u.dim:
         assert (q.projection @ u.basis.transpose()).is_zero()
     assert (q.projection @ q.section) == Matrix.identity(m.field, q.dim)

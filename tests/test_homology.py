@@ -6,6 +6,7 @@ from algebras import BUILDERS
 from oracles import ext1_brute_force_f2, ext1_cocycle_dim
 from stabhom.algebra import (
     LEFT,
+    AlgebraError,
     ModuleMap,
     RIGHT,
     direct_sum,
@@ -17,7 +18,7 @@ from stabhom.algebra import (
     zero_module,
 )
 from stabhom.cli.randmod import random_module
-from stabhom.exactla import rank
+from stabhom.exactla import Matrix, rank
 from stabhom.homology import (
     cokernel_map,
     eval_double_dual,
@@ -55,6 +56,17 @@ def test_hom_simple_to_projective_vanishes(a2):
 def test_hom_endomorphisms_of_projective(a2):
     p1 = indec_projective(a2, "1")
     assert hom_basis(p1, p1).dim == 1
+
+
+def test_coords_of_flats_rejects_a_non_map(a2):
+    p1 = indec_projective(a2, "1")
+    hom = hom_basis(p1, p1)  # 1-dimensional inside 2 flat entries
+    assert hom.coords_of_flats(hom.stack.scale(2)) == Matrix.from_rows(a2.field, [[2]])
+    outside = [j for j in range(hom.stack.cols) if j not in hom.free]
+    flat = Matrix.zeros(a2.field, 1, hom.stack.cols).data.copy()
+    flat[0, outside[0]] = 1
+    with pytest.raises(AlgebraError, match="not in the computed hom space"):
+        hom.coords_of_flats(Matrix(a2.field, flat))
 
 
 def test_hom_projective_counts_dimension(all_algebras):
