@@ -210,12 +210,8 @@ def _invariant_span(parent: Representation, vectors) -> Dict[str, Subspace]:
             basis = spans[src].basis
             if basis.rows == 0:
                 continue
-            pushed = parent.arrow_maps[a.name].data @ basis.data.T
-            enlarged = spans[tgt] + Subspace(
-                field,
-                parent.dims[tgt],
-                Matrix(field, field.normalize(pushed.T.copy()), _trusted=True),
-            )
+            pushed = (parent.arrow_maps[a.name] @ basis.transpose()).transpose()
+            enlarged = spans[tgt] + Subspace(field, parent.dims[tgt], pushed)
             if enlarged.dim != spans[tgt].dim:
                 spans[tgt] = enlarged
                 changed = True

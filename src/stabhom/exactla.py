@@ -1,9 +1,19 @@
 """Exact dense linear algebra over a prime field or the rationals.
 
-Everything here is exact. Prime-field entries are machine integers kept
-reduced mod p inside int64 numpy arrays; rational entries are
-fractions.Fraction objects inside object-dtype arrays. No floating point
-is used anywhere.
+Everything here is exact. No floating point is used anywhere. Entries are
+kept in one of two backends, chosen by the field (Field.dtype):
+  * F_p with (p-1)^2 < 2^63, that is p <= 3037000500: machine integers
+    reduced mod p inside int64 numpy arrays.  A product of two entries
+    fits; a matrix product sums k of them at a time and reduces, with
+    k (p-1)^2 < 2^63 (one block for small p such as 2 and 5).
+  * Larger p, and Q: Python ints reduced mod p, or fractions.Fraction
+    objects, inside object-dtype arrays, which cannot overflow.
+A prime modulus is checked by deterministic Miller-Rabin, exact below
+3.317e24; larger moduli are refused.
+
+Elimination (rref) touches only what a pivot changes: the pivot row from
+the pivot column on, and the rows with a nonzero entry in the pivot
+column, from the pivot column on.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -17,6 +27,7 @@ Conventions:
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -24,6 +35,9 @@ import numpy as np
 
 PRIME = "prime"
 RATIONAL = "rational"
+
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 class FieldMismatch(ValueError):
@@ -34,33 +48,58 @@ class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.317e24; larger n raise."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"modulus {n} is too large: primality is decided exactly only below "
+            f"{_MR_EXACT_BELOW}"
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 class Field:
     """Coefficient field: F_p (kind 'prime') or Q (kind 'rational')."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "dtype")
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == PRIME:
             if p is None or not _is_prime(int(p)):
                 raise ValueError(f"prime field needs a prime modulus, got {p!r}")
             self.p = int(p)
+            # int64 holds every product of two reduced entries only while
+            # (p-1)^2 < 2^63; larger primes compute with Python ints
+            self.dtype = np.int64 if (self.p - 1) ** 2 <= _INT64_MAX else object
         elif kind == RATIONAL:
             if p is not None:
                 raise ValueError("rational field takes no modulus")
             self.p = None
+            self.dtype = object
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
@@ -128,10 +167,6 @@ class Field:
 
     # -- array plumbing -------------------------------------------------
 
-    @property
-    def dtype(self):
-        return np.int64 if self.kind == PRIME else object
-
     def normalize(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p if self.kind == PRIME else arr
 
@@ -161,8 +196,8 @@ class Field:
 class Matrix:
     """Immutable dense matrix over a Field.
 
-    data is a 2-D numpy array (int64 reduced mod p, or Fraction objects)
-    marked read-only after construction.
+    data is a 2-D numpy array (int64 or Python ints reduced mod p, or
+    Fraction objects; see Field.dtype) marked read-only after construction.
     """
 
     __slots__ = ("field", "data")
@@ -172,7 +207,7 @@ class Matrix:
             data = np.asarray(data)
             if data.ndim != 2:
                 raise ShapeMismatch("matrix data must be 2-D")
-            if field.kind == PRIME:
+            if field.dtype is np.int64:
                 data = data.astype(np.int64) % field.p
             else:
                 out = np.empty(data.shape, dtype=object)
@@ -188,11 +223,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        if field.kind == PRIME:
+        if field.dtype is np.int64:
             data = np.zeros((rows, cols), dtype=np.int64)
         else:
             data = np.empty((rows, cols), dtype=object)
-            data[...] = Fraction(0)
+            data[...] = field.zero()
         return cls(field, data, _trusted=True)
 
     @classmethod
@@ -235,8 +270,7 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        out = self.field.normalize(np.dot(self.data, other.data))
-        return Matrix(self.field, out, _trusted=True)
+        return Matrix(self.field, _dot(self.field, self.data, other.data), _trusted=True)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -264,7 +298,7 @@ class Matrix:
         """Matrix times column vector, given and returned as 1-D arrays."""
         if vec.shape[0] != self.cols:
             raise ShapeMismatch(f"{self.shape} applied to length-{vec.shape[0]} vector")
-        return self.field.normalize(np.dot(self.data, vec))
+        return _dot(self.field, self.data, vec)
 
     def __eq__(self, other) -> bool:
         return (
@@ -280,6 +314,19 @@ class Matrix:
     def entries(self) -> List:
         """Row-major flat list of entries."""
         return list(self.data.reshape(-1))
+
+
+def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field.  In int64 it sums k products at a time and
+    reduces, with k (p-1)^2 < 2^63, so no partial sum overflows."""
+    if field.dtype is not np.int64:
+        return field.normalize(np.dot(a, b))
+    p, n = field.p, a.shape[-1]
+    k = _INT64_MAX // (p - 1) ** 2
+    out = np.dot(a[..., :k], b[:k]) % p
+    for s in range(k, n, k):
+        out = (out + np.dot(a[..., s : s + k], b[s : s + k]) % p) % p
+    return out
 
 
 def vstack(field: Field, mats: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
@@ -327,29 +374,44 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
-    """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
+    """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
+
+    A pivot changes only the rows with a nonzero entry in its column (the
+    hit rows), and only from its column on: the pivot row is zero left of
+    it.  Gathering and scattering the hit rows costs a few numpy calls.  In
+    int64, where an entry costs nanoseconds, that is worth it only when
+    fewer than half of the rows are hit, and otherwise the whole slice from
+    the pivot column on is updated; in object arrays it always is, unless
+    every row is hit."""
+    if not m.rows:
+        return m, 0, ()
     field = m.field
     a = m.data.copy()
     nr, nc = a.shape
+    # the number of hit rows from which the whole slice is updated
+    dense = nr if a.dtype == object else (nr + 1) // 2
     pivots: List[int] = []
     row = 0
     for col in range(nc):
         if row == nr:
             break
-        piv = None
-        for i in range(row, nr):
-            if a[i, col] != 0:
-                piv = i
-                break
-        if piv is None:
+        hit = a[:, col].nonzero()[0]
+        hits = hit.tolist()
+        i = bisect_left(hits, row)
+        if i == len(hits):
             continue
+        piv = hits[i]
         if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = field.inv(a[row, col])
-        a[row] = field.normalize(a[row] * inv)
-        factors = a[:, col].copy()
-        factors[row] = field.zero()
-        a = field.normalize(a - np.outer(factors, a[row]))
+            a[row], a[piv] = a[piv], a[row].copy()
+        x = a[row, col]  # a pivot of 1 needs no scaling
+        prow = a[row, col:].copy() if x == 1 else field.normalize(a[row, col:] * field.inv(x))
+        if len(hits) >= dense:
+            a[:, col:] = field.normalize(a[:, col:] - a[:, col, None] * prow)
+        elif len(hits) > 1:
+            # after the swap the other hit rows are hit without piv
+            rows = hit[hit != piv]
+            a[rows, col:] = field.normalize(a[rows, col:] - a[rows, col, None] * prow)
+        a[row, col:] = prow
         pivots.append(col)
         row += 1
     return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
@@ -372,7 +434,7 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis (as rows) of the right kernel {x : m x = 0}."""
-    r, _, pivots = rref(m) if m.rows else (m, 0, ())
+    r, _, pivots = rref(m)
     return null_rows(r, pivots)[0]
 
 
@@ -460,7 +522,9 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, Matrix.identity(field, n))
+        full = cls(field, n)
+        full.basis, full.pivots = Matrix.identity(field, n), tuple(range(n))
+        return full
 
     @property
     def dim(self) -> int:

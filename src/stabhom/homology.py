@@ -83,7 +83,7 @@ class HomSpace:
 
     def element(self, coeffs: np.ndarray) -> ModuleMap:
         field = self.domain.algebra.field
-        flat = field.normalize(np.dot(np.asarray(coeffs), self.stack.data))
+        flat = (Matrix(field, np.asarray(coeffs).reshape(1, -1)) @ self.stack).data[0]
         return map_from_flat(self.domain, self.codomain, flat)
 
     def coords_of(self, f: ModuleMap) -> np.ndarray:

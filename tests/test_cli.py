@@ -398,6 +398,15 @@ def test_verify_reports_are_deterministic(loop2_file, capsys):
     assert r1 == r2
 
 
+def test_verify_passes_over_a_31_bit_prime(tmp_path, capsys):
+    # a product of two entries fits int64, a sum of three such products does not
+    path = tmp_path / "square_p31.json"
+    path.write_text(json.dumps(algebra_to_dict(square_algebra(Field.prime(2147483647)))))
+    code, report = _run_json(capsys, ["verify", str(path), "--seed", "1", "--count", "3"])
+    assert code == 0
+    assert report["failures"] == 0 and report["checks_run"] > 0
+
+
 def test_verify_law_filter(a2_file, capsys):
     code, report = _run_json(
         capsys,
@@ -561,8 +570,12 @@ def _a2_doc_with(path, value):
         (("quiver", "arrows", 0, "to"), None, "must be strings"),
         (("nilpotency_bound",), True, "expected a positive integer"),
         (("field", "p"), True, "p must be an integer"),
+        (("field", "p"), 10 ** 25, "too large"),
     ],
-    ids=["relations", "terms", "path", "arrows", "name", "from", "to", "bound-bool", "p-bool"],
+    ids=[
+        "relations", "terms", "path", "arrows", "name", "from", "to", "bound-bool", "p-bool",
+        "p-huge",
+    ],
 )
 def test_malformed_algebra_document_exits_2(tmp_path, capsys, path, value, message):
     doc = _a2_doc_with(path, value)

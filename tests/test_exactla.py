@@ -1,5 +1,10 @@
+import random
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from stabhom import exactla
@@ -148,6 +153,7 @@ def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):
 
     monkeypatch.setattr(exactla, "rref", counted)
     Subspace.zero(alg.field, 4)
+    Subspace.full(alg.field, 4)
     u.quotient()
     hom.coords_of_flats(hom.stack.scale(3))
     assert calls == []
@@ -288,3 +294,202 @@ def test_quotient_kills_exactly_the_subspace(m):
 @given(matrix_strategy())
 def test_rank_transpose_invariant(m):
     assert rank(m) == rank(m.transpose())
+
+
+# -- elimination against the whole-matrix reference --------------------------
+
+P31 = 2147483647  # largest prime whose products of two entries fit int64
+P32 = 4294967311  # smallest prime above 2^32: computed with Python ints
+ELIM_FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(P31)]
+
+
+def _rref_by_outer(m, hits=None):
+    """The elimination rref replaced: it renormalizes the whole matrix at
+    every pivot.  With hits, it records per pivot the number of rows with a
+    nonzero entry in the pivot column (the pivot row included)."""
+    field = m.field
+    a = m.data.copy()
+    nr, nc = a.shape
+    pivots = []
+    row = 0
+    for col in range(nc):
+        if row == nr:
+            break
+        piv = None
+        for i in range(row, nr):
+            if a[i, col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if hits is not None:
+            hits.append(int(np.count_nonzero(a[:, col])))
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        inv = field.inv(a[row, col])
+        a[row] = field.normalize(a[row] * inv)
+        factors = a[:, col].copy()
+        factors[row] = field.zero()
+        a = field.normalize(a - np.outer(factors, a[row]))
+        pivots.append(col)
+        row += 1
+    return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
+
+
+def _python_int_copy(m):
+    """m over a prime field with its entries as Python ints in an object
+    array, where the reference's products cannot overflow."""
+    data = np.empty(m.shape, dtype=object)
+    data[...] = [[int(x) for x in row] for row in m.data]
+    return Matrix(m.field, data, _trusted=True)
+
+
+def _sparse_matrix(args):
+    field, rows, cols, density, seed = args
+    rng = np.random.RandomState(seed)
+    data = rng.randint(-3, 4, size=(rows, cols)) * (rng.random_sample((rows, cols)) < density)
+    return Matrix.from_rows(field, data.tolist())
+
+
+def _assert_same_elimination(m):
+    got, want = rref(m), _rref_by_outer(m)
+    assert got[1:] == want[1:]
+    assert got[0] == want[0]
+    assert got[0].data.dtype == want[0].data.dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from(ELIM_FIELDS),
+        st.integers(1, 12),
+        st.integers(1, 16),
+        st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+        st.integers(0, 10 ** 6),
+    ).map(_sparse_matrix)
+)
+def test_rref_equals_the_whole_matrix_reference(m):
+    _assert_same_elimination(m)
+
+
+@pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
+def test_rref_takes_both_updates(field):
+    """A block-diagonal matrix has pivots that hit fewer than half of the
+    rows (the update gathers those rows); a dense invertible one has
+    pivots that hit every row (the update takes the whole slice)."""
+    block = [[1, 2], [1, 1]]
+    sparse = Matrix.from_rows(
+        field, [[0] * (2 * k) + row + [0] * (6 - 2 * k) for k in range(4) for row in block]
+    )
+    dense = Matrix.from_rows(field, [[1, 1, 1], [1, 2, 4], [1, 3, 2]])
+    for m, check in ((sparse, lambda h: 1 < h < m.rows / 2), (dense, lambda h: h == m.rows)):
+        hits = []
+        _rref_by_outer(m, hits)
+        assert any(check(h) for h in hits)
+        _assert_same_elimination(m)
+
+
+def test_rref_leaves_a_matrix_with_no_rows_as_it_is():
+    m = Matrix.zeros(Field.prime(5), 0, 4)
+    assert rref(m) == (m, 0, ())
+    assert rref(m)[0] is m
+    assert kernel_basis(m) == Matrix.identity(m.field, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.just(Field.rational()), st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6)
+    ).map(_build_matrix)
+)
+def test_rref_over_q_matches_sympy(m):
+    r, nrank, pivots = rref(m)
+    want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                      for row in m.data]).rref()
+    assert pivots == tuple(want_pivots) and nrank == len(want_pivots)
+    assert [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(m.rows)] == [
+        list(row) for row in r.data
+    ]
+
+
+# -- primes above 2^31 -----------------------------------------------------------
+
+
+def _python_int_product(a, b, p):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", [P31, P32])
+def test_large_prime_products_match_python_ints(p):
+    field = Field.prime(p)
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(16)] for _ in range(16)]
+    other = [[rng.randrange(p) for _ in range(16)] for _ in range(16)]
+    a, b = Matrix.from_rows(field, rows), Matrix.from_rows(field, other)
+    want = _python_int_product(rows, other, p)
+    assert [[int(x) for x in row] for row in (a @ b).data] == want
+    vec = np.array([row[0] for row in other], dtype=field.dtype)
+    assert [int(x) for x in a.apply(vec)] == [row[0] for row in want]
+
+
+@pytest.mark.parametrize("p", [P31, P32])
+def test_large_prime_rank_and_rref_match_python_ints(p):
+    field = Field.prime(p)
+    rng = random.Random(p + 1)
+    left = [[rng.randrange(p) for _ in range(3)] for _ in range(8)]
+    right = [[rng.randrange(p) for _ in range(8)] for _ in range(3)]
+    m = Matrix.from_rows(field, _python_int_product(left, right, p))
+    assert rank(m) == 3
+    got, want = rref(m), _rref_by_outer(_python_int_copy(m))
+    assert got[1:] == want[1:]
+    assert [[int(x) for x in row] for row in got[0].data] == [
+        [int(x) for x in row] for row in want[0].data
+    ]
+
+
+def test_each_prime_gets_the_backend_its_products_fit():
+    assert Field.prime(5).dtype is np.int64
+    assert Field.prime(P31).dtype is np.int64
+    assert Field.prime(P32).dtype is object
+    assert Matrix.zeros(Field.prime(P32), 2, 2).data.dtype == object
+    assert Matrix(Field.prime(P32), np.array([[P32 + 1]])).data[0, 0] == 1
+
+
+# -- primality -----------------------------------------------------------------------
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if exactla._is_prime(n)] == [
+        n for n in range(10 ** 5) if _is_prime_by_trial_division(n)
+    ]
+
+
+def test_primality_matches_sympy_on_64_bit_numbers():
+    rng = random.Random(64)
+    for _ in range(2000):
+        n = rng.getrandbits(64) | 1
+        assert exactla._is_prime(n) == sympy.isprime(n), n
+    for n in (2 ** 61 - 1, 2 ** 64 - 59, 10 ** 18 + 3, 10 ** 18 + 9):
+        assert exactla._is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_pseudoprime_to_small_bases_is_rejected():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5 and 7
+    assert not exactla._is_prime(3215031751)
+    with pytest.raises(ValueError, match="prime modulus"):
+        Field.prime(3215031751)
+
+
+def test_large_prime_modulus_is_accepted_at_once():
+    start = time.perf_counter()
+    assert Field.prime(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_modulus_beyond_the_exact_bound_is_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(exactla._MR_EXACT_BELOW + 2)
