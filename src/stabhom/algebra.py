@@ -69,16 +69,11 @@ class Quiver:
                 raise AlgebraError(f"arrow {a.name} touches unknown vertex")
         self.arrow_by_name: Dict[str, Arrow] = {a.name: a for a in self.arrows}
         self._from: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
-        self._to: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             self._from[a.source].append(a)
-            self._to[a.target].append(a)
 
     def arrows_from(self, v: str) -> List[Arrow]:
         return self._from[v]
-
-    def arrows_to(self, v: str) -> List[Arrow]:
-        return self._to[v]
 
     def is_acyclic(self) -> bool:
         color: Dict[str, int] = {v: 0 for v in self.vertices}
@@ -307,9 +302,6 @@ class BoundQuiverAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def path_target(self, path: Path) -> str:
-        return _path_target(self.quiver, path)
 
     def block_basis(self, source: str, target: str) -> List[Path]:
         return [self.basis[i] for i in self.basis_by_block.get((source, target), [])]
@@ -583,10 +575,6 @@ class ModuleMap:
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.domain.dim_vector()} -> {self.codomain.dim_vector()})"
-
-
-def hom_flat_dim(domain: Representation, codomain: Representation) -> int:
-    return sum(codomain.dims[v] * domain.dims[v] for v in domain.vertices)
 
 
 def map_from_flat(

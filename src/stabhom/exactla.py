@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,14 +207,16 @@ class Matrix:
             data = np.asarray(data)
             if data.ndim != 2:
                 raise ShapeMismatch("matrix data must be 2-D")
-            if field.dtype is np.int64:
+            if field.dtype is np.int64 and data.dtype != object:
                 data = data.astype(np.int64) % field.p
             else:
+                # entries one by one: a Python int of 2^63 or more must be
+                # reduced mod p before an int64 cast
                 out = np.empty(data.shape, dtype=object)
                 for i in range(data.shape[0]):
                     for j in range(data.shape[1]):
                         out[i, j] = field.coerce(data[i, j])
-                data = out
+                data = out if field.dtype is object else out.astype(np.int64)
         data.flags.writeable = False
         self.field = field
         self.data = data
@@ -363,11 +365,6 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
         r += m.rows
         c += m.cols
     return Matrix(field, out, _trusted=True)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    a._check(b)
-    return Matrix(a.field, a.field.normalize(np.kron(a.data, b.data)), _trusted=True)
 
 
 # -- gaussian elimination ----------------------------------------------

@@ -17,7 +17,7 @@ evaluation-by-evaluation in the test suite rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactla import Matrix, QuotientSpace, Subspace, rank
 from .algebra import (
@@ -125,11 +125,11 @@ def fp_eval(func: FpFunctor, b: Representation) -> FpValue:
     if func.variance == COVARIANT:
         hom_x = hom_basis(func.entry, b)
         hom_y = hom_basis(func.relations, b)
-        t = push_coords(hom_y, hom_x, lambda phi: phi @ f)
+        t = push_coords(hom_y, hom_x, pre=f)
     else:
         hom_x = hom_basis(b, func.entry)
         hom_y = hom_basis(b, func.relations)
-        t = push_coords(hom_y, hom_x, lambda phi: f @ phi)
+        t = push_coords(hom_y, hom_x, post=f)
     image = Subspace(b.algebra.field, hom_x.dim, t)
     return FpValue(func, b, hom_x, image, image.quotient())
 
@@ -224,9 +224,9 @@ def fp_eval_morphism(
     if tgt_val is None:
         tgt_val = fp_eval(alpha.target, b)
     if alpha.source.variance == COVARIANT:
-        t = push_coords(src_val.hom, tgt_val.hom, lambda phi: phi @ alpha.u)
+        t = push_coords(src_val.hom, tgt_val.hom, pre=alpha.u)
     else:
-        t = push_coords(src_val.hom, tgt_val.hom, lambda phi: alpha.u @ phi)
+        t = push_coords(src_val.hom, tgt_val.hom, post=alpha.u)
     return tgt_val.quotient.projection @ t.transpose() @ src_val.quotient.section
 
 

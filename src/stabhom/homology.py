@@ -1,31 +1,37 @@
 """Homological machinery over a bound quiver algebra.
 
-Hom spaces are computed as joint kernels of the intertwiner equations;
-kernels, images, and cokernels of module maps are taken vertexwise with
-induced arrow actions; projective covers and injective envelopes are
-minimal (built on top and socle).  The star dual Hom(-, algebra) is
-organized as a module on the other side, with the component at vertex v
-being Hom(m, P(v)).
+Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
+one block of rows per arrow x -> y.  Each block is written by indexed
+assignment into 4-D views of its columns (I (x) A^T at phi_y, -B (x) I at
+phi_x, adding up on a loop), with no Kronecker product or identity matrix;
+the tensor product's balancing relations and tensor_map are written alike.
+A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
+between Hom spaces, made by one exact product per vertex for the whole
+basis.  Kernels, images and cokernels are taken vertexwise; projective
+covers and injective envelopes are minimal (built on top and socle).  The
+star dual Hom(-, algebra) is a module on the other side, with component
+Hom(m, P(v)) at vertex v.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exactla import (
+    Field,
     Matrix,
     Subspace,
+    _dot,
     coordinates,
     free_columns,
     hstack,
     kernel_basis,
-    kron,
     rank,
     solve_matrix,
     solve_right,
-    vstack,
 )
 from .algebra import (
     LEFT,
@@ -60,18 +66,26 @@ class HomSpace:
     their free columns `free`, and a map's coordinates are its entries there.
     """
 
-    __slots__ = ("domain", "codomain", "stack", "free", "_maps")
+    __slots__ = ("domain", "codomain", "stack", "free", "offsets", "_maps")
 
     def __init__(self, domain: Representation, codomain: Representation, stack: Matrix):
         self.domain = domain
         self.codomain = codomain
         self.stack = stack
         self.free = free_columns(stack)
+        self.offsets = _block_offsets(domain.vertices, codomain.dims, domain.dims)[0]
         self._maps: Optional[List[ModuleMap]] = None
 
     @property
     def dim(self) -> int:
         return self.stack.rows
+
+    def blocks(self, v: str) -> np.ndarray:
+        """The vertex-v matrices of all basis maps at once, as an array of
+        shape (dim, codomain.dims[v], domain.dims[v])."""
+        r, c = self.codomain.dims[v], self.domain.dims[v]
+        off = self.offsets[v]
+        return self.stack.data[:, off : off + r * c].reshape(self.dim, r, c)
 
     def basis_maps(self) -> List[ModuleMap]:
         if self._maps is None:
@@ -101,34 +115,44 @@ def hom_basis(a: Representation, b: Representation) -> HomSpace:
     """Basis of the space of module maps a -> b."""
     if a.algebra is not b.algebra or a.side != b.side:
         raise AlgebraError("hom needs matching algebra and side")
-    alg = a.algebra
-    field = alg.field
-    verts = a.vertices
+    offs, total = _block_offsets(a.vertices, b.dims, a.dims)
+    terms = []
+    for ar in a.algebra.quiver.arrows:
+        # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
+        x, y = arrow_ends(ar, a.side)
+        terms.append((x, -b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
+    return HomSpace(a, b, kernel_basis(_kron_rows(a.algebra.field, offs, total, terms)))
+
+
+def _block_offsets(
+    verts: Sequence[str], rows: Dict[str, int], cols: Dict[str, int]
+) -> Tuple[Dict[str, int], int]:
+    """Offsets of the row-major rows[v] x cols[v] blocks, vertex after
+    vertex, and their total size."""
     offs: Dict[str, int] = {}
     total = 0
     for v in verts:
         offs[v] = total
-        total += b.dims[v] * a.dims[v]
-    rows: List[Matrix] = []
-    for ar in alg.quiver.arrows:
-        x, y = arrow_ends(ar, a.side)
-        da_x, db_y = a.dims[x], b.dims[y]
-        nrows = db_y * da_x
-        if nrows == 0:
-            continue
-        block = Matrix.zeros(field, nrows, total).data.copy()
-        # phi_y . A - B . phi_x = 0 ; row-major vec identities
-        amat = a.arrow_maps[ar.name]
-        bmat = b.arrow_maps[ar.name]
-        ky = kron(Matrix.identity(field, db_y), amat.transpose())
-        kx = kron(bmat, Matrix.identity(field, da_x))
-        if ky.cols:
-            block[:, offs[y] : offs[y] + ky.cols] += ky.data
-        if kx.cols:
-            block[:, offs[x] : offs[x] + kx.cols] -= kx.data
-        rows.append(Matrix(field, field.normalize(block), _trusted=True))
-    system = vstack(field, rows, cols=total)
-    return HomSpace(a, b, kernel_basis(system))
+        total += rows[v] * cols[v]
+    return offs, total
+
+
+def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
+    """Rows M1 (x) I_q at the columns of v1 plus I_p (x) M2 at those of v2,
+    for each term (v1, M1, v2, M2) with M1 of p rows and M2 of q rows: row
+    (i, j) holds M1[i, :] at columns (:, j) of v1 and M2[j, :] at columns
+    (i, :) of v2, written through 4-D views; when v1 = v2 they add up."""
+    terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
+    row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
+    out = Matrix.zeros(field, row_offs[-1], total).data.copy()
+    for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
+        (p, c1), (q, c2) = m1.shape, m2.shape
+        block = out[r0:r1]
+        left = block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q)
+        left[:, np.arange(q), :, np.arange(q)] += m1
+        right = block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2)
+        right[np.arange(p), :, np.arange(p), :] += m2
+    return Matrix(field, field.normalize(out), _trusted=True)
 
 
 # -- kernels, images, cokernels -------------------------------------------
@@ -328,20 +352,46 @@ def pullback(
 
 
 def push_coords(
-    source: HomSpace, target: HomSpace, transform: Callable[[ModuleMap], ModuleMap]
+    source: HomSpace,
+    target: HomSpace,
+    *,
+    pre: Optional[ModuleMap] = None,
+    post: Optional[ModuleMap] = None,
 ) -> Matrix:
-    """Matrix (rows: source basis) of a map Hom_src -> Hom_tgt in coordinates."""
+    """Matrix (rows: source basis) of g -> g pre, or of g -> post g, in the
+    coordinates of target.  At each vertex v the blocks g_v of the whole basis
+    are multiplied by pre_v or post_v in one exact product; reading the
+    composites in target's coordinates checks that they lie in it."""
+    if (pre is None) == (post is None):
+        raise TypeError("push_coords takes exactly one of pre= and post=")
+    dom, cod = source.domain, source.codomain
+    inner, outer = (pre.codomain, dom) if post is None else (cod, post.domain)
+    if inner is not outer and inner != outer:
+        raise AlgebraError("composition domain mismatch")
     field = source.stack.field
-    flats = [transform(f).flat() for f in source.basis_maps()]
-    fm = np.array(flats, dtype=field.dtype).reshape(len(flats), target.stack.cols)
-    return target.coords_of_flats(Matrix(field, fm))
+    parts = []
+    for v in dom.vertices:
+        g = source.blocks(v)
+        n, r, c = g.shape
+        if post is None:
+            # rows g_1; ...; g_n times pre_v
+            rc = pre.domain.dims[v]
+            gp = _dot(field, g.reshape(n * r, c), pre.vertex_maps[v].data)
+            parts.append(gp.reshape(n, r * rc))
+        else:
+            # post_v times columns [g_1 | ... | g_n]
+            rc = post.codomain.dims[v]
+            pg = _dot(field, post.vertex_maps[v].data, g.transpose(1, 0, 2).reshape(r, n * c))
+            parts.append(pg.reshape(rc, n, c).transpose(1, 0, 2).reshape(n, rc * c))
+    flats = np.concatenate(parts, axis=1)
+    return target.coords_of_flats(Matrix(field, flats, _trusted=True))
 
 
 def extend_over(h: ModuleMap, gamma: ModuleMap) -> Optional[ModuleMap]:
     """Solve beta with beta(gamma(x)) = h(x), for h: A -> C and gamma: A -> B."""
     hom_bc = hom_basis(gamma.codomain, h.codomain)
     hom_ac = hom_basis(h.domain, h.codomain)
-    t = push_coords(hom_bc, hom_ac, lambda g: g @ gamma)
+    t = push_coords(hom_bc, hom_ac, pre=gamma)
     x = solve_right(t.transpose(), hom_ac.coords_of(h))
     return None if x is None else hom_bc.element(x)
 
@@ -350,7 +400,7 @@ def lift_along(h: ModuleMap, s: ModuleMap) -> Optional[ModuleMap]:
     """Solve beta with s(beta(x)) = h(x), for h: A -> C and s: B -> C."""
     hom_ab = hom_basis(h.domain, s.domain)
     hom_ac = hom_basis(h.domain, h.codomain)
-    t = push_coords(hom_ab, hom_ac, lambda g: s @ g)
+    t = push_coords(hom_ab, hom_ac, post=s)
     x = solve_right(t.transpose(), hom_ac.coords_of(h))
     return None if x is None else hom_ab.element(x)
 
@@ -374,7 +424,7 @@ def ext1(m: Representation, n: Representation, cover: Optional[ShortExactSequenc
         cover = projective_cover(m)
     hom_p = hom_basis(cover.middle, n)
     hom_omega = hom_basis(cover.left, n)
-    restriction = push_coords(hom_p, hom_omega, lambda h: h @ cover.inclusion)
+    restriction = push_coords(hom_p, hom_omega, pre=cover.inclusion)
     dim = hom_omega.dim - rank(restriction)
     return Ext1Result(dim, cover, hom_p, hom_omega, restriction)
 
@@ -398,30 +448,14 @@ class TensorSpace:
             raise AlgebraError("tensor needs a common algebra")
         if a.side != RIGHT or b.side != LEFT:
             raise AlgebraError("tensor takes a right module and a left module")
-        alg = a.algebra
-        field = alg.field
-        offs: Dict[str, int] = {}
-        total = 0
-        for v in a.vertices:
-            offs[v] = total
-            total += a.dims[v] * b.dims[v]
-        rows: List[Matrix] = []
-        for ar in alg.quiver.arrows:
-            u, w = ar.source, ar.target
-            amat = a.arrow_maps[ar.name]  # a_w -> a_u
-            bmat = b.arrow_maps[ar.name]  # b_u -> b_w
-            nrows = a.dims[w] * b.dims[u]
-            if nrows == 0:
-                continue
-            block = Matrix.zeros(field, nrows, total).data.copy()
-            left_part = kron(amat.transpose(), Matrix.identity(field, b.dims[u]))
-            right_part = kron(Matrix.identity(field, a.dims[w]), bmat.transpose())
-            if left_part.cols:
-                block[:, offs[u] : offs[u] + left_part.cols] += left_part.data
-            if right_part.cols:
-                block[:, offs[w] : offs[w] + right_part.cols] -= right_part.data
-            rows.append(Matrix(field, field.normalize(block), _trusted=True))
-        relations = Subspace(field, total, vstack(field, rows, cols=total))
+        field = a.algebra.field
+        offs, total = _block_offsets(a.vertices, a.dims, b.dims)
+        # x.alpha (x) y - x (x) alpha.y, for x in a_w and y in b_u (alpha: u -> w)
+        terms = [
+            (ar.source, a.arrow_maps[ar.name].data.T, ar.target, -b.arrow_maps[ar.name].data.T)
+            for ar in a.algebra.quiver.arrows
+        ]
+        relations = Subspace(field, total, _kron_rows(field, offs, total, terms))
         self.left_arg = a
         self.right_arg = b
         self.offsets = offs
@@ -431,16 +465,6 @@ class TensorSpace:
     @property
     def dim(self) -> int:
         return self.quotient.dim
-
-    def pure_index(self, v: str, i: int, j: int) -> int:
-        return self.offsets[v] + i * self.right_arg.dims[v] + j
-
-    def pure_tensor_coords(self, v: str, xi: np.ndarray, yj: np.ndarray) -> np.ndarray:
-        field = self.left_arg.algebra.field
-        vec = Matrix.zeros(field, self.ambient_dim, 1).data[:, 0].copy()
-        base = np.outer(xi, yj).reshape(-1)
-        vec[self.offsets[v] : self.offsets[v] + base.shape[0]] = base
-        return self.quotient.projection.apply(field.normalize(vec))
 
 
 def tensor(a: Representation, b: Representation) -> TensorSpace:
@@ -457,14 +481,22 @@ def tensor_map(
     field = src.left_arg.algebra.field
     big = Matrix.zeros(field, dst.ambient_dim, src.ambient_dim).data.copy()
     for v in src.left_arg.vertices:
-        fv = f.vertex_maps[v] if f else Matrix.identity(field, src.left_arg.dims[v])
-        gv = g.vertex_maps[v] if g else Matrix.identity(field, src.right_arg.dims[v])
-        blk = kron(fv, gv)
-        if blk.rows and blk.cols:
-            big[
-                dst.offsets[v] : dst.offsets[v] + blk.rows,
-                src.offsets[v] : src.offsets[v] + blk.cols,
-            ] = blk.data
+        da, db = src.left_arg.dims[v], src.right_arg.dims[v]
+        ea, eb = dst.left_arg.dims[v], dst.right_arg.dims[v]
+        rows = slice(dst.offsets[v], dst.offsets[v] + ea * eb)
+        cols = slice(src.offsets[v], src.offsets[v] + da * db)
+        # entry ((i', j'), (i, j)) of the block is f_v[i', i] g_v[j', j]
+        view = big[rows, cols].reshape(ea, eb, da, db)
+        i, j = np.arange(da), np.arange(db)
+        if f is not None and g is not None:
+            fv, gv = f.vertex_maps[v].data, g.vertex_maps[v].data
+            view[...] = fv[:, None, :, None] * gv[None, :, None, :]
+        elif f is not None:
+            view[:, j, :, j] = f.vertex_maps[v].data
+        elif g is not None:
+            view[i, :, i, :] = g.vertex_maps[v].data
+        else:
+            view[i[:, None], j, i[:, None], j] = field.one()
     bigm = Matrix(field, field.normalize(big), _trusted=True)
     return dst.quotient.projection @ bigm @ src.quotient.section
 
@@ -517,7 +549,7 @@ def star_dual(m: Representation) -> StarDual:
     for ar in alg.quiver.arrows:
         mult = _right_mult_map(alg, ar.name, m.side)
         x, y = arrow_ends(ar, star_side)
-        maps[ar.name] = push_coords(homs[x], homs[y], lambda f: mult @ f).transpose()
+        maps[ar.name] = push_coords(homs[x], homs[y], post=mult).transpose()
     rep = Representation(alg, star_side, dims, maps)
     return StarDual(rep, homs)
 
@@ -525,7 +557,7 @@ def star_dual(m: Representation) -> StarDual:
 def star_dual_map(f: ModuleMap, sd_dom: StarDual, sd_cod: StarDual) -> ModuleMap:
     """Precomposition Hom(codomain, algebra) -> Hom(domain, algebra)."""
     maps = {
-        v: push_coords(sd_cod.hom[v], sd_dom.hom[v], lambda g: g @ f).transpose()
+        v: push_coords(sd_cod.hom[v], sd_dom.hom[v], pre=f).transpose()
         for v in f.domain.vertices
     }
     return ModuleMap(sd_cod.module, sd_dom.module, maps)
@@ -533,32 +565,20 @@ def star_dual_map(f: ModuleMap, sd_dom: StarDual, sd_cod: StarDual) -> ModuleMap
 
 def eval_double_dual(m: Representation) -> Tuple[ModuleMap, StarDual, StarDual]:
     """The evaluation map m -> m** together with both star duals."""
-    alg = m.algebra
-    field = alg.field
+    field = m.algebra.field
     sd = star_dual(m)
     sdd = star_dual(sd.module)
     vmaps: Dict[str, Matrix] = {}
     for v in m.vertices:
-        dv = m.dims[v]
-        width = sdd.hom[v].stack.cols
-        flats = Matrix.zeros(field, dv, width).data.copy()
         # ev(x): m* -> P_other(v); its component at w sends the basis hom f to
         # the vector f_v(x), written in the path-class labels shared by
-        # P_mside(w) at v and P_otherside(v) at w.
-        for i in range(dv):
-            cursor = 0
-            for w in m.vertices:
-                hw = sd.hom[w]
-                pv_dim_at_w = indec_projective(alg, w, m.side).dims[v]
-                block = np.zeros((pv_dim_at_w, hw.dim), dtype=field.dtype)
-                for k, f in enumerate(hw.basis_maps()):
-                    block[:, k] = f.vertex_maps[v].data[:, i]
-                flats[i, cursor : cursor + pv_dim_at_w * hw.dim] = block.reshape(-1)
-                cursor += pv_dim_at_w * hw.dim
-        coords = sdd.hom[v].coords_of_flats(
-            Matrix(field, field.normalize(flats), _trusted=True)
-        )
-        vmaps[v] = coords.transpose()
+        # P_mside(w) at v and P_otherside(v) at w.  Row i is ev(e_i).
+        parts = []
+        for w in m.vertices:
+            fv = sd.hom[w].blocks(v)  # (dim, P(w)_v, m_v)
+            parts.append(fv.transpose(2, 1, 0).reshape(m.dims[v], fv.shape[0] * fv.shape[1]))
+        flats = Matrix(field, np.concatenate(parts, axis=1), _trusted=True)
+        vmaps[v] = sdd.hom[v].coords_of_flats(flats).transpose()
     ev = ModuleMap(m, sdd.module, vmaps)
     return ev, sd, sdd
 

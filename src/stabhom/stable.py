@@ -11,7 +11,9 @@ compared in the test suite rather than inside this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .exactla import Matrix, QuotientSpace, Subspace, kernel_basis, rank
 from .algebra import (
@@ -88,7 +90,7 @@ def pfactor_subspace(
         hom_ab = hom_basis(a, b)
     cover = projective_cover(b)
     hom_ap = hom_basis(a, cover.middle)
-    t = push_coords(hom_ap, hom_ab, lambda g: cover.surjection @ g)
+    t = push_coords(hom_ap, hom_ab, post=cover.surjection)
     return Subspace(a.algebra.field, hom_ab.dim, t)
 
 
@@ -100,7 +102,7 @@ def ifactor_subspace(
         hom_ab = hom_basis(a, b)
     env = injective_envelope(a)
     hom_ib = hom_basis(env.middle, b)
-    t = push_coords(hom_ib, hom_ab, lambda g: g @ env.inclusion)
+    t = push_coords(hom_ib, hom_ab, pre=env.inclusion)
     return Subspace(a.algebra.field, hom_ab.dim, t)
 
 
@@ -143,7 +145,7 @@ def extends_to_projectives(gamma: ModuleMap) -> bool:
         if hom_ap.dim == 0:
             continue
         hom_qp = hom_basis(q, proj)
-        t = push_coords(hom_qp, hom_ap, lambda g: g @ gamma)
+        t = push_coords(hom_qp, hom_ap, pre=gamma)
         if rank(t) < hom_ap.dim:
             return False
     return True
@@ -160,7 +162,7 @@ def lifts_from_injectives(gamma: ModuleMap) -> bool:
         if hom_ia.dim == 0:
             continue
         hom_iy = hom_basis(inj, y)
-        t = push_coords(hom_iy, hom_ia, lambda g: gamma @ g)
+        t = push_coords(hom_iy, hom_ia, post=gamma)
         if rank(t) < hom_ia.dim:
             return False
     return True
@@ -180,13 +182,11 @@ def left_proj_approximation(a: Representation, verify: bool = True) -> ModuleMap
         gamma = ModuleMap.zero(a, zero_module(alg, a.side))
     else:
         ds = direct_sum([reg] * hom.dim)
-        maps = {}
-        for v in a.vertices:
-            cols = [f.vertex_maps[v] for f in hom.basis_maps()]
-            stacked = Matrix.zeros(field, reg.dims[v] * hom.dim, a.dims[v]).data.copy()
-            for i, mat in enumerate(cols):
-                stacked[i * reg.dims[v] : (i + 1) * reg.dims[v], :] = mat.data
-            maps[v] = Matrix(field, stacked, _trusted=True)
+        # at each vertex, the basis maps stacked one below the other
+        maps = {
+            v: Matrix(field, hom.blocks(v).reshape(ds.module.dims[v], a.dims[v]), _trusted=True)
+            for v in a.vertices
+        }
         gamma = ModuleMap(a, ds.module, maps)
     if verify and not extends_to_projectives(gamma):
         raise ExtensionFailure("projective approximation missed an extension")
@@ -198,27 +198,20 @@ def right_inj_approximation(a: Representation, verify: bool = True) -> ModuleMap
     Hom(I(v), a); its image is the trace of the injectives in a."""
     alg = a.algebra
     field = alg.field
-    summands: List[Representation] = []
-    columns: Dict[str, List[Matrix]] = {v: [] for v in a.vertices}
-    for v in a.vertices:
-        inj = indec_injective(alg, v, a.side)
-        hom = hom_basis(inj, a)
-        for f in hom.basis_maps():
-            summands.append(inj)
-            for w in a.vertices:
-                columns[w].append(f.vertex_maps[w])
+    homs = [hom_basis(indec_injective(alg, v, a.side), a) for v in a.vertices]
+    summands = [hom.domain for hom in homs for _ in range(hom.dim)]
     if not summands:
         gamma = ModuleMap.zero(zero_module(alg, a.side), a)
     else:
         ds = direct_sum(summands)
         maps = {}
         for w in a.vertices:
-            block = Matrix.zeros(field, a.dims[w], ds.module.dims[w]).data.copy()
-            off = 0
-            for mat in columns[w]:
-                block[:, off : off + mat.cols] = mat.data
-                off += mat.cols
-            maps[w] = Matrix(field, block, _trusted=True)
+            # the basis maps side by side, of Hom(I(v), a) for each v in turn
+            cols = [
+                hom.blocks(w).transpose(1, 0, 2).reshape(a.dims[w], hom.dim * hom.domain.dims[w])
+                for hom in homs
+            ]
+            maps[w] = Matrix(field, np.concatenate(cols, axis=1), _trusted=True)
         gamma = ModuleMap(ds.module, a, maps)
     if verify and not lifts_from_injectives(gamma):
         raise LiftFailure("injective approximation missed a lift")
