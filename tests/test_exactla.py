@@ -455,6 +455,15 @@ def test_each_prime_gets_the_backend_its_products_fit():
     assert Matrix(Field.prime(P32), np.array([[P32 + 1]])).data[0, 0] == 1
 
 
+@pytest.mark.parametrize("field", ELIM_FIELDS + [Field.prime(P32)], ids=repr)
+def test_object_input_with_integers_past_int64_is_reduced_like_from_rows(field):
+    big = [[2 ** 70, -(2 ** 70)], [2 ** 63, -(2 ** 63) - 1]]
+    got = Matrix(field, np.array(big, dtype=object))
+    want = Matrix.from_rows(field, big)
+    assert got == want
+    assert got.data.dtype == field.dtype
+
+
 # -- primality -----------------------------------------------------------------------
 
 
