@@ -24,9 +24,10 @@ import numpy as np
 from .exactla import (
     Field,
     Matrix,
-    ShapeMismatch,
     Subspace,
     coordinates,
+    null_rows,
+    rref,
     vstack,
 )
 
@@ -98,7 +99,7 @@ class Quiver:
 
 
 class Relation:
-    """Linear combination of parallel paths of length >= 2."""
+    """Linear combination of parallel paths, all of one length >= 2."""
 
     def __init__(self, terms: Sequence[Tuple[object, Sequence[str]]]):
         self.terms: Tuple[Tuple[object, Tuple[str, ...]], ...] = tuple(
@@ -150,14 +151,19 @@ def _path_target(quiver: Quiver, path: Path) -> str:
 
 
 class BoundQuiverAlgebra:
-    """Quotient of a path algebra by an admissible relation ideal.
+    """Quotient of a path algebra by an admissible ideal of relations whose
+    terms each have one length.
 
-    The constructor enumerates all paths up to nilpotency_bound, spans
-    the relation ideal degree by degree inside the truncated path
-    algebra, and certifies finite dimension by checking that every path
-    class of length nilpotency_bound vanishes.  Callers must pick a
-    bound at least as large as the actual nilpotency degree of the
-    arrow ideal, or NotFiniteDimensional is raised.
+    Built degree by degree: degree n is spanned by the degree n-1 basis times
+    the arrows and divided by b*r, for each relation r of length l and basis
+    path b of degree n-l, multiplied out through lower degrees.  The free
+    columns of that quotient are the degree-n basis, ordered by source vertex
+    and arrow indices, and the columns of its projection the normal forms of
+    the spanning paths.  The build stops at the first empty degree.
+
+    nilpotency_bound is a cap: a path class of that length surviving raises
+    NotFiniteDimensional.  Relations whose terms differ in length, such as
+    x^2 - x^3, are refused with AlgebraError: their ideal is not graded.
     """
 
     def __init__(
@@ -201,6 +207,8 @@ class BoundQuiverAlgebra:
                 st = (s, t)
             elif st != (s, t):
                 raise AlgebraError("relation terms are not parallel")
+            if len(arrows) != len(rel.terms[0][1]):
+                raise AlgebraError("relation terms have different lengths")
             c = self.field.coerce(coeff)
             if c != self.field.zero():
                 terms.append((c, tuple(arrows)))
@@ -209,93 +217,69 @@ class BoundQuiverAlgebra:
         return Relation(terms)
 
     def _build_basis(self):
-        q = self.quiver
-        bound = self.nilpotency_bound
-        # enumerate composable paths of length 0..bound
-        by_len: List[List[Path]] = [[(v, ()) for v in q.vertices]]
-        for ell in range(1, bound + 1):
-            layer: List[Path] = []
-            for path in by_len[ell - 1]:
-                tgt = _path_target(q, path)
-                for a in q.arrows_from(tgt):
-                    layer.append((path[0], path[1] + (a.name,)))
-            by_len.append(layer)
-
-        all_paths: List[Path] = [p for layer in by_len for p in layer]
-        enum_order = {p: i for i, p in enumerate(all_paths)}
-        blocks: Dict[Tuple[str, str], List[Path]] = {}
-        for p in all_paths:
-            blocks.setdefault((p[0], _path_target(q, p)), []).append(p)
-
-        # span the relation ideal inside the length-truncated path algebra
-        ideal_rows: Dict[Tuple[str, str], List[Dict[Path, object]]] = {}
-        for rel in self.relations:
-            s = q.arrow_by_name[rel.terms[0][1][0]].source
-            t = q.arrow_by_name[rel.terms[0][1][-1]].target
-            min_len = min(len(p) for _, p in rel.terms)
-            lefts = [p for p in all_paths if _path_target(q, p) == s]
-            rights = [p for p in all_paths if p[0] == t]
-            for mu in lefts:
-                for lam in rights:
-                    extra = len(mu[1]) + len(lam[1])
-                    if extra + min_len > bound:
+        q, field = self.quiver, self.field
+        basis: List[Path] = [(v, ()) for v in q.vertices]
+        # starts[n] is the index of the first basis path of degree n
+        starts = [0, len(basis)]
+        # (basis index, arrow name) -> normal form of their product
+        self._product: Dict[Tuple[int, str], List[Tuple[object, int]]] = {}
+        while starts[-2] < starts[-1]:
+            n = len(starts) - 1
+            span = [(i, a.name) for i in range(starts[n - 1], starts[n])
+                    for a in q.arrows_from(_path_target(q, basis[i]))]
+            column = {pair: j for j, pair in enumerate(span)}
+            # b * r for each relation r of length ell and basis path b of
+            # degree n - ell, written in the spanning paths: b times all but
+            # the last arrow of a term is a normal form of lower degree
+            products = []
+            for rel in self.relations:
+                ell = len(rel.terms[0][1])
+                if ell > n:
+                    continue
+                source = q.arrow_by_name[rel.terms[0][1][0]].source
+                for b in range(starts[n - ell], starts[n - ell + 1]):
+                    if _path_target(q, basis[b]) != source:
                         continue
-                    row: Dict[Path, object] = {}
-                    for coeff, arrows in rel.terms:
-                        if extra + len(arrows) > bound:
-                            continue  # dies in the truncation
-                        key: Path = (mu[0], mu[1] + arrows + lam[1])
-                        row[key] = self.field.add(row.get(key, self.field.zero()), coeff)
-                    if any(c != 0 for c in row.values()):
-                        block = (mu[0], _path_target(q, lam))
-                        ideal_rows.setdefault(block, []).append(row)
+                    entries: Dict[int, object] = {}
+                    for c, arrows in rel.terms:
+                        element = [(c, b)]
+                        for name in arrows[:-1]:
+                            element = self._times(element, name)
+                        for d, i in element:
+                            j = column[i, arrows[-1]]
+                            entries[j] = field.add(entries.get(j, field.zero()), d)
+                    products.append(entries)
+            mat = Matrix.zeros(field, len(products), len(span)).data.copy()
+            for row, entries in enumerate(products):
+                mat[row, list(entries)] = list(entries.values())
+            r, _, pivots = rref(Matrix(field, mat, _trusted=True))
+            projection, free = null_rows(r, pivots)
+            top = len(basis)
+            basis += [(basis[i][0], basis[i][1] + (a,)) for i, a in (span[j] for j in free)]
+            # column j of the projection is the normal form of spanning path j
+            for pair, col in zip(span, projection.data.T.tolist()):
+                self._product[pair] = [(c, top + k) for k, c in enumerate(col) if c]
+            if len(basis) > top and n >= self.nilpotency_bound:
+                raise NotFiniteDimensional(
+                    f"{len(basis) - top} path classes survive at length "
+                    f"{n}; raise the nilpotency bound or fix the relations"
+                )
+            starts.append(len(basis))
 
-        basis: List[Path] = []
-        expansions: Dict[Path, List[Tuple[object, Path]]] = {}
-        survivors_at_bound = []
-        for block, paths in sorted(blocks.items()):
-            paths = sorted(paths, key=lambda p: (len(p[1]), enum_order[p]))
-            col_of = {p: j for j, p in enumerate(paths)}
-            rows = ideal_rows.get(block, [])
-            if rows:
-                mat = Matrix.zeros(self.field, len(rows), len(paths)).data.copy()
-                for i, row in enumerate(rows):
-                    for p, c in row.items():
-                        mat[i, col_of[p]] = c
-                from .exactla import rref
-
-                r, nrank, pivots = rref(Matrix(self.field, mat, _trusted=True))
-                pivot_set = set(pivots)
-                nonpivot = [j for j in range(len(paths)) if j not in pivot_set]
-                for i, pc in enumerate(pivots):
-                    exp = []
-                    for j in nonpivot:
-                        c = r.data[i, j]
-                        if c != 0:
-                            exp.append((self.field.neg(c), paths[j]))
-                    expansions[paths[pc]] = exp
-                block_basis = [paths[j] for j in nonpivot]
-            else:
-                block_basis = paths
-            for p in block_basis:
-                if len(p[1]) >= bound:
-                    survivors_at_bound.append(p)
-            basis.extend(block_basis)
-
-        if survivors_at_bound:
-            raise NotFiniteDimensional(
-                f"{len(survivors_at_bound)} path classes survive at length "
-                f"{bound}; raise the nilpotency bound or fix the relations"
-            )
-
-        basis.sort(key=lambda p: (len(p[1]), enum_order[p]))
         self.basis: Tuple[Path, ...] = tuple(basis)
-        self.basis_index: Dict[Path, int] = {p: i for i, p in enumerate(basis)}
-        self._expansions = expansions
         self.basis_by_block: Dict[Tuple[str, str], List[int]] = {}
         for i, p in enumerate(basis):
-            block = (p[0], _path_target(q, p))
-            self.basis_by_block.setdefault(block, []).append(i)
+            self.basis_by_block.setdefault((p[0], _path_target(q, p)), []).append(i)
+
+    def _times(self, element: List[Tuple[object, int]], name: str) -> List[Tuple[object, int]]:
+        """A combination of basis paths, as (coefficient, basis index) pairs,
+        times the arrow name: its normal form, in basis order."""
+        field = self.field
+        out: Dict[int, object] = {}
+        for c, b in element:
+            for d, i in self._product[b, name]:
+                out[i] = field.add(out.get(i, field.zero()), field.mul(c, d))
+        return [(out[i], i) for i in sorted(out) if out[i] != 0]
 
     # -- structure ------------------------------------------------------
 
@@ -308,13 +292,17 @@ class BoundQuiverAlgebra:
 
     def normal_form(self, path: Path) -> List[Tuple[object, Path]]:
         """Expand a monomial path into basis classes (empty list = zero)."""
-        if len(path[1]) > self.nilpotency_bound:
-            return []
-        if path in self.basis_index:
-            return [(self.field.one(), path)]
-        if path in self._expansions:
-            return list(self._expansions[path])
-        raise AlgebraError(f"path {path} is not composable in this quiver")
+        src, names = path
+        at = src if src in self.quiver.vertices else None
+        for name in names:
+            arrow = self.quiver.arrow_by_name.get(name)
+            at = arrow.target if arrow is not None and arrow.source == at else None
+        if at is None:
+            raise AlgebraError(f"path {path} is not composable in this quiver")
+        element = [(self.field.one(), self.quiver.vertices.index(src))]
+        for name in names:
+            element = self._times(element, name)
+        return [(c, self.basis[i]) for c, i in element]
 
     def opposite(self) -> "BoundQuiverAlgebra":
         """Opposite algebra; an involution up to object identity."""

@@ -124,11 +124,15 @@ class Field:
     # -- scalar plumbing ------------------------------------------------
 
     def coerce(self, x):
-        """Bring a Python number (or string) into canonical scalar form."""
+        """Bring a Python number (or string) into canonical scalar form.
+        F_p takes only integer values: 2.5 or 1/2 raise ValueError."""
         if isinstance(x, str):
             return self.parse_scalar(x)
         if self.kind == PRIME:
-            return int(x) % self.p
+            n = int(x)
+            if n != x:
+                raise ValueError(f"{x!r} is not an integer, so not an element of {self}")
+            return n % self.p
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
@@ -192,6 +196,9 @@ class Field:
     def neg(self, a):
         return (-a) % self.p if self.kind == PRIME else -a
 
+    def mul(self, a, b):
+        return a * b % self.p if self.kind == PRIME else a * b
+
 
 class Matrix:
     """Immutable dense matrix over a Field.
@@ -207,11 +214,11 @@ class Matrix:
             data = np.asarray(data)
             if data.ndim != 2:
                 raise ShapeMismatch("matrix data must be 2-D")
-            if field.dtype is np.int64 and data.dtype != object:
+            if field.dtype is np.int64 and data.dtype.kind == "i":
                 data = data.astype(np.int64) % field.p
             else:
-                # entries one by one: a Python int of 2^63 or more must be
-                # reduced mod p before an int64 cast
+                # entries one by one: an int64 cast would wrap a Python int
+                # of 2^63 or more or an unsigned one, and truncate a float
                 out = np.empty(data.shape, dtype=object)
                 for i in range(data.shape[0]):
                     for j in range(data.shape[1]):
@@ -422,7 +429,9 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
     columns, and the free columns; row k is the identity on free column k."""
     field = r.field
-    free = [c for c in range(r.cols) if c not in pivots]
+    is_free = np.ones(r.cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free).tolist()
     out = Matrix.zeros(field, len(free), r.cols).data.copy()
     out[range(len(free)), free] = field.one()
     out[:, list(pivots)] = field.normalize(-r.data[: len(pivots), free].T)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -531,6 +532,39 @@ def test_infinite_dimensional_algebra_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def _loops_doc(names, relations):
+    """One vertex with a loop per name, the nilpotency bound left to the
+    loader's default of 16."""
+    return {
+        "field": {"kind": "prime", "p": 2},
+        "quiver": {
+            "vertices": ["v"],
+            "arrows": [{"name": x, "from": "v", "to": "v"} for x in names],
+        },
+        "relations": [{"terms": [{"coeff": "1", "path": list(w)}]} for w in relations],
+    }
+
+
+def test_two_loop_algebra_at_the_default_bound_exits_0_within_a_second(tmp_path, capsys):
+    # k<x,y>/(x^2, y^2, xy, yx) has dimension 3 (1, x, y); listing every path
+    # up to the default bound of 16 used to keep this call from returning
+    doc = _loops_doc(["x", "y"], ["xx", "yy", "xy", "yx"])
+    path = tmp_path / "two_loop.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, report = _run_json(capsys, ["info", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["dimension"] == 3
+
+
+def test_free_loop_at_the_default_bound_exits_3(tmp_path, capsys):
+    path = tmp_path / "free_loop.json"
+    path.write_text(json.dumps(_loops_doc(["x"], [])))
+    code, _ = _run(capsys, ["info", str(path)])
+    assert code == 3
+
+
 def test_relation_violating_module_exits_2(tmp_path, loop2_file, capsys):
     doc = {
         "algebra": "loop2.json",
@@ -545,8 +579,12 @@ def test_relation_violating_module_exits_2(tmp_path, loop2_file, capsys):
 
 
 def _a2_doc_with(path, value):
-    """A copy of A2_DOC with the entry at the key sequence `path` replaced."""
+    """A copy of A2_DOC with the entry at the key sequence `path` replaced;
+    an empty `path` updates the top level with the dict `value`."""
     doc = json.loads(json.dumps(A2_DOC))
+    if not path:
+        doc.update(value)
+        return doc
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -571,10 +609,31 @@ def _a2_doc_with(path, value):
         (("nilpotency_bound",), True, "expected a positive integer"),
         (("field", "p"), True, "p must be an integer"),
         (("field", "p"), 10 ** 25, "too large"),
+        (
+            (),
+            {
+                "quiver": {
+                    "vertices": ["1", "2"],
+                    "arrows": [
+                        {"name": "a", "from": "1", "to": "2"},
+                        {"name": "x", "from": "2", "to": "2"},
+                    ],
+                },
+                "relations": [
+                    {
+                        "terms": [
+                            {"coeff": "1", "path": ["a", "x"]},
+                            {"coeff": "1", "path": ["a", "x", "x"]},
+                        ]
+                    }
+                ],
+            },
+            "relation terms have different lengths",
+        ),
     ],
     ids=[
         "relations", "terms", "path", "arrows", "name", "from", "to", "bound-bool", "p-bool",
-        "p-huge",
+        "p-huge", "mixed-length",
     ],
 )
 def test_malformed_algebra_document_exits_2(tmp_path, capsys, path, value, message):

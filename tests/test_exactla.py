@@ -464,6 +464,29 @@ def test_object_input_with_integers_past_int64_is_reduced_like_from_rows(field):
     assert got.data.dtype == field.dtype
 
 
+@pytest.mark.parametrize("field", [Field.prime(5), Field.prime(P31)], ids=repr)
+def test_unsigned_and_float_input_is_reduced_exactly_over_a_prime_field(field):
+    # an int64 cast would wrap 2^63 + 1 and 2^64 - 1, and truncate 2.5
+    big = [[2 ** 63 + 1, 2 ** 64 - 1]]
+    got = Matrix(field, np.array(big, dtype=np.uint64))
+    assert got == Matrix.from_rows(field, big)
+    assert got.data.dtype == np.int64
+    assert Matrix(field, np.array([[2.0, -3.0]])) == Matrix.from_rows(field, [[2, -3]])
+    assert Matrix(field, np.array([[True, False]])) == Matrix.from_rows(field, [[1, 0]])
+    for x in (2.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            field.coerce(x)
+    with pytest.raises(ValueError, match="not an integer"):
+        Matrix(field, np.array([[1.0, 2.5]]))
+
+
+def test_unsigned_and_float_input_is_exact_over_q():
+    q = Field.rational()
+    got = Matrix(q, np.array([[2 ** 63 + 1, 2 ** 64 - 1]], dtype=np.uint64))
+    assert got.entries() == [Fraction(2 ** 63 + 1), Fraction(2 ** 64 - 1)]
+    assert Matrix(q, np.array([[2.5, -0.25]])).entries() == [Fraction(5, 2), Fraction(-1, 4)]
+
+
 # -- primality -----------------------------------------------------------------------
 
 
