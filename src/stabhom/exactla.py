@@ -429,9 +429,10 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
     columns, and the free columns; row k is the identity on free column k."""
     field = r.field
-    is_free = np.ones(r.cols, dtype=bool)
-    is_free[list(pivots)] = False
-    free = np.flatnonzero(is_free).tolist()
+    is_free = [True] * r.cols
+    for c in pivots:
+        is_free[c] = False
+    free = [c for c, f in enumerate(is_free) if f]
     out = Matrix.zeros(field, len(free), r.cols).data.copy()
     out[range(len(free)), free] = field.one()
     out[:, list(pivots)] = field.normalize(-r.data[: len(pivots), free].T)

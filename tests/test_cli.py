@@ -532,23 +532,20 @@ def test_infinite_dimensional_algebra_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-def _loops_doc(names, relations):
-    """One vertex with a loop per name, the nilpotency bound left to the
-    loader's default of 16."""
-    return {
+def test_two_loop_algebra_at_the_default_bound_exits_0_within_a_second(tmp_path, capsys):
+    # k<x,y>/(x^2, y^2, xy, yx) has dimension 3 (1, x, y); listing every path
+    # up to the loader's default bound of 16 used to keep this call from
+    # returning
+    doc = {
         "field": {"kind": "prime", "p": 2},
         "quiver": {
             "vertices": ["v"],
-            "arrows": [{"name": x, "from": "v", "to": "v"} for x in names],
+            "arrows": [{"name": x, "from": "v", "to": "v"} for x in "xy"],
         },
-        "relations": [{"terms": [{"coeff": "1", "path": list(w)}]} for w in relations],
+        "relations": [
+            {"terms": [{"coeff": "1", "path": list(w)}]} for w in ("xx", "yy", "xy", "yx")
+        ],
     }
-
-
-def test_two_loop_algebra_at_the_default_bound_exits_0_within_a_second(tmp_path, capsys):
-    # k<x,y>/(x^2, y^2, xy, yx) has dimension 3 (1, x, y); listing every path
-    # up to the default bound of 16 used to keep this call from returning
-    doc = _loops_doc(["x", "y"], ["xx", "yy", "xy", "yx"])
     path = tmp_path / "two_loop.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -556,13 +553,6 @@ def test_two_loop_algebra_at_the_default_bound_exits_0_within_a_second(tmp_path,
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert report["dimension"] == 3
-
-
-def test_free_loop_at_the_default_bound_exits_3(tmp_path, capsys):
-    path = tmp_path / "free_loop.json"
-    path.write_text(json.dumps(_loops_doc(["x"], [])))
-    code, _ = _run(capsys, ["info", str(path)])
-    assert code == 3
 
 
 def test_relation_violating_module_exits_2(tmp_path, loop2_file, capsys):
