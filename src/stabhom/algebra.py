@@ -186,7 +186,8 @@ class BoundQuiverAlgebra:
     # -- construction ---------------------------------------------------
 
     def _validate_relation(self, rel: Relation) -> Relation:
-        terms = []
+        # terms on one path are combined before the zero check: x.x + x.x is 0 over F_2
+        combined: Dict[Tuple[str, ...], object] = {}
         st = None
         for coeff, arrows in rel.terms:
             if len(arrows) < 2:
@@ -210,8 +211,9 @@ class BoundQuiverAlgebra:
             if len(arrows) != len(rel.terms[0][1]):
                 raise AlgebraError("relation terms have different lengths")
             c = self.field.coerce(coeff)
-            if c != self.field.zero():
-                terms.append((c, tuple(arrows)))
+            path = tuple(arrows)
+            combined[path] = self.field.coerce(combined[path] + c) if path in combined else c
+        terms = [(c, path) for path, c in combined.items() if c != self.field.zero()]
         if not terms:
             raise AlgebraError("relation is identically zero")
         return Relation(terms)

@@ -10,7 +10,7 @@ passing vacuously.
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..algebra import (
     LEFT,
@@ -134,8 +134,11 @@ class LawContext:
     def modules(self, side: str) -> List[Representation]:
         return self.left_modules if side == LEFT else self.right_modules
 
-    def probes(self, side: str) -> List[Representation]:
-        return self.probes_left if side == LEFT else self.probes_right
+    def catalog(self) -> Iterator[Tuple[str, int, Representation]]:
+        """(side, index within that side, module) over both catalogs."""
+        for side in (LEFT, RIGHT):
+            for i, m in enumerate(self.modules(side)):
+                yield side, i, m
 
 
 def build_context(
@@ -174,10 +177,18 @@ DESCRIPTIONS: Dict[str, str] = {}
 
 
 def law(name: str, description: str):
-    def register(func):
-        LAWS[name] = func
+    """Register a law body body(ctx, res) under its name; the registry
+    holds a callable ctx -> LawResult that makes res and runs the body."""
+
+    def register(body: Callable[[LawContext, LawResult], None]):
+        def run(ctx: LawContext) -> LawResult:
+            res = LawResult(name, description)
+            body(ctx, res)
+            return res
+
+        LAWS[name] = run
         DESCRIPTIONS[name] = description
-        return func
+        return run
 
     return register
 
@@ -186,44 +197,35 @@ def law(name: str, description: str):
     "projective-representable",
     "dim Hom(P(v), M) equals dim M_v for every catalog module and vertex",
 )
-def _law_projective_representable(ctx: LawContext) -> LawResult:
-    res = LawResult("projective-representable", DESCRIPTIONS["projective-representable"])
-    for side in (LEFT, RIGHT):
-        for i, m in enumerate(ctx.modules(side)):
-            for v in ctx.algebra.quiver.vertices:
-                got = hom_basis(indec_projective(ctx.algebra, v, side), m).dim
-                res.record(
-                    got == m.dims[v],
-                    _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
-                )
-    return res
+def _law_projective_representable(ctx: LawContext, res: LawResult) -> None:
+    for side, i, m in ctx.catalog():
+        for v in ctx.algebra.quiver.vertices:
+            got = hom_basis(indec_projective(ctx.algebra, v, side), m).dim
+            res.record(
+                got == m.dims[v],
+                _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
+            )
 
 
 @law(
     "injective-corepresentable",
     "dim Hom(M, I(v)) equals dim M_v for every catalog module and vertex",
 )
-def _law_injective_corepresentable(ctx: LawContext) -> LawResult:
-    res = LawResult(
-        "injective-corepresentable", DESCRIPTIONS["injective-corepresentable"]
-    )
-    for side in (LEFT, RIGHT):
-        for i, m in enumerate(ctx.modules(side)):
-            for v in ctx.algebra.quiver.vertices:
-                got = hom_basis(m, indec_injective(ctx.algebra, v, side)).dim
-                res.record(
-                    got == m.dims[v],
-                    _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
-                )
-    return res
+def _law_injective_corepresentable(ctx: LawContext, res: LawResult) -> None:
+    for side, i, m in ctx.catalog():
+        for v in ctx.algebra.quiver.vertices:
+            got = hom_basis(m, indec_injective(ctx.algebra, v, side)).dim
+            res.record(
+                got == m.dims[v],
+                _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
+            )
 
 
 @law(
     "tensor-unit",
     "the regular module is a tensor unit, naturally in maps",
 )
-def _law_tensor_unit(ctx: LawContext) -> LawResult:
-    res = LawResult("tensor-unit", DESCRIPTIONS["tensor-unit"])
+def _law_tensor_unit(ctx: LawContext, res: LawResult) -> None:
     reg_l = regular_module(ctx.algebra, LEFT)
     reg_r = regular_module(ctx.algebra, RIGHT)
     for i, b in enumerate(ctx.left_modules):
@@ -247,90 +249,77 @@ def _law_tensor_unit(ctx: LawContext) -> LawResult:
             rank(induced) == rank_f,
             _witness(ctx, i, b1, induced_rank=rank(induced), map_rank=rank_f),
         )
-    return res
 
 
 @law(
     "double-transpose",
     "transpose is an involution in dimension on modules without projective summands",
 )
-def _law_double_transpose(ctx: LawContext) -> LawResult:
-    res = LawResult("double-transpose", DESCRIPTIONS["double-transpose"])
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            # Tr of a minimal presentation never has projective summands,
-            # so applying Tr twice more must return it unchanged.
-            b = transpose(a).module
-            bb = transpose(transpose(b).module).module
-            res.record(
-                bb.dim_vector() == b.dim_vector(),
-                _witness(
-                    ctx,
-                    i,
-                    a,
-                    side=side,
-                    transpose_dims=list(b.dim_vector()),
-                    double_dims=list(bb.dim_vector()),
-                ),
-            )
-    return res
+def _law_double_transpose(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        # Tr of a minimal presentation never has projective summands,
+        # so applying Tr twice more must return it unchanged.
+        b = transpose(a).module
+        bb = transpose(transpose(b).module).module
+        res.record(
+            bb.dim_vector() == b.dim_vector(),
+            _witness(
+                ctx,
+                i,
+                a,
+                side=side,
+                transpose_dims=list(b.dim_vector()),
+                double_dims=list(bb.dim_vector()),
+            ),
+        )
 
 
 @law(
     "torsion-agreement",
     "evaluation, reject, and approximation torsion computations agree as subspaces",
 )
-def _law_torsion_agreement(ctx: LawContext) -> LawResult:
-    res = LawResult("torsion-agreement", DESCRIPTIONS["torsion-agreement"])
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            t_eval = bass_torsion(a, "evaluation")
-            t_rej = bass_torsion(a, "reject")
-            t_app = bass_torsion(a, "approximation")
-            res.record(
-                t_eval == t_rej and t_rej == t_app,
-                _witness(
-                    ctx,
-                    i,
-                    a,
-                    side=side,
-                    evaluation=list(t_eval.dim_vector()),
-                    reject=list(t_rej.dim_vector()),
-                    approximation=list(t_app.dim_vector()),
-                ),
-            )
-    return res
+def _law_torsion_agreement(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        t_eval = bass_torsion(a, "evaluation")
+        t_rej = bass_torsion(a, "reject")
+        t_app = bass_torsion(a, "approximation")
+        res.record(
+            t_eval == t_rej and t_rej == t_app,
+            _witness(
+                ctx,
+                i,
+                a,
+                side=side,
+                evaluation=list(t_eval.dim_vector()),
+                reject=list(t_rej.dim_vector()),
+                approximation=list(t_app.dim_vector()),
+            ),
+        )
 
 
 @law("radical-law", "the torsion of the torsionless quotient vanishes")
-def _law_radical(ctx: LawContext) -> LawResult:
-    res = LawResult("radical-law", DESCRIPTIONS["radical-law"])
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            quotient, _ = torsionless_quotient(a)
-            t = bass_torsion(quotient, "reject")
-            res.record(
-                t.dim == 0,
-                _witness(ctx, i, a, side=side, residual=list(t.dim_vector())),
-            )
-    return res
+def _law_radical(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        quotient, _ = torsionless_quotient(a)
+        t = bass_torsion(quotient, "reject")
+        res.record(
+            t.dim == 0,
+            _witness(ctx, i, a, side=side, residual=list(t.dim_vector())),
+        )
 
 
 @law("trace-idempotence", "the trace of injectives is idempotent")
-def _law_trace_idempotence(ctx: LawContext) -> LawResult:
-    res = LawResult("trace-idempotence", DESCRIPTIONS["trace-idempotence"])
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            trace = cotorsion_trace(a)
-            inner = cotorsion_trace(trace.rep)
-            res.record(
-                inner.dim == trace.rep.total_dim,
-                _witness(
-                    ctx, i, a, side=side,
-                    trace=trace.dim, inner=inner.dim,
-                ),
-            )
-    return res
+def _law_trace_idempotence(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        trace = cotorsion_trace(a)
+        inner = cotorsion_trace(trace.rep)
+        res.record(
+            inner.dim == trace.rep.total_dim,
+            _witness(
+                ctx, i, a, side=side,
+                trace=trace.dim, inner=inner.dim,
+            ),
+        )
 
 
 @law(
@@ -338,8 +327,7 @@ def _law_trace_idempotence(ctx: LawContext) -> LawResult:
     "stable Hom dimensions complement the factoring subspaces; "
     "stable maps out of projectives and into injectives vanish",
 )
-def _law_stable_dim(ctx: LawContext) -> LawResult:
-    res = LawResult("stable-dim-formula", DESCRIPTIONS["stable-dim-formula"])
+def _law_stable_dim(ctx: LawContext, res: LawResult) -> None:
     reg = regular_module(ctx.algebra, LEFT)
     for i, a in enumerate(ctx.left_modules):
         for b in ctx.probes_left:
@@ -360,37 +348,28 @@ def _law_stable_dim(ctx: LawContext) -> LawResult:
                 stable_hom(a, inj, MODULO_INJECTIVES).dim == 0,
                 _witness(ctx, i, a, vertex=v, detail_kind="injective target"),
             )
-    return res
 
 
 @law(
     "torsionless-embedding",
     "torsion-free modules embed into a projective along the approximation",
 )
-def _law_torsionless_embedding(ctx: LawContext) -> LawResult:
-    res = LawResult(
-        "torsionless-embedding", DESCRIPTIONS["torsionless-embedding"]
-    )
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            if bass_torsion(a, "reject").dim != 0:
-                continue
-            gamma = left_proj_approximation(a, verify=False)
-            res.record(
-                gamma.is_injective(),
-                _witness(ctx, i, a, side=side),
-            )
-    return res
+def _law_torsionless_embedding(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        if bass_torsion(a, "reject").dim != 0:
+            continue
+        gamma = left_proj_approximation(a, verify=False)
+        res.record(
+            gamma.is_injective(),
+            _witness(ctx, i, a, side=side),
+        )
 
 
 @law(
     "torsion-kills-injectives",
     "a right module with zero star dual tensors every injective to zero",
 )
-def _law_torsion_kills(ctx: LawContext) -> LawResult:
-    res = LawResult(
-        "torsion-kills-injectives", DESCRIPTIONS["torsion-kills-injectives"]
-    )
+def _law_torsion_kills(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.right_modules):
         if star_dual(a).module.total_dim != 0:
             continue
@@ -400,15 +379,13 @@ def _law_torsion_kills(ctx: LawContext) -> LawResult:
                 t.dim == 0,
                 _witness(ctx, i, a, vertex=v, tensor_dim=t.dim),
             )
-    return res
 
 
 @law(
     "tensor-ext",
     "the sub-stabilized tensor dimension equals Ext^1 out of the transpose",
 )
-def _law_tensor_ext(ctx: LawContext) -> LawResult:
-    res = LawResult("tensor-ext", DESCRIPTIONS["tensor-ext"])
+def _law_tensor_ext(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.right_modules):
         tr = transpose(a).module
         cover = projective_cover(tr)
@@ -422,7 +399,6 @@ def _law_tensor_ext(ctx: LawContext) -> LawResult:
                     probe=list(b.dim_vector()), substab=lhs, ext=rhs,
                 ),
             )
-    return res
 
 
 @law(
@@ -430,27 +406,24 @@ def _law_tensor_ext(ctx: LawContext) -> LawResult:
     "both finite-presentation certificates build exact sequences whose end "
     "terms recompute the torsion and cotorsion subspaces",
 )
-def _law_certificates(ctx: LawContext) -> LawResult:
-    res = LawResult("certificates", DESCRIPTIONS["certificates"])
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            cert = fp_certificate(a, "covariant_underline")
-            torsion_part = image_map(cert.sequence.maps[0])
-            ok = (
-                cert.validate()
-                and torsion_part == bass_torsion(a, "reject")
-            )
-            res.record(ok, _witness(ctx, i, a, side=side, kind="covariant"))
-            cert = fp_certificate(a, "contravariant_overline")
-            trace_part = kernel_map(cert.sequence.maps[2])
-            ok = (
-                cert.validate()
-                and trace_part == cotorsion_trace(a)
-                and cert.sequence.modules[3].dim_vector()
-                == cotorsion_quotient(a)[0].dim_vector()
-            )
-            res.record(ok, _witness(ctx, i, a, side=side, kind="contravariant"))
-    return res
+def _law_certificates(ctx: LawContext, res: LawResult) -> None:
+    for side, i, a in ctx.catalog():
+        cert = fp_certificate(a, "covariant_underline")
+        torsion_part = image_map(cert.sequence.maps[0])
+        ok = (
+            cert.validate()
+            and torsion_part == bass_torsion(a, "reject")
+        )
+        res.record(ok, _witness(ctx, i, a, side=side, kind="covariant"))
+        cert = fp_certificate(a, "contravariant_overline")
+        trace_part = kernel_map(cert.sequence.maps[2])
+        ok = (
+            cert.validate()
+            and trace_part == cotorsion_trace(a)
+            and cert.sequence.modules[3].dim_vector()
+            == cotorsion_quotient(a)[0].dim_vector()
+        )
+        res.record(ok, _witness(ctx, i, a, side=side, kind="contravariant"))
 
 
 @law(
@@ -458,20 +431,17 @@ def _law_certificates(ctx: LawContext) -> LawResult:
     "over a self-injective algebra the injective envelope is a projective "
     "approximation and the projective cover an injective approximation",
 )
-def _law_quasi_frobenius(ctx: LawContext) -> LawResult:
-    res = LawResult("quasi-frobenius", DESCRIPTIONS["quasi-frobenius"])
+def _law_quasi_frobenius(ctx: LawContext, res: LawResult) -> None:
     if not is_self_injective(ctx.algebra):
         res.skipped = "algebra is not self-injective"
-        return res
-    for side in (LEFT, RIGHT):
-        for i, a in enumerate(ctx.modules(side)):
-            env = injective_envelope(a)
-            cov = projective_cover(a)
-            ok = extends_to_projectives(env.inclusion) and lifts_from_injectives(
-                cov.surjection
-            )
-            res.record(ok, _witness(ctx, i, a, side=side))
-    return res
+        return
+    for side, i, a in ctx.catalog():
+        env = injective_envelope(a)
+        cov = projective_cover(a)
+        ok = extends_to_projectives(env.inclusion) and lifts_from_injectives(
+            cov.surjection
+        )
+        res.record(ok, _witness(ctx, i, a, side=side))
 
 
 @law(
@@ -479,11 +449,10 @@ def _law_quasi_frobenius(ctx: LawContext) -> LawResult:
     "over a hereditary algebra modules split into torsion plus a projective "
     "torsionless part, and stable Homs reduce to the split parts",
 )
-def _law_hereditary_split(ctx: LawContext) -> LawResult:
-    res = LawResult("hereditary-split", DESCRIPTIONS["hereditary-split"])
+def _law_hereditary_split(ctx: LawContext, res: LawResult) -> None:
     if not ctx.algebra.is_hereditary():
         res.skipped = "algebra is not hereditary"
-        return res
+        return
     for i, a in enumerate(ctx.left_modules):
         split = hereditary_split(a, probes=ctx.probes_left)
         ok = (
@@ -493,7 +462,6 @@ def _law_hereditary_split(ctx: LawContext) -> LawResult:
             and split.overline_law_ok
         )
         res.record(ok, _witness(ctx, i, a))
-    return res
 
 
 def _covariant_functors(ctx, a_left, a_right):
@@ -514,8 +482,7 @@ def _contravariant_functors(ctx, a_left):
     "a covariant defect vanishes exactly when the functor kills injectives; "
     "a contravariant defect vanishes exactly when it kills the regular module",
 )
-def _law_defect_zero(ctx: LawContext) -> LawResult:
-    res = LawResult("defect-zero", DESCRIPTIONS["defect-zero"])
+def _law_defect_zero(ctx: LawContext, res: LawResult) -> None:
     injectives = [
         indec_injective(ctx.algebra, v, LEFT)
         for v in ctx.algebra.quiver.vertices
@@ -537,7 +504,6 @@ def _law_defect_zero(ctx: LawContext) -> LawResult:
                 v_zero == kills,
                 _witness(ctx, i, al, defect_zero=v_zero, kills_regular=kills),
             )
-    return res
 
 
 @law(
@@ -545,10 +511,7 @@ def _law_defect_zero(ctx: LawContext) -> LawResult:
     "finitely presented stable Hom functors evaluate to the direct "
     "stable quotient dimensions at every probe",
 )
-def _law_presentation_vs_direct(ctx: LawContext) -> LawResult:
-    res = LawResult(
-        "presentation-vs-direct", DESCRIPTIONS["presentation-vs-direct"]
-    )
+def _law_presentation_vs_direct(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.left_modules):
         f_under = present_underline_cov(a)
         f_over = present_overline_cov(a)
@@ -569,15 +532,13 @@ def _law_presentation_vs_direct(ctx: LawContext) -> LawResult:
                 all(checks),
                 _witness(ctx, i, a, probe=list(b.dim_vector()), checks=list(checks)),
             )
-    return res
 
 
 @law(
     "tensor-euler",
     "the tensor presentation evaluates to the coequalizer tensor dimension",
 )
-def _law_tensor_euler(ctx: LawContext) -> LawResult:
-    res = LawResult("tensor-euler", DESCRIPTIONS["tensor-euler"])
+def _law_tensor_euler(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.right_modules):
         func = present_tensor(a)
         for b in ctx.probes_left:
@@ -590,7 +551,6 @@ def _law_tensor_euler(ctx: LawContext) -> LawResult:
                     probe=list(b.dim_vector()), presented=got, direct=want,
                 ),
             )
-    return res
 
 
 @law(
@@ -598,8 +558,7 @@ def _law_tensor_euler(ctx: LawContext) -> LawResult:
     "sub-stabilized tensor presentations, the generic sub-stabilization, "
     "and the direct kernel computation agree at every probe",
 )
-def _law_substab_agreement(ctx: LawContext) -> LawResult:
-    res = LawResult("substab-agreement", DESCRIPTIONS["substab-agreement"])
+def _law_substab_agreement(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.right_modules):
         direct_pres = present_tensor_substab(a)
         generic = fp_substab(present_tensor(a))
@@ -615,7 +574,6 @@ def _law_substab_agreement(ctx: LawContext) -> LawResult:
                     direct=want, presented=got_pres, generic=got_gen,
                 ),
             )
-    return res
 
 
 @law(
@@ -623,8 +581,7 @@ def _law_substab_agreement(ctx: LawContext) -> LawResult:
     "the canonical map to the representable on the defect is an isomorphism "
     "at injectives, so the sub-stabilization kills injectives",
 )
-def _law_rho_iso(ctx: LawContext) -> LawResult:
-    res = LawResult("rho-iso-at-injectives", DESCRIPTIONS["rho-iso-at-injectives"])
+def _law_rho_iso(ctx: LawContext, res: LawResult) -> None:
     injectives = [
         indec_injective(ctx.algebra, v, LEFT)
         for v in ctx.algebra.quiver.vertices
@@ -646,7 +603,6 @@ def _law_rho_iso(ctx: LawContext) -> LawResult:
                         source_dim=sv.dim, target_dim=tv.dim, rank=rank(mat),
                     ),
                 )
-    return res
 
 
 @law(
@@ -654,8 +610,7 @@ def _law_rho_iso(ctx: LawContext) -> LawResult:
     "kernels and cokernels of random natural transformations evaluate "
     "componentwise",
 )
-def _law_fp_kernel_cokernel(ctx: LawContext) -> LawResult:
-    res = LawResult("fp-kernel-cokernel", DESCRIPTIONS["fp-kernel-cokernel"])
+def _law_fp_kernel_cokernel(ctx: LawContext, res: LawResult) -> None:
     per_variance = max(2, ctx.count // 4)
     for variance in (COVARIANT, CONTRAVARIANT):
         for i in range(per_variance):
@@ -687,7 +642,6 @@ def _law_fp_kernel_cokernel(ctx: LawContext) -> LawResult:
                         expected_cokernel=want_coker,
                     ),
                 )
-    return res
 
 
 @law(
@@ -695,8 +649,7 @@ def _law_fp_kernel_cokernel(ctx: LawContext) -> LawResult:
     "the torsion radical vanishes on projectives and matches its "
     "finitely presented form on every catalog module",
 )
-def _law_torsion_radical(ctx: LawContext) -> LawResult:
-    res = LawResult("torsion-radical", DESCRIPTIONS["torsion-radical"])
+def _law_torsion_radical(ctx: LawContext, res: LawResult) -> None:
     func = present_torsion_radical(ctx.algebra)
     for v in ctx.algebra.quiver.vertices:
         p = indec_projective(ctx.algebra, v, RIGHT)
@@ -711,7 +664,6 @@ def _law_torsion_radical(ctx: LawContext) -> LawResult:
             direct == presented,
             _witness(ctx, i, a, direct=direct, presented=presented),
         )
-    return res
 
 
 def run_laws(

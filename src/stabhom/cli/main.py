@@ -29,7 +29,7 @@ from ..algebra import (
     indec_projective,
     simple,
 )
-from ..fpfun import fp_defect, fp_eval
+from ..fpfun import fp_defect, fp_eval, standard_probes
 from ..homology import ext1, is_self_injective, star_dual, tensor, transpose
 from ..stable import (
     MODULO_INJECTIVES,
@@ -62,14 +62,9 @@ EXIT_INFINITE = 3
 
 
 def _labelled_probes(alg, side) -> List[Tuple[str, Representation]]:
-    probes = []
-    for v in alg.quiver.vertices:
-        probes.append((f"S({v})", simple(alg, v, side)))
-    for v in alg.quiver.vertices:
-        probes.append((f"P({v})", indec_projective(alg, v, side)))
-    for v in alg.quiver.vertices:
-        probes.append((f"I({v})", indec_injective(alg, v, side)))
-    return probes
+    """standard_probes, each labelled S(v), P(v) or I(v) in its order."""
+    labels = [f"{kind}({v})" for kind in "SPI" for v in alg.quiver.vertices]
+    return list(zip(labels, standard_probes(alg, side)))
 
 
 def _inline(value) -> str:

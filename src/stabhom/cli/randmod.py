@@ -36,7 +36,7 @@ from ..algebra import (
 )
 from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
-from ..homology import cokernel_map, hom_basis, hstack_maps, pushout
+from ..homology import add_kron, cokernel_map, hom_basis, hstack_maps, pushout
 
 MAX_REJECTION_TRIES = 60
 
@@ -89,9 +89,9 @@ def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
 def _linear_system(alg, side, dims, maps, target: str):
     """Stacked system A vec(X) = rhs for the target arrow's matrix X.
 
-    Row-major vectorization: vec(L X R) = (L kron R^T) vec(X).  Relations
-    not mentioning the target must already hold; returns None when one
-    fails so the caller resamples.
+    Row-major vectorization: vec(L X R) = (L kron R^T) vec(X), written by
+    add_kron.  Relations not mentioning the target must already hold;
+    returns None when one fails so the caller resamples.
     """
     field = alg.field
     tgt_arrow = alg.quiver.arrow_by_name[target]
@@ -108,7 +108,7 @@ def _linear_system(alg, side, dims, maps, target: str):
             if acc is not None and not acc.is_zero():
                 return None, None, (x_rows, x_cols)
             continue
-        coef_block = None
+        view = None
         const = None
         for coeff, arrows in rel.terms:
             if target not in arrows:
@@ -116,39 +116,35 @@ def _linear_system(alg, side, dims, maps, target: str):
                 const = term if const is None else const + term
                 continue
             pos = arrows.index(target)
-            # the term is L X R: R acts before the target arrow, L after it
+            # the term is c L X R: R acts before the target arrow, L after it
             applied_first, applied_last = in_application_order(
                 (arrows[:pos], arrows[pos + 1 :]), side
             )
-            left = (
-                compose_path(maps, applied_last, side)
-                if applied_last
-                else Matrix.identity(field, x_rows)
-            )
-            right = (
-                compose_path(maps, applied_first, side)
-                if applied_first
-                else Matrix.identity(field, x_cols)
-            )
-            kron = Matrix(
-                field,
-                field.normalize(np.kron(left.data, right.data.T)),
-                _trusted=True,
-            ).scale(coeff)
-            coef_block = kron if coef_block is None else coef_block + kron
-        size = coef_block.rows
-        blocks.append(coef_block)
+            left = compose_path(maps, applied_last, side) if applied_last else None
+            right = compose_path(maps, applied_first, side) if applied_first else None
+            # c rides on a present factor (no term is the target arrow alone);
+            # a missing factor is the identity
+            if left is not None:
+                left = left.scale(coeff)
+            else:
+                right = right.scale(coeff)
+            f = None if left is None else left.data
+            g = None if right is None else right.data.T
+            if view is None:
+                p = x_rows if f is None else f.shape[0]
+                q = x_cols if g is None else g.shape[0]
+                block = Matrix.zeros(field, p * q, x_rows * x_cols).data.copy()
+                view = block.reshape(p, q, x_rows, x_cols)
+            add_kron(field, view, f, g)
+        size = block.shape[0]
+        blocks.append(block)
         if const is None:
             rhs_parts.extend([field.zero()] * size)
         else:
             rhs_parts.extend((-const).entries())
     if not blocks:
         return None, None, (x_rows, x_cols)
-    system = Matrix(
-        field,
-        field.normalize(np.concatenate([b.data for b in blocks], axis=0)),
-        _trusted=True,
-    )
+    system = Matrix(field, np.concatenate(blocks, axis=0), _trusted=True)
     rhs = Matrix(
         field,
         field.normalize(np.array([rhs_parts], dtype=field.dtype).T),

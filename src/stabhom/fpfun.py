@@ -13,11 +13,21 @@ factoring through the target presentation acts as zero on every value).
 Kernels are assembled from pushouts (covariant) or pullbacks
 (contravariant); their componentwise correctness is confirmed
 evaluation-by-evaluation in the test suite rather than assumed.
+
+One variance rule serves both mirrors.  A functor reads a pair (x, y) as
+is when covariant and as (y, x) when contravariant (_ordered): the ends
+of its presentation, the arguments of its Hom spaces, and the two maps of
+a composite.  A map acts on its values by precomposition (push_coords's
+pre=) when covariant and by postcomposition (post=) when contravariant
+(_acting).  Every operation below is written once through these two.
+Outside them only the validation, the defect (whose two forms differ
+mathematically), fp_rho's covariant-only guard and the one-line picks of
+stacking and of pushout or pullback look at the variance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TypeVar
 
 from .exactla import Matrix, QuotientSpace, Subspace, rank
 from .algebra import (
@@ -35,13 +45,12 @@ from .algebra import (
 from .homology import (
     HomSpace,
     cokernel_map,
-    extend_over,
+    factor_through,
     hom_basis,
     hstack_maps,
     image_map,
     injective_envelope,
     kernel_map,
-    lift_along,
     projective_cover,
     pullback,
     push_coords,
@@ -55,6 +64,18 @@ from .stable import fp_certificate
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
+
+T = TypeVar("T")
+
+
+def _ordered(variance: str, x: T, y: T) -> Tuple[T, T]:
+    """The pair (x, y) as a functor of this variance reads it."""
+    return (x, y) if variance == COVARIANT else (y, x)
+
+
+def _acting(variance: str, m: ModuleMap) -> Dict[str, ModuleMap]:
+    """The push_coords keyword by which m acts on a functor's values."""
+    return {"pre": m} if variance == COVARIANT else {"post": m}
 
 
 @dataclass(frozen=True)
@@ -79,16 +100,14 @@ class FpFunctor:
     @property
     def entry(self) -> Representation:
         """The module X whose Hom space carries the values."""
-        if self.variance == COVARIANT:
-            return self.presentation.domain
-        return self.presentation.codomain
+        f = self.presentation
+        return _ordered(self.variance, f.domain, f.codomain)[0]
 
     @property
     def relations(self) -> Representation:
         """The module Y whose Hom space cuts the values down."""
-        if self.variance == COVARIANT:
-            return self.presentation.codomain
-        return self.presentation.domain
+        f = self.presentation
+        return _ordered(self.variance, f.domain, f.codomain)[1]
 
 
 def fp_from_map(f: ModuleMap, variance: str) -> FpFunctor:
@@ -98,9 +117,7 @@ def fp_from_map(f: ModuleMap, variance: str) -> FpFunctor:
 def fp_representable(m: Representation, variance: str = COVARIANT) -> FpFunctor:
     """(m,-) or (-,m), presented with zero relations."""
     nil = zero_module(m.algebra, m.side)
-    if variance == COVARIANT:
-        return FpFunctor(COVARIANT, ModuleMap.zero(m, nil))
-    return FpFunctor(CONTRAVARIANT, ModuleMap.zero(nil, m))
+    return FpFunctor(variance, ModuleMap.zero(*_ordered(variance, m, nil)))
 
 
 @dataclass
@@ -121,15 +138,10 @@ class FpValue:
 def fp_eval(func: FpFunctor, b: Representation) -> FpValue:
     if b.algebra is not func.algebra or b.side != func.side:
         raise AlgebraError("argument does not match the functor's algebra/side")
-    f = func.presentation
-    if func.variance == COVARIANT:
-        hom_x = hom_basis(func.entry, b)
-        hom_y = hom_basis(func.relations, b)
-        t = push_coords(hom_y, hom_x, pre=f)
-    else:
-        hom_x = hom_basis(b, func.entry)
-        hom_y = hom_basis(b, func.relations)
-        t = push_coords(hom_y, hom_x, post=f)
+    var = func.variance
+    hom_x = hom_basis(*_ordered(var, func.entry, b))
+    hom_y = hom_basis(*_ordered(var, func.relations, b))
+    t = push_coords(hom_y, hom_x, **_acting(var, func.presentation))
     image = Subspace(b.algebra.field, hom_x.dim, t)
     return FpValue(func, b, hom_x, image, image.quotient())
 
@@ -168,13 +180,11 @@ class FpMorphism:
     def __post_init__(self):
         if self.source.variance != self.target.variance:
             raise AlgebraError("morphism endpoints must share variance")
-        if self.source.variance == COVARIANT:
-            lhs = self.source.presentation @ self.u
-            rhs = self.v @ self.target.presentation
-        else:
-            lhs = self.target.presentation @ self.v
-            rhs = self.u @ self.source.presentation
-        if lhs != rhs:
+        # f.u = v.g, each composite read in the functor's order
+        var = self.source.variance
+        f_u = _ordered(var, self.source.presentation, self.u)
+        v_g = _ordered(var, self.v, self.target.presentation)
+        if f_u[0] @ f_u[1] != v_g[0] @ v_g[1]:
             raise AlgebraError("morphism square does not commute")
 
 
@@ -188,12 +198,9 @@ def fp_identity(func: FpFunctor) -> FpMorphism:
 
 
 def fp_zero_morphism(source: FpFunctor, target: FpFunctor) -> FpMorphism:
-    if source.variance == COVARIANT:
-        u = ModuleMap.zero(target.entry, source.entry)
-        v = ModuleMap.zero(target.relations, source.relations)
-    else:
-        u = ModuleMap.zero(source.entry, target.entry)
-        v = ModuleMap.zero(source.relations, target.relations)
+    var = source.variance
+    u = ModuleMap.zero(*_ordered(var, target.entry, source.entry))
+    v = ModuleMap.zero(*_ordered(var, target.relations, source.relations))
     return FpMorphism(source, target, u, v)
 
 
@@ -207,9 +214,8 @@ def fp_morphism_equal(a: FpMorphism, b: FpMorphism) -> bool:
     delta = a.u - b.u
     if delta.is_zero():
         return True
-    if a.source.variance == COVARIANT:
-        return extend_over(delta, a.target.presentation) is not None
-    return lift_along(delta, a.target.presentation) is not None
+    g = a.target.presentation
+    return factor_through(delta, **_acting(a.source.variance, g)) is not None
 
 
 def fp_eval_morphism(
@@ -223,18 +229,16 @@ def fp_eval_morphism(
         src_val = fp_eval(alpha.source, b)
     if tgt_val is None:
         tgt_val = fp_eval(alpha.target, b)
-    if alpha.source.variance == COVARIANT:
-        t = push_coords(src_val.hom, tgt_val.hom, pre=alpha.u)
-    else:
-        t = push_coords(src_val.hom, tgt_val.hom, post=alpha.u)
+    acting = _acting(alpha.source.variance, alpha.u)
+    t = push_coords(src_val.hom, tgt_val.hom, **acting)
     return tgt_val.quotient.projection @ t.transpose() @ src_val.quotient.section
 
 
 def fp_cokernel(alpha: FpMorphism) -> FpFunctor:
     """Cokernel functor, presented over the target's entry module."""
-    if alpha.source.variance == COVARIANT:
-        return FpFunctor(COVARIANT, vstack_maps(alpha.u, alpha.target.presentation))
-    return FpFunctor(CONTRAVARIANT, hstack_maps(alpha.u, alpha.target.presentation))
+    var = alpha.source.variance
+    stack = vstack_maps if var == COVARIANT else hstack_maps
+    return FpFunctor(var, stack(alpha.u, alpha.target.presentation))
 
 
 def fp_kernel(alpha: FpMorphism) -> Tuple[FpFunctor, FpMorphism]:
@@ -245,19 +249,12 @@ def fp_kernel(alpha: FpMorphism) -> Tuple[FpFunctor, FpMorphism]:
     image with pullbacks.  Componentwise correctness is confirmed against
     evaluated kernels in the test suite.
     """
-    f = alpha.source.presentation
-    g = alpha.target.presentation
-    if alpha.source.variance == COVARIANT:
-        _, in_x, _ = pushout(alpha.u, g)
-        _, in_d, in_y = pushout(in_x, f)
-        ker = FpFunctor(COVARIANT, in_d)
-        incl = FpMorphism(ker, alpha.source, in_x, in_y)
-        return ker, incl
-    _, pr_x, _ = pullback(alpha.u, g)
-    _, pr_d, pr_y = pullback(pr_x, f)
-    ker = FpFunctor(CONTRAVARIANT, pr_d)
-    incl = FpMorphism(ker, alpha.source, pr_x, pr_y)
-    return ker, incl
+    var = alpha.source.variance
+    glue = pushout if var == COVARIANT else pullback
+    _, leg_x, _ = glue(alpha.u, alpha.target.presentation)
+    _, leg_d, leg_y = glue(leg_x, alpha.source.presentation)
+    ker = FpFunctor(var, leg_d)
+    return ker, FpMorphism(ker, alpha.source, leg_x, leg_y)
 
 
 # -- sub-stabilization ----------------------------------------------------------
@@ -351,7 +348,9 @@ def tensor_envelope_morphism(alg: BoundQuiverAlgebra) -> FpMorphism:
     source = FpFunctor(COVARIANT, td_reg.f_star)
     target = FpFunctor(COVARIANT, td_env.f_star)
 
-    h0 = lift_along(env.inclusion @ td_reg.cover.surjection, td_env.cover.surjection)
+    h0 = factor_through(
+        env.inclusion @ td_reg.cover.surjection, post=td_env.cover.surjection
+    )
     if h0 is None:
         raise AlgebraError("projective lift of the envelope failed")
     p1_reg = td_reg.presentation.domain
@@ -359,7 +358,7 @@ def tensor_envelope_morphism(alg: BoundQuiverAlgebra) -> FpMorphism:
     if p1_reg.is_zero():
         h1 = ModuleMap.zero(p1_reg, p1_env)
     else:
-        h1 = lift_along(h0 @ td_reg.presentation, td_env.presentation)
+        h1 = factor_through(h0 @ td_reg.presentation, post=td_env.presentation)
         if h1 is None:
             raise AlgebraError("syzygy lift of the envelope failed")
     u = star_dual_map(h0, sd_dom=td_reg.sd0, sd_cod=td_env.sd0)

@@ -1,10 +1,11 @@
 """Homological machinery over a bound quiver algebra.
 
 Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
-one block of rows per arrow x -> y.  Each block is written by indexed
-assignment into 4-D views of its columns (I (x) A^T at phi_y, -B (x) I at
-phi_x, adding up on a loop), with no Kronecker product or identity matrix;
-the tensor product's balancing relations and tensor_map are written alike.
+one block of rows per arrow x -> y.  Each block is written by one
+Kronecker writer (add_kron) into 4-D views of its columns (I (x) A^T at
+phi_y, -B (x) I at phi_x, adding up on a loop), which writes an identity
+factor by index instead of multiplying by it; the tensor product's
+balancing relations and tensor_map are written alike.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
 basis.  Kernels, images and cokernels are taken vertexwise; projective
@@ -52,7 +53,7 @@ from .algebra import (
     map_from_flat,
     other_side,
     quotient_rep,
-    radical_top_socle,
+    radical_subspaces,
     zero_module,
 )
 
@@ -137,6 +138,25 @@ def _block_offsets(
     return offs, total
 
 
+def add_kron(
+    field: Field, view: np.ndarray, f: Optional[np.ndarray], g: Optional[np.ndarray]
+) -> None:
+    """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
+    ((i, j), (k, l)) stands for f[i, k] g[j, l].  A missing factor (None) is
+    read as the identity and written by index.  The sum is reduced after
+    every term: over a p near 2^31 two products already overflow int64."""
+    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
+    if f is None and g is None:
+        view[i[:, None], j, i[:, None], j] += field.one()
+    elif g is None:
+        view[:, j, :, j] += f
+    elif f is None:
+        view[i, :, i, :] += g
+    else:
+        view += f[:, None, :, None] * g[None, :, None, :]
+    view[...] = field.normalize(view)
+
+
 def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
     """Rows M1 (x) I_q at the columns of v1 plus I_p (x) M2 at those of v2,
     for each term (v1, M1, v2, M2) with M1 of p rows and M2 of q rows: row
@@ -148,11 +168,9 @@ def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> M
     for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
         (p, c1), (q, c2) = m1.shape, m2.shape
         block = out[r0:r1]
-        left = block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q)
-        left[:, np.arange(q), :, np.arange(q)] += m1
-        right = block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2)
-        right[np.arange(p), :, np.arange(p), :] += m2
-    return Matrix(field, field.normalize(out), _trusted=True)
+        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), m1, None)
+        add_kron(field, block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2), None, m2)
+    return Matrix(field, out, _trusted=True)
 
 
 # -- kernels, images, cokernels -------------------------------------------
@@ -207,8 +225,9 @@ def projective_cover(m: Representation) -> ShortExactSequence:
     """Minimal projective cover, returned as 0 -> syzygy -> P -> m -> 0."""
     alg = m.algebra
     field = alg.field
-    rts = radical_top_socle(m)
-    mults = {v: rts.top.dims[v] for v in m.vertices}
+    # only the top's dimensions and projections are read, not the top module
+    tops = {v: rad.quotient() for v, rad in radical_subspaces(m).items()}
+    mults = {v: tops[v].dim for v in m.vertices}
     summands: List[Tuple[str, Representation, Dict[str, List[Path]]]] = []
     for v in m.vertices:
         if mults[v]:
@@ -223,7 +242,7 @@ def projective_cover(m: Representation) -> ShortExactSequence:
     # generator preimages: a section of the projection onto the top
     sections: Dict[str, Matrix] = {}
     for v in m.vertices:
-        q = rts.top_projection.vertex_maps[v]
+        q = tops[v].projection
         s = solve_matrix(q, Matrix.identity(field, q.rows))
         if s is None:
             raise AlgebraError("top projection has no section")
@@ -387,22 +406,29 @@ def push_coords(
     return target.coords_of_flats(Matrix(field, flats, _trusted=True))
 
 
-def extend_over(h: ModuleMap, gamma: ModuleMap) -> Optional[ModuleMap]:
-    """Solve beta with beta(gamma(x)) = h(x), for h: A -> C and gamma: A -> B."""
-    hom_bc = hom_basis(gamma.codomain, h.codomain)
-    hom_ac = hom_basis(h.domain, h.codomain)
-    t = push_coords(hom_bc, hom_ac, pre=gamma)
-    x = solve_right(t.transpose(), hom_ac.coords_of(h))
-    return None if x is None else hom_bc.element(x)
+def factor_through(
+    h: ModuleMap,
+    *,
+    pre: Optional[ModuleMap] = None,
+    post: Optional[ModuleMap] = None,
+) -> Optional[ModuleMap]:
+    """Solve beta with beta pre = h, or with post beta = h, in hom
+    coordinates; None when h does not factor that way.
 
-
-def lift_along(h: ModuleMap, s: ModuleMap) -> Optional[ModuleMap]:
-    """Solve beta with s(beta(x)) = h(x), for h: A -> C and s: B -> C."""
-    hom_ab = hom_basis(h.domain, s.domain)
-    hom_ac = hom_basis(h.domain, h.codomain)
-    t = push_coords(hom_ab, hom_ac, post=s)
-    x = solve_right(t.transpose(), hom_ac.coords_of(h))
-    return None if x is None else hom_ab.element(x)
+    The keywords and their contract are push_coords's: exactly one of them,
+    TypeError otherwise.  beta runs from cod(pre) to cod(h), or from dom(h)
+    to dom(post).
+    """
+    if (pre is None) == (post is None):
+        raise TypeError("factor_through takes exactly one of pre= and post=")
+    if post is None:
+        hom_beta = hom_basis(pre.codomain, h.codomain)
+    else:
+        hom_beta = hom_basis(h.domain, post.domain)
+    hom_h = hom_basis(h.domain, h.codomain)
+    t = push_coords(hom_beta, hom_h, pre=pre, post=post)
+    x = solve_right(t.transpose(), hom_h.coords_of(h))
+    return None if x is None else hom_beta.element(x)
 
 
 # -- Ext^1 -------------------------------------------------------------------
@@ -486,18 +512,13 @@ def tensor_map(
         rows = slice(dst.offsets[v], dst.offsets[v] + ea * eb)
         cols = slice(src.offsets[v], src.offsets[v] + da * db)
         # entry ((i', j'), (i, j)) of the block is f_v[i', i] g_v[j', j]
-        view = big[rows, cols].reshape(ea, eb, da, db)
-        i, j = np.arange(da), np.arange(db)
-        if f is not None and g is not None:
-            fv, gv = f.vertex_maps[v].data, g.vertex_maps[v].data
-            view[...] = fv[:, None, :, None] * gv[None, :, None, :]
-        elif f is not None:
-            view[:, j, :, j] = f.vertex_maps[v].data
-        elif g is not None:
-            view[i, :, i, :] = g.vertex_maps[v].data
-        else:
-            view[i[:, None], j, i[:, None], j] = field.one()
-    bigm = Matrix(field, field.normalize(big), _trusted=True)
+        add_kron(
+            field,
+            big[rows, cols].reshape(ea, eb, da, db),
+            None if f is None else f.vertex_maps[v].data,
+            None if g is None else g.vertex_maps[v].data,
+        )
+    bigm = Matrix(field, big, _trusted=True)
     return dst.quotient.projection @ bigm @ src.quotient.section
 
 
@@ -588,11 +609,10 @@ def eval_double_dual(m: Representation) -> Tuple[ModuleMap, StarDual, StarDual]:
 
 @dataclass
 class TransposeData:
-    """Transpose with its four-term witness 0 -> m* -> P0* -> P1* -> tr -> 0."""
+    """Transpose with its four-term witness 0 -> m* -> P0* -> P1* -> tr -> 0,
+    where P0* and P1* are sd0.module and sd1.module."""
 
     module: Representation
-    p0_star: Representation
-    p1_star: Representation
     f_star: ModuleMap  # P0* -> P1*
     projection: ModuleMap  # P1* -> tr
     star_sub: SubRep  # kernel of f_star inside P0*, isomorphic to m*
@@ -612,6 +632,4 @@ def transpose(m: Representation) -> TransposeData:
     f_star = star_dual_map(pres, sd_dom=sd1, sd_cod=sd0)
     tr, proj = cokernel_map(f_star)
     star_sub = kernel_map(f_star)
-    return TransposeData(
-        tr, sd0.module, sd1.module, f_star, proj, star_sub, pres, cov0, cov1, sd0, sd1
-    )
+    return TransposeData(tr, f_star, proj, star_sub, pres, cov0, cov1, sd0, sd1)

@@ -37,7 +37,7 @@ from .homology import (
     cokernel_map,
     eval_double_dual,
     ext1,
-    extend_over,
+    factor_through,
     hom_basis,
     hstack_maps,
     image_map,
@@ -45,7 +45,6 @@ from .homology import (
     is_injective_module,
     is_projective,
     kernel_map,
-    lift_along,
     projective_cover,
     push_coords,
     tensor,
@@ -439,7 +438,7 @@ def hereditary_split(
     tless, tproj = torsionless_quotient(a, tor)
     if not is_projective(tless):
         raise SplitFailure("torsionless quotient is not projective")
-    section = _solve_section(tproj)
+    section = factor_through(ModuleMap.identity(tless), post=tproj)
     if section is None:
         raise SplitFailure("no section of the torsionless quotient")
     split_iso = hstack_maps(tor.inclusion, section)
@@ -450,7 +449,7 @@ def hereditary_split(
     cot, cproj = cotorsion_quotient(a, cotr)
     if not is_injective_module(cotr.rep):
         raise SplitFailure("injective trace is not injective")
-    retraction = _solve_retraction(cotr.inclusion)
+    retraction = factor_through(ModuleMap.identity(cotr.rep), pre=cotr.inclusion)
     if retraction is None:
         raise SplitFailure("no retraction onto the injective trace")
     cosplit_iso = vstack_maps(cproj, retraction)
@@ -476,15 +475,3 @@ def hereditary_split(
         underline_ok,
         overline_ok,
     )
-
-
-def _solve_section(surj: ModuleMap) -> Optional[ModuleMap]:
-    """A right inverse of a surjection, found in hom coordinates."""
-    ident = ModuleMap.identity(surj.codomain)
-    return lift_along(ident, surj)
-
-
-def _solve_retraction(inj: ModuleMap) -> Optional[ModuleMap]:
-    """A left inverse of an injection, found in hom coordinates."""
-    ident = ModuleMap.identity(inj.domain)
-    return extend_over(ident, inj)

@@ -620,10 +620,30 @@ def _a2_doc_with(path, value):
             },
             "relation terms have different lengths",
         ),
+        (
+            (),
+            {
+                "field": {"kind": "prime", "p": 2},
+                "quiver": {
+                    "vertices": ["1"],
+                    "arrows": [{"name": "x", "from": "1", "to": "1"}],
+                },
+                # x.x + x.x is zero over F_2 once the two terms are combined
+                "relations": [
+                    {
+                        "terms": [
+                            {"coeff": "1", "path": ["x", "x"]},
+                            {"coeff": "1", "path": ["x", "x"]},
+                        ]
+                    }
+                ],
+            },
+            "relation is identically zero",
+        ),
     ],
     ids=[
         "relations", "terms", "path", "arrows", "name", "from", "to", "bound-bool", "p-bool",
-        "p-huge", "mixed-length",
+        "p-huge", "mixed-length", "zero-after-combining",
     ],
 )
 def test_malformed_algebra_document_exits_2(tmp_path, capsys, path, value, message):

@@ -1,0 +1,165 @@
+"""randmod's relation solve against the code it replaced, kept here as a reference.
+
+_linear_system used to build each relation block as the sum over terms of
+c * np.kron(L, R^T), with an identity matrix standing in for a missing L
+or R.  It now writes every term through homology.add_kron.  The system and
+its right-hand side must be the same entry for entry, over every backend
+of the fields below, with the target arrow first, last and in the middle
+of a term, and in two terms of one relation.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from algebras import BUILDERS
+from stabhom.algebra import (
+    LEFT,
+    RIGHT,
+    Arrow,
+    BoundQuiverAlgebra,
+    Quiver,
+    Relation,
+    arrow_shape,
+    compose_path,
+    in_application_order,
+)
+from stabhom.cli.randmod import _linear_system, _random_arrows
+from stabhom.exactla import Field, Matrix
+
+FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(2147483647)]
+
+
+def _linear_system_by_kron(alg, side, dims, maps, target):
+    field = alg.field
+    tgt_arrow = alg.quiver.arrow_by_name[target]
+    x_rows, x_cols = arrow_shape(dims, tgt_arrow, side)
+    blocks = []
+    rhs_parts = []
+    for rel in alg.relations:
+        touches = any(target in arrows for _, arrows in rel.terms)
+        if not touches:
+            acc = None
+            for coeff, arrows in rel.terms:
+                term = compose_path(maps, arrows, side).scale(coeff)
+                acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                return None, None, (x_rows, x_cols)
+            continue
+        coef_block = None
+        const = None
+        for coeff, arrows in rel.terms:
+            if target not in arrows:
+                term = compose_path(maps, arrows, side).scale(coeff)
+                const = term if const is None else const + term
+                continue
+            pos = arrows.index(target)
+            applied_first, applied_last = in_application_order(
+                (arrows[:pos], arrows[pos + 1 :]), side
+            )
+            left = (
+                compose_path(maps, applied_last, side)
+                if applied_last
+                else Matrix.identity(field, x_rows)
+            )
+            right = (
+                compose_path(maps, applied_first, side)
+                if applied_first
+                else Matrix.identity(field, x_cols)
+            )
+            kron = Matrix(
+                field,
+                field.normalize(np.kron(left.data, right.data.T)),
+                _trusted=True,
+            ).scale(coeff)
+            coef_block = kron if coef_block is None else coef_block + kron
+        size = coef_block.rows
+        blocks.append(coef_block)
+        if const is None:
+            rhs_parts.extend([field.zero()] * size)
+        else:
+            rhs_parts.extend((-const).entries())
+    if not blocks:
+        return None, None, (x_rows, x_cols)
+    system = Matrix(
+        field,
+        field.normalize(np.concatenate([b.data for b in blocks], axis=0)),
+        _trusted=True,
+    )
+    rhs = Matrix(
+        field,
+        field.normalize(np.array([rhs_parts], dtype=field.dtype).T),
+        _trusted=True,
+    )
+    return system, rhs, (x_rows, x_cols)
+
+
+def diamond_algebra(field):
+    """1 -a-> 2 =b,c=> 3 -d-> 4 with a.b.d + 3 a.c.d = 0 and a.b - 2 a.c = 0:
+    a opens and d closes two terms of one relation, b and c sit in the
+    middle of a term and at the end of one."""
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "3"), Arrow("d", "3", "4")],
+    )
+    rels = [
+        Relation([(field.one(), ("a", "b", "d")), (field.coerce(3), ("a", "c", "d"))]),
+        Relation([(field.one(), ("a", "b")), (field.coerce(-2), ("a", "c"))]),
+    ]
+    return BoundQuiverAlgebra(q, rels, field, 4)
+
+
+def _algebras(field):
+    yield "diamond", diamond_algebra(field)
+    for name in ("square", "nakayama", "loop3"):
+        yield name, BUILDERS[name](field)
+
+
+def _positions(alg, target):
+    """Where target sits in the terms that mention it."""
+    out = set()
+    for rel in alg.relations:
+        hits = [arrows for _, arrows in rel.terms if target in arrows]
+        if len(hits) > 1:
+            out.add("two terms")
+        for arrows in hits:
+            pos = arrows.index(target)
+            out.add("first" if pos == 0 else "last" if pos == len(arrows) - 1 else "middle")
+    return out
+
+
+def _targets(alg):
+    """Arrows mentioned by a relation but never twice in one term."""
+    doubled = {n for rel in alg.relations for _, ar in rel.terms for n in ar if ar.count(n) > 1}
+    mentioned = {n for rel in alg.relations for _, ar in rel.terms for n in ar}
+    return [a.name for a in alg.quiver.arrows if a.name in mentioned - doubled]
+
+
+def test_the_cases_cover_every_position_of_the_target():
+    alg = diamond_algebra(Field.prime(5))
+    seen = set()
+    for target in _targets(alg):
+        seen |= _positions(alg, target)
+    assert seen == {"first", "last", "middle", "two terms"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_linear_system_equals_the_kronecker_reference(field, side):
+    rng = random.Random(5)
+    solved = 0
+    for _, alg in _algebras(field):
+        for target in _targets(alg):
+            for _ in range(6):
+                dims = {v: rng.randrange(4) for v in alg.quiver.vertices}
+                maps = _random_arrows(alg, side, dims, rng, skip=target)
+                got = _linear_system(alg, side, dims, maps, target)
+                want = _linear_system_by_kron(alg, side, dims, maps, target)
+                assert got[2] == want[2]
+                assert (got[0] is None) == (want[0] is None)
+                if got[0] is not None:
+                    solved += 1
+                    assert got[0] == want[0]
+                    assert got[1] == want[1]
+    assert solved >= 10
