@@ -26,6 +26,7 @@ from .algebra import (
     radical_top_socle,
     regular_module,
     simple,
+    standard_probes,
     zero_module,
 )
 from .homology import (
@@ -93,7 +94,6 @@ from .fpfun import (
     present_torsion_radical,
     present_underline_contra,
     present_underline_cov,
-    standard_probes,
 )
 
 __version__ = "0.1.0"

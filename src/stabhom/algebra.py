@@ -16,7 +16,9 @@ derives its choices from these helpers instead of branching on the side.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -337,11 +339,18 @@ class Representation:
     """Finite-dimensional left or right module, given vertexwise.
 
     dims maps each vertex to its dimension; arrow_maps[a] is the matrix
-    of the action of arrow a, oriented as arrow_ends says.  Relations are
-    checked at construction.
+    of the action of arrow a, oriented as arrow_ends says.  The constructor
+    refuses vertex or arrow names the quiver lacks, dimensions that are not
+    nonnegative integers, misshapen matrices and broken relations.
+
+    A module is an immutable value: dims and arrow_maps are read-only
+    mappings and the matrices are read-only, so the value key (side,
+    dimension vector, exact arrow matrices) is computed once, on first
+    use, and kept.  Two modules over one algebra object are equal when
+    their keys are.
     """
 
-    __slots__ = ("algebra", "side", "dims", "arrow_maps")
+    __slots__ = ("algebra", "side", "dims", "arrow_maps", "_key")
 
     def __init__(
         self,
@@ -353,13 +362,24 @@ class Representation:
     ):
         if side not in (LEFT, RIGHT):
             raise AlgebraError(f"side must be left or right, got {side!r}")
+        q = algebra.quiver
+        if not _trusted:
+            unknown = sorted(map(str, set(dims).difference(q.vertices)))
+            if unknown:
+                raise AlgebraError(f"dimensions given at unknown vertices {unknown}")
+            unknown = sorted(map(str, set(arrow_maps).difference(q.arrow_by_name)))
+            if unknown:
+                raise AlgebraError(f"matrices given for unknown arrows {unknown}")
+            for v, d in dims.items():
+                if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+                    raise AlgebraError(f"dimension at vertex {v!r} is not an integer: {d!r}")
+                if d < 0:
+                    raise AlgebraError("negative dimension")
         self.algebra = algebra
         self.side = side
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
-        if any(d < 0 for d in self.dims.values()):
-            raise AlgebraError("negative dimension")
+        self.dims = MappingProxyType({v: int(dims.get(v, 0)) for v in q.vertices})
         maps = {}
-        for a in algebra.quiver.arrows:
+        for a in q.arrows:
             m = arrow_maps.get(a.name)
             rshape = arrow_shape(self.dims, a, side)
             if m is None:
@@ -371,9 +391,23 @@ class Representation:
             if m.field != algebra.field:
                 raise AlgebraError(f"arrow {a.name}: field mismatch")
             maps[a.name] = m
-        self.arrow_maps = maps
+        self.arrow_maps = MappingProxyType(maps)
+        self._key = None
         if not _trusted:
             self._check_relations()
+
+    @property
+    def key(self) -> tuple:
+        """The module's value within its algebra: side, dimension vector
+        and the exact arrow matrices (raw bytes for int64 entries, the
+        entries themselves for object ones), by arrow name."""
+        if self._key is None:
+            parts = []
+            for name in sorted(self.arrow_maps):
+                data = self.arrow_maps[name].data
+                parts.append(data.tobytes() if data.dtype != object else tuple(data.flat))
+            self._key = (self.side, self.dim_vector(), tuple(parts))
+        return self._key
 
     def _check_relations(self):
         for rel in self.algebra.relations:
@@ -414,9 +448,7 @@ class Representation:
         return (
             isinstance(other, Representation)
             and self.algebra is other.algebra
-            and self.side == other.side
-            and self.dims == other.dims
-            and all(self.arrow_maps[a] == other.arrow_maps[a] for a in self.arrow_maps)
+            and self.key == other.key
         )
 
     def __repr__(self) -> str:
@@ -736,7 +768,7 @@ def radical_top_socle(m: Representation) -> RadicalTopSocle:
 def dual_module(m: Representation) -> Representation:
     """Vector-space dual, a module on the other side with transposed maps."""
     maps = {a: mat.transpose() for a, mat in m.arrow_maps.items()}
-    return Representation(m.algebra, other_side(m.side), dict(m.dims), maps, _trusted=True)
+    return Representation(m.algebra, other_side(m.side), m.dims, maps, _trusted=True)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -752,8 +784,8 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 def to_opposite(m: Representation) -> Representation:
     """Reinterpret a right module as a left module over the opposite algebra
     (and vice versa).  The matrices are reused unchanged."""
-    return Representation(m.algebra.opposite(), other_side(m.side), dict(m.dims),
-                          dict(m.arrow_maps), _trusted=True)
+    return Representation(m.algebra.opposite(), other_side(m.side), m.dims,
+                          m.arrow_maps, _trusted=True)
 
 
 # -- direct sums ------------------------------------------------------------
@@ -879,3 +911,14 @@ def regular_decomposition(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Dire
 
 def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:
     return regular_decomposition(algebra, side).module
+
+
+def standard_probes(algebra: BoundQuiverAlgebra, side: str) -> List[Representation]:
+    """Simples, then indecomposable projectives, then indecomposable
+    injectives on one side, each in vertex order."""
+    vertices = algebra.quiver.vertices
+    return (
+        [simple(algebra, v, side) for v in vertices]
+        + [indec_projective(algebra, v, side) for v in vertices]
+        + [indec_injective(algebra, v, side) for v in vertices]
+    )

@@ -20,6 +20,7 @@ from ..algebra import (
     indec_injective,
     indec_projective,
     regular_module,
+    standard_probes,
 )
 from ..exactla import kernel_basis, rank
 from ..fpfun import (
@@ -40,7 +41,6 @@ from ..fpfun import (
     present_torsion_radical,
     present_underline_contra,
     present_underline_cov,
-    standard_probes,
 )
 from ..homology import (
     ext1,
@@ -388,10 +388,9 @@ def _law_torsion_kills(ctx: LawContext, res: LawResult) -> None:
 def _law_tensor_ext(ctx: LawContext, res: LawResult) -> None:
     for i, a in enumerate(ctx.right_modules):
         tr = transpose(a).module
-        cover = projective_cover(tr)
         for b in ctx.probes_left:
             lhs = tensor_substab(a, b).dim
-            rhs = ext1(tr, b, cover=cover).dim
+            rhs = ext1(tr, b).dim
             res.record(
                 lhs == rhs,
                 _witness(

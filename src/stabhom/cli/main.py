@@ -28,8 +28,9 @@ from ..algebra import (
     indec_injective,
     indec_projective,
     simple,
+    standard_probes,
 )
-from ..fpfun import fp_defect, fp_eval, standard_probes
+from ..fpfun import fp_defect, fp_eval
 from ..homology import ext1, is_self_injective, star_dual, tensor, transpose
 from ..stable import (
     MODULO_INJECTIVES,

@@ -27,7 +27,7 @@ stacking and of pushout or pullback look at the variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, Optional, Tuple, TypeVar
 
 from .exactla import Matrix, QuotientSpace, Subspace, rank
 from .algebra import (
@@ -37,9 +37,8 @@ from .algebra import (
     ModuleMap,
     Representation,
     indec_injective,
-    indec_projective,
     regular_module,
-    simple,
+    standard_probes,  # re-exported: the probe list of the functor tests
     zero_module,
 )
 from .homology import (
@@ -371,15 +370,3 @@ def present_torsion_radical(alg: BoundQuiverAlgebra) -> FpFunctor:
     injective envelope)."""
     ker, _ = fp_kernel(tensor_envelope_morphism(alg))
     return ker
-
-
-def standard_probes(alg: BoundQuiverAlgebra, side: str) -> List[Representation]:
-    """Simples, indec projectives, and indec injectives on one side."""
-    probes: List[Representation] = []
-    for v in alg.quiver.vertices:
-        probes.append(simple(alg, v, side))
-    for v in alg.quiver.vertices:
-        probes.append(indec_projective(alg, v, side))
-    for v in alg.quiver.vertices:
-        probes.append(indec_injective(alg, v, side))
-    return probes

@@ -28,7 +28,7 @@ from .algebra import (
     indec_projective,
     quotient_rep,
     regular_module,
-    simple,
+    standard_probes,
     zero_module,
 )
 from .homology import (
@@ -337,9 +337,8 @@ def fp_certificate(a: Representation, kind: str) -> Certificate:
         seq = FourTermSequence(
             (tor.rep, a, gamma.codomain, m), (tor.inclusion, gamma, mproj)
         )
-        cover = projective_cover(m)
         witness = {
-            v: ext1(m, indec_projective(alg, v, a.side), cover).dim
+            v: ext1(m, indec_projective(alg, v, a.side)).dim
             for v in a.vertices
         }
         if any(witness.values()):
@@ -430,9 +429,7 @@ def hereditary_split(
     if not alg.is_hereditary():
         raise NotHereditary("splitting requires no cycles and no relations")
     if probes is None:
-        probes = [simple(alg, v, a.side) for v in a.vertices]
-        probes += [indec_projective(alg, v, a.side) for v in a.vertices]
-        probes += [indec_injective(alg, v, a.side) for v in a.vertices]
+        probes = standard_probes(alg, a.side)
 
     tor = bass_torsion(a, "evaluation")
     tless, tproj = torsionless_quotient(a, tor)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +152,30 @@ def test_loop_relation_respected(loop2):
     nilp = Matrix.from_rows(field, [[0, 1], [0, 0]])
     m = Representation(loop2, LEFT, {"v": 2}, {"x": nilp})
     assert m.total_dim == 2
+
+
+@pytest.mark.parametrize(
+    "dims, arrow_names, match",
+    [
+        ({"1": 2.7}, (), "vertex '1' is not an integer"),
+        ({"1": 2.0}, (), "vertex '1' is not an integer"),
+        ({"1": True}, (), "vertex '1' is not an integer"),
+        ({"1": "2"}, (), "vertex '1' is not an integer"),
+        ({"1": 2, "x": 3}, (), r"unknown vertices \['x'\]"),
+        ({"1": 1, "2": 1}, ("a", "b"), r"unknown arrows \['b'\]"),
+    ],
+)
+def test_representation_rejects_bad_dims_and_names(a2, dims, arrow_names, match):
+    # each of these used to build a module quietly: 2.7 read as 2, an
+    # unknown vertex or arrow ignored
+    arrows = {name: Matrix.identity(a2.field, 1) for name in arrow_names}
+    with pytest.raises(AlgebraError, match=match):
+        Representation(a2, LEFT, dims, arrows)
+
+
+def test_representation_accepts_numpy_integer_dims(a2):
+    m = Representation(a2, LEFT, {"1": np.int64(2)}, {})
+    assert m.dims["1"] == 2 and type(m.dims["1"]) is int
 
 
 # -- opposite algebra and duality -------------------------------------------

@@ -208,12 +208,11 @@ def test_ext_kronecker_multiplicity(kronecker):
     assert ext1(s2, s1).dim == 0
 
 
-def test_ext_reuses_supplied_cover(a2):
+def test_ext_reuses_the_memoized_cover(a2):
     s1 = simple(a2, "1")
-    cov = projective_cover(s1)
-    res = ext1(s1, simple(a2, "2"), cover=cov)
+    res = ext1(s1, simple(a2, "2"))
     assert res.dim == 1
-    assert res.cover is cov
+    assert res.cover is projective_cover(s1)
 
 
 def test_ext_matches_cocycle_oracle_on_canonical_modules(all_algebras):
