@@ -12,7 +12,6 @@ import importlib.util
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from algebras import BUILDERS, a2_algebra, square_algebra
