@@ -364,14 +364,19 @@ class Representation:
             raise AlgebraError(f"side must be left or right, got {side!r}")
         q = algebra.quiver
         if not _trusted:
-            unknown = sorted(map(str, set(dims).difference(q.vertices)))
+            unknown = set(dims).difference(q.vertices)
             if unknown:
-                raise AlgebraError(f"dimensions given at unknown vertices {unknown}")
-            unknown = sorted(map(str, set(arrow_maps).difference(q.arrow_by_name)))
+                names = sorted(map(str, unknown))
+                raise AlgebraError(f"dimensions given at unknown vertices {names}")
+            unknown = set(arrow_maps).difference(q.arrow_by_name)
             if unknown:
-                raise AlgebraError(f"matrices given for unknown arrows {unknown}")
+                names = sorted(map(str, unknown))
+                raise AlgebraError(f"matrices given for unknown arrows {names}")
             for v, d in dims.items():
-                if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+                # a plain int skips the slower bool and abstract-base-class tests
+                if type(d) is not int and (
+                    isinstance(d, bool) or not isinstance(d, numbers.Integral)
+                ):
                     raise AlgebraError(f"dimension at vertex {v!r} is not an integer: {d!r}")
                 if d < 0:
                     raise AlgebraError("negative dimension")
