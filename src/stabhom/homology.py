@@ -230,8 +230,9 @@ class ShortExactSequence:
 
 
 # Entries each memo keeps per algebra, per kind.  A cover or envelope holds
-# a few modules and maps of about the size of its argument; 64 entries cost
-# laws_sweep about 4% of peak memory, 512 twice that.
+# a few modules and maps of about the size of its argument; 64 entries raise
+# the laws_sweep benchmark's peak memory by about 5%, and 512 did by twice
+# that in a prototype.
 MEMO_CAPACITY = 64
 
 
