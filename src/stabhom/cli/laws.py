@@ -453,13 +453,10 @@ def _law_hereditary_split(ctx: LawContext, res: LawResult) -> None:
         res.skipped = "algebra is not hereditary"
         return
     for i, a in enumerate(ctx.left_modules):
+        # hereditary_split raises SplitFailure unless both splittings are
+        # isomorphisms, and run_laws records a raise as a failure
         split = hereditary_split(a, probes=ctx.probes_left)
-        ok = (
-            split.split_iso
-            and split.cosplit_iso
-            and split.underline_law_ok
-            and split.overline_law_ok
-        )
+        ok = split.underline_law_ok and split.overline_law_ok
         res.record(ok, _witness(ctx, i, a))
 
 

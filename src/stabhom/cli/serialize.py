@@ -23,11 +23,8 @@ from ..algebra import (
     Representation,
     arrow_shape,
 )
-from ..exactla import Field, Matrix
+from ..exactla import PRIME, RATIONAL, Field, Matrix
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor
-
-PRIME = "prime"
-RATIONAL = "rational"
 
 
 class ParseError(ValueError):

@@ -19,7 +19,11 @@ is when covariant and as (y, x) when contravariant (_ordered): the ends
 of its presentation, the arguments of its Hom spaces, and the two maps of
 a composite.  A map acts on its values by precomposition (push_coords's
 pre=) when covariant and by postcomposition (post=) when contravariant
-(_acting).  Every operation below is written once through these two.
+(_acting).  The rule lives in homology.py, next to push_coords, so that
+stable.py writes the extension and lifting checks and the certificates
+through it too; it is imported here, and COVARIANT and CONTRAVARIANT
+still resolve as attributes of this module.  Every operation below is
+written once through these two.
 Outside them only the validation, the defect (whose two forms differ
 mathematically), fp_rho's covariant-only guard and the one-line picks of
 stacking and of pushout or pullback look at the variance.
@@ -27,7 +31,7 @@ stacking and of pushout or pullback look at the variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, TypeVar
+from typing import Optional, Tuple
 
 from .exactla import Matrix, QuotientSpace, Subspace, rank
 from .algebra import (
@@ -42,7 +46,11 @@ from .algebra import (
     zero_module,
 )
 from .homology import (
+    CONTRAVARIANT,
+    COVARIANT,
     HomSpace,
+    _acting,
+    _ordered,
     cokernel_map,
     factor_through,
     hom_basis,
@@ -60,22 +68,6 @@ from .homology import (
     vstack_maps,
 )
 from .stable import fp_certificate
-
-COVARIANT = "covariant"
-CONTRAVARIANT = "contravariant"
-
-T = TypeVar("T")
-
-
-def _ordered(variance: str, x: T, y: T) -> Tuple[T, T]:
-    """The pair (x, y) as a functor of this variance reads it."""
-    return (x, y) if variance == COVARIANT else (y, x)
-
-
-def _acting(variance: str, m: ModuleMap) -> Dict[str, ModuleMap]:
-    """The push_coords keyword by which m acts on a functor's values."""
-    return {"pre": m} if variance == COVARIANT else {"post": m}
-
 
 @dataclass(frozen=True)
 class FpFunctor:
@@ -107,10 +99,6 @@ class FpFunctor:
         """The module Y whose Hom space cuts the values down."""
         f = self.presentation
         return _ordered(self.variance, f.domain, f.codomain)[1]
-
-
-def fp_from_map(f: ModuleMap, variance: str) -> FpFunctor:
-    return FpFunctor(variance, f)
 
 
 def fp_representable(m: Representation, variance: str = COVARIANT) -> FpFunctor:

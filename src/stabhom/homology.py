@@ -8,10 +8,14 @@ factor by index instead of multiplying by it; the tensor product's
 balancing relations and tensor_map are written alike.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
-basis.  Kernels, images and cokernels are taken vertexwise; projective
-covers and injective envelopes are minimal (built on top and socle).  The
-star dual Hom(-, algebra) is a module on the other side, with component
-Hom(m, P(v)) at vertex v.
+basis.  Beside it sits the variance rule that fpfun and stable write
+their covariant/contravariant mirrors through once: a functor reads a
+pair (x, y) as is when covariant and as (y, x) when contravariant
+(_ordered), and a map acts on its values by push_coords's pre= when
+covariant and post= when contravariant (_acting).  Kernels, images and
+cokernels are taken vertexwise; projective covers and injective envelopes
+are minimal (built on top and socle).  The star dual Hom(-, algebra) is a
+module on the other side, with component Hom(m, P(v)) at vertex v.
 
 Modules are immutable values, so projective_cover, injective_envelope and
 star_dual build each result once per module value: _memoized keeps one
@@ -25,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -358,7 +362,8 @@ def is_self_injective(alg: BoundQuiverAlgebra) -> bool:
 
 
 def hstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """[f | g]: domain(f) + domain(g) -> shared codomain."""
+    """[f | g]: domain(f) + domain(g) -> shared codomain, built trusted:
+    f and g are checked maps and the direct sum's arrows are block-diagonal."""
     if f.codomain != g.codomain:
         raise AlgebraError("hstack_maps needs a shared codomain")
     ds = direct_sum([f.domain, g.domain])
@@ -369,11 +374,12 @@ def hstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
         block[:, : f.domain.dims[v]] = f.vertex_maps[v].data
         block[:, f.domain.dims[v] :] = g.vertex_maps[v].data
         maps[v] = Matrix(field, block, _trusted=True)
-    return ModuleMap(ds.module, f.codomain, maps)
+    return ModuleMap(ds.module, f.codomain, maps, _trusted=True)
 
 
 def vstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """[f ; g]: shared domain -> codomain(f) + codomain(g)."""
+    """[f ; g]: shared domain -> codomain(f) + codomain(g), trusted as in
+    hstack_maps."""
     if f.domain != g.domain:
         raise AlgebraError("vstack_maps needs a shared domain")
     ds = direct_sum([f.codomain, g.codomain])
@@ -384,7 +390,7 @@ def vstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
         block[: f.codomain.dims[v], :] = f.vertex_maps[v].data
         block[f.codomain.dims[v] :, :] = g.vertex_maps[v].data
         maps[v] = Matrix(field, block, _trusted=True)
-    return ModuleMap(f.domain, ds.module, maps)
+    return ModuleMap(f.domain, ds.module, maps, _trusted=True)
 
 
 def pushout(
@@ -417,7 +423,22 @@ def pullback(
     return ker.rep, ds.projections[0] @ ker.inclusion, ds.projections[1] @ ker.inclusion
 
 
-# -- hom-space pushforwards -------------------------------------------------
+# -- hom-space pushforwards and the variance rule ----------------------------
+
+COVARIANT = "covariant"
+CONTRAVARIANT = "contravariant"
+
+T = TypeVar("T")
+
+
+def _ordered(variance: str, x: T, y: T) -> Tuple[T, T]:
+    """The pair (x, y) as a functor of this variance reads it."""
+    return (x, y) if variance == COVARIANT else (y, x)
+
+
+def _acting(variance: str, m: ModuleMap) -> Dict[str, ModuleMap]:
+    """The push_coords keyword by which m acts on a functor's values."""
+    return {"pre": m} if variance == COVARIANT else {"post": m}
 
 
 def push_coords(
@@ -486,22 +507,19 @@ def factor_through(
 
 @dataclass
 class Ext1Result:
-    """dim Ext^1(m, n) plus the cokernel presentation it came from."""
+    """dim Ext^1(m, n) plus the projective cover of m it came from."""
 
     dim: int
     cover: ShortExactSequence
-    hom_p: HomSpace
-    hom_omega: HomSpace
-    restriction: Matrix  # rows: image of Hom(P, n) inside Hom(syzygy, n)
 
 
 def ext1(m: Representation, n: Representation) -> Ext1Result:
     cover = projective_cover(m)
     hom_p = hom_basis(cover.middle, n)
     hom_omega = hom_basis(cover.left, n)
+    # rows: the image of Hom(P, n) inside Hom(syzygy, n)
     restriction = push_coords(hom_p, hom_omega, pre=cover.inclusion)
-    dim = hom_omega.dim - rank(restriction)
-    return Ext1Result(dim, cover, hom_p, hom_omega, restriction)
+    return Ext1Result(hom_omega.dim - rank(restriction), cover)
 
 
 # -- tensor products ---------------------------------------------------------
@@ -673,7 +691,6 @@ class TransposeData:
     star_sub: SubRep  # kernel of f_star inside P0*, isomorphic to m*
     presentation: ModuleMap  # the minimal presentation map P1 -> P0
     cover: ShortExactSequence  # P0 onto m
-    syzygy_cover: ShortExactSequence  # P1 onto the syzygy of m
     sd0: StarDual
     sd1: StarDual
 
@@ -687,4 +704,4 @@ def transpose(m: Representation) -> TransposeData:
     f_star = star_dual_map(pres, sd_dom=sd1, sd_cod=sd0)
     tr, proj = cokernel_map(f_star)
     star_sub = kernel_map(f_star)
-    return TransposeData(tr, f_star, proj, star_sub, pres, cov0, cov1, sd0, sd1)
+    return TransposeData(tr, f_star, proj, star_sub, pres, cov0, sd0, sd1)

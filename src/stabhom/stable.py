@@ -7,6 +7,20 @@ Conventions.  The torsion subrepresentation of a module is computed by
 three independent routes (evaluation into the double dual, joint reject
 of the regular module, kernel of the projective approximation) that are
 compared in the test suite rather than inside this module.
+
+One code path per stable flavor.  Hom modulo projectives (covariant,
+presented by an approximation a -> Q into projectives, defect the
+torsion) and Hom modulo injectives (contravariant, presented by an
+approximation I -> a from injectives, defect the cotorsion) mirror each
+other.  stable_hom computes either factoring subspace, extends_to_projectives
+and lifts_from_injectives are one check, and fp_certificate builds one
+four-term sequence, all through homology's variance rule (_ordered,
+_acting), the one fpfun reads.  The two approximations and the two halves
+of hereditary_split stay separate: a shared body would need a variance
+branch of its own (to stack the basis blocks below or beside each other;
+to pick a section or a retraction, hstack or vstack) and saves a few
+lines, and shared code that branches on its caller reads worse than two
+plain halves.
 """
 from __future__ import annotations
 
@@ -20,6 +34,7 @@ from .algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    BoundQuiverAlgebra,
     ModuleMap,
     Representation,
     SubRep,
@@ -32,8 +47,12 @@ from .algebra import (
     zero_module,
 )
 from .homology import (
+    CONTRAVARIANT,
+    COVARIANT,
     HomSpace,
     TensorSpace,
+    _acting,
+    _ordered,
     cokernel_map,
     eval_double_dual,
     ext1,
@@ -81,35 +100,10 @@ class VanishingCheckFailed(AlgebraError):
 # -- factoring subspaces and stable homs -------------------------------------
 
 
-def pfactor_subspace(
-    a: Representation, b: Representation, hom_ab: Optional[HomSpace] = None
-) -> Subspace:
-    """Maps a -> b factoring through a projective, inside hom coordinates."""
-    if hom_ab is None:
-        hom_ab = hom_basis(a, b)
-    cover = projective_cover(b)
-    hom_ap = hom_basis(a, cover.middle)
-    t = push_coords(hom_ap, hom_ab, post=cover.surjection)
-    return Subspace(a.algebra.field, hom_ab.dim, t)
-
-
-def ifactor_subspace(
-    a: Representation, b: Representation, hom_ab: Optional[HomSpace] = None
-) -> Subspace:
-    """Maps a -> b factoring through an injective, inside hom coordinates."""
-    if hom_ab is None:
-        hom_ab = hom_basis(a, b)
-    env = injective_envelope(a)
-    hom_ib = hom_basis(env.middle, b)
-    t = push_coords(hom_ib, hom_ab, pre=env.inclusion)
-    return Subspace(a.algebra.field, hom_ab.dim, t)
-
-
 @dataclass
 class StableHom:
     """Hom(a, b) modulo the chosen factoring subspace."""
 
-    flavor: str
     hom: HomSpace
     factor: Subspace
     quotient: QuotientSpace
@@ -120,51 +114,61 @@ class StableHom:
 
 
 def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
+    """Hom(a, b) modulo the maps factoring through a projective (Hom(a, P)
+    composed with the cover P -> b) or through an injective (Hom(I, b)
+    composed with the envelope a -> I)."""
     if flavor not in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         raise ValueError(f"unknown stable hom flavor: {flavor!r}")
     hom = hom_basis(a, b)
     if flavor == MODULO_PROJECTIVES:
-        factor = pfactor_subspace(a, b, hom)
+        cover = projective_cover(b)
+        t = push_coords(hom_basis(a, cover.middle), hom, post=cover.surjection)
     else:
-        factor = ifactor_subspace(a, b, hom)
-    return StableHom(flavor, hom, factor, factor.quotient())
+        env = injective_envelope(a)
+        t = push_coords(hom_basis(env.middle, b), hom, pre=env.inclusion)
+    factor = Subspace(a.algebra.field, hom.dim, t)
+    return StableHom(hom, factor, factor.quotient())
 
 
 # -- approximations ------------------------------------------------------------
 
 
-def extends_to_projectives(gamma: ModuleMap) -> bool:
-    """Whether every map from gamma's domain to an indec projective
-    extends over gamma (checked by rank of the precomposition map)."""
-    a, q = gamma.domain, gamma.codomain
-    alg = a.algebra
-    for v in a.vertices:
-        proj = indec_projective(alg, v, a.side)
-        hom_ap = hom_basis(a, proj)
-        if hom_ap.dim == 0:
+def _indecomposable(
+    variance: str, alg: BoundQuiverAlgebra, v: str, side: str
+) -> Representation:
+    """The indecomposable projective (covariant) or injective
+    (contravariant) over v: where a functor of this variance is probed."""
+    indec = indec_projective if variance == COVARIANT else indec_injective
+    return indec(alg, v, side)
+
+
+def _kills_indecomposables(variance: str, gamma: ModuleMap) -> bool:
+    """Whether the functor gamma presents vanishes at every indecomposable
+    projective (covariant) or injective (contravariant): gamma acting on
+    the entry's Hom space there reaches all of it (checked by rank)."""
+    entry, relations = _ordered(variance, gamma.domain, gamma.codomain)
+    for v in entry.vertices:
+        probe = _indecomposable(variance, entry.algebra, v, entry.side)
+        hom_x = hom_basis(*_ordered(variance, entry, probe))
+        if hom_x.dim == 0:
             continue
-        hom_qp = hom_basis(q, proj)
-        t = push_coords(hom_qp, hom_ap, pre=gamma)
-        if rank(t) < hom_ap.dim:
+        hom_y = hom_basis(*_ordered(variance, relations, probe))
+        t = push_coords(hom_y, hom_x, **_acting(variance, gamma))
+        if rank(t) < hom_x.dim:
             return False
     return True
+
+
+def extends_to_projectives(gamma: ModuleMap) -> bool:
+    """Whether every map from gamma's domain to an indec projective
+    extends over gamma."""
+    return _kills_indecomposables(COVARIANT, gamma)
 
 
 def lifts_from_injectives(gamma: ModuleMap) -> bool:
     """Whether every map from an indec injective into gamma's codomain
-    lifts through gamma (checked by rank of the postcomposition map)."""
-    y, a = gamma.domain, gamma.codomain
-    alg = a.algebra
-    for v in a.vertices:
-        inj = indec_injective(alg, v, a.side)
-        hom_ia = hom_basis(inj, a)
-        if hom_ia.dim == 0:
-            continue
-        hom_iy = hom_basis(inj, y)
-        t = push_coords(hom_iy, hom_ia, post=gamma)
-        if rank(t) < hom_ia.dim:
-            return False
-    return True
+    lifts through gamma."""
+    return _kills_indecomposables(CONTRAVARIANT, gamma)
 
 
 def left_proj_approximation(a: Representation, verify: bool = True) -> ModuleMap:
@@ -304,19 +308,22 @@ class FourTermSequence:
         return True
 
 
+# certificate kind -> the variance of the functor its approximation presents
+_CERTIFICATE_KINDS = {"covariant_underline": COVARIANT, "contravariant_overline": CONTRAVARIANT}
+
+
 @dataclass
 class Certificate:
     """Witness that a stable-hom functor is finitely presented.
 
     covariant_underline stores 0 -> torsion(a) -> a -> Q -> M -> 0 with Q
-    projective and Ext^1(M, regular) = 0; contravariant_overline stores
-    0 -> N -> I -> a -> cotorsion(a) -> 0 with I injective and
-    Ext^1(I(v), N) = 0 for every vertex v.
+    projective and Ext^1(M, P(v)) = 0 for every vertex v;
+    contravariant_overline stores 0 -> N -> I -> a -> cotorsion(a) -> 0
+    with I injective and Ext^1(I(v), N) = 0 for every vertex v.
     """
 
     kind: str
     sequence: FourTermSequence
-    vanishing_check: bool
     ext_witness: Dict[str, int]
     approximation: ModuleMap
 
@@ -329,40 +336,28 @@ class Certificate:
 
 
 def fp_certificate(a: Representation, kind: str) -> Certificate:
-    alg = a.algebra
-    if kind == "covariant_underline":
-        gamma = left_proj_approximation(a, verify=True)
-        tor = kernel_map(gamma)
-        m, mproj = cokernel_map(gamma)
-        seq = FourTermSequence(
-            (tor.rep, a, gamma.codomain, m), (tor.inclusion, gamma, mproj)
-        )
-        witness = {
-            v: ext1(m, indec_projective(alg, v, a.side)).dim
-            for v in a.vertices
-        }
-        if any(witness.values()):
-            raise VanishingCheckFailed(
-                f"Ext^1(cokernel, projectives) nonzero: {witness}"
-            )
-        return Certificate(kind, seq, True, witness, gamma)
-    if kind == "contravariant_overline":
-        gamma = right_inj_approximation(a, verify=True)
-        n = kernel_map(gamma)
-        q, qproj = cokernel_map(gamma)
-        seq = FourTermSequence(
-            (n.rep, gamma.domain, a, q), (n.inclusion, gamma, qproj)
-        )
-        witness = {
-            v: ext1(indec_injective(alg, v, a.side), n.rep).dim
-            for v in a.vertices
-        }
-        if any(witness.values()):
-            raise VanishingCheckFailed(
-                f"Ext^1(injectives, kernel) nonzero: {witness}"
-            )
-        return Certificate(kind, seq, True, witness, gamma)
-    raise ValueError(f"unknown certificate kind: {kind!r}")
+    """The four-term sequence kernel -> gamma.domain -> gamma.codomain ->
+    cokernel of the kind's approximation gamma, certified by
+    Ext^1(cokernel, P(v)) = 0 (covariant) or Ext^1(I(v), kernel) = 0
+    (contravariant) at every vertex v; VanishingCheckFailed otherwise."""
+    if kind not in _CERTIFICATE_KINDS:
+        raise ValueError(f"unknown certificate kind: {kind!r}")
+    variance = _CERTIFICATE_KINDS[kind]
+    covariant = variance == COVARIANT
+    gamma = (left_proj_approximation if covariant else right_inj_approximation)(a, verify=True)
+    ker = kernel_map(gamma)
+    coker, cproj = cokernel_map(gamma)
+    seq = FourTermSequence(
+        (ker.rep, gamma.domain, gamma.codomain, coker), (ker.inclusion, gamma, cproj)
+    )
+    end = coker if covariant else ker.rep
+    witness = {
+        v: ext1(*_ordered(variance, end, _indecomposable(variance, a.algebra, v, a.side))).dim
+        for v in a.vertices
+    }
+    if any(witness.values()):
+        raise VanishingCheckFailed(f"{kind}: Ext^1 witness nonzero: {witness}")
+    return Certificate(kind, seq, witness, gamma)
 
 
 # -- sub-stabilized tensor product ----------------------------------------------

@@ -163,7 +163,6 @@ def test_criterion_03_certificates_and_defect_isomorphisms(catalogs):
             for a in per[side]:
                 cov = fp_certificate(a, "covariant_underline")
                 assert cov.validate()
-                assert cov.vanishing_check
                 assert all(d == 0 for d in cov.ext_witness.values())
                 w = fp_defect(FpFunctor(COVARIANT, cov.approximation))
                 tor = bass_torsion(a).rep
@@ -171,7 +170,6 @@ def test_criterion_03_certificates_and_defect_isomorphisms(catalogs):
 
                 con = fp_certificate(a, "contravariant_overline")
                 assert con.validate()
-                assert con.vanishing_check
                 assert all(d == 0 for d in con.ext_witness.values())
                 v = fp_defect(FpFunctor(CONTRAVARIANT, con.approximation))
                 cot, _ = cotorsion_quotient(a)

@@ -7,19 +7,29 @@ every fixture algebra, of their star duals, transposes, syzygies and
 cosyzygies, and of a seeded random catalog.  Any change to a basis
 order, a matrix entry or the order in which randmod draws its scalars
 changes the digest.
+
+A second digest pins the reports of ``stabhom verify --format json`` on
+every fixture (seed 1, three modules per side, dimension at most 2), with
+the wall-clock time removed: a refactor that changes any law's verdict,
+check count or witness changes it.
 """
 
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stdout
 
 from algebras import BUILDERS
 from stabhom.algebra import LEFT, RIGHT, indec_injective, indec_projective
+from stabhom.cli.main import main
 from stabhom.cli.randmod import random_catalog
-from stabhom.cli.serialize import module_to_dict
+from stabhom.cli.serialize import algebra_to_dict, module_to_dict
 from stabhom.homology import cosyzygy, star_dual, syzygy, transpose
 
 PINNED_DIGEST = "8858265e40484caac606464190947c70331ddae4a74a538e3326348208d83e78"
+VERIFY_DIGEST = "7eef5f3bfcc6e3398cc1a3511060a34e733d50225d97007b7128e0624231e8fd"
+VERIFY_ARGS = ["--seed", "1", "--count", "3", "--max-dim", "2", "--format", "json"]
 
 
 def _modules(alg, side):
@@ -47,3 +57,22 @@ def exact_digest() -> str:
 
 def test_canonical_and_random_modules_are_bit_for_bit_pinned():
     assert exact_digest() == PINNED_DIGEST
+
+
+def verify_digest(tmp_path) -> str:
+    h = hashlib.sha256()
+    for name in sorted(BUILDERS):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(algebra_to_dict(BUILDERS[name]())))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", str(path)] + VERIFY_ARGS)
+        report = json.loads(out.getvalue())
+        report.pop("wall_time_s")
+        h.update(json.dumps([code, report], sort_keys=True).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_verify_reports_are_bit_for_bit_pinned(tmp_path):
+    assert verify_digest(tmp_path) == VERIFY_DIGEST

@@ -24,7 +24,6 @@ from stabhom.fpfun import (
     fp_defect,
     fp_eval,
     fp_eval_morphism,
-    fp_from_map,
     fp_identity,
     fp_kernel,
     fp_morphism_equal,
@@ -66,7 +65,7 @@ def test_contravariant_yoneda(square):
 
 def test_identity_presentation_gives_zero_functor(a2):
     p1 = indec_projective(a2, "1")
-    func = fp_from_map(ModuleMap.identity(p1), COVARIANT)
+    func = FpFunctor(COVARIANT, ModuleMap.identity(p1))
     for b in standard_probes(a2, LEFT):
         assert fp_eval(func, b).dim == 0
 
@@ -298,7 +297,7 @@ def test_morphism_square_must_commute(a2):
     s1 = simple(a2, "1")
     p1 = indec_projective(a2, "1")
     f = fp_representable(s1, COVARIANT)  # presentation S(1) -> 0
-    g = fp_from_map(ModuleMap.identity(p1), COVARIANT)
+    g = FpFunctor(COVARIANT, ModuleMap.identity(p1))
     # u must make f.pres @ u = v @ g.pres; a nonzero u: P(1) -> S(1)
     # against v = 0 breaks the square only if f.pres @ u is nonzero,
     # which cannot happen here (f.pres maps into 0), so instead check
@@ -367,8 +366,8 @@ def test_homotopic_morphisms_are_equal(loop3):
     reg = regular_module(loop3, LEFT)
     mult = hom_basis(reg, reg).basis_maps()
     r_x = next(f for f in mult if not f.is_isomorphism() and not f.is_zero())
-    f_func = fp_from_map(r_x, COVARIANT)  # b -> b / x b
-    g_func = fp_from_map(ModuleMap.identity(reg), COVARIANT)
+    f_func = FpFunctor(COVARIANT, r_x)  # b -> b / x b
+    g_func = FpFunctor(COVARIANT, ModuleMap.identity(reg))
     alpha1 = FpMorphism(f_func, g_func, ModuleMap.identity(reg), r_x)
     beta = ModuleMap.identity(reg)
     alpha2 = FpMorphism(
@@ -396,8 +395,8 @@ def test_contravariant_homotopy(loop3):
     reg = regular_module(loop3, LEFT)
     mult = hom_basis(reg, reg).basis_maps()
     r_x = next(f for f in mult if not f.is_isomorphism() and not f.is_zero())
-    f_func = fp_from_map(r_x, CONTRAVARIANT)
-    g_func = fp_from_map(ModuleMap.identity(reg), CONTRAVARIANT)
+    f_func = FpFunctor(CONTRAVARIANT, r_x)
+    g_func = FpFunctor(CONTRAVARIANT, ModuleMap.identity(reg))
     # square: g.pres @ v = u @ f.pres with u: X -> X', v: Y -> Y'
     alpha1 = FpMorphism(f_func, g_func, ModuleMap.identity(reg), r_x)
     beta = ModuleMap.identity(reg)

@@ -434,6 +434,32 @@ def test_pullback_square_commutes(a2):
     assert leg_p.is_surjective()
 
 
+def _random_map(a, b, rng):
+    hom = hom_basis(a, b)
+    if hom.dim == 0:
+        return ModuleMap.zero(a, b)
+    return hom.element([rng.randrange(5) for _ in range(hom.dim)])
+
+
+def test_stacked_maps_and_glue_legs_intertwine(all_algebras):
+    # hstack_maps and vstack_maps build their results without re-checking
+    # them, and pushouts and pullbacks are made from them: check every
+    # arrow's intertwiner equation here
+    rng = random.Random(41)
+    for alg in all_algebras.values():
+        mods = [indec_projective(alg, v) for v in alg.quiver.vertices]
+        mods += [indec_injective(alg, v) for v in alg.quiver.vertices]
+        mods += [random_module(alg, LEFT, 2, rng)[0] for _ in range(3)]
+        for _ in range(6):
+            a, b, c = (rng.choice(mods) for _ in range(3))
+            f, g = _random_map(b, a, rng), _random_map(c, a, rng)
+            maps = [hstack_maps(f, g), *pullback(f, g)[1:]]
+            f, g = _random_map(a, b, rng), _random_map(a, c, rng)
+            maps += [vstack_maps(f, g), *pushout(f, g)[1:]]
+            for m in maps:
+                m._check_intertwiner()
+
+
 def test_factor_through_pre_factorization(a2):
     s1 = simple(a2, "1")
     cov = projective_cover(s1)
