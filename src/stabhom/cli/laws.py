@@ -621,20 +621,17 @@ def _law_fp_kernel_cokernel(ctx: LawContext, res: LawResult) -> None:
                 mat = fp_eval_morphism(alpha, b, sv, tv)
                 want_ker = kernel_basis(mat).rows
                 want_coker = tv.dim - rank(mat)
-                incl_mat = fp_eval_morphism(incl, b, None, sv)
-                embeds = (mat @ incl_mat).is_zero() and rank(
-                    incl_mat
-                ) == want_ker
+                kv, cv = fp_eval(ker, b), fp_eval(coker, b)
+                incl_mat = fp_eval_morphism(incl, b, kv, sv)
+                embeds = (mat @ incl_mat).is_zero() and rank(incl_mat) == want_ker
                 res.record(
-                    fp_eval(ker, b).dim == want_ker
-                    and fp_eval(coker, b).dim == want_coker
-                    and embeds,
+                    kv.dim == want_ker and cv.dim == want_coker and embeds,
                     _witness(
                         ctx, i, b,
                         variance=variance,
-                        kernel=fp_eval(ker, b).dim,
+                        kernel=kv.dim,
                         expected_kernel=want_ker,
-                        cokernel=fp_eval(coker, b).dim,
+                        cokernel=cv.dim,
                         expected_cokernel=want_coker,
                     ),
                 )

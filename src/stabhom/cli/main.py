@@ -404,17 +404,23 @@ def _add_output_flags(sub):
     )
 
 
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_generation_flags(sub, default_count: int):
     sub.add_argument("--seed", type=int, default=1, help="RNG seed")
     sub.add_argument(
         "--count",
-        type=int,
+        type=_nonnegative,
         default=default_count,
         help="modules generated per side",
     )
     sub.add_argument(
         "--max-dim",
-        type=int,
+        type=_nonnegative,
         default=3,
         dest="max_dim",
         help="maximum vertex dimension",

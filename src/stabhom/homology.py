@@ -13,8 +13,10 @@ their covariant/contravariant mirrors through once: a functor reads a
 pair (x, y) as is when covariant and as (y, x) when contravariant
 (_ordered), and a map acts on its values by push_coords's pre= when
 covariant and post= when contravariant (_acting).  Kernels, images and
-cokernels are taken vertexwise; projective covers and injective envelopes
-are minimal (built on top and socle).  The star dual Hom(-, algebra) is a
+cokernels are taken vertexwise.  A minimal projective cover takes its
+generators at v from the top's own section, the unit vectors at the free
+columns of the radical's echelon basis; an injective envelope is the dual
+of the cover of the dual module.  The star dual Hom(-, algebra) is a
 module on the other side, with component Hom(m, P(v)) at vertex v.
 
 Modules are immutable values, so projective_cover, injective_envelope and
@@ -43,7 +45,6 @@ from .exactla import (
     hstack,
     kernel_basis,
     rank,
-    solve_matrix,
     solve_right,
 )
 from .algebra import (
@@ -52,7 +53,6 @@ from .algebra import (
     AlgebraError,
     BoundQuiverAlgebra,
     ModuleMap,
-    Path,
     Representation,
     SubRep,
     _projective_with_labels,
@@ -268,49 +268,40 @@ def projective_cover(m: Representation) -> ShortExactSequence:
 
 
 def _build_projective_cover(m: Representation) -> ShortExactSequence:
+    """One summand P(v) per generator at v, a column of the top's section
+    (the unit vectors at the radical's free columns lift a basis of the
+    top).  Each path label of P(v) acts on all of v's generators in one
+    product, laid out generator-major, as direct_sum orders the summands."""
     alg = m.algebra
     field = alg.field
-    # only the top's dimensions and projections are read, not the top module
-    tops = {v: rad.quotient() for v, rad in radical_subspaces(m).items()}
-    mults = {v: tops[v].dim for v in m.vertices}
-    summands: List[Tuple[str, Representation, Dict[str, List[Path]]]] = []
+    gens = {v: rad.quotient().section for v, rad in radical_subspaces(m).items()}
+    summands: List[Representation] = []
+    blocks: Dict[str, List[Matrix]] = {w: [] for w in m.vertices}
     for v in m.vertices:
-        if mults[v]:
-            rep, labels = _projective_with_labels(alg, v, m.side)
-            summands.extend((v, rep, labels) for _ in range(mults[v]))
-    if not summands:
+        g = gens[v].cols
+        if not g:
+            continue
+        rep, labels = _projective_with_labels(alg, v, m.side)
+        summands.extend([rep] * g)
+        for w in m.vertices:
+            images = np.empty((m.dims[w], g, len(labels[w])), dtype=field.dtype)
+            for j, path in enumerate(labels[w]):
+                images[:, :, j] = (m.path_map(path) @ gens[v]).data
+            flat = images.reshape(m.dims[w], g * len(labels[w]))
+            blocks[w].append(Matrix(field, flat, _trusted=True))
+    if summands:
+        p = direct_sum(summands).module
+        cover = ModuleMap(
+            p, m, {w: hstack(field, blocks[w], rows=m.dims[w]) for w in m.vertices}
+        )
+    else:
         p = zero_module(alg, m.side)
         cover = ModuleMap.zero(p, m)
-        omega = kernel_map(cover)
-        return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover)
-    ds = direct_sum([rep for _, rep, _ in summands])
-    # generator preimages: a section of the projection onto the top
-    sections: Dict[str, Matrix] = {}
-    for v in m.vertices:
-        q = tops[v].projection
-        s = solve_matrix(q, Matrix.identity(field, q.rows))
-        if s is None:
-            raise AlgebraError("top projection has no section")
-        sections[v] = s
-    used: Dict[str, int] = {v: 0 for v in m.vertices}
-    cover_cols: Dict[str, List[Matrix]] = {w: [] for w in m.vertices}
-    for v, rep, labels in summands:
-        gen = sections[v].data[:, used[v]].copy()
-        used[v] += 1
-        for w in m.vertices:
-            block = Matrix.zeros(field, m.dims[w], rep.dims[w]).data.copy()
-            for j, path in enumerate(labels[w]):
-                block[:, j] = m.path_map(path).apply(gen)
-            cover_cols[w].append(Matrix(field, field.normalize(block), _trusted=True))
-    cover = ModuleMap(
-        ds.module,
-        m,
-        {w: hstack(field, cover_cols[w], rows=m.dims[w]) for w in m.vertices},
-    )
-    if not cover.is_surjective():
-        raise AlgebraError("projective cover failed to surject")
     omega = kernel_map(cover)
-    return ShortExactSequence(omega.rep, ds.module, m, omega.inclusion, cover)
+    # rank-nullity: onto m_w exactly when the kernel has codimension dim m_w
+    if any(p.dims[w] - omega.subspaces[w].dim != m.dims[w] for w in m.vertices):
+        raise AlgebraError("projective cover failed to surject")
+    return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:

@@ -196,9 +196,10 @@ def left_proj_approximation(a: Representation, verify: bool = True) -> ModuleMap
     return gamma
 
 
-def right_inj_approximation(a: Representation, verify: bool = True) -> ModuleMap:
+def right_inj_approximation(a: Representation) -> ModuleMap:
     """The map (sum of indec injectives) -> a collecting bases of every
-    Hom(I(v), a); its image is the trace of the injectives in a."""
+    Hom(I(v), a); its image is the trace of the injectives in a.  The
+    lifting property is always confirmed; its failure would be a bug."""
     alg = a.algebra
     field = alg.field
     homs = [hom_basis(indec_injective(alg, v, a.side), a) for v in a.vertices]
@@ -216,7 +217,7 @@ def right_inj_approximation(a: Representation, verify: bool = True) -> ModuleMap
             ]
             maps[w] = Matrix(field, np.concatenate(cols, axis=1), _trusted=True)
         gamma = ModuleMap(ds.module, a, maps)
-    if verify and not lifts_from_injectives(gamma):
+    if not lifts_from_injectives(gamma):
         raise LiftFailure("injective approximation missed a lift")
     return gamma
 
@@ -344,7 +345,7 @@ def fp_certificate(a: Representation, kind: str) -> Certificate:
         raise ValueError(f"unknown certificate kind: {kind!r}")
     variance = _CERTIFICATE_KINDS[kind]
     covariant = variance == COVARIANT
-    gamma = (left_proj_approximation if covariant else right_inj_approximation)(a, verify=True)
+    gamma = left_proj_approximation(a) if covariant else right_inj_approximation(a)
     ker = kernel_map(gamma)
     coker, cproj = cokernel_map(gamma)
     seq = FourTermSequence(

@@ -12,6 +12,12 @@ A second digest pins the reports of ``stabhom verify --format json`` on
 every fixture (seed 1, three modules per side, dimension at most 2), with
 the wall-clock time removed: a refactor that changes any law's verdict,
 check count or witness changes it.
+
+A third digest pins the projective covers and injective envelopes of a
+seeded random catalog on every fixture and both sides: the exact JSON of
+each cover's surjection and each envelope's inclusion.  Covers are only
+unique up to isomorphism, so a change to how their generators are chosen
+moves this digest and no other.
 """
 
 import hashlib
@@ -24,11 +30,19 @@ from algebras import BUILDERS
 from stabhom.algebra import LEFT, RIGHT, indec_injective, indec_projective
 from stabhom.cli.main import main
 from stabhom.cli.randmod import random_catalog
-from stabhom.cli.serialize import algebra_to_dict, module_to_dict
-from stabhom.homology import cosyzygy, star_dual, syzygy, transpose
+from stabhom.cli.serialize import algebra_to_dict, map_to_dict, module_to_dict
+from stabhom.homology import (
+    cosyzygy,
+    injective_envelope,
+    projective_cover,
+    star_dual,
+    syzygy,
+    transpose,
+)
 
 PINNED_DIGEST = "8858265e40484caac606464190947c70331ddae4a74a538e3326348208d83e78"
 VERIFY_DIGEST = "7eef5f3bfcc6e3398cc1a3511060a34e733d50225d97007b7128e0624231e8fd"
+COVER_DIGEST = "7d2618e32f80103bd7c3a397af9387cea8aafc91790441dba17961a6a661d70f"
 VERIFY_ARGS = ["--seed", "1", "--count", "3", "--max-dim", "2", "--format", "json"]
 
 
@@ -76,3 +90,20 @@ def verify_digest(tmp_path) -> str:
 
 def test_verify_reports_are_bit_for_bit_pinned(tmp_path):
     assert verify_digest(tmp_path) == VERIFY_DIGEST
+
+
+def cover_digest() -> str:
+    h = hashlib.sha256()
+    for name in sorted(BUILDERS):
+        alg = BUILDERS[name]()
+        for side in (LEFT, RIGHT):
+            for m in random_catalog(alg, side, 10, 3, random.Random(17))[0]:
+                for f in (projective_cover(m).surjection, injective_envelope(m).inclusion):
+                    doc = map_to_dict(f, algebra_ref=name)
+                    h.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+                    h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_covers_and_envelopes_are_bit_for_bit_pinned():
+    assert cover_digest() == COVER_DIGEST

@@ -666,6 +666,25 @@ def test_boolean_dimension_exits_2(tmp_path, a2_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "A2", "--max-dim", "-1"], "--max-dim"),
+        (["catalog", "--search", "t-nonidempotent", "A2", "--max-dim", "-2"], "--max-dim"),
+        (["verify", "A2", "--count", "-3"], "--count"),
+        (["catalog", "--search", "t-nonidempotent", "A2", "--count", "-1"], "--count"),
+    ],
+    ids=["verify-max-dim", "catalog-max-dim", "verify-count", "catalog-count"],
+)
+def test_negative_generation_flag_exits_2(a2_file, capsys, argv, flag):
+    argv = [a2_file if arg == "A2" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a nonnegative integer" in err
+
+
 def test_python_dash_m_entry_point_writes_nothing_to_stderr(a2_file):
     import os
     import subprocess

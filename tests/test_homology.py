@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,12 +13,16 @@ from stabhom.algebra import (
     direct_sum,
     indec_injective,
     indec_projective,
+    radical_subspaces,
     radical_top_socle,
     regular_module,
     simple,
+    socle_subspaces,
+    standard_probes,
     zero_module,
 )
-from stabhom.cli.randmod import random_module
+from stabhom import exactla, homology
+from stabhom.cli.randmod import random_catalog, random_module
 from stabhom.exactla import Matrix, rank
 from stabhom.homology import (
     cokernel_map,
@@ -155,6 +160,45 @@ def test_injective_envelope_of_injective_splits(loop3):
 def test_cover_of_zero(a2):
     cov = projective_cover(zero_module(a2, LEFT))
     assert cov.middle.is_zero() and cov.left.is_zero()
+
+
+def _minimality_modules(alg, side):
+    yield from standard_probes(alg, side)
+    yield from random_catalog(alg, side, 8, 3, random.Random(11))[0]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_covers_and_envelopes_are_minimal(name):
+    """A cover surjects, has the top of its module and its syzygy inside its
+    radical; an envelope injects, has the socle of its module and its socle
+    inside the image."""
+    alg = BUILDERS[name]()
+    for side in (LEFT, RIGHT):
+        for m in _minimality_modules(alg, side):
+            cov = projective_cover(m)
+            assert cov.surjection.is_surjective()
+            rad_p, rad_m = radical_subspaces(cov.middle), radical_subspaces(m)
+            syz = image_map(cov.inclusion).subspaces
+            env = injective_envelope(m)
+            assert env.inclusion.is_injective()
+            soc_i, soc_m = socle_subspaces(env.middle), socle_subspaces(m)
+            img = image_map(env.inclusion).subspaces
+            for v in alg.quiver.vertices:
+                assert cov.middle.dims[v] - rad_p[v].dim == m.dims[v] - rad_m[v].dim
+                assert rad_p[v].contains(syz[v])
+                assert soc_i[v].dim == soc_m[v].dim
+                assert img[v].contains(soc_i[v])
+
+
+def test_building_a_cover_makes_no_solve_call(square):
+    m = regular_module(square, LEFT)
+    real = exactla.solve_matrix
+    with mock.patch.object(homology, "solve_matrix", create=True, wraps=real) as local, \
+            mock.patch.object(exactla, "solve_matrix", wraps=real) as spy:
+        cov = homology._build_projective_cover(m)
+    assert cov.validate()
+    assert local.call_count == 0
+    assert spy.call_count == 0
 
 
 def test_syzygy_of_simple_over_loop(loop2):
