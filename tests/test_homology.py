@@ -162,11 +162,6 @@ def test_cover_of_zero(a2):
     assert cov.middle.is_zero() and cov.left.is_zero()
 
 
-def _minimality_modules(alg, side):
-    yield from standard_probes(alg, side)
-    yield from random_catalog(alg, side, 8, 3, random.Random(11))[0]
-
-
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_covers_and_envelopes_are_minimal(name):
     """A cover surjects, has the top of its module and its syzygy inside its
@@ -174,7 +169,7 @@ def test_covers_and_envelopes_are_minimal(name):
     inside the image."""
     alg = BUILDERS[name]()
     for side in (LEFT, RIGHT):
-        for m in _minimality_modules(alg, side):
+        for m in standard_probes(alg, side) + random_catalog(alg, side, 8, 3, random.Random(11))[0]:
             cov = projective_cover(m)
             assert cov.surjection.is_surjective()
             rad_p, rad_m = radical_subspaces(cov.middle), radical_subspaces(m)
