@@ -410,11 +410,17 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
-def _add_generation_flags(sub, default_count: int):
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_generation_flags(sub, default_count: int, count_type=_nonnegative):
     sub.add_argument("--seed", type=int, default=1, help="RNG seed")
     sub.add_argument(
         "--count",
-        type=_nonnegative,
+        type=count_type,
         default=default_count,
         help="modules generated per side",
     )
@@ -473,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run randomized law verification")
     p.add_argument("algebra")
-    _add_generation_flags(p, default_count=12)
+    # with no catalog most laws would pass on 0 checks
+    _add_generation_flags(p, default_count=12, count_type=_positive)
     p.add_argument(
         "--laws",
         help="comma-separated law names to run (default all)",

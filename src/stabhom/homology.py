@@ -19,12 +19,14 @@ columns of the radical's echelon basis; an injective envelope is the dual
 of the cover of the dual module.  The star dual Hom(-, algebra) is a
 module on the other side, with component Hom(m, P(v)) at vertex v.
 
-Modules are immutable values, so projective_cover, injective_envelope and
-star_dual build each result once per module value: _memoized keeps one
-bounded least-recently-used memo per kind in the algebra's cache, keyed by
-Representation.key, with MEMO_CAPACITY entries.  A hit is the stored
-result rebound to the caller's module (a cover's right, an envelope's
-left) over the same matrices.  Hom spaces are not memoized.
+Modules are immutable values, so projective_cover, injective_envelope,
+star_dual and hom_basis build each result once per value: _memoized keeps
+one bounded least-recently-used memo per kind in the algebra's cache, with
+MEMO_CAPACITY entries, keyed by Representation.key (by the pair of keys of
+domain and codomain for Hom spaces).  A hit is the stored result rebound
+to the caller's modules (a cover's right, an envelope's left, a Hom
+space's domain and codomain) over the same matrices.  A Hom space is
+stored only when its stack has at most HOM_MEMO_MAX_ENTRIES entries.
 """
 from __future__ import annotations
 
@@ -89,6 +91,15 @@ class HomSpace:
         self.offsets = _block_offsets(domain.vertices, codomain.dims, domain.dims)[0]
         self._maps: Optional[List[ModuleMap]] = None
 
+    def rebound(self, domain: Representation, codomain: Representation) -> "HomSpace":
+        """This space between equal modules domain and codomain: the same
+        stack, free columns and offsets, with basis maps built anew."""
+        out = HomSpace.__new__(HomSpace)
+        out.domain, out.codomain = domain, codomain
+        out.stack, out.free, out.offsets = self.stack, self.free, self.offsets
+        out._maps = None
+        return out
+
     @property
     def dim(self) -> int:
         return self.stack.rows
@@ -124,10 +135,32 @@ class HomSpace:
         return c
 
 
+# Entries (rows x cols) of the largest Hom stack the memo keeps.  Per
+# hom_basis call over five laws_sweep benchmark rounds, stacks have a median
+# of 2 entries, a 99th percentile of 192 and a maximum of 3,200; the
+# smallest of big_fp's 288 stacks (24 rounds, seed 1) has 6,400.  So the
+# memo keeps nearly every repeated small Hom space of the law runs and none
+# of big_fp's dense ones, whose storage raised that workload's peak memory
+# by 16% in a prototype without a cap.
+HOM_MEMO_MAX_ENTRIES = 1024
+
+
 def hom_basis(a: Representation, b: Representation) -> HomSpace:
-    """Basis of the space of module maps a -> b."""
+    """Basis of the space of module maps a -> b.  Memoized per pair of
+    module values; domain and codomain are always a and b themselves."""
     if a.algebra is not b.algebra or a.side != b.side:
         raise AlgebraError("hom needs matching algebra and side")
+    hom = _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, keep=_small_stack)
+    if hom.domain is a and hom.codomain is b:
+        return hom
+    return hom.rebound(a, b)
+
+
+def _small_stack(hom: HomSpace) -> bool:
+    return hom.stack.rows * hom.stack.cols <= HOM_MEMO_MAX_ENTRIES
+
+
+def _build_hom(a: Representation, b: Representation) -> HomSpace:
     offs, total = _block_offsets(a.vertices, b.dims, a.dims)
     terms = []
     for ar in a.algebra.quiver.arrows:
@@ -234,33 +267,36 @@ class ShortExactSequence:
 
 
 # Entries each memo keeps per algebra, per kind.  A cover or envelope holds
-# a few modules and maps of about the size of its argument; 64 entries raise
-# the laws_sweep benchmark's peak memory by about 5%, and 512 did by twice
-# that in a prototype.
+# a few modules and maps of about the size of its argument, a Hom space at
+# most HOM_MEMO_MAX_ENTRIES matrix entries; 64 entries raise the laws_sweep
+# benchmark's peak memory by about 5%, and 512 did by twice that in a
+# prototype.
 MEMO_CAPACITY = 64
 
 
-def _memoized(kind: str, m: Representation, build):
-    """build(m), computed once per module value: looked up by m.key in the
-    bounded LRU memo of that kind in m's algebra, built and stored on a
-    miss, the least recently used entry dropped past MEMO_CAPACITY."""
-    memo = m.algebra._cache.get(("memo", kind))
+def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, keep=None):
+    """build(*args), computed once per key: looked up in the bounded LRU
+    memo of that kind in alg, built on a miss and stored unless keep(result)
+    is false, the least recently used entry dropped past MEMO_CAPACITY."""
+    memo = alg._cache.get(("memo", kind))
     if memo is None:
-        memo = m.algebra._cache[("memo", kind)] = OrderedDict()
-    out = memo.get(m.key)
+        memo = alg._cache[("memo", kind)] = OrderedDict()
+    out = memo.get(key)
     if out is None:
-        out = memo[m.key] = build(m)
-        if len(memo) > MEMO_CAPACITY:
-            memo.popitem(last=False)
+        out = build(*args)
+        if keep is None or keep(out):
+            memo[key] = out
+            if len(memo) > MEMO_CAPACITY:
+                memo.popitem(last=False)
     else:
-        memo.move_to_end(m.key)
+        memo.move_to_end(key)
     return out
 
 
 def projective_cover(m: Representation) -> ShortExactSequence:
     """Minimal projective cover, returned as 0 -> syzygy -> P -> m -> 0.
     Memoized per module value; right is always m itself."""
-    cov = _memoized("cover", m, _build_projective_cover)
+    cov = _memoized("cover", m.algebra, m.key, _build_projective_cover, m)
     if cov.right is m:
         return cov
     onto = ModuleMap(cov.middle, m, cov.surjection.vertex_maps, _trusted=True)
@@ -307,7 +343,7 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
 def injective_envelope(m: Representation) -> ShortExactSequence:
     """Minimal injective envelope, returned as 0 -> m -> I -> cosyzygy -> 0.
     Memoized per module value; left is always m itself."""
-    env = _memoized("envelope", m, _build_injective_envelope)
+    env = _memoized("envelope", m.algebra, m.key, _build_injective_envelope, m)
     if env.left is m:
         return env
     into = ModuleMap(m, env.middle, env.inclusion.vertex_maps, _trusted=True)
@@ -620,7 +656,7 @@ class StarDual:
 def star_dual(m: Representation) -> StarDual:
     """Memoized per module value: hom[v].domain may be an equal module
     seen first, not m itself."""
-    return _memoized("star", m, _build_star_dual)
+    return _memoized("star", m.algebra, m.key, _build_star_dual, m)
 
 
 def _build_star_dual(m: Representation) -> StarDual:

@@ -667,22 +667,31 @@ def test_boolean_dimension_exits_2(tmp_path, a2_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, expected",
     [
-        (["verify", "A2", "--max-dim", "-1"], "--max-dim"),
-        (["catalog", "--search", "t-nonidempotent", "A2", "--max-dim", "-2"], "--max-dim"),
-        (["verify", "A2", "--count", "-3"], "--count"),
-        (["catalog", "--search", "t-nonidempotent", "A2", "--count", "-1"], "--count"),
+        (["verify", "A2", "--max-dim", "-1"], "--max-dim", "nonnegative"),
+        (["catalog", "--search", "t-nonidempotent", "A2", "--max-dim", "-2"], "--max-dim", "nonnegative"),
+        (["verify", "A2", "--count", "-3"], "--count", "positive"),
+        (["catalog", "--search", "t-nonidempotent", "A2", "--count", "-1"], "--count", "nonnegative"),
+        # no catalog: most laws would pass on 0 checks
+        (["verify", "A2", "--count", "0"], "--count", "positive"),
     ],
-    ids=["verify-max-dim", "catalog-max-dim", "verify-count", "catalog-count"],
+    ids=["verify-max-dim", "catalog-max-dim", "verify-count", "catalog-count", "verify-count-zero"],
 )
-def test_negative_generation_flag_exits_2(a2_file, capsys, argv, flag):
+def test_negative_generation_flag_exits_2(a2_file, capsys, argv, flag, expected):
     argv = [a2_file if arg == "A2" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: expected a nonnegative integer" in err
+    assert f"argument {flag}: expected a {expected} integer" in err
+
+
+def test_catalog_accepts_a_zero_count(a2_file, capsys):
+    code, report = _run_json(capsys, ["catalog", "--search", "t-nonidempotent", a2_file, "--count", "0"])
+    assert code == 0
+    assert report["budget"] == 0
+    assert [a["modules_tested"] for a in report["algebras"]] == [0]
 
 
 def test_python_dash_m_entry_point_writes_nothing_to_stderr(a2_file):

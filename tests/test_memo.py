@@ -1,11 +1,11 @@
-"""The per-algebra memo of projective covers, injective envelopes and star
-duals.
+"""The per-algebra memo of projective covers, injective envelopes, star
+duals and Hom spaces.
 
 A memo hit must give what a fresh build gives, bit for bit, rebound to the
-caller's module; equal modules share one build, algebras share nothing, and
-each memo stays within its capacity.  The last test counts builds on a full
-law run, so a lost hit path fails here instead of only slowing the
-benchmark.
+caller's modules; equal modules share one build, algebras share nothing,
+each memo stays within its capacity, and a Hom space over the entry cap is
+returned but not stored.  The law-run tests count builds on a full law run,
+so a lost hit path fails here instead of only slowing the benchmark.
 """
 
 import importlib.util
@@ -29,7 +29,9 @@ from stabhom.cli.laws import LAWS, build_context, run_laws
 from stabhom.cli.randmod import random_catalog
 from stabhom.exactla import Matrix
 from stabhom.homology import (
+    HOM_MEMO_MAX_ENTRIES,
     MEMO_CAPACITY,
+    hom_basis,
     injective_envelope,
     projective_cover,
     star_dual,
@@ -37,7 +39,7 @@ from stabhom.homology import (
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-KINDS = ("cover", "envelope", "star")
+KINDS = ("cover", "envelope", "star", "hom")
 
 
 def _copy(m: Representation) -> Representation:
@@ -213,3 +215,107 @@ def test_a_full_law_run_builds_each_cover_once(monkeypatch):
     received = tracer.stats["homology.projective_cover"]
     assert received.calls > len(received.keys)  # the run repeats values
     assert counter["builds"] == len(received.keys)
+
+
+# -- Hom spaces ---------------------------------------------------------------
+
+
+def _same_hom(h, g) -> bool:
+    return (
+        _same_matrix(h.stack, g.stack)
+        and h.free == g.free
+        and h.offsets == g.offsets
+        and _same_module(h.domain, g.domain)
+        and _same_module(h.codomain, g.codomain)
+    )
+
+
+def _count_hom_builds(monkeypatch):
+    built = []
+    orig = homology._build_hom
+
+    def counted(a, b):
+        built.append((a.key, b.key))
+        return orig(a, b)
+
+    monkeypatch.setattr(homology, "_build_hom", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_hom_hits_equal_the_direct_build_bit_for_bit(name):
+    alg = BUILDERS[name]()  # a fresh algebra, so the memo starts empty
+    for side in (LEFT, RIGHT):
+        mods = _modules(alg, side)
+        for a in mods:
+            for b in mods:
+                direct = homology._build_hom(a, b)
+                assert _same_hom(hom_basis(a, b), direct)  # a miss, or a hit
+                hit = hom_basis(_copy(a), _copy(b))
+                assert _same_hom(hit, direct)
+                assert hit.basis_maps() == direct.basis_maps()
+
+
+def test_a_hom_hit_is_rebound_to_the_callers_modules(monkeypatch):
+    alg = square_algebra()
+    a, b = random_catalog(alg, LEFT, 2, 2, random.Random(7))[0]
+    built = _count_hom_builds(monkeypatch)
+    stored = hom_basis(a, b)
+    assert hom_basis(a, b) is stored  # the stored space itself for its own modules
+    twin_a, twin_b = _copy(a), _copy(b)
+    hit = hom_basis(twin_a, twin_b)
+    assert len(built) == 1
+    assert hit.domain is twin_a and hit.codomain is twin_b
+    assert hit.stack is stored.stack and hit.free is stored.free
+    assert hit.offsets is stored.offsets
+    assert all(f.domain is twin_a and f.codomain is twin_b for f in hit.basis_maps())
+    assert all(f.domain is a and f.codomain is b for f in stored.basis_maps())
+
+
+def test_a_hom_stack_over_the_cap_is_returned_but_not_stored(monkeypatch):
+    alg = a2_algebra()
+    big = Representation(alg, LEFT, {"1": 6, "2": 0}, {})  # Hom(big, big) is 36 x 36
+    small = simple(alg, "1")
+    built = _count_hom_builds(monkeypatch)
+    hom = hom_basis(big, big)
+    assert hom.stack.rows * hom.stack.cols > HOM_MEMO_MAX_ENTRIES
+    assert hom.dim == 36
+    assert hom_basis(_copy(big), big).stack == hom.stack
+    assert len(built) == 2  # built again: nothing was stored
+    hom_basis(small, small)
+    hom_basis(_copy(small), small)
+    assert len(built) == 3
+    assert list(alg._cache[("memo", "hom")]) == [(small.key, small.key)]
+
+
+def test_two_algebras_never_share_hom_entries(monkeypatch):
+    one, two = a2_algebra(), a2_algebra()
+    built = _count_hom_builds(monkeypatch)
+    h1 = hom_basis(simple(one, "1"), indec_projective(one, "1", LEFT))
+    h2 = hom_basis(simple(two, "1"), indec_projective(two, "1", LEFT))
+    assert len(built) == 2
+    assert h1.domain.algebra is one and h2.domain.algebra is two
+    assert one._cache[("memo", "hom")] is not two._cache[("memo", "hom")]
+
+
+def test_a_full_law_run_builds_each_hom_space_once_while_it_is_held(monkeypatch):
+    alg = square_algebra()  # a fresh algebra: no entries from other tests
+    ctx = build_context(alg, 1, 2, 2)
+    built = []
+    orig = homology._build_hom
+
+    def counted(a, b):
+        key = (a.key, b.key)
+        assert key not in alg._cache.get(("memo", "hom"), {})  # a held value is a hit
+        built.append(key)
+        return orig(a, b)
+
+    monkeypatch.setattr(homology, "_build_hom", counted)
+    with _tracer_module().Tracer() as tracer:
+        results = run_laws(ctx)
+    assert all(r.failures == 0 for r in results)
+    memo = alg._cache[("memo", "hom")]
+    assert 0 < len(memo) <= MEMO_CAPACITY
+    assert all(h.stack.rows * h.stack.cols <= HOM_MEMO_MAX_ENTRIES for h in memo.values())
+    received = tracer.stats["homology.hom_basis"]
+    assert received.calls > len(built)  # the run's repeats were answered from the memo
