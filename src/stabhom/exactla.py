@@ -6,14 +6,19 @@ kept in one of two backends, chosen by the field (Field.dtype):
     reduced mod p inside int64 numpy arrays.  A product of two entries
     fits; a matrix product sums k of them at a time and reduces, with
     k (p-1)^2 < 2^63 (one block for small p such as 2 and 5).
-  * Larger p, and Q: Python ints reduced mod p, or fractions.Fraction
-    objects, inside object-dtype arrays, which cannot overflow.
+  * Larger p: Python ints reduced mod p inside object-dtype arrays, which
+    cannot overflow.
+  * Q: fractions.Fraction objects in lowest terms inside object-dtype
+    arrays.  Products (_dot) and elimination (rref) run on integer
+    numerators, Python ints, and return canonical Fractions, so no
+    multiply-add is Fraction arithmetic.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
 Elimination (rref) touches only what a pivot changes: the pivot row from
 the pivot column on, and the rows with a nonzero entry in the pivot
-column, from the pivot column on.
+column, from the pivot column on.  Over Q it is fraction-free on integer
+rows, which a pivot changes from the first pivot column on.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -325,9 +331,37 @@ class Matrix:
         return list(self.data.reshape(-1))
 
 
+def _integers(xs: List[Fraction]) -> Tuple[List[int], int]:
+    """(ns, d) with xs[i] = ns[i] / d: d is the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _objects(xs: list, shape: Tuple[int, ...]) -> np.ndarray:
+    """The Python objects xs, row-major, in an object array of this shape."""
+    out = np.empty(shape, dtype=object)
+    out.ravel()[:] = xs
+    return out
+
+
 def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field.  In int64 it sums k products at a time and
-    reduces, with k (p-1)^2 < 2^63, so no partial sum overflows."""
+    reduces, with k (p-1)^2 < 2^63, so no partial sum overflows.  Over Q
+    it clears each operand's denominators, a = n_a / d_a and b = n_b / d_b,
+    makes one product of the Python-int numerators and returns the
+    canonical Fractions (n_a @ n_b) / (d_a d_b)."""
+    if field.kind == RATIONAL:
+        if not a.size or not b.size:
+            # nothing to multiply: every entry, if any, is an empty sum
+            out = np.empty(a.shape[:-1] + b.shape[1:], dtype=object)
+            out[...] = Fraction(0)
+            return out
+        (na, da), (nb, db) = _integers(a.ravel().tolist()), _integers(b.ravel().tolist())
+        prod = np.dot(_objects(na, a.shape), _objects(nb, b.shape))
+        flat = prod.ravel().tolist()
+        # products repeat entries, so each distinct one is divided only once
+        over = {n: Fraction(n, da * db) for n in set(flat)}
+        return _objects([over[n] for n in flat], prod.shape)
     if field.dtype is not np.int64:
         return field.normalize(np.dot(a, b))
     p, n = field.p, a.shape[-1]
@@ -386,10 +420,14 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
     int64, where an entry costs nanoseconds, that is worth it only when
     fewer than half of the rows are hit, and otherwise the whole slice from
     the pivot column on is updated; in object arrays it always is, unless
-    every row is hit."""
+    every row is hit.  Over Q the elimination runs on integer rows and
+    returns canonical Fractions (see _rref_rational)."""
     if not m.rows:
         return m, 0, ()
     field = m.field
+    if field.kind == RATIONAL:
+        a, pivots = _rref_rational(m.data)
+        return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
     a = m.data.copy()
     nr, nc = a.shape
     # the number of hit rows from which the whole slice is updated
@@ -419,6 +457,48 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
         pivots.append(col)
         row += 1
     return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
+
+
+def _rref_rational(data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """rref over Q, fraction-free on integer rows (Python lists of ints):
+    each row is scaled to integers by the lcm of its denominators, and a
+    pivot x in row p turns each other row r hit at its column col into
+    x r - r[col] p, divided by its content (the gcd of its entries).  Every
+    row is zero left of the first pivot, so updates start there.  Pivot row
+    p ends with its pivot v and every other pivot column zero, so its rref
+    row is p / v; the rows past the rank are zero."""
+    nr, nc = data.shape
+    a = [_integers(row)[0] for row in data.tolist()]
+    pivots: List[int] = []
+    row = 0
+    for col in range(nc):
+        if row == nr:
+            break
+        piv = next((i for i in range(row, nr) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        prow = a[row]
+        x = prow[col]
+        lead = pivots[0] if pivots else col
+        tail = prow[lead:]
+        for i, r in enumerate(a):
+            y = r[col]
+            if y and i != row:
+                new = [x * u - y * v for u, v in zip(r[lead:], tail)]
+                g = gcd(*new)  # 0 when a row below became zero
+                if g > 1:
+                    new = [u // g for u in new]
+                a[i] = r[:lead] + new
+        pivots.append(col)
+        row += 1
+    zero = Fraction(0)
+    flat = []
+    for r, col in zip(a, pivots):
+        v = r[col]
+        flat += [Fraction(u, v) if u else zero for u in r]
+    flat += [zero] * ((nr - len(pivots)) * nc)
+    return _objects(flat, (nr, nc)), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -412,6 +412,30 @@ def test_rref_over_q_matches_sympy(m):
     ]
 
 
+def test_rational_products_and_elimination_make_no_fraction_arithmetic(monkeypatch):
+    """Over Q, _dot and rref compute on integer numerators: a dense 12 x 12
+    product and elimination add, subtract and multiply no Fractions."""
+    rng = random.Random(12)
+    m = Matrix.from_rows(
+        Field.rational(),
+        [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(12)]
+         for _ in range(12)],
+    )
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def spy(x, y, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(x, y)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    prod = m @ m
+    r, nrank, _ = rref(m)
+    monkeypatch.undo()
+    assert calls == []
+    assert prod == Matrix(m.field, np.dot(m.data, m.data), _trusted=True)
+    assert nrank == 12 and r == Matrix.identity(m.field, 12)
+
+
 # -- primes above 2^31 -----------------------------------------------------------
 
 
