@@ -141,7 +141,8 @@ class Field:
             return n % self.p
         if isinstance(x, Fraction):
             return x
-        return Fraction(x)
+        # Fraction keeps a numpy integer as its numerator, whose products wrap
+        return Fraction(int(x) if isinstance(x, np.integer) else x)
 
     def zero(self):
         return 0 if self.kind == PRIME else Fraction(0)

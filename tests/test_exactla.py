@@ -511,6 +511,19 @@ def test_unsigned_and_float_input_is_exact_over_q():
     assert Matrix(q, np.array([[2.5, -0.25]])).entries() == [Fraction(5, 2), Fraction(-1, 4)]
 
 
+def test_machine_integer_input_over_q_is_held_as_python_ints():
+    """A Fraction built from a numpy integer keeps it as its numerator,
+    where a product past 2^63 wraps; Q entries hold Python ints instead."""
+    q = Field.rational()
+    data = np.array([[2 ** 40, 1], [3, 2 ** 40]])
+    m = Matrix(q, data)
+    assert m == Matrix.from_rows(q, data) == Matrix.from_rows(q, data.tolist())
+    assert all(type(x.numerator) is int for x in m.scale(np.int64(-1)).entries())
+    want = [2 ** 80 + 3, 2 ** 41, 3 * 2 ** 41, 2 ** 80 + 3]
+    assert (m @ m).entries() == [Fraction(x) for x in want]
+    assert rank(m @ m - Matrix.from_rows(q, [want[:2], want[2:]])) == 0
+
+
 # -- primality -----------------------------------------------------------------------
 
 
