@@ -253,7 +253,7 @@ class BoundQuiverAlgebra:
                             j = column[i, arrows[-1]]
                             entries[j] = field.add(entries.get(j, field.zero()), d)
                     products.append(entries)
-            mat = Matrix.zeros(field, len(products), len(span)).data.copy()
+            mat = field.zeros(len(products), len(span))
             for row, entries in enumerate(products):
                 mat[row, list(entries)] = list(entries.values())
             r, _, pivots = rref(Matrix(field, mat, _trusted=True))
@@ -824,7 +824,7 @@ def direct_sum(mods: Sequence[Representation]) -> DirectSum:
     for m in mods:
         inj, proj = {}, {}
         for v in alg.quiver.vertices:
-            block = Matrix.zeros(field, dims[v], m.dims[v]).data.copy()
+            block = field.zeros(dims[v], m.dims[v])
             off = offsets[v]
             for i in range(m.dims[v]):
                 block[off + i, i] = field.one()
@@ -860,7 +860,7 @@ def extension_matrix(
     prepend it."""
     field = algebra.field
     index = {p: i for i, p in enumerate(cod_labels)}
-    mat = Matrix.zeros(field, len(cod_labels), len(dom_labels)).data.copy()
+    mat = field.zeros(len(cod_labels), len(dom_labels))
     for j, (src, arrows) in enumerate(dom_labels):
         if side == LEFT:
             path = (src, arrows + (a.name,))

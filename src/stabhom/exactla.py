@@ -178,6 +178,14 @@ class Field:
 
     # -- array plumbing -------------------------------------------------
 
+    def zeros(self, rows: int, cols: int) -> np.ndarray:
+        """A writable rows x cols array of zeros of this field's dtype."""
+        if self.dtype is np.int64:
+            return np.zeros((rows, cols), dtype=np.int64)
+        out = np.empty((rows, cols), dtype=object)
+        out[...] = self.zero()
+        return out
+
     def normalize(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p if self.kind == PRIME else arr
 
@@ -239,17 +247,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        if field.dtype is np.int64:
-            data = np.zeros((rows, cols), dtype=np.int64)
-        else:
-            data = np.empty((rows, cols), dtype=object)
-            data[...] = field.zero()
-        return cls(field, data, _trusted=True)
+        return cls(field, field.zeros(rows, cols), _trusted=True)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        data = m.data.copy()
+        data = field.zeros(n, n)
         one = field.one()
         for i in range(n):
             data[i, i] = one
@@ -400,7 +402,7 @@ def hstack(field: Field, mats: Sequence[Matrix], rows: Optional[int] = None) -> 
 def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = Matrix.zeros(field, rows, cols).data.copy()
+    out = field.zeros(rows, cols)
     r = c = 0
     for m in mats:
         out[r : r + m.rows, c : c + m.cols] = m.data
@@ -514,9 +516,18 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     for c in pivots:
         is_free[c] = False
     free = [c for c, f in enumerate(is_free) if f]
-    out = Matrix.zeros(field, len(free), r.cols).data.copy()
+    block = r.data[: len(pivots), free].T
+    if field.kind == RATIONAL:
+        # the entries over their common denominator d, so that each distinct
+        # one is negated once, as a numerator: zeros and repeats abound
+        ns, d = _integers(block.ravel().tolist())
+        neg = {n: Fraction(-n, d) for n in set(ns)}
+        block = _objects([neg[n] for n in ns], block.shape)
+    else:
+        block = field.normalize(-block)
+    out = field.zeros(len(free), r.cols)
     out[range(len(free)), free] = field.one()
-    out[:, list(pivots)] = field.normalize(-r.data[: len(pivots), free].T)
+    out[:, list(pivots)] = block
     return Matrix(field, out, _trusted=True), tuple(free)
 
 
@@ -550,7 +561,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     for p in pivots:
         if p >= m.cols:
             return None
-    out = Matrix.zeros(m.field, m.cols, b.cols).data.copy()
+    out = m.field.zeros(m.cols, b.cols)
     for i, p in enumerate(pivots):
         out[p, :] = r.data[i, m.cols :]
     return Matrix(m.field, out, _trusted=True)
@@ -664,6 +675,6 @@ class Subspace:
         """Canonical surjection of the ambient space with this as kernel."""
         field = self.field
         proj, free = null_rows(self.basis, self.pivots)
-        sect = Matrix.zeros(field, self.ambient_dim, len(free)).data.copy()
+        sect = field.zeros(self.ambient_dim, len(free))
         sect[list(free), range(len(free))] = field.one()
         return QuotientSpace(proj, Matrix(field, sect, _trusted=True))

@@ -8,7 +8,10 @@ factor by index instead of multiplying by it; the tensor product's
 balancing relations and tensor_map are written alike.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
-basis.  Beside it sits the variance rule that fpfun and stable write
+basis; its composition body (_composites) takes a stack of k maps per
+vertex, so that stable composes a basis with all copies of a summand at
+once, and tensor_maps stacks the matrices of k maps f_t (x) g_t alike.
+Beside it sits the variance rule that fpfun and stable write
 their covariant/contravariant mirrors through once: a functor reads a
 pair (x, y) as is when covariant and as (y, x) when contravariant
 (_ordered), and a map acts on its values by push_coords's pre= when
@@ -16,8 +19,12 @@ covariant and post= when contravariant (_acting).  Kernels, images and
 cokernels are taken vertexwise.  A minimal projective cover takes its
 generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis; an injective envelope is the dual
-of the cover of the dual module.  The star dual Hom(-, algebra) is a
-module on the other side, with component Hom(m, P(v)) at vertex v.
+of the cover of the dual module.  Both record their middle term's
+indecomposable summands, P(v) or I(v) with multiplicity g_v, in direct_sum
+order (ShortExactSequence.summands): stable_hom and tensor_substab work
+one summand at a time and never solve over the whole sum.  The star dual
+Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
+at vertex v.
 
 Modules are immutable values, so projective_cover, injective_envelope,
 star_dual and hom_basis build each result once per value: _memoized keeps
@@ -188,17 +195,18 @@ def add_kron(
 ) -> None:
     """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
     ((i, j), (k, l)) stands for f[i, k] g[j, l].  A missing factor (None) is
-    read as the identity and written by index.  The sum is reduced after
+    read as the identity and written by index.  Leading axes of view, f and
+    g are a stack: view[t] gets f[t] (x) g[t].  The sum is reduced after
     every term: over a p near 2^31 two products already overflow int64."""
-    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
+    i, j = np.arange(view.shape[-4]), np.arange(view.shape[-3])
     if f is None and g is None:
-        view[i[:, None], j, i[:, None], j] += field.one()
+        view[..., i[:, None], j, i[:, None], j] += field.one()
     elif g is None:
-        view[:, j, :, j] += f
+        view[..., :, j, :, j] += f
     elif f is None:
-        view[i, :, i, :] += g
+        view[..., i, :, i, :] += g
     else:
-        view += f[:, None, :, None] * g[None, :, None, :]
+        view += f[..., :, None, :, None] * g[..., None, :, None, :]
     view[...] = field.normalize(view)
 
 
@@ -209,7 +217,7 @@ def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> M
     (i, :) of v2, written through 4-D views; when v1 = v2 they add up."""
     terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
     row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
-    out = Matrix.zeros(field, row_offs[-1], total).data.copy()
+    out = field.zeros(row_offs[-1], total)
     for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
         (p, c1), (q, c2) = m1.shape, m2.shape
         block = out[r0:r1]
@@ -245,13 +253,19 @@ def cokernel_map(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
 
 @dataclass
 class ShortExactSequence:
-    """0 -> left -> middle -> right -> 0 with its two maps."""
+    """0 -> left -> middle -> right -> 0 with its two maps.
+
+    For a projective cover (an injective envelope) summands lists the
+    middle term's indecomposable summands P(v) (I(v)) as (vertex,
+    multiplicity) pairs in direct_sum order, each vertex once, none with
+    multiplicity 0; for other sequences it is empty."""
 
     left: Representation
     middle: Representation
     right: Representation
     inclusion: ModuleMap
     surjection: ModuleMap
+    summands: Tuple[Tuple[str, int], ...] = ()
 
     def validate(self) -> bool:
         if not self.inclusion.is_injective():
@@ -300,7 +314,7 @@ def projective_cover(m: Representation) -> ShortExactSequence:
     if cov.right is m:
         return cov
     onto = ModuleMap(cov.middle, m, cov.surjection.vertex_maps, _trusted=True)
-    return ShortExactSequence(cov.left, cov.middle, m, cov.inclusion, onto)
+    return ShortExactSequence(cov.left, cov.middle, m, cov.inclusion, onto, cov.summands)
 
 
 def _build_projective_cover(m: Representation) -> ShortExactSequence:
@@ -337,7 +351,8 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
     # rank-nullity: onto m_w exactly when the kernel has codimension dim m_w
     if any(p.dims[w] - omega.subspaces[w].dim != m.dims[w] for w in m.vertices):
         raise AlgebraError("projective cover failed to surject")
-    return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover)
+    layout = tuple((v, gens[v].cols) for v in m.vertices if gens[v].cols)
+    return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover, layout)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:
@@ -347,16 +362,19 @@ def injective_envelope(m: Representation) -> ShortExactSequence:
     if env.left is m:
         return env
     into = ModuleMap(m, env.middle, env.inclusion.vertex_maps, _trusted=True)
-    return ShortExactSequence(m, env.middle, env.right, into, env.surjection)
+    return ShortExactSequence(m, env.middle, env.right, into, env.surjection, env.summands)
 
 
 def _build_injective_envelope(m: Representation) -> ShortExactSequence:
+    """The dual of the cover of the dual module: the dual of its P(v) on the
+    other side is I(v) = indec_injective(alg, v, side), so the summands are
+    the cover's."""
     md = dual_module(m)
     cov = projective_cover(md)
     denv = dual_map(cov.surjection)
     env = ModuleMap(m, denv.codomain, denv.vertex_maps)
     coker, proj = cokernel_map(env)
-    return ShortExactSequence(m, env.codomain, coker, env, proj)
+    return ShortExactSequence(m, env.codomain, coker, env, proj, cov.summands)
 
 
 def syzygy(m: Representation) -> Representation:
@@ -397,7 +415,7 @@ def hstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     field = f.domain.algebra.field
     maps = {}
     for v in f.domain.vertices:
-        block = Matrix.zeros(field, f.codomain.dims[v], ds.module.dims[v]).data.copy()
+        block = field.zeros(f.codomain.dims[v], ds.module.dims[v])
         block[:, : f.domain.dims[v]] = f.vertex_maps[v].data
         block[:, f.domain.dims[v] :] = g.vertex_maps[v].data
         maps[v] = Matrix(field, block, _trusted=True)
@@ -413,7 +431,7 @@ def vstack_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     field = f.domain.algebra.field
     maps = {}
     for v in f.domain.vertices:
-        block = Matrix.zeros(field, ds.module.dims[v], f.domain.dims[v]).data.copy()
+        block = field.zeros(ds.module.dims[v], f.domain.dims[v])
         block[: f.codomain.dims[v], :] = f.vertex_maps[v].data
         block[f.codomain.dims[v] :, :] = g.vertex_maps[v].data
         maps[v] = Matrix(field, block, _trusted=True)
@@ -468,6 +486,31 @@ def _acting(variance: str, m: ModuleMap) -> Dict[str, ModuleMap]:
     return {"pre": m} if variance == COVARIANT else {"post": m}
 
 
+def _composites(source: HomSpace, stacks: Dict[str, np.ndarray], post: bool) -> np.ndarray:
+    """The flattened composites of source's basis with k maps s_1, ..., s_k,
+    g -> s_i g (post) or g -> g s_i (pre), given per vertex v as one array
+    of shape (k, rows, cols); row i * dim + j is basis map j composed with
+    s_i.  At each vertex one exact product makes all k * dim composites."""
+    field = source.stack.field
+    n = source.dim
+    parts = []
+    for v in source.domain.vertices:
+        g, s = source.blocks(v), stacks[v]
+        k, r, c = s.shape[0], g.shape[1], g.shape[2]
+        rc = s.shape[1] if post else s.shape[2]
+        if not n * k * r * c * rc:
+            parts.append(field.zeros(k * n, rc * c if post else r * rc))  # empty sums
+        elif post:
+            # [s_1; ...; s_k] times [g_1 | ... | g_n]
+            sg = _dot(field, s.reshape(k * rc, r), g.transpose(1, 0, 2).reshape(r, n * c))
+            parts.append(sg.reshape(k, rc, n, c).transpose(0, 2, 1, 3).reshape(k * n, rc * c))
+        else:
+            # [g_1; ...; g_n] times [s_1 | ... | s_k]
+            gs = _dot(field, g.reshape(n * r, c), s.transpose(1, 0, 2).reshape(c, k * rc))
+            parts.append(gs.reshape(n, r, k, rc).transpose(2, 0, 1, 3).reshape(k * n, r * rc))
+    return np.concatenate(parts, axis=1)
+
+
 def push_coords(
     source: HomSpace,
     target: HomSpace,
@@ -476,32 +519,19 @@ def push_coords(
     post: Optional[ModuleMap] = None,
 ) -> Matrix:
     """Matrix (rows: source basis) of g -> g pre, or of g -> post g, in the
-    coordinates of target.  At each vertex v the blocks g_v of the whole basis
-    are multiplied by pre_v or post_v in one exact product; reading the
-    composites in target's coordinates checks that they lie in it."""
+    coordinates of target.  The composites are _composites's, one exact
+    product per vertex for the whole basis; reading them in target's
+    coordinates checks that they lie in it."""
     if (pre is None) == (post is None):
         raise TypeError("push_coords takes exactly one of pre= and post=")
     dom, cod = source.domain, source.codomain
     inner, outer = (pre.codomain, dom) if post is None else (cod, post.domain)
     if inner is not outer and inner != outer:
         raise AlgebraError("composition domain mismatch")
-    field = source.stack.field
-    parts = []
-    for v in dom.vertices:
-        g = source.blocks(v)
-        n, r, c = g.shape
-        if post is None:
-            # rows g_1; ...; g_n times pre_v
-            rc = pre.domain.dims[v]
-            gp = _dot(field, g.reshape(n * r, c), pre.vertex_maps[v].data)
-            parts.append(gp.reshape(n, r * rc))
-        else:
-            # post_v times columns [g_1 | ... | g_n]
-            rc = post.codomain.dims[v]
-            pg = _dot(field, post.vertex_maps[v].data, g.transpose(1, 0, 2).reshape(r, n * c))
-            parts.append(pg.reshape(rc, n, c).transpose(1, 0, 2).reshape(n, rc * c))
-    flats = np.concatenate(parts, axis=1)
-    return target.coords_of_flats(Matrix(field, flats, _trusted=True))
+    m = pre if post is None else post
+    stacks = {v: m.vertex_maps[v].data[None] for v in dom.vertices}
+    flats = _composites(source, stacks, post is not None)
+    return target.coords_of_flats(Matrix(source.stack.field, flats, _trusted=True))
 
 
 def factor_through(
@@ -598,22 +628,48 @@ def tensor_map(
     g: Optional[ModuleMap] = None,
 ) -> Matrix:
     """Matrix of f (x) g from src to dst in quotient coordinates."""
+
+    def stack(m: Optional[ModuleMap]) -> Optional[Dict[str, np.ndarray]]:
+        return None if m is None else {v: x.data[None] for v, x in m.vertex_maps.items()}
+
+    return tensor_maps(src, dst, stack(f), stack(g))
+
+
+def tensor_maps(
+    src: TensorSpace,
+    dst: TensorSpace,
+    f: Optional[Dict[str, np.ndarray]] = None,
+    g: Optional[Dict[str, np.ndarray]] = None,
+) -> Matrix:
+    """The matrices of f_t (x) g_t from src to dst, t < k, in quotient
+    coordinates, stacked one below the other.  f and g give the k vertex
+    maps at each vertex as one array of shape (k, rows, cols); a missing
+    factor (None) is the identity, and with both missing k is 1."""
     field = src.left_arg.algebra.field
-    big = Matrix.zeros(field, dst.ambient_dim, src.ambient_dim).data.copy()
+    given = [x for x in (f, g) if x is not None]
+    k = next(iter(given[0].values())).shape[0] if given else 1
+    na, ns = dst.ambient_dim, src.ambient_dim
+    big = field.zeros(k * na, ns).reshape(k, na, ns)
     for v in src.left_arg.vertices:
         da, db = src.left_arg.dims[v], src.right_arg.dims[v]
         ea, eb = dst.left_arg.dims[v], dst.right_arg.dims[v]
+        if not da * db * ea * eb:
+            continue  # an empty block
         rows = slice(dst.offsets[v], dst.offsets[v] + ea * eb)
         cols = slice(src.offsets[v], src.offsets[v] + da * db)
-        # entry ((i', j'), (i, j)) of the block is f_v[i', i] g_v[j', j]
+        # entry (t, (i', j'), (i, j)) of the block is f_t[i', i] g_t[j', j]
         add_kron(
             field,
-            big[rows, cols].reshape(ea, eb, da, db),
-            None if f is None else f.vertex_maps[v].data,
-            None if g is None else g.vertex_maps[v].data,
+            big[:, rows, cols].reshape(k, ea, eb, da, db),
+            None if f is None else f[v],
+            None if g is None else g[v],
         )
-    bigm = Matrix(field, big, _trusted=True)
-    return dst.quotient.projection @ bigm @ src.quotient.section
+    # the projection left of each of the k blocks in one product, then the
+    # section right of all of them in another
+    q = dst.dim
+    left = _dot(field, dst.quotient.projection.data, big.transpose(1, 0, 2).reshape(na, k * ns))
+    rows = left.reshape(q, k, ns).transpose(1, 0, 2).reshape(k * q, ns)
+    return Matrix(field, _dot(field, rows, src.quotient.section.data), _trusted=True)
 
 
 # -- star duality -------------------------------------------------------------

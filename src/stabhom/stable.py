@@ -21,15 +21,25 @@ branch of its own (to stack the basis blocks below or beside each other;
 to pick a section or a retraction, hstack or vstack) and saves a few
 lines, and shared code that branches on its caller reads worse than two
 plain halves.
+
+One summand at a time.  The cover P -> b and the envelope a -> I are sums
+of copies of indecomposables P(v) and I(v), and Hom and the tensor product
+are additive (Auslander-Reiten-Smalo, Representation Theory of Artin
+Algebras, 1995, II.1).  So stable_hom composes the small Hom(a, P(v)) or
+Hom(I(v), b) with the cover's column blocks or the envelope's row blocks at
+each group of copies, and tensor_substab maps a (x) b into each a (x) I(v);
+neither solves over the whole sum.  The spans are those of the whole sum,
+and a Subspace or a kernel basis depends only on a row space (through the
+unique rref), so every output is what the whole sum gives, bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactla import Matrix, QuotientSpace, Subspace, kernel_basis, rank
+from .exactla import Matrix, QuotientSpace, Subspace, kernel_basis, rank, vstack
 from .algebra import (
     LEFT,
     RIGHT,
@@ -50,8 +60,10 @@ from .homology import (
     CONTRAVARIANT,
     COVARIANT,
     HomSpace,
+    ShortExactSequence,
     TensorSpace,
     _acting,
+    _composites,
     _ordered,
     cokernel_map,
     eval_double_dual,
@@ -67,7 +79,7 @@ from .homology import (
     projective_cover,
     push_coords,
     tensor,
-    tensor_map,
+    tensor_maps,
     vstack_maps,
 )
 
@@ -114,20 +126,50 @@ class StableHom:
 
 
 def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
-    """Hom(a, b) modulo the maps factoring through a projective (Hom(a, P)
-    composed with the cover P -> b) or through an injective (Hom(I, b)
-    composed with the envelope a -> I)."""
+    """Hom(a, b) modulo the maps factoring through a projective or through
+    an injective.  Hom is additive, so the first are spanned by Hom(a, P(v))
+    composed with the cover P -> b at each copy of P(v), the second by
+    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v);
+    the composites of all summands are read in Hom(a, b) at once."""
     if flavor not in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         raise ValueError(f"unknown stable hom flavor: {flavor!r}")
     hom = hom_basis(a, b)
-    if flavor == MODULO_PROJECTIVES:
-        cover = projective_cover(b)
-        t = push_coords(hom_basis(a, cover.middle), hom, post=cover.surjection)
+    field = a.algebra.field
+    post = flavor == MODULO_PROJECTIVES
+    if post:
+        homs = [(hom_basis(a, p), maps) for p, maps in _summand_maps(projective_cover(b), True)]
     else:
-        env = injective_envelope(a)
-        t = push_coords(hom_basis(env.middle, b), hom, pre=env.inclusion)
-    factor = Subspace(a.algebra.field, hom.dim, t)
+        homs = [(hom_basis(i, b), maps) for i, maps in _summand_maps(injective_envelope(a), False)]
+    parts = [_composites(h, maps, post) for h, maps in homs if h.dim]
+    flats = np.concatenate(parts) if parts else field.zeros(0, hom.stack.cols)
+    factor = Subspace(field, hom.dim, hom.coords_of_flats(Matrix(field, flats, _trusted=True)))
     return StableHom(hom, factor, factor.quotient())
+
+
+def _summand_maps(
+    seq: ShortExactSequence, cover: bool
+) -> List[Tuple[Representation, Dict[str, np.ndarray]]]:
+    """Per summand group (v, g) of a projective cover's (cover) or an
+    injective envelope's middle term: the indecomposable X, P(v) or I(v),
+    and at each vertex the g maps X -> right (the cover map's column blocks
+    at X's copies) or left -> X (the envelope map's row blocks), as one
+    array of shape (g, rows, cols)."""
+    alg, side = seq.middle.algebra, seq.middle.side
+    outer, mid = (seq.right, seq.surjection) if cover else (seq.left, seq.inclusion)
+    offs = dict.fromkeys(outer.vertices, 0)
+    out = []
+    for v, g in seq.summands:
+        x = (indec_projective if cover else indec_injective)(alg, v, side)
+        maps = {}
+        for w, o in offs.items():
+            d, n, data = x.dims[w], outer.dims[w], mid.vertex_maps[w].data
+            if cover:
+                maps[w] = data[:, o : o + g * d].reshape(n, g, d).transpose(1, 0, 2)
+            else:
+                maps[w] = data[o : o + g * d].reshape(g, d, n)
+            offs[w] = o + g * d
+        out.append((x, maps))
+    return out
 
 
 # -- approximations ------------------------------------------------------------
@@ -366,10 +408,14 @@ def fp_certificate(a: Representation, kind: str) -> Certificate:
 
 @dataclass
 class SubStabTensor:
-    """Kernel of a (x) b -> a (x) I_b along the injective envelope of b."""
+    """Kernel of a (x) b -> a (x) I along the injective envelope b -> I.
+
+    I is a sum of copies of indecomposables I(v), so a (x) I is the sum of
+    the a (x) I(v): map stacks the matrices of 1 (x) eps, one block of rows
+    per copy eps: b -> I(v) of the envelope's components, and the kernel is
+    that of the stack."""
 
     source: TensorSpace
-    target: TensorSpace
     map: Matrix
     kernel: Subspace
 
@@ -379,12 +425,15 @@ class SubStabTensor:
 
 
 def tensor_substab(a: Representation, b: Representation) -> SubStabTensor:
-    env = injective_envelope(b)
+    field = a.algebra.field
     src = tensor(a, b)
-    dst = tensor(a, env.middle)
-    mat = tensor_map(src, dst, None, env.inclusion)
-    ker = Subspace(a.algebra.field, src.dim, kernel_basis(mat))
-    return SubStabTensor(src, dst, mat, ker)
+    blocks = [
+        tensor_maps(src, tensor(a, i), g=maps)
+        for i, maps in _summand_maps(injective_envelope(b), False)
+    ]
+    mat = vstack(field, blocks, cols=src.dim)
+    ker = Subspace(field, src.dim, kernel_basis(mat))
+    return SubStabTensor(src, mat, ker)
 
 
 def torsion_radical(a: Representation) -> SubStabTensor:

@@ -11,7 +11,10 @@ be a Fraction with the same numerator and denominator as the reference's,
 and rank and pivots must agree: on negative entries and mixed
 denominators, on numerators and denominators past 2^63, on 1-D right
 operands, on zero-size shapes and on rank-deficient matrices with free
-columns left of later pivots.
+columns left of later pivots.  null_rows used to negate the pivot block of
+a kernel basis one Fraction at a time; it now negates each distinct entry
+once, as a numerator over the block's common denominator, and must give
+the same kernel basis and free columns.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabhom.exactla import Field, Matrix, rref
+from stabhom.exactla import Field, Matrix, null_rows, rref
 
 Q = Field.rational()
 
@@ -191,3 +194,36 @@ def test_rref_of_zero_and_columnless_matrices(shape):
     m = Matrix.zeros(Q, *shape)
     _assert_same_elimination(m)
     assert rref(m)[1:] == (0, ())
+
+
+# -- kernel bases -----------------------------------------------------------------
+
+
+def _fraction_null_rows(r, pivots):
+    """null_rows as it was: the pivot block negated entry by entry."""
+    free = [c for c in range(r.cols) if c not in pivots]
+    out = Matrix.zeros(Q, len(free), r.cols).data.copy()
+    out[range(len(free)), free] = Fraction(1)
+    out[:, list(pivots)] = -r.data[: len(pivots), free].T
+    return out, tuple(free)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_null_rows_matches_the_entrywise_negation(kind, data):
+    m, _ = data.draw(_rank_deficient(ENTRIES[kind]))
+    r, _, pivots = rref(m)
+    got, free = null_rows(r, pivots)
+    want, want_free = _fraction_null_rows(r, pivots)
+    assert free == want_free
+    _assert_same_entries(got.data, want)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (2, 3), (0, 4)])
+def test_null_rows_of_zero_and_columnless_matrices(shape):
+    r = Matrix.zeros(Q, *shape)
+    got, free = null_rows(r, ())
+    want, want_free = _fraction_null_rows(r, ())
+    assert free == want_free
+    _assert_same_entries(got.data, want)
