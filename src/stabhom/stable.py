@@ -136,6 +136,10 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
     hom = hom_basis(a, b)
     field = a.algebra.field
     post = flavor == MODULO_PROJECTIVES
+    if not hom.dim:
+        # nothing to factor: the quotient of 0 is 0, whatever the cover
+        factor = Subspace(field, 0)
+        return StableHom(hom, factor, factor.quotient())
     if post:
         homs = [(hom_basis(a, p), maps) for p, maps in _summand_maps(projective_cover(b), True)]
     else:

@@ -9,7 +9,8 @@ and a kernel basis depend only on a row space (the rref is unique), so
 every output must be the same bit for bit: over F_p and Q, on the fixture
 algebras, on conjugated direct sums like the benchmark's, and on the edge
 cases (zero modules, Hom(a, b) = 0, projective or injective arguments, a
-vertex with no summand).  The guard test makes sure that no Hom system or
+vertex with no summand).  When Hom(a, b) = 0 there is nothing to factor,
+and no cover or envelope is built.  The guard test makes sure that no Hom system or
 tensor space over a decomposable cover or envelope is built any more.
 """
 
@@ -196,6 +197,17 @@ def test_edge_cases_match_the_whole_routes():
         sr = simple(alg, "1", RIGHT)
         for a, b in [(zr, s1), (sr, zero), (sr, s1), (sr, two), (sr, p1)]:
             _assert_same_substab(a, b)
+
+
+def test_a_zero_hom_space_needs_no_cover_or_envelope():
+    alg = a2_algebra()  # fresh, so a cover or envelope asked for is built here
+    s1, s2 = simple(alg, "1", LEFT), simple(alg, "2", LEFT)
+    with mock.patch.object(homology, "_build_projective_cover") as cover, \
+            mock.patch.object(homology, "_build_injective_envelope") as envelope:
+        for flavor in FLAVORS:
+            st = stable_hom(s1, s2, flavor)
+            assert st.hom.dim == st.factor.dim == st.dim == 0
+    assert cover.call_count == envelope.call_count == 0
 
 
 # -- the summand layout ----------------------------------------------------------------
