@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -708,8 +709,9 @@ def quotient_rep(
     maps = {}
     for a in m.algebra.quiver.arrows:
         x, y = arrow_ends(a, m.side)
-        induced = quots[y].projection @ m.arrow_maps[a.name] @ quots[x].section
-        if induced @ quots[x].projection != quots[y].projection @ m.arrow_maps[a.name]:
+        moved = quots[y].projection @ m.arrow_maps[a.name]
+        induced = quots[x].after_section(moved)
+        if induced @ quots[x].projection != moved:
             raise AlgebraError(f"subspaces not invariant under arrow {a.name}")
         maps[a.name] = induced
     rep = Representation(m.algebra, m.side, dims, maps, _trusted=True)
@@ -796,11 +798,36 @@ def to_opposite(m: Representation) -> Representation:
 # -- direct sums ------------------------------------------------------------
 
 
-@dataclass
 class DirectSum:
-    module: Representation
-    injections: List[ModuleMap]
-    projections: List[ModuleMap]
+    """The sum of summands, with its injections and projections built when
+    first read: most callers read the module alone."""
+
+    def __init__(self, module: Representation, summands: Sequence[Representation]):
+        self.module = module
+        self.summands = tuple(summands)
+
+    @cached_property
+    def injections(self) -> List[ModuleMap]:
+        field = self.module.algebra.field
+        out = []
+        offsets = dict.fromkeys(self.module.vertices, 0)
+        for m in self.summands:
+            inj = {}
+            for v, off in offsets.items():
+                block = field.zeros(self.module.dims[v], m.dims[v])
+                block[range(off, off + m.dims[v]), range(m.dims[v])] = field.one()
+                inj[v] = Matrix(field, block, _trusted=True)
+                offsets[v] = off + m.dims[v]
+            out.append(ModuleMap(m, self.module, inj, _trusted=True))
+        return out
+
+    @cached_property
+    def projections(self) -> List[ModuleMap]:
+        out = []
+        for f in self.injections:
+            proj = {v: x.transpose() for v, x in f.vertex_maps.items()}
+            out.append(ModuleMap(self.module, f.domain, proj, _trusted=True))
+        return out
 
 
 def direct_sum(mods: Sequence[Representation]) -> DirectSum:
@@ -818,23 +845,7 @@ def direct_sum(mods: Sequence[Representation]) -> DirectSum:
 
     for a in alg.quiver.arrows:
         maps[a.name] = block_diag(field, [m.arrow_maps[a.name] for m in mods])
-    total = Representation(alg, side, dims, maps, _trusted=True)
-    injections, projections = [], []
-    offsets = {v: 0 for v in alg.quiver.vertices}
-    for m in mods:
-        inj, proj = {}, {}
-        for v in alg.quiver.vertices:
-            block = field.zeros(dims[v], m.dims[v])
-            off = offsets[v]
-            for i in range(m.dims[v]):
-                block[off + i, i] = field.one()
-            inj[v] = Matrix(field, block, _trusted=True)
-            proj[v] = inj[v].transpose()
-        injections.append(ModuleMap(m, total, inj, _trusted=True))
-        projections.append(ModuleMap(total, m, proj, _trusted=True))
-        for v in alg.quiver.vertices:
-            offsets[v] += m.dims[v]
-    return DirectSum(total, injections, projections)
+    return DirectSum(Representation(alg, side, dims, maps, _trusted=True), mods)
 
 
 # -- canonical modules -------------------------------------------------------

@@ -531,17 +531,12 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     return Matrix(field, out, _trusted=True), tuple(free)
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Basis (as rows) of the right kernel {x : m x = 0}."""
+def kernel_basis(m: Matrix, with_free: bool = False):
+    """Basis (as rows) of the right kernel {x : m x = 0}; with_free, the
+    pair of it and its free columns, where the basis is the identity."""
     r, _, pivots = rref(m)
-    return null_rows(r, pivots)[0]
-
-
-def free_columns(kernel: Matrix) -> Tuple[int, ...]:
-    """The free columns of a kernel_basis result.  Row k is nonzero only at
-    free column k and at pivot columns left of it (an rref row is zero left
-    of its pivot), so free column k is the last nonzero entry of row k."""
-    return tuple(int(np.flatnonzero(row != 0)[-1]) for row in kernel.data)
+    out = null_rows(r, pivots)
+    return out if with_free else out[0]
 
 
 def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:
@@ -580,15 +575,17 @@ def solve_right(m: Matrix, b: np.ndarray) -> Optional[np.ndarray]:
 class QuotientSpace:
     """A surjection k^n -> k^q whose kernel is a chosen subspace.
 
-    projection has shape (q, n); section has shape (n, q) and satisfies
-    projection @ section = identity.
+    projection has shape (q, n) and is the identity on the q columns free;
+    section, of shape (n, q), is the unit vectors at those columns, so
+    projection @ section = identity, and m @ section is the columns of m at
+    free (after_section).
     """
 
-    __slots__ = ("projection", "section")
+    __slots__ = ("projection", "free")
 
-    def __init__(self, projection: Matrix, section: Matrix):
+    def __init__(self, projection: Matrix, free: Sequence[int]):
         self.projection = projection
-        self.section = section
+        self.free = list(free)
 
     @property
     def dim(self) -> int:
@@ -597,6 +594,17 @@ class QuotientSpace:
     @property
     def ambient_dim(self) -> int:
         return self.projection.cols
+
+    @property
+    def section(self) -> Matrix:
+        field = self.projection.field
+        sect = field.zeros(self.ambient_dim, self.dim)
+        sect[self.free, range(self.dim)] = field.one()
+        return Matrix(field, sect, _trusted=True)
+
+    def after_section(self, m: Matrix) -> Matrix:
+        """m @ section, selected instead of multiplied."""
+        return Matrix(m.field, m.data[:, self.free], _trusted=True)
 
 
 class Subspace:
@@ -673,8 +681,4 @@ class Subspace:
 
     def quotient(self) -> QuotientSpace:
         """Canonical surjection of the ambient space with this as kernel."""
-        field = self.field
-        proj, free = null_rows(self.basis, self.pivots)
-        sect = field.zeros(self.ambient_dim, len(free))
-        sect[list(free), range(len(free))] = field.one()
-        return QuotientSpace(proj, Matrix(field, sect, _trusted=True))
+        return QuotientSpace(*null_rows(self.basis, self.pivots))

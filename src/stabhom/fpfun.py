@@ -218,7 +218,7 @@ def fp_eval_morphism(
         tgt_val = fp_eval(alpha.target, b)
     acting = _acting(alpha.source.variance, alpha.u)
     t = push_coords(src_val.hom, tgt_val.hom, **acting)
-    return tgt_val.quotient.projection @ t.transpose() @ src_val.quotient.section
+    return src_val.quotient.after_section(tgt_val.quotient.projection @ t.transpose())
 
 
 def fp_cokernel(alpha: FpMorphism) -> FpFunctor:

@@ -32,8 +32,11 @@ one bounded least-recently-used memo per kind in the algebra's cache, with
 MEMO_CAPACITY entries, keyed by Representation.key (by the pair of keys of
 domain and codomain for Hom spaces).  A hit is the stored result rebound
 to the caller's modules (a cover's right, an envelope's left, a Hom
-space's domain and codomain) over the same matrices.  A Hom space is
-stored only when its stack has at most HOM_MEMO_MAX_ENTRIES entries.
+space's domain and codomain) over the same matrices.  The Hom memo is
+bounded by what it holds as well: its stacks have at most HOM_MEMO_BUDGET
+entries in all, so Hom(a, b) is solved once for hom_basis and both stable
+Homs of a pair, dense or not, and a stack over the whole budget is not
+stored.
 """
 from __future__ import annotations
 
@@ -50,7 +53,6 @@ from .exactla import (
     Subspace,
     _dot,
     coordinates,
-    free_columns,
     hstack,
     kernel_basis,
     rank,
@@ -88,23 +90,27 @@ class HomSpace:
     their free columns `free`, and a map's coordinates are its entries there.
     """
 
-    __slots__ = ("domain", "codomain", "stack", "free", "offsets", "_maps")
+    __slots__ = ("domain", "codomain", "stack", "free", "offsets")
 
-    def __init__(self, domain: Representation, codomain: Representation, stack: Matrix):
+    def __init__(
+        self,
+        domain: Representation,
+        codomain: Representation,
+        stack: Matrix,
+        free: Tuple[int, ...],
+    ):
         self.domain = domain
         self.codomain = codomain
         self.stack = stack
-        self.free = free_columns(stack)
+        self.free = free
         self.offsets = _block_offsets(domain.vertices, codomain.dims, domain.dims)[0]
-        self._maps: Optional[List[ModuleMap]] = None
 
     def rebound(self, domain: Representation, codomain: Representation) -> "HomSpace":
         """This space between equal modules domain and codomain: the same
-        stack, free columns and offsets, with basis maps built anew."""
+        stack, free columns and offsets."""
         out = HomSpace.__new__(HomSpace)
         out.domain, out.codomain = domain, codomain
         out.stack, out.free, out.offsets = self.stack, self.free, self.offsets
-        out._maps = None
         return out
 
     @property
@@ -119,12 +125,12 @@ class HomSpace:
         return self.stack.data[:, off : off + r * c].reshape(self.dim, r, c)
 
     def basis_maps(self) -> List[ModuleMap]:
-        if self._maps is None:
-            self._maps = [
-                map_from_flat(self.domain, self.codomain, self.stack.data[i])
-                for i in range(self.dim)
-            ]
-        return self._maps
+        """The basis as maps, built on each call: a memoized space holds its
+        stack alone, which is what the memo's budget counts."""
+        return [
+            map_from_flat(self.domain, self.codomain, self.stack.data[i])
+            for i in range(self.dim)
+        ]
 
     def element(self, coeffs: np.ndarray) -> ModuleMap:
         field = self.domain.algebra.field
@@ -142,29 +148,20 @@ class HomSpace:
         return c
 
 
-# Entries (rows x cols) of the largest Hom stack the memo keeps.  Per
-# hom_basis call over five laws_sweep benchmark rounds, stacks have a median
-# of 2 entries, a 99th percentile of 192 and a maximum of 3,200; the
-# smallest of big_fp's 288 stacks (24 rounds, seed 1) has 6,400.  So the
-# memo keeps nearly every repeated small Hom space of the law runs and none
-# of big_fp's dense ones, whose storage raised that workload's peak memory
-# by 16% in a prototype without a cap.
-HOM_MEMO_MAX_ENTRIES = 1024
-
-
 def hom_basis(a: Representation, b: Representation) -> HomSpace:
     """Basis of the space of module maps a -> b.  Memoized per pair of
-    module values; domain and codomain are always a and b themselves."""
+    module values, within HOM_MEMO_BUDGET stack entries per algebra;
+    domain and codomain are always a and b themselves."""
     if a.algebra is not b.algebra or a.side != b.side:
         raise AlgebraError("hom needs matching algebra and side")
-    hom = _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, keep=_small_stack)
+    hom = _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, size=_stack_entries)
     if hom.domain is a and hom.codomain is b:
         return hom
     return hom.rebound(a, b)
 
 
-def _small_stack(hom: HomSpace) -> bool:
-    return hom.stack.rows * hom.stack.cols <= HOM_MEMO_MAX_ENTRIES
+def _stack_entries(hom: HomSpace) -> int:
+    return hom.stack.rows * hom.stack.cols
 
 
 def _build_hom(a: Representation, b: Representation) -> HomSpace:
@@ -174,7 +171,8 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
         terms.append((x, -b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
-    return HomSpace(a, b, kernel_basis(_kron_rows(a.algebra.field, offs, total, terms)))
+    system = _kron_rows(a.algebra.field, offs, total, terms)
+    return HomSpace(a, b, *kernel_basis(system, with_free=True))
 
 
 def _block_offsets(
@@ -281,29 +279,48 @@ class ShortExactSequence:
 
 
 # Entries each memo keeps per algebra, per kind.  A cover or envelope holds
-# a few modules and maps of about the size of its argument, a Hom space at
-# most HOM_MEMO_MAX_ENTRIES matrix entries; 64 entries raise the laws_sweep
-# benchmark's peak memory by about 5%, and 512 did by twice that in a
-# prototype.
+# a few modules and maps of about the size of its argument; 64 entries raise
+# the laws_sweep benchmark's peak memory by about 5%, and 512 did by twice
+# that in a prototype.
 MEMO_CAPACITY = 64
 
+# Stack entries (rows x cols, summed) the "hom" memo holds per algebra:
+# 512 KiB of int64 over F_p.  Over five laws_sweep benchmark rounds the
+# median stack has 2 entries and the largest 3,200; big_fp's dense stacks
+# have 7,488 to 11,264, so the memo holds the few a query asks for again
+# (Hom(a, b) for both stable Homs of the pair) and drops the least recently
+# used as the next pair comes.  A stack over the whole budget is not stored.
+HOM_MEMO_BUDGET = 2 ** 16
 
-def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, keep=None):
-    """build(*args), computed once per key: looked up in the bounded LRU
-    memo of that kind in alg, built on a miss and stored unless keep(result)
-    is false, the least recently used entry dropped past MEMO_CAPACITY."""
+
+class _Memo(OrderedDict):
+    """A least-recently-used memo and the total size of what it holds."""
+
+    held = 0
+
+
+def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
+    """build(*args), computed once per key: looked up in the LRU memo of
+    that kind in alg and built on a miss.  The memo holds at most
+    MEMO_CAPACITY entries; given size, also at most HOM_MEMO_BUDGET of
+    their summed size(result), and a result over the whole budget is
+    returned without being stored.  The least recently used entries go
+    first."""
     memo = alg._cache.get(("memo", kind))
     if memo is None:
-        memo = alg._cache[("memo", kind)] = OrderedDict()
+        memo = alg._cache[("memo", kind)] = _Memo()
     out = memo.get(key)
-    if out is None:
-        out = build(*args)
-        if keep is None or keep(out):
-            memo[key] = out
-            if len(memo) > MEMO_CAPACITY:
-                memo.popitem(last=False)
-    else:
+    if out is not None:
         memo.move_to_end(key)
+        return out
+    out = build(*args)
+    n = 0 if size is None else size(out)
+    if n <= HOM_MEMO_BUDGET:
+        memo[key] = out
+        memo.held += n
+        while len(memo) > MEMO_CAPACITY or memo.held > HOM_MEMO_BUDGET:
+            _, old = memo.popitem(last=False)
+            memo.held -= 0 if size is None else size(old)
     return out
 
 
@@ -320,15 +337,16 @@ def projective_cover(m: Representation) -> ShortExactSequence:
 def _build_projective_cover(m: Representation) -> ShortExactSequence:
     """One summand P(v) per generator at v, a column of the top's section
     (the unit vectors at the radical's free columns lift a basis of the
-    top).  Each path label of P(v) acts on all of v's generators in one
-    product, laid out generator-major, as direct_sum orders the summands."""
+    top).  A path label of P(v) sends v's generators to the columns of its
+    action at those free columns, laid out generator-major, as direct_sum
+    orders the summands."""
     alg = m.algebra
     field = alg.field
-    gens = {v: rad.quotient().section for v, rad in radical_subspaces(m).items()}
+    gens = {v: rad.quotient().free for v, rad in radical_subspaces(m).items()}
     summands: List[Representation] = []
     blocks: Dict[str, List[Matrix]] = {w: [] for w in m.vertices}
     for v in m.vertices:
-        g = gens[v].cols
+        g = len(gens[v])
         if not g:
             continue
         rep, labels = _projective_with_labels(alg, v, m.side)
@@ -336,7 +354,7 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
         for w in m.vertices:
             images = np.empty((m.dims[w], g, len(labels[w])), dtype=field.dtype)
             for j, path in enumerate(labels[w]):
-                images[:, :, j] = (m.path_map(path) @ gens[v]).data
+                images[:, :, j] = m.path_map(path).data[:, gens[v]]
             flat = images.reshape(m.dims[w], g * len(labels[w]))
             blocks[w].append(Matrix(field, flat, _trusted=True))
     if summands:
@@ -351,7 +369,7 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
     # rank-nullity: onto m_w exactly when the kernel has codimension dim m_w
     if any(p.dims[w] - omega.subspaces[w].dim != m.dims[w] for w in m.vertices):
         raise AlgebraError("projective cover failed to surject")
-    layout = tuple((v, gens[v].cols) for v in m.vertices if gens[v].cols)
+    layout = tuple((v, len(gens[v])) for v in m.vertices if gens[v])
     return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover, layout)
 
 
@@ -665,11 +683,11 @@ def tensor_maps(
             None if g is None else g[v],
         )
     # the projection left of each of the k blocks in one product, then the
-    # section right of all of them in another
+    # section right of all of them: a selection of src's free columns
     q = dst.dim
     left = _dot(field, dst.quotient.projection.data, big.transpose(1, 0, 2).reshape(na, k * ns))
     rows = left.reshape(q, k, ns).transpose(1, 0, 2).reshape(k * q, ns)
-    return Matrix(field, _dot(field, rows, src.quotient.section.data), _trusted=True)
+    return Matrix(field, rows[:, src.quotient.free], _trusted=True)
 
 
 # -- star duality -------------------------------------------------------------

@@ -417,7 +417,8 @@ class SubStabTensor:
     I is a sum of copies of indecomposables I(v), so a (x) I is the sum of
     the a (x) I(v): map stacks the matrices of 1 (x) eps, one block of rows
     per copy eps: b -> I(v) of the envelope's components, and the kernel is
-    that of the stack."""
+    that of the stack.  When a (x) b = 0 the kernel is 0 outright and map
+    is 0 x 0: no envelope is fetched."""
 
     source: TensorSpace
     map: Matrix
@@ -431,6 +432,8 @@ class SubStabTensor:
 def tensor_substab(a: Representation, b: Representation) -> SubStabTensor:
     field = a.algebra.field
     src = tensor(a, b)
+    if not src.dim:
+        return SubStabTensor(src, Matrix.zeros(field, 0, 0), Subspace(field, 0))
     blocks = [
         tensor_maps(src, tensor(a, i), g=maps)
         for i, maps in _summand_maps(injective_envelope(b), False)

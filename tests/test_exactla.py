@@ -15,7 +15,6 @@ from stabhom.exactla import (
     ShapeMismatch,
     Subspace,
     coordinates,
-    free_columns,
     kernel_basis,
     null_rows,
     rank,
@@ -202,7 +201,9 @@ def test_kernel_basis_is_the_identity_on_its_free_columns(m):
     r, _, pivots = rref(m)
     ker, free = null_rows(r, pivots)
     assert ker == kernel_basis(m) == _null_rows_by_loop(r, pivots)
-    assert free == free_columns(ker)
+    assert kernel_basis(m, with_free=True) == (ker, free)
+    # row k is nonzero only at free column k and at pivot columns left of it
+    assert free == tuple(int(np.flatnonzero(row != 0)[-1]) for row in ker.data)
     assert free == tuple(c for c in range(m.cols) if c not in pivots)
     unit = Matrix(m.field, ker.data[:, list(free)], _trusted=True)
     assert unit == Matrix.identity(m.field, len(free))
@@ -213,8 +214,8 @@ def test_kernel_basis_is_the_identity_on_its_free_columns(m):
 def test_coordinates_read_off_either_echelon_form(m, seed):
     rng = np.random.RandomState(seed)
     u = Subspace(m.field, m.cols, m)
-    ker = kernel_basis(m)
-    for basis, cols in ((u.basis, u.pivots), (ker, free_columns(ker))):
+    ker, free = kernel_basis(m, with_free=True)
+    for basis, cols in ((u.basis, u.pivots), (ker, free)):
         c = Matrix.from_rows(m.field, rng.randint(-3, 4, size=(3, basis.rows)).tolist())
         assert coordinates(basis, cols, c @ basis) == c
         outside = [j for j in range(m.cols) if j not in cols]
@@ -288,6 +289,18 @@ def test_quotient_kills_exactly_the_subspace(m):
     if u.dim:
         assert (q.projection @ u.basis.transpose()).is_zero()
     assert (q.projection @ q.section) == Matrix.identity(m.field, q.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_strategy(max_dim=4), st.integers(0, 10 ** 6))
+def test_after_section_is_the_product_with_the_section_bit_for_bit(m, seed):
+    q = Subspace(m.field, m.cols, m).quotient()
+    rng = np.random.RandomState(seed)
+    x = Matrix.from_rows(m.field, rng.randint(-3, 4, size=(3, m.cols)).tolist())
+    got, want = q.after_section(x), x @ q.section
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tolist() == want.data.tolist()
+    assert [type(e) for e in got.data.flat] == [type(e) for e in want.data.flat]
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,11 @@ duals and Hom spaces.
 
 A memo hit must give what a fresh build gives, bit for bit, rebound to the
 caller's modules; equal modules share one build, algebras share nothing,
-each memo stays within its capacity, and a Hom space over the entry cap is
-returned but not stored.  The law-run tests count builds on a full law run,
-so a lost hit path fails here instead of only slowing the benchmark.
+each memo stays within its capacity, and the Hom memo within its budget of
+stack entries, evicting the least recently used; a Hom space over the whole
+budget is returned but not stored.  The law-run tests count builds on a
+full law run, and a dense pair's Hom space is built once for both stable
+Homs, so a lost hit path fails here instead of only slowing the benchmark.
 """
 
 import importlib.util
@@ -29,15 +31,18 @@ from stabhom.cli.laws import LAWS, build_context, run_laws
 from stabhom.cli.randmod import random_catalog
 from stabhom.exactla import Matrix
 from stabhom.homology import (
-    HOM_MEMO_MAX_ENTRIES,
+    HOM_MEMO_BUDGET,
     MEMO_CAPACITY,
     hom_basis,
     injective_envelope,
     projective_cover,
     star_dual,
 )
+from stabhom.stable import MODULO_INJECTIVES, MODULO_PROJECTIVES, stable_hom
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 KINDS = ("cover", "envelope", "star", "hom")
 
@@ -194,11 +199,19 @@ def test_modules_are_read_only(square):
         m.arrow_maps["a"].data[...] = 0
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer_module():
+    return _perfbench_module(TRACER)
+
+
+def _workloads():
+    return _perfbench_module(WORKLOADS)
 
 
 def test_a_full_law_run_builds_each_cover_once(monkeypatch):
@@ -272,20 +285,69 @@ def test_a_hom_hit_is_rebound_to_the_callers_modules(monkeypatch):
     assert all(f.domain is a and f.codomain is b for f in stored.basis_maps())
 
 
-def test_a_hom_stack_over_the_cap_is_returned_but_not_stored(monkeypatch):
+def _entries(hom) -> int:
+    return hom.stack.rows * hom.stack.cols
+
+
+def _points(alg, n):
+    """n copies of S(1) over a2: Hom between n and m copies is all n x m
+    matrices, a stack of (nm)^2 entries."""
+    return Representation(alg, LEFT, {"1": n, "2": 0}, {})
+
+
+def test_a_hom_stack_over_the_whole_budget_is_returned_but_not_stored(monkeypatch):
     alg = a2_algebra()
-    big = Representation(alg, LEFT, {"1": 6, "2": 0}, {})  # Hom(big, big) is 36 x 36
-    small = simple(alg, "1")
+    big, small = _points(alg, 17), simple(alg, "1")
     built = _count_hom_builds(monkeypatch)
-    hom = hom_basis(big, big)
-    assert hom.stack.rows * hom.stack.cols > HOM_MEMO_MAX_ENTRIES
-    assert hom.dim == 36
-    assert hom_basis(_copy(big), big).stack == hom.stack
-    assert len(built) == 2  # built again: nothing was stored
     hom_basis(small, small)
+    hom = hom_basis(big, big)
+    assert _entries(hom) == 289 ** 2 > HOM_MEMO_BUDGET
+    assert hom.dim == 289
+    assert hom_basis(_copy(big), big).stack == hom.stack
+    assert len(built) == 3  # built again: nothing was stored
+    memo = alg._cache[("memo", "hom")]
+    assert list(memo) == [(small.key, small.key)]  # and nothing was evicted for it
+    assert memo.held == 1
     hom_basis(_copy(small), small)
     assert len(built) == 3
-    assert list(alg._cache[("memo", "hom")]) == [(small.key, small.key)]
+
+
+def test_the_hom_memo_evicts_the_least_recently_used_past_its_budget(monkeypatch):
+    alg = a2_algebra()
+    one, two, three = (_points(alg, n) for n in (1, 2, 3))
+    x, y, z = (three, three), (one, three), (two, two)  # 81, 9 and 16 entries
+    monkeypatch.setattr(homology, "HOM_MEMO_BUDGET", 100)
+    built = _count_hom_builds(monkeypatch)
+    kx, ky, kz = ((p.key, q.key) for p, q in (x, y, z))
+    hom_basis(*x)
+    hom_basis(*y)
+    memo = alg._cache[("memo", "hom")]
+    assert memo.held == 90
+    hom_basis(_copy(x[0]), x[1])  # a hit: x is now the most recently used
+    assert len(built) == 2
+    hom_basis(*z)  # 106 entries: y goes first, though x was stored before it
+    assert list(memo) == [kx, kz]
+    assert memo.held == 97
+    hom_basis(*x)  # still held
+    hom_basis(*y)  # built again; z is now the least recently used
+    assert built == [kx, ky, kz, ky]
+    assert list(memo) == [kx, ky]
+    assert memo.held == 90 == sum(_entries(h) for h in memo.values())
+
+
+def test_both_stable_homs_of_a_dense_pair_solve_hom_once(monkeypatch):
+    conjugated_sum = _workloads().conjugated_sum
+    alg = square_algebra()  # a fresh algebra, so the memo starts empty
+    rng = random.Random(1)
+    library = random_catalog(alg, LEFT, 8, 2, random.Random(22))[0]
+    a, _ = conjugated_sum(alg, LEFT, (5, 5, 5, 5), library, rng)
+    b, _ = conjugated_sum(alg, LEFT, (5, 5, 5, 5), library, rng)
+    built = _count_hom_builds(monkeypatch)
+    hom = hom_basis(a, b)
+    assert _entries(hom) > 1024  # dense: more than a small stack
+    for flavor in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
+        assert stable_hom(a, b, flavor).hom.stack is hom.stack
+    assert built.count((a.key, b.key)) == 1
 
 
 def test_two_algebras_never_share_hom_entries(monkeypatch):
@@ -316,6 +378,6 @@ def test_a_full_law_run_builds_each_hom_space_once_while_it_is_held(monkeypatch)
     assert all(r.failures == 0 for r in results)
     memo = alg._cache[("memo", "hom")]
     assert 0 < len(memo) <= MEMO_CAPACITY
-    assert all(h.stack.rows * h.stack.cols <= HOM_MEMO_MAX_ENTRIES for h in memo.values())
+    assert memo.held == sum(_entries(h) for h in memo.values()) <= HOM_MEMO_BUDGET
     received = tracer.stats["homology.hom_basis"]
     assert received.calls > len(built)  # the run's repeats were answered from the memo

@@ -10,7 +10,8 @@ every output must be the same bit for bit: over F_p and Q, on the fixture
 algebras, on conjugated direct sums like the benchmark's, and on the edge
 cases (zero modules, Hom(a, b) = 0, projective or injective arguments, a
 vertex with no summand).  When Hom(a, b) = 0 there is nothing to factor,
-and no cover or envelope is built.  The guard test makes sure that no Hom system or
+and no cover or envelope is built; when a (x) b = 0 its kernel is 0, and
+no envelope is fetched.  The guard test makes sure that no Hom system or
 tensor space over a decomposable cover or envelope is built any more.
 """
 
@@ -22,7 +23,7 @@ from unittest import mock
 import pytest
 
 from algebras import BUILDERS, a2_algebra, kronecker_algebra, square_algebra
-from stabhom import homology
+from stabhom import homology, stable
 from stabhom.algebra import (
     LEFT,
     RIGHT,
@@ -208,6 +209,24 @@ def test_a_zero_hom_space_needs_no_cover_or_envelope():
             st = stable_hom(s1, s2, flavor)
             assert st.hom.dim == st.factor.dim == st.dim == 0
     assert cover.call_count == envelope.call_count == 0
+
+
+def test_a_zero_tensor_product_needs_no_envelope():
+    alg = a2_algebra()
+    rights, lefts = standard_probes(alg, RIGHT), standard_probes(alg, LEFT)
+    pairs = [(a, b) for a in rights for b in lefts if tensor(a, b).dim == 0]
+    # a (x) b = 0 with and without pure tensors to kill
+    assert any(tensor(a, b).ambient_dim for a, b in pairs)
+    assert any(not tensor(a, b).ambient_dim for a, b in pairs)
+    for a, b in pairs:
+        ker = _whole_substab_kernel(a, b)
+        with mock.patch.object(stable, "injective_envelope") as envelope, \
+                mock.patch.object(stable, "tensor", wraps=tensor) as spaces:
+            sub = tensor_substab(a, b)
+        assert envelope.call_count == 0
+        assert spaces.call_count == 1  # a (x) b alone: no a (x) I(v)
+        assert sub.dim == 0 and sub.map.shape == (0, 0)
+        assert _bits(sub.kernel.basis) == _bits(ker.basis) and sub.kernel.pivots == ker.pivots
 
 
 # -- the summand layout ----------------------------------------------------------------
