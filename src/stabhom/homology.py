@@ -287,9 +287,10 @@ MEMO_CAPACITY = 64
 # Stack entries (rows x cols, summed) the "hom" memo holds per algebra:
 # 512 KiB of int64 over F_p.  Over five laws_sweep benchmark rounds the
 # median stack has 2 entries and the largest 3,200; big_fp's dense stacks
-# have 7,488 to 11,264, so the memo holds the few a query asks for again
-# (Hom(a, b) for both stable Homs of the pair) and drops the least recently
-# used as the next pair comes.  A stack over the whole budget is not stored.
+# have 7,632 to 11,264 (four rounds at seed 1), so the memo holds the few a
+# pair asks for again (Hom(a, b) for both stable Homs) and drops the least
+# recently used as the next pairs come.  A budget of 2^17 was no faster on
+# big_fp (4 pairs) and raised its peak memory by about 1 MB more.
 HOM_MEMO_BUDGET = 2 ** 16
 
 

@@ -271,6 +271,16 @@ def test_direct_sum_biproduct_laws(a2):
     assert total == ModuleMap.identity(ds.module)
 
 
+def test_direct_sum_builds_its_maps_when_first_read(a2):
+    parts = [indec_projective(a2, "1"), simple(a2, "2")]
+    ds = direct_sum(parts)
+    assert "injections" not in vars(ds) and "projections" not in vars(ds)
+    proj = ds.projections  # transposes the injections, so builds them too
+    assert "injections" in vars(ds) and ds.projections is proj
+    assert [f.domain for f in ds.injections] == [f.codomain for f in proj] == parts
+    assert all(f.codomain is ds.module is g.domain for f, g in zip(ds.injections, proj))
+
+
 def test_direct_sum_rejects_mixed_sides(a2):
     with pytest.raises(AlgebraError):
         direct_sum([simple(a2, "1", LEFT), simple(a2, "1", RIGHT)])

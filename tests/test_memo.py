@@ -344,7 +344,7 @@ def test_both_stable_homs_of_a_dense_pair_solve_hom_once(monkeypatch):
     b, _ = conjugated_sum(alg, LEFT, (5, 5, 5, 5), library, rng)
     built = _count_hom_builds(monkeypatch)
     hom = hom_basis(a, b)
-    assert _entries(hom) > 1024  # dense: more than a small stack
+    assert _entries(hom) > 1024  # dense, like big_fp's pairs
     for flavor in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         assert stable_hom(a, b, flavor).hom.stack is hom.stack
     assert built.count((a.key, b.key)) == 1
