@@ -17,8 +17,9 @@ derives its choices from these helpers instead of branching on the side.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,8 +29,11 @@ from .exactla import (
     Field,
     Matrix,
     Subspace,
+    block_diag,
     coordinates,
+    kernel_basis,
     null_rows,
+    rank,
     rref,
     vstack,
 )
@@ -148,6 +152,12 @@ def compose_path(maps: Dict[str, Matrix], arrows: Sequence[str], side: str) -> M
     return acc
 
 
+def _relation_value(maps: Dict[str, Matrix], terms: Sequence, side: str) -> Optional[Matrix]:
+    """The sum of coeff * (action of path) over the terms, left to right; None for none."""
+    values = [compose_path(maps, arrows, side).scale(c) for c, arrows in terms]
+    return reduce(operator.add, values) if values else None
+
+
 def _path_target(quiver: Quiver, path: Path) -> str:
     src, arrows = path
     return quiver.arrow_by_name[arrows[-1]].target if arrows else src
@@ -185,6 +195,12 @@ class BoundQuiverAlgebra:
         self._build_basis()
         self._cache: Dict[object, object] = {}
         self._opposite: Optional[BoundQuiverAlgebra] = None
+
+    def _cached(self, key, build, *args):
+        """build(*args), built once per key and kept; any stored value is a hit."""
+        if key not in self._cache:
+            self._cache[key] = build(*args)
+        return self._cache[key]
 
     # -- construction ---------------------------------------------------
 
@@ -417,12 +433,7 @@ class Representation:
 
     def _check_relations(self):
         for rel in self.algebra.relations:
-            acc = None
-            for coeff, arrows in rel.terms:
-                src = self.algebra.quiver.arrow_by_name[arrows[0]].source
-                term = self.path_map((src, arrows)).scale(coeff)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
+            if not _relation_value(self.arrow_maps, rel.terms, self.side).is_zero():
                 raise AlgebraError(f"representation violates relation {rel}")
 
     def path_map(self, path: Path) -> Matrix:
@@ -530,51 +541,37 @@ class ModuleMap:
             _trusted=True,
         )
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
+    def _vertexwise(self, op, *others: "ModuleMap") -> "ModuleMap":
+        """The map self -> codomain whose matrix at each vertex v is op of
+        the vertex-v matrices of self and others."""
         return ModuleMap(
             self.domain,
             self.codomain,
-            {v: self.vertex_maps[v] + other.vertex_maps[v] for v in self.domain.vertices},
+            {
+                v: op(self.vertex_maps[v], *(o.vertex_maps[v] for o in others))
+                for v in self.domain.vertices
+            },
             _trusted=True,
         )
+
+    def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        return self._vertexwise(operator.add, other)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(
-            self.domain,
-            self.codomain,
-            {v: self.vertex_maps[v] - other.vertex_maps[v] for v in self.domain.vertices},
-            _trusted=True,
-        )
-
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(
-            self.domain,
-            self.codomain,
-            {v: self.vertex_maps[v].scale(c) for v in self.domain.vertices},
-            _trusted=True,
-        )
+        return self._vertexwise(operator.sub, other)
 
     def __neg__(self) -> "ModuleMap":
-        return ModuleMap(
-            self.domain,
-            self.codomain,
-            {v: -self.vertex_maps[v] for v in self.domain.vertices},
-            _trusted=True,
-        )
+        return self._vertexwise(operator.neg)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.vertex_maps.values())
 
     def is_injective(self) -> bool:
-        from .exactla import rank
-
         return all(
             rank(self.vertex_maps[v]) == self.domain.dims[v] for v in self.domain.vertices
         )
 
     def is_surjective(self) -> bool:
-        from .exactla import rank
-
         return all(
             rank(self.vertex_maps[v]) == self.codomain.dims[v] for v in self.domain.vertices
         )
@@ -605,9 +602,7 @@ class ModuleMap:
         return f"ModuleMap({self.domain.dim_vector()} -> {self.codomain.dim_vector()})"
 
 
-def map_from_flat(
-    domain: Representation, codomain: Representation, vec: np.ndarray, _trusted: bool = True
-) -> ModuleMap:
+def map_from_flat(domain: Representation, codomain: Representation, vec: np.ndarray) -> ModuleMap:
     field = domain.algebra.field
     maps = {}
     off = 0
@@ -616,7 +611,7 @@ def map_from_flat(
         block = np.array(vec[off : off + r * c]).reshape(r, c)
         maps[v] = Matrix(field, field.normalize(block), _trusted=True)
         off += r * c
-    return ModuleMap(domain, codomain, maps, _trusted=_trusted)
+    return ModuleMap(domain, codomain, maps, _trusted=True)
 
 
 # -- submodules and quotients ---------------------------------------------
@@ -736,8 +731,6 @@ def radical_subspaces(m: Representation) -> Dict[str, Subspace]:
 
 def socle_subspaces(m: Representation) -> Dict[str, Subspace]:
     """Joint kernel of the arrow action: the socle."""
-    from .exactla import kernel_basis
-
     field = m.algebra.field
     out: Dict[str, Subspace] = {}
     for v in m.vertices:
@@ -841,8 +834,6 @@ def direct_sum(mods: Sequence[Representation]) -> DirectSum:
             raise AlgebraError("direct sum needs matching algebra and side")
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
     maps = {}
-    from .exactla import block_diag
-
     for a in alg.quiver.arrows:
         maps[a.name] = block_diag(field, [m.arrow_maps[a.name] for m in mods])
     return DirectSum(Representation(alg, side, dims, maps, _trusted=True), mods)
@@ -852,10 +843,9 @@ def direct_sum(mods: Sequence[Representation]) -> DirectSum:
 
 
 def simple(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
-    key = ("simple", v, side)
-    if key not in algebra._cache:
-        algebra._cache[key] = Representation(algebra, side, {v: 1}, {}, _trusted=True)
-    return algebra._cache[key]
+    return algebra._cached(
+        ("simple", v, side), lambda: Representation(algebra, side, {v: 1}, {}, _trusted=True)
+    )
 
 
 def extension_matrix(
@@ -887,9 +877,10 @@ def _projective_with_labels(
 ) -> Tuple[Representation, Dict[str, List[Path]]]:
     """Indecomposable projective at v plus, per vertex, the path classes
     labelling its basis vectors."""
-    key = ("proj", v, side)
-    if key in algebra._cache:
-        return algebra._cache[key]
+    return algebra._cached(("proj", v, side), _build_projective_with_labels, algebra, v, side)
+
+
+def _build_projective_with_labels(algebra: BoundQuiverAlgebra, v: str, side: str):
     q = algebra.quiver
     # left P(v) at w: paths v -> w; right P(v) at w: paths w -> v
     labels = {
@@ -901,9 +892,7 @@ def _projective_with_labels(
     for a in q.arrows:
         x, y = arrow_ends(a, side)
         maps[a.name] = extension_matrix(algebra, a, side, labels[x], labels[y])
-    rep = Representation(algebra, side, dims, maps)
-    algebra._cache[key] = (rep, labels)
-    return algebra._cache[key]
+    return Representation(algebra, side, dims, maps), labels
 
 
 def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
@@ -911,18 +900,16 @@ def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> R
 
 
 def indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
-    key = ("inj", v, side)
-    if key not in algebra._cache:
-        algebra._cache[key] = dual_module(indec_projective(algebra, v, other_side(side)))
-    return algebra._cache[key]
+    return algebra._cached(
+        ("inj", v, side), lambda: dual_module(indec_projective(algebra, v, other_side(side)))
+    )
 
 
 def regular_decomposition(algebra: BoundQuiverAlgebra, side: str = LEFT) -> DirectSum:
-    key = ("regular", side)
-    if key not in algebra._cache:
-        mods = [indec_projective(algebra, v, side) for v in algebra.quiver.vertices]
-        algebra._cache[key] = direct_sum(mods)
-    return algebra._cache[key]
+    return algebra._cached(
+        ("regular", side),
+        lambda: direct_sum([indec_projective(algebra, v, side) for v in algebra.quiver.vertices]),
+    )
 
 
 def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:

@@ -460,14 +460,14 @@ def _law_hereditary_split(ctx: LawContext, res: LawResult) -> None:
         res.record(ok, _witness(ctx, i, a))
 
 
-def _covariant_functors(ctx, a_left, a_right):
+def _covariant_functors(a_left, a_right):
     yield fp_representable(a_left, COVARIANT)
     yield present_underline_cov(a_left)
     yield present_overline_cov(a_left)
     yield present_tensor(a_right)
 
 
-def _contravariant_functors(ctx, a_left):
+def _contravariant_functors(a_left):
     yield fp_representable(a_left, CONTRAVARIANT)
     yield present_underline_contra(a_left)
     yield present_overline_contra(a_left)
@@ -486,14 +486,14 @@ def _law_defect_zero(ctx: LawContext, res: LawResult) -> None:
     reg = regular_module(ctx.algebra, LEFT)
     pairs = list(zip(ctx.left_modules, ctx.right_modules))
     for i, (al, ar) in enumerate(pairs):
-        for func in _covariant_functors(ctx, al, ar):
+        for func in _covariant_functors(al, ar):
             w_zero = fp_defect(func).total_dim == 0
             kills = all(fp_eval(func, inj).dim == 0 for inj in injectives)
             res.record(
                 w_zero == kills,
                 _witness(ctx, i, al, defect_zero=w_zero, kills_injectives=kills),
             )
-        for func in _contravariant_functors(ctx, al):
+        for func in _contravariant_functors(al):
             v_zero = fp_defect(func).total_dim == 0
             kills = fp_eval(func, reg).dim == 0
             res.record(
@@ -584,7 +584,7 @@ def _law_rho_iso(ctx: LawContext, res: LawResult) -> None:
     ]
     pairs = list(zip(ctx.left_modules, ctx.right_modules))
     for i, (al, ar) in enumerate(pairs):
-        for func in _covariant_functors(ctx, al, ar):
+        for func in _covariant_functors(al, ar):
             rho = fp_rho(func)
             sub = fp_substab(func)
             for inj in injectives:

@@ -150,7 +150,7 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _certificate_dict(alg, a, kind: str) -> dict:
+def _certificate_dict(a, kind: str) -> dict:
     cert = fp_certificate(a, kind)
     return {
         "kind": kind,
@@ -179,12 +179,8 @@ def cmd_invariants(args) -> int:
         "star_dual": list(star_dual(a).module.dim_vector()),
         "transpose": list(transpose(a).module.dim_vector()),
         "certificates": {
-            "covariant_underline": _certificate_dict(
-                alg, a, "covariant_underline"
-            ),
-            "contravariant_overline": _certificate_dict(
-                alg, a, "contravariant_overline"
-            ),
+            "covariant_underline": _certificate_dict(a, "covariant_underline"),
+            "contravariant_overline": _certificate_dict(a, "contravariant_overline"),
         },
     }
     if a.side == RIGHT:

@@ -27,6 +27,7 @@ from ..algebra import (
     ModuleMap,
     Representation,
     SubRep,
+    _relation_value,
     arrow_ends,
     arrow_shape,
     compose_path,
@@ -99,21 +100,15 @@ def _linear_system(alg, side, dims, maps, target: str):
     blocks = []
     rhs_parts = []
     for rel in alg.relations:
-        touches = any(target in arrows for _, arrows in rel.terms)
-        if not touches:
-            acc = None
-            for coeff, arrows in rel.terms:
-                term = compose_path(maps, arrows, side).scale(coeff)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
+        fixed = [(c, arrows) for c, arrows in rel.terms if target not in arrows]
+        const = _relation_value(maps, fixed, side)
+        if len(fixed) == len(rel.terms):
+            if not const.is_zero():
                 return None, None, (x_rows, x_cols)
             continue
         view = None
-        const = None
         for coeff, arrows in rel.terms:
             if target not in arrows:
-                term = compose_path(maps, arrows, side).scale(coeff)
-                const = term if const is None else const + term
                 continue
             pos = arrows.index(target)
             # the term is c L X R: R acts before the target arrow, L after it
@@ -133,7 +128,7 @@ def _linear_system(alg, side, dims, maps, target: str):
             if view is None:
                 p = x_rows if f is None else f.shape[0]
                 q = x_cols if g is None else g.shape[0]
-                block = Matrix.zeros(field, p * q, x_rows * x_cols).data.copy()
+                block = field.zeros(p * q, x_rows * x_cols)
                 view = block.reshape(p, q, x_rows, x_cols)
             add_kron(field, view, f, g)
         size = block.shape[0]

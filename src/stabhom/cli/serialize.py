@@ -18,6 +18,7 @@ from ..algebra import (
     Arrow,
     BoundQuiverAlgebra,
     ModuleMap,
+    NotFiniteDimensional,
     Quiver,
     Relation,
     Representation,
@@ -184,8 +185,6 @@ def algebra_from_dict(doc, where: str = "algebra") -> BoundQuiverAlgebra:
         return BoundQuiverAlgebra(quiver, relations, field, bound)
     except ValueError as exc:
         # NotFiniteDimensional passes through for its own exit code.
-        from ..algebra import NotFiniteDimensional
-
         if isinstance(exc, NotFiniteDimensional):
             raise
         raise ParseError(f"{where}: {exc}")

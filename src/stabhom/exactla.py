@@ -516,15 +516,7 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     for c in pivots:
         is_free[c] = False
     free = [c for c, f in enumerate(is_free) if f]
-    block = r.data[: len(pivots), free].T
-    if field.kind == RATIONAL:
-        # the entries over their common denominator d, so that each distinct
-        # one is negated once, as a numerator: zeros and repeats abound
-        ns, d = _integers(block.ravel().tolist())
-        neg = {n: Fraction(-n, d) for n in set(ns)}
-        block = _objects([neg[n] for n in ns], block.shape)
-    else:
-        block = field.normalize(-block)
+    block = field.normalize(-r.data[: len(pivots), free].T)
     out = field.zeros(len(free), r.cols)
     out[range(len(free)), free] = field.one()
     out[:, list(pivots)] = block
@@ -636,12 +628,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,11 +24,16 @@ indecomposable summands, P(v) or I(v) with multiplicity g_v, in direct_sum
 order (ShortExactSequence.summands): stable_hom and tensor_substab work
 one summand at a time and never solve over the whole sum.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
-at vertex v.
+at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
+0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
+dimension sum g_v dim n_v by Yoneda, so ext1 builds no Hom system over P.
+ShortExactSequence.validate checks exactness through _is_exact, the check
+of any chain of maps that stable's four-term sequences share.
 
 Modules are immutable values, so projective_cover, injective_envelope,
 star_dual and hom_basis build each result once per value: _memoized keeps
-one bounded least-recently-used memo per kind in the algebra's cache, with
+one bounded least-recently-used memo per kind in the algebra (through
+BoundQuiverAlgebra._cached, as for projectives and simples), with
 MEMO_CAPACITY entries, keyed by Representation.key (by the pair of keys of
 domain and codomain for Hom spaces).  A hit is the stored result rebound
 to the caller's modules (a cover's right, an envelope's left, a Hom
@@ -55,7 +60,6 @@ from .exactla import (
     coordinates,
     hstack,
     kernel_basis,
-    rank,
     solve_right,
 )
 from .algebra import (
@@ -266,13 +270,19 @@ class ShortExactSequence:
     summands: Tuple[Tuple[str, int], ...] = ()
 
     def validate(self) -> bool:
-        if not self.inclusion.is_injective():
-            return False
-        if not self.surjection.is_surjective():
-            return False
-        ker = kernel_map(self.surjection)
-        im = image_map(self.inclusion)
-        return all(ker.subspaces[v] == im.subspaces[v] for v in self.middle.vertices)
+        return _is_exact((self.inclusion, self.surjection))
+
+
+def _is_exact(maps: Sequence[ModuleMap]) -> bool:
+    """Whether 0 -> ... -> 0 through the chain maps is exact: the first map
+    injective, the last surjective, then kernel = image at each joint in
+    turn, each check made only when those before it hold."""
+    if not maps[0].is_injective() or not maps[-1].is_surjective():
+        return False
+    return all(
+        kernel_map(outgoing).subspaces == image_map(incoming).subspaces
+        for incoming, outgoing in zip(maps, maps[1:])
+    )
 
 
 # -- projective covers and injective envelopes ------------------------------
@@ -307,9 +317,7 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
     their summed size(result), and a result over the whole budget is
     returned without being stored.  The least recently used entries go
     first."""
-    memo = alg._cache.get(("memo", kind))
-    if memo is None:
-        memo = alg._cache[("memo", kind)] = _Memo()
+    memo = alg._cached(("memo", kind), _Memo)
     out = memo.get(key)
     if out is not None:
         memo.move_to_end(key)
@@ -413,13 +421,12 @@ def is_injective_module(m: Representation) -> bool:
 
 
 def is_self_injective(alg: BoundQuiverAlgebra) -> bool:
-    key = ("self_injective",)
-    if key not in alg._cache:
-        alg._cache[key] = all(
-            is_injective_module(indec_projective(alg, v, LEFT))
-            for v in alg.quiver.vertices
-        )
-    return alg._cache[key]
+    return alg._cached(
+        ("self_injective",),
+        lambda: all(
+            is_injective_module(indec_projective(alg, v, LEFT)) for v in alg.quiver.vertices
+        ),
+    )
 
 
 # -- map assembly, pushouts, pullbacks ---------------------------------------
@@ -590,12 +597,13 @@ class Ext1Result:
 
 
 def ext1(m: Representation, n: Representation) -> Ext1Result:
+    """Counted from 0 -> Hom(m, n) -> Hom(P, n) -> Hom(syzygy, n) ->
+    Ext^1(m, n) -> 0, exact for the cover P of m, with dim Hom(P, n) the sum
+    of g_v dim n_v over its summands P(v)^g_v, by Yoneda."""
     cover = projective_cover(m)
-    hom_p = hom_basis(cover.middle, n)
-    hom_omega = hom_basis(cover.left, n)
-    # rows: the image of Hom(P, n) inside Hom(syzygy, n)
-    restriction = push_coords(hom_p, hom_omega, pre=cover.inclusion)
-    return Ext1Result(hom_omega.dim - rank(restriction), cover)
+    dim_hom_p = sum(g * n.dims[v] for v, g in cover.summands)
+    dim = hom_basis(cover.left, n).dim - dim_hom_p + hom_basis(m, n).dim
+    return Ext1Result(dim, cover)
 
 
 # -- tensor products ---------------------------------------------------------
@@ -697,9 +705,10 @@ def tensor_maps(
 def _right_mult_map(alg: BoundQuiverAlgebra, arrow_name: str, side: str) -> ModuleMap:
     """For left projectives: right multiplication P(target) -> P(source).
     For right projectives: left multiplication P(source) -> P(target)."""
-    key = ("mult", arrow_name, side)
-    if key in alg._cache:
-        return alg._cache[key]
+    return alg._cached(("mult", arrow_name, side), _build_mult_map, alg, arrow_name, side)
+
+
+def _build_mult_map(alg: BoundQuiverAlgebra, arrow_name: str, side: str) -> ModuleMap:
     # multiplying by the arrow from the other side extends path classes as
     # the other side's action does, between the projectives at its ends
     ar = alg.quiver.arrow_by_name[arrow_name]
@@ -711,9 +720,7 @@ def _right_mult_map(alg: BoundQuiverAlgebra, arrow_name: str, side: str) -> Modu
         w: extension_matrix(alg, ar, star_side, dom_labels[w], cod_labels[w])
         for w in alg.quiver.vertices
     }
-    out = ModuleMap(dom_rep, cod_rep, maps)
-    alg._cache[key] = out
-    return out
+    return ModuleMap(dom_rep, cod_rep, maps)
 
 
 @dataclass

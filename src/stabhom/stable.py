@@ -64,6 +64,7 @@ from .homology import (
     TensorSpace,
     _acting,
     _composites,
+    _is_exact,
     _ordered,
     cokernel_map,
     eval_double_dual,
@@ -339,20 +340,7 @@ class FourTermSequence:
     maps: Tuple[ModuleMap, ModuleMap, ModuleMap]
 
     def validate(self) -> bool:
-        first, middle, last = self.maps
-        if not first.is_injective():
-            return False
-        if not last.is_surjective():
-            return False
-        for incoming, outgoing in ((first, middle), (middle, last)):
-            ker = kernel_map(outgoing)
-            im = image_map(incoming)
-            if any(
-                ker.subspaces[v] != im.subspaces[v]
-                for v in self.modules[0].vertices
-            ):
-                return False
-        return True
+        return _is_exact(self.maps)
 
 
 # certificate kind -> the variance of the functor its approximation presents

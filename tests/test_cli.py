@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +10,18 @@ from algebras import (
     loop2_algebra,
     square_algebra,
 )
-from stabhom.algebra import LEFT, RIGHT, ModuleMap, indec_projective, simple
+from stabhom.algebra import (
+    LEFT,
+    RIGHT,
+    ModuleMap,
+    SubRep,
+    indec_projective,
+    radical_subspaces,
+    simple,
+    socle_subspaces,
+)
 from stabhom.cli import laws as laws_mod
+from stabhom.cli import main as main_mod
 from stabhom.cli.laws import LawResult, UnknownLaw, build_context, run_laws
 from stabhom.cli.main import main
 from stabhom.cli.randmod import random_catalog, random_module
@@ -20,12 +31,13 @@ from stabhom.cli.serialize import (
     algebra_to_dict,
     functor_from_dict,
     functor_to_dict,
+    load_algebra,
     map_from_dict,
     map_to_dict,
     module_from_dict,
     module_to_dict,
 )
-from stabhom.exactla import Field
+from stabhom.exactla import Field, Matrix, Subspace
 from stabhom.fpfun import COVARIANT, present_tensor
 from stabhom.homology import projective_cover
 
@@ -408,6 +420,29 @@ def test_verify_passes_over_a_31_bit_prime(tmp_path, capsys):
     assert report["failures"] == 0 and report["checks_run"] > 0
 
 
+def test_a_failed_law_reports_a_witness_that_loads_back(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(algebra_to_dict(square_algebra())))
+    real = laws_mod.hom_basis
+    # one dimension too many: every check of the law fails
+    monkeypatch.setattr(laws_mod, "hom_basis", lambda a, b: SimpleNamespace(dim=real(a, b).dim + 1))
+    argv = ["verify", str(path), "--laws", "projective-representable", "--seed", "2", "--count", "3"]
+    code, report = _run_json(capsys, argv)
+    assert code == 1
+    (law,) = report["laws"]
+    assert law["status"] == "fail" and law["failures"] == law["checks"] > 0
+    witness = law["witness"]
+    ctx = build_context(load_algebra(str(path)), 2, 3, report["max_dim"])
+    want = ctx.modules(witness["detail"]["side"])[witness["module_index"]]
+    loaded = module_from_dict(witness["module"], algebra=ctx.algebra)
+    assert loaded == want
+    assert witness["detail"]["hom_dim"] == want.dims[witness["detail"]["vertex"]] + 1
+    # the witness carries its algebra inline, so it also loads on its own
+    alone = module_from_dict(witness["module"])
+    assert algebra_to_dict(alone.algebra) == algebra_to_dict(ctx.algebra)
+    assert alone.key == want.key
+
+
 def test_verify_law_filter(a2_file, capsys):
     code, report = _run_json(
         capsys,
@@ -490,6 +525,49 @@ def test_catalog_reports_empty_hunt(a2_file, loop2_file, capsys):
     assert report["total_findings"] == 0
     assert report["note"] == "none found within budget"
     assert len(report["algebras"]) == 2
+
+
+def _parsed_subspaces(rows_by_vertex, m):
+    field = m.algebra.field
+    return {
+        v: Subspace(
+            field,
+            m.dims[v],
+            Matrix.from_rows(field, [[field.parse_scalar(x) for x in r] for r in rows])
+            if rows
+            else None,
+        )
+        for v, rows in rows_by_vertex.items()
+    }
+
+
+@pytest.mark.parametrize("search", ["t-nonidempotent", "q-noncotorsion"])
+def test_catalog_findings_report_rows_that_parse_back(search, a2_file, capsys, monkeypatch):
+    # no fixture has a real finding, so each search is fed a submodule that
+    # makes one: the radical (rad rad M < rad M) as the torsion, the socle
+    # (soc(M / soc M) != 0) as the trace of the injectives
+    def radical(m, mode):
+        return SubRep(m, radical_subspaces(m))
+
+    def socle(m):
+        return SubRep(m, socle_subspaces(m))
+
+    monkeypatch.setattr(main_mod, "bass_torsion", radical)
+    monkeypatch.setattr(main_mod, "cotorsion_trace", socle)
+    code, report = _run_json(capsys, ["catalog", "--search", search, a2_file, "--count", "6"])
+    assert code == 0 and report["total_findings"] > 0
+    alg = load_algebra(a2_file)
+    for found in report["algebras"][0]["findings"]:
+        m = module_from_dict(found["module"], algebra=alg)
+        if search == "t-nonidempotent":
+            t = radical(m, "reject")
+            reported = {"torsion_rows": t, "inner_torsion_rows": radical(t.rep, "reject")}
+        else:
+            reported = {"trace_rows": socle(m)}
+            quotient, _ = main_mod.cotorsion_quotient(m, trace=reported["trace_rows"])
+            reported["inner_trace_rows"] = socle(quotient)
+        for name, sub in reported.items():
+            assert _parsed_subspaces(found[name], sub.parent) == sub.subspaces
 
 
 def test_catalog_is_deterministic(a2_file, capsys):

@@ -449,30 +449,6 @@ def test_rational_products_and_elimination_make_no_fraction_arithmetic(monkeypat
     assert nrank == 12 and r == Matrix.identity(m.field, 12)
 
 
-def test_rational_kernel_basis_negates_each_distinct_entry_once(monkeypatch):
-    """null_rows over Q makes one Fraction per distinct entry of the pivot
-    block it negates (plus the zero and the one that fill the identity
-    part), not one per entry: here 30 entries take 3 values."""
-    q = Field.rational()
-    values = [Fraction(0), Fraction(1, 2), Fraction(-3, 4)]
-    rows = [[Fraction(1) if j == i else Fraction(0) for j in range(3)]
-            + [values[(i + j) % 3] for j in range(10)] for i in range(3)]
-    r = Matrix.from_rows(q, rows)
-    made = []
-    real = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    kernel, free = null_rows(r, (0, 1, 2))
-    monkeypatch.undo()
-    assert free == tuple(range(3, 13))
-    assert len(made) <= len(values) + 2
-    assert kernel.data[:, :3].T.tolist() == [[-x for x in row[3:]] for row in rows]
-
-
 # -- primes above 2^31 -----------------------------------------------------------
 
 

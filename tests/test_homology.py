@@ -39,6 +39,7 @@ from stabhom.homology import (
     kernel_map,
     projective_cover,
     pullback,
+    push_coords,
     pushout,
     star_dual,
     star_dual_map,
@@ -283,6 +284,37 @@ def test_ext_matches_brute_force_enumeration(loop2, a3, nakayama):
     assert ext1(s2, s1).dim == ext1_brute_force_f2(s2, s1) == 0
     t1, t2 = simple(nakayama, "1"), simple(nakayama, "2")
     assert ext1(t1, t2).dim == ext1_brute_force_f2(t1, t2) == 1
+
+
+def _ext1_by_restriction_rank(m, n):
+    """ext1's former body, kept as a reference: dim Hom(syzygy, n) minus
+    the rank of the restriction Hom(P, n) -> Hom(syzygy, n) along the
+    cover's inclusion, over the Hom system of the whole cover P."""
+    cover = projective_cover(m)
+    hom_p = hom_basis(cover.middle, n)
+    hom_omega = hom_basis(cover.left, n)
+    restriction = push_coords(hom_p, hom_omega, pre=cover.inclusion)
+    return hom_omega.dim - rank(restriction)
+
+
+def test_ext_by_counting_matches_the_restriction_rank_on_standard_probes(all_algebras):
+    for alg in all_algebras.values():
+        for side in (LEFT, RIGHT):
+            probes = standard_probes(alg, side)
+            for m in probes:
+                for n in probes:
+                    assert ext1(m, n).dim == _ext1_by_restriction_rank(m, n)
+
+
+def test_ext_by_counting_matches_the_restriction_rank_and_oracle_on_catalogs():
+    for name in ("a2", "kronecker", "square", "loop3", "nakayama", "a2_rational"):
+        alg = BUILDERS[name]()
+        for side in (LEFT, RIGHT):
+            mods, _ = random_catalog(alg, side, 4, 3, random.Random(11))
+            for m in mods:
+                for n in mods:
+                    want = _ext1_by_restriction_rank(m, n)
+                    assert ext1(m, n).dim == want == ext1_cocycle_dim(m, n)
 
 
 # -- tensor products -----------------------------------------------------------------

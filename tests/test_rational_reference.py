@@ -11,10 +11,9 @@ be a Fraction with the same numerator and denominator as the reference's,
 and rank and pivots must agree: on negative entries and mixed
 denominators, on numerators and denominators past 2^63, on 1-D right
 operands, on zero-size shapes and on rank-deficient matrices with free
-columns left of later pivots.  null_rows used to negate the pivot block of
-a kernel basis one Fraction at a time; it now negates each distinct entry
-once, as a numerator over the block's common denominator, and must give
-the same kernel basis and free columns.
+columns left of later pivots.  null_rows negates the pivot block of a kernel
+basis with numpy's negation of the whole block; it must give the same
+kernel basis and free columns as the entrywise negation below.
 """
 
 from fractions import Fraction
@@ -200,7 +199,8 @@ def test_rref_of_zero_and_columnless_matrices(shape):
 
 
 def _fraction_null_rows(r, pivots):
-    """null_rows as it was: the pivot block negated entry by entry."""
+    """The kernel basis by its definition, entry by entry: Fraction(1) at
+    the free columns and the negated pivot block at the pivot columns."""
     free = [c for c in range(r.cols) if c not in pivots]
     out = Matrix.zeros(Q, len(free), r.cols).data.copy()
     out[range(len(free)), free] = Fraction(1)
