@@ -5,7 +5,7 @@ stable, fpfun, then the command-line layer (serialize, randmod, laws,
 main).  A module may import only modules below it, at module level or
 inside a function: an import inside a function is where a cycle hides,
 since it runs only when called.  The two package __init__ files sit on
-top and import nothing of their own package from below.
+top: they may import every layer, and no layer may import them.
 """
 
 import ast
