@@ -739,11 +739,8 @@ def socle_subspaces(m: Representation) -> Dict[str, Subspace]:
             for a in m.algebra.quiver.arrows
             if arrow_ends(a, m.side)[0] == v
         ]
-        if not mats:
-            out[v] = Subspace.full(field, m.dims[v])
-        else:
-            stacked = vstack(field, mats, cols=m.dims[v])
-            out[v] = Subspace(field, m.dims[v], kernel_basis(stacked))
+        stacked = vstack(field, mats, cols=m.dims[v])
+        out[v] = Subspace(field, m.dims[v], kernel_basis(stacked))
     return out
 
 
@@ -905,15 +902,13 @@ def indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Re
     )
 
 
-def regular_decomposition(algebra: BoundQuiverAlgebra, side: str = LEFT) -> DirectSum:
+def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:
     return algebra._cached(
         ("regular", side),
-        lambda: direct_sum([indec_projective(algebra, v, side) for v in algebra.quiver.vertices]),
+        lambda: direct_sum(
+            [indec_projective(algebra, v, side) for v in algebra.quiver.vertices]
+        ).module,
     )
-
-
-def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:
-    return regular_decomposition(algebra, side).module
 
 
 def standard_probes(algebra: BoundQuiverAlgebra, side: str) -> List[Representation]:

@@ -161,7 +161,7 @@ def build_context(
     return ctx
 
 
-def _witness(ctx, index, module, **detail):
+def _witness(index, module, **detail):
     def build():
         return {
             "module_index": index,
@@ -203,7 +203,7 @@ def _law_projective_representable(ctx: LawContext, res: LawResult) -> None:
             got = hom_basis(indec_projective(ctx.algebra, v, side), m).dim
             res.record(
                 got == m.dims[v],
-                _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
+                _witness(i, m, side=side, vertex=v, hom_dim=got),
             )
 
 
@@ -217,7 +217,7 @@ def _law_injective_corepresentable(ctx: LawContext, res: LawResult) -> None:
             got = hom_basis(m, indec_injective(ctx.algebra, v, side)).dim
             res.record(
                 got == m.dims[v],
-                _witness(ctx, i, m, side=side, vertex=v, hom_dim=got),
+                _witness(i, m, side=side, vertex=v, hom_dim=got),
             )
 
 
@@ -231,12 +231,12 @@ def _law_tensor_unit(ctx: LawContext, res: LawResult) -> None:
     for i, b in enumerate(ctx.left_modules):
         res.record(
             tensor(reg_r, b).dim == b.total_dim,
-            _witness(ctx, i, b, side=LEFT, tensor_dim=tensor(reg_r, b).dim),
+            _witness(i, b, side=LEFT, tensor_dim=tensor(reg_r, b).dim),
         )
     for i, a in enumerate(ctx.right_modules):
         res.record(
             tensor(a, reg_l).dim == a.total_dim,
-            _witness(ctx, i, a, side=RIGHT, tensor_dim=tensor(a, reg_l).dim),
+            _witness(i, a, side=RIGHT, tensor_dim=tensor(a, reg_l).dim),
         )
     # Naturality: under the unit isomorphism, 1 (x) f has the rank of f.
     pool = [m for m in ctx.left_modules if m.total_dim]
@@ -247,7 +247,7 @@ def _law_tensor_unit(ctx: LawContext, res: LawResult) -> None:
         rank_f = sum(rank(f.vertex_maps[v]) for v in b1.vertices)
         res.record(
             rank(induced) == rank_f,
-            _witness(ctx, i, b1, induced_rank=rank(induced), map_rank=rank_f),
+            _witness(i, b1, induced_rank=rank(induced), map_rank=rank_f),
         )
 
 
@@ -264,7 +264,6 @@ def _law_double_transpose(ctx: LawContext, res: LawResult) -> None:
         res.record(
             bb.dim_vector() == b.dim_vector(),
             _witness(
-                ctx,
                 i,
                 a,
                 side=side,
@@ -286,7 +285,6 @@ def _law_torsion_agreement(ctx: LawContext, res: LawResult) -> None:
         res.record(
             t_eval == t_rej and t_rej == t_app,
             _witness(
-                ctx,
                 i,
                 a,
                 side=side,
@@ -304,7 +302,7 @@ def _law_radical(ctx: LawContext, res: LawResult) -> None:
         t = bass_torsion(quotient, "reject")
         res.record(
             t.dim == 0,
-            _witness(ctx, i, a, side=side, residual=list(t.dim_vector())),
+            _witness(i, a, side=side, residual=list(t.dim_vector())),
         )
 
 
@@ -316,7 +314,7 @@ def _law_trace_idempotence(ctx: LawContext, res: LawResult) -> None:
         res.record(
             inner.dim == trace.rep.total_dim,
             _witness(
-                ctx, i, a, side=side,
+                i, a, side=side,
                 trace=trace.dim, inner=inner.dim,
             ),
         )
@@ -337,16 +335,16 @@ def _law_stable_dim(ctx: LawContext, res: LawResult) -> None:
                 under.dim == under.hom.dim - under.factor.dim
                 and over.dim == over.hom.dim - over.factor.dim
             )
-            res.record(ok, _witness(ctx, i, a, probe=list(b.dim_vector())))
+            res.record(ok, _witness(i, a, probe=list(b.dim_vector())))
         res.record(
             stable_hom(reg, a, MODULO_PROJECTIVES).dim == 0,
-            _witness(ctx, i, a, detail_kind="regular source"),
+            _witness(i, a, detail_kind="regular source"),
         )
         for v in ctx.algebra.quiver.vertices:
             inj = indec_injective(ctx.algebra, v, LEFT)
             res.record(
                 stable_hom(a, inj, MODULO_INJECTIVES).dim == 0,
-                _witness(ctx, i, a, vertex=v, detail_kind="injective target"),
+                _witness(i, a, vertex=v, detail_kind="injective target"),
             )
 
 
@@ -361,7 +359,7 @@ def _law_torsionless_embedding(ctx: LawContext, res: LawResult) -> None:
         gamma = left_proj_approximation(a, verify=False)
         res.record(
             gamma.is_injective(),
-            _witness(ctx, i, a, side=side),
+            _witness(i, a, side=side),
         )
 
 
@@ -377,7 +375,7 @@ def _law_torsion_kills(ctx: LawContext, res: LawResult) -> None:
             t = tensor(a, indec_injective(ctx.algebra, v, LEFT))
             res.record(
                 t.dim == 0,
-                _witness(ctx, i, a, vertex=v, tensor_dim=t.dim),
+                _witness(i, a, vertex=v, tensor_dim=t.dim),
             )
 
 
@@ -394,7 +392,7 @@ def _law_tensor_ext(ctx: LawContext, res: LawResult) -> None:
             res.record(
                 lhs == rhs,
                 _witness(
-                    ctx, i, a,
+                    i, a,
                     probe=list(b.dim_vector()), substab=lhs, ext=rhs,
                 ),
             )
@@ -413,7 +411,7 @@ def _law_certificates(ctx: LawContext, res: LawResult) -> None:
             cert.validate()
             and torsion_part == bass_torsion(a, "reject")
         )
-        res.record(ok, _witness(ctx, i, a, side=side, kind="covariant"))
+        res.record(ok, _witness(i, a, side=side, kind="covariant"))
         cert = fp_certificate(a, "contravariant_overline")
         trace_part = kernel_map(cert.sequence.maps[2])
         ok = (
@@ -422,7 +420,7 @@ def _law_certificates(ctx: LawContext, res: LawResult) -> None:
             and cert.sequence.modules[3].dim_vector()
             == cotorsion_quotient(a)[0].dim_vector()
         )
-        res.record(ok, _witness(ctx, i, a, side=side, kind="contravariant"))
+        res.record(ok, _witness(i, a, side=side, kind="contravariant"))
 
 
 @law(
@@ -440,7 +438,7 @@ def _law_quasi_frobenius(ctx: LawContext, res: LawResult) -> None:
         ok = extends_to_projectives(env.inclusion) and lifts_from_injectives(
             cov.surjection
         )
-        res.record(ok, _witness(ctx, i, a, side=side))
+        res.record(ok, _witness(i, a, side=side))
 
 
 @law(
@@ -457,7 +455,7 @@ def _law_hereditary_split(ctx: LawContext, res: LawResult) -> None:
         # isomorphisms, and run_laws records a raise as a failure
         split = hereditary_split(a, probes=ctx.probes_left)
         ok = split.underline_law_ok and split.overline_law_ok
-        res.record(ok, _witness(ctx, i, a))
+        res.record(ok, _witness(i, a))
 
 
 def _covariant_functors(a_left, a_right):
@@ -491,14 +489,14 @@ def _law_defect_zero(ctx: LawContext, res: LawResult) -> None:
             kills = all(fp_eval(func, inj).dim == 0 for inj in injectives)
             res.record(
                 w_zero == kills,
-                _witness(ctx, i, al, defect_zero=w_zero, kills_injectives=kills),
+                _witness(i, al, defect_zero=w_zero, kills_injectives=kills),
             )
         for func in _contravariant_functors(al):
             v_zero = fp_defect(func).total_dim == 0
             kills = fp_eval(func, reg).dim == 0
             res.record(
                 v_zero == kills,
-                _witness(ctx, i, al, defect_zero=v_zero, kills_regular=kills),
+                _witness(i, al, defect_zero=v_zero, kills_regular=kills),
             )
 
 
@@ -526,7 +524,7 @@ def _law_presentation_vs_direct(ctx: LawContext, res: LawResult) -> None:
             )
             res.record(
                 all(checks),
-                _witness(ctx, i, a, probe=list(b.dim_vector()), checks=list(checks)),
+                _witness(i, a, probe=list(b.dim_vector()), checks=list(checks)),
             )
 
 
@@ -543,7 +541,7 @@ def _law_tensor_euler(ctx: LawContext, res: LawResult) -> None:
             res.record(
                 got == want,
                 _witness(
-                    ctx, i, a,
+                    i, a,
                     probe=list(b.dim_vector()), presented=got, direct=want,
                 ),
             )
@@ -565,7 +563,7 @@ def _law_substab_agreement(ctx: LawContext, res: LawResult) -> None:
             res.record(
                 got_pres == want and got_gen == want,
                 _witness(
-                    ctx, i, a,
+                    i, a,
                     probe=list(b.dim_vector()),
                     direct=want, presented=got_pres, generic=got_gen,
                 ),
@@ -595,7 +593,7 @@ def _law_rho_iso(ctx: LawContext, res: LawResult) -> None:
                 res.record(
                     iso and fp_eval(sub, inj).dim == 0,
                     _witness(
-                        ctx, i, al,
+                        i, al,
                         source_dim=sv.dim, target_dim=tv.dim, rank=rank(mat),
                     ),
                 )
@@ -627,7 +625,7 @@ def _law_fp_kernel_cokernel(ctx: LawContext, res: LawResult) -> None:
                 res.record(
                     kv.dim == want_ker and cv.dim == want_coker and embeds,
                     _witness(
-                        ctx, i, b,
+                        i, b,
                         variance=variance,
                         kernel=kv.dim,
                         expected_kernel=want_ker,
@@ -648,14 +646,14 @@ def _law_torsion_radical(ctx: LawContext, res: LawResult) -> None:
         p = indec_projective(ctx.algebra, v, RIGHT)
         res.record(
             torsion_radical(p).dim == 0,
-            _witness(ctx, 0, p, vertex=v),
+            _witness(0, p, vertex=v),
         )
     for i, a in enumerate(ctx.right_modules):
         direct = torsion_radical(a).dim
         presented = fp_eval(func, a).dim
         res.record(
             direct == presented,
-            _witness(ctx, i, a, direct=direct, presented=presented),
+            _witness(i, a, direct=direct, presented=presented),
         )
 
 

@@ -104,14 +104,21 @@ def _text_lines(value, indent: int = 0) -> List[str]:
     return lines
 
 
+class ReportNotWritten(Exception):
+    """The report could not be written to the --out path."""
+
+
 def _emit(args, report: dict):
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(_text_lines(report)) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ReportNotWritten(f"{args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -267,10 +274,12 @@ def cmd_functor(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    alg = load_algebra(args.algebra)
     names = None
-    if args.laws:
+    if args.laws is not None:
         names = [n.strip() for n in args.laws.split(",") if n.strip()]
+        if not names:
+            raise UnknownLaw(f"--laws {args.laws!r} names no law")
+    alg = load_algebra(args.algebra)
     started = time.time()
     ctx = build_context(alg, args.seed, args.count, args.max_dim)
     results = run_laws(ctx, names)
@@ -506,10 +515,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownLaw as exc:
+    except (ParseError, UnknownLaw, ReportNotWritten) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotFiniteDimensional as exc:

@@ -10,7 +10,9 @@ the sampler tries, in order:
    solution set);
 2. bounded rejection: resample everything and recheck the relations;
 3. projective quotient: quotient a small random sum of indecomposable
-   projectives by the submodule generated by random elements.  This
+   projectives by the submodule generated by random elements, spanned by
+   path labels: g at v generates the image of P(v) -> M (Yoneda), which
+   at w is spanned by the path classes of P(v) at w applied to g.  This
    always succeeds but no longer controls the dimension vector.
 
 Every module records which strategy produced it, and catalogs aggregate
@@ -26,18 +28,18 @@ from ..algebra import (
     BoundQuiverAlgebra,
     ModuleMap,
     Representation,
-    SubRep,
+    _projective_with_labels,
     _relation_value,
-    arrow_ends,
     arrow_shape,
     compose_path,
     direct_sum,
     in_application_order,
     indec_projective,
+    quotient_rep,
 )
-from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix
+from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix, vstack
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
-from ..homology import add_kron, cokernel_map, hom_basis, hstack_maps, pushout
+from ..homology import add_kron, hom_basis, hstack_maps, pushout
 
 MAX_REJECTION_TRIES = 60
 
@@ -162,51 +164,11 @@ def _try_linear_solve(alg, side, dims, rng, target: str):
     for i in range(free.rows):
         c = field.random_scalar(rng)
         vec = field.normalize(vec + c * free.data[i])
-    if x_rows * x_cols:
-        maps[target] = Matrix(
-            field, vec.reshape(x_rows, x_cols).copy(), _trusted=True
-        )
-    else:
-        maps[target] = Matrix.zeros(field, x_rows, x_cols)
+    maps[target] = Matrix(field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
     try:
         return Representation(alg, side, dims, maps)
     except AlgebraError:
         return None
-
-
-def _invariant_span(parent: Representation, vectors) -> Dict[str, Subspace]:
-    """Arrow-closure of vertexwise generating vectors inside parent."""
-    field = parent.algebra.field
-    spans = {
-        v: Subspace(
-            field,
-            parent.dims[v],
-            Matrix(
-                field,
-                np.array(vectors.get(v, []), dtype=field.dtype).reshape(
-                    -1, parent.dims[v]
-                ),
-                _trusted=True,
-            )
-            if vectors.get(v)
-            else None,
-        )
-        for v in parent.vertices
-    }
-    changed = True
-    while changed:
-        changed = False
-        for a in parent.algebra.quiver.arrows:
-            src, tgt = arrow_ends(a, parent.side)
-            basis = spans[src].basis
-            if basis.rows == 0:
-                continue
-            pushed = (parent.arrow_maps[a.name] @ basis.transpose()).transpose()
-            enlarged = spans[tgt] + Subspace(field, parent.dims[tgt], pushed)
-            if enlarged.dim != spans[tgt].dim:
-                spans[tgt] = enlarged
-                changed = True
-    return spans
 
 
 def _projective_quotient(alg, side, max_dim, rng) -> Representation:
@@ -217,20 +179,19 @@ def _projective_quotient(alg, side, max_dim, rng) -> Representation:
     ]
     parent = direct_sum(summands).module
     field = alg.field
-    generators: Dict[str, List] = {v: [] for v in parent.vertices}
+    rows: Dict[str, List[Matrix]] = {w: [] for w in parent.vertices}
     for _ in range(rng.randrange(0, 3)):
         v = rng.choice(vertices)
         if parent.dims[v] == 0:
             continue
-        generators[v].append(
-            [field.random_scalar(rng) for _ in range(parent.dims[v])]
-        )
-    spans = _invariant_span(parent, generators)
-    sub = SubRep(parent, spans)
-    if sub.dim == 0:
-        return parent
-    quotient, _ = cokernel_map(sub.inclusion)
-    return quotient
+        g = Matrix.from_rows(field, [[field.random_scalar(rng)] for _ in range(parent.dims[v])])
+        for w, paths in _projective_with_labels(alg, v, side)[1].items():
+            rows[w].extend((parent.path_map(p) @ g).transpose() for p in paths)
+    spans = {
+        w: Subspace(field, parent.dims[w], vstack(field, rows[w], cols=parent.dims[w]))
+        for w in parent.vertices
+    }
+    return quotient_rep(parent, spans)[0]
 
 
 def random_module(

@@ -23,7 +23,9 @@ pre=) when covariant and by postcomposition (post=) when contravariant
 stable.py writes the extension and lifting checks and the certificates
 through it too; it is imported here, and COVARIANT and CONTRAVARIANT
 still resolve as attributes of this module.  Every operation below is
-written once through these two.
+written once through these two.  A value F(b) is homology's
+_presented_value, the one value body, which stable's extension and lifting
+checks read too.
 Outside them only the validation, the defect (whose two forms differ
 mathematically), fp_rho's covariant-only guard and the one-line picks of
 stacking and of pushout or pullback look at the variance.
@@ -51,9 +53,9 @@ from .homology import (
     HomSpace,
     _acting,
     _ordered,
+    _presented_value,
     cokernel_map,
     factor_through,
-    hom_basis,
     hstack_maps,
     image_map,
     injective_envelope,
@@ -125,12 +127,9 @@ class FpValue:
 def fp_eval(func: FpFunctor, b: Representation) -> FpValue:
     if b.algebra is not func.algebra or b.side != func.side:
         raise AlgebraError("argument does not match the functor's algebra/side")
-    var = func.variance
-    hom_x = hom_basis(*_ordered(var, func.entry, b))
-    hom_y = hom_basis(*_ordered(var, func.relations, b))
-    t = push_coords(hom_y, hom_x, **_acting(var, func.presentation))
-    image = Subspace(b.algebra.field, hom_x.dim, t)
-    return FpValue(func, b, hom_x, image, image.quotient())
+    hom, t = _presented_value(func.variance, func.presentation, b)
+    image = Subspace(b.algebra.field, hom.dim, t)
+    return FpValue(func, b, hom, image, image.quotient())
 
 
 def fp_defect(func: FpFunctor) -> Representation:

@@ -15,8 +15,12 @@ Beside it sits the variance rule that fpfun and stable write
 their covariant/contravariant mirrors through once: a functor reads a
 pair (x, y) as is when covariant and as (y, x) when contravariant
 (_ordered), and a map acts on its values by push_coords's pre= when
-covariant and post= when contravariant (_acting).  Kernels, images and
-cokernels are taken vertexwise.  A minimal projective cover takes its
+covariant and post= when contravariant (_acting).  Through both,
+_presented_value is the one body of a presented functor's value at b,
+Hom(entry, b) with the presentation acting on it, read by fpfun's fp_eval
+and by stable's extension and lifting checks; it builds no Hom(relations,
+b) when Hom(entry, b) = 0.  Kernels, images and cokernels are taken
+vertexwise.  A minimal projective cover takes its
 generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis; an injective envelope is the dual
 of the cover of the dual module.  Both record their middle term's
@@ -558,6 +562,17 @@ def push_coords(
     stacks = {v: m.vertex_maps[v].data[None] for v in dom.vertices}
     flats = _composites(source, stacks, post is not None)
     return target.coords_of_flats(Matrix(source.stack.field, flats, _trusted=True))
+
+
+def _presented_value(variance: str, f: ModuleMap, b: Representation) -> Tuple[HomSpace, Matrix]:
+    """The value at b of the functor f presents: Hom(entry, b) and f acting
+    on it, 0 x 0 and with no Hom(relations, b) built when Hom(entry, b) = 0."""
+    entry, relations = _ordered(variance, f.domain, f.codomain)
+    hom = hom_basis(*_ordered(variance, entry, b))
+    if hom.dim == 0:
+        return hom, Matrix.zeros(b.algebra.field, 0, 0)
+    relations_hom = hom_basis(*_ordered(variance, relations, b))
+    return hom, push_coords(relations_hom, hom, **_acting(variance, f))
 
 
 def factor_through(

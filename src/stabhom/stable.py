@@ -15,7 +15,9 @@ approximation I -> a from injectives, defect the cotorsion) mirror each
 other.  stable_hom computes either factoring subspace, extends_to_projectives
 and lifts_from_injectives are one check, and fp_certificate builds one
 four-term sequence, all through homology's variance rule (_ordered,
-_acting), the one fpfun reads.  The two approximations and the two halves
+_acting), the one fpfun reads.  The check reads the functor's value at each
+indecomposable through homology's _presented_value, the value body of
+fpfun's fp_eval.  The two approximations and the two halves
 of hereditary_split stay separate: a shared body would need a variance
 branch of its own (to stack the basis blocks below or beside each other;
 to pick a section or a retraction, hstack or vstack) and saves a few
@@ -62,10 +64,10 @@ from .homology import (
     HomSpace,
     ShortExactSequence,
     TensorSpace,
-    _acting,
     _composites,
     _is_exact,
     _ordered,
+    _presented_value,
     cokernel_map,
     eval_double_dual,
     ext1,
@@ -78,7 +80,6 @@ from .homology import (
     is_projective,
     kernel_map,
     projective_cover,
-    push_coords,
     tensor,
     tensor_maps,
     vstack_maps,
@@ -193,15 +194,11 @@ def _kills_indecomposables(variance: str, gamma: ModuleMap) -> bool:
     """Whether the functor gamma presents vanishes at every indecomposable
     projective (covariant) or injective (contravariant): gamma acting on
     the entry's Hom space there reaches all of it (checked by rank)."""
-    entry, relations = _ordered(variance, gamma.domain, gamma.codomain)
+    entry = _ordered(variance, gamma.domain, gamma.codomain)[0]
     for v in entry.vertices:
         probe = _indecomposable(variance, entry.algebra, v, entry.side)
-        hom_x = hom_basis(*_ordered(variance, entry, probe))
-        if hom_x.dim == 0:
-            continue
-        hom_y = hom_basis(*_ordered(variance, relations, probe))
-        t = push_coords(hom_y, hom_x, **_acting(variance, gamma))
-        if rank(t) < hom_x.dim:
+        hom, t = _presented_value(variance, gamma, probe)
+        if rank(t) < hom.dim:
             return False
     return True
 

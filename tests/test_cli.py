@@ -363,6 +363,40 @@ def test_out_flag_writes_file(tmp_path, a2_file, capsys):
     assert json.loads(target.read_text())["dimension"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["verify", "--laws", "projective-representable", "--count", "1"]],
+    ids=["info", "verify"],
+)
+def test_an_unwritable_out_path_exits_2(tmp_path, a2_file, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code = main([argv[0], a2_file, *argv[1:], "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {target}: " in err and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_an_unwritable_out_path_prints_no_traceback(tmp_path, a2_file):
+    import os
+    import subprocess
+    import sys
+
+    import stabhom
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabhom.__file__)))
+    target = tmp_path / "missing" / "report.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabhom.cli.main", "info", a2_file, "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -465,6 +499,14 @@ def test_verify_law_filter(a2_file, capsys):
 def test_verify_unknown_law_exits_2(a2_file, capsys):
     code, _ = _run(capsys, ["verify", a2_file, "--laws", "no-such-law"])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_verify_laws_naming_no_law_exits_2(a2_file, capsys, value):
+    code = main(["verify", a2_file, "--laws", value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "names no law" in err
 
 
 def test_verify_reports_failures_with_exit_1(loop2_file, capsys, monkeypatch):

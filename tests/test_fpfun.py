@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from algebras import BUILDERS
+from algebras import BUILDERS, a2_algebra
+from stabhom import homology
 from stabhom.algebra import (
     AlgebraError,
     LEFT,
@@ -74,6 +75,27 @@ def test_eval_rejects_wrong_side(a2):
     func = fp_representable(simple(a2, "1"), COVARIANT)
     with pytest.raises(AlgebraError):
         fp_eval(func, simple(a2, "1", RIGHT))
+
+
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+def test_a_zero_entry_hom_space_builds_no_hom_space_of_the_relations(variance, monkeypatch):
+    # a fresh A2 (1 -> 2), so no Hom space is memoized yet
+    alg = a2_algebra()
+    s1, s2, p1 = simple(alg, "1"), simple(alg, "2"), indec_projective(alg, "1")
+    # at b = S1, Hom(entry, b) = 0 while Hom(relations, b) = k: covariant
+    # Hom(S2, S1) and Hom(P1, S1), contravariant Hom(S1, S2) and Hom(S1, S1)
+    relations = p1 if variance == COVARIANT else s1
+    pair = (s2, relations) if variance == COVARIANT else (relations, s2)
+    func = FpFunctor(variance, ModuleMap.zero(*pair))
+    ordered = (lambda x: (x, s1)) if variance == COVARIANT else (lambda x: (s1, x))
+    built = []
+    real = homology._build_hom
+    monkeypatch.setattr(homology, "_build_hom", lambda a, b: built.append((a, b)) or real(a, b))
+    value = fp_eval(func, s1)
+    assert value.dim == 0 and value.relations_image.ambient_dim == 0
+    assert built == [ordered(s2)]
+    monkeypatch.undo()
+    assert hom_basis(*ordered(s2)).dim == 0 and hom_basis(*ordered(relations)).dim == 1
 
 
 def test_unknown_variance_rejected(a2):

@@ -1,4 +1,5 @@
-"""randmod's relation solve against the code it replaced, kept here as a reference.
+"""randmod's relation solve and projective quotient against the code they
+replaced, kept here as references.
 
 _linear_system used to build each relation block as the sum over terms of
 c * np.kron(L, R^T), with an identity matrix standing in for a missing L
@@ -6,6 +7,12 @@ or R.  It now writes every term through homology.add_kron.  The system and
 its right-hand side must be the same entry for entry, over every backend
 of the fields below, with the target arrow first, last and in the middle
 of a term, and in two terms of one relation.
+
+_projective_quotient used to close its generators under the arrows by a
+fixpoint (_invariant_span) and take the cokernel of the SubRep's
+inclusion.  It now spans the submodule by the path labels of P(v) applied
+to each generator.  The quotient module and the next draw of the random
+generator must be the same, on every fixture algebra and both sides.
 """
 
 import random
@@ -21,12 +28,18 @@ from stabhom.algebra import (
     BoundQuiverAlgebra,
     Quiver,
     Relation,
+    SubRep,
+    arrow_ends,
     arrow_shape,
     compose_path,
+    direct_sum,
     in_application_order,
+    indec_projective,
 )
-from stabhom.cli.randmod import _linear_system, _random_arrows
-from stabhom.exactla import Field, Matrix
+from stabhom.cli.randmod import _linear_system, _projective_quotient, _random_arrows
+from stabhom.cli.serialize import module_to_dict
+from stabhom.exactla import Field, Matrix, Subspace
+from stabhom.homology import cokernel_map
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(2147483647)]
 
@@ -163,3 +176,80 @@ def test_linear_system_equals_the_kronecker_reference(field, side):
                     assert got[0] == want[0]
                     assert got[1] == want[1]
     assert solved >= 10
+
+
+def _invariant_span(parent, vectors):
+    """Arrow-closure of vertexwise generating vectors inside parent."""
+    field = parent.algebra.field
+    spans = {
+        v: Subspace(
+            field,
+            parent.dims[v],
+            Matrix(
+                field,
+                np.array(vectors.get(v, []), dtype=field.dtype).reshape(
+                    -1, parent.dims[v]
+                ),
+                _trusted=True,
+            )
+            if vectors.get(v)
+            else None,
+        )
+        for v in parent.vertices
+    }
+    changed = True
+    while changed:
+        changed = False
+        for a in parent.algebra.quiver.arrows:
+            src, tgt = arrow_ends(a, parent.side)
+            basis = spans[src].basis
+            if basis.rows == 0:
+                continue
+            pushed = (parent.arrow_maps[a.name] @ basis.transpose()).transpose()
+            enlarged = spans[tgt] + Subspace(field, parent.dims[tgt], pushed)
+            if enlarged.dim != spans[tgt].dim:
+                spans[tgt] = enlarged
+                changed = True
+    return spans
+
+
+def _projective_quotient_by_closure(alg, side, max_dim, rng):
+    """The quotient as randmod built it before, and the submodule's dimension."""
+    vertices = list(alg.quiver.vertices)
+    summands = [
+        indec_projective(alg, rng.choice(vertices), side)
+        for _ in range(rng.randrange(1, 3))
+    ]
+    parent = direct_sum(summands).module
+    field = alg.field
+    generators = {v: [] for v in parent.vertices}
+    for _ in range(rng.randrange(0, 3)):
+        v = rng.choice(vertices)
+        if parent.dims[v] == 0:
+            continue
+        generators[v].append(
+            [field.random_scalar(rng) for _ in range(parent.dims[v])]
+        )
+    spans = _invariant_span(parent, generators)
+    sub = SubRep(parent, spans)
+    if sub.dim == 0:
+        return parent, 0
+    quotient, _ = cokernel_map(sub.inclusion)
+    return quotient, sub.dim
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_projective_quotient_equals_the_arrow_closure_reference(name, side):
+    alg = BUILDERS[name]()
+    proper = 0
+    for seed in range(80):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = _projective_quotient(alg, side, 3, got_rng)
+        want, sub_dim = _projective_quotient_by_closure(alg, side, 3, want_rng)
+        assert module_to_dict(got) == module_to_dict(want)
+        assert got.key == want.key
+        assert got_rng.random() == want_rng.random()
+        proper += sub_dim > 0
+    # a third of the draws or more quotient by a nonzero submodule
+    assert proper >= 80 // 3
