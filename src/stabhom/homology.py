@@ -18,9 +18,9 @@ pair (x, y) as is when covariant and as (y, x) when contravariant
 covariant and post= when contravariant (_acting).  Through both,
 _presented_value is the one body of a presented functor's value at b,
 Hom(entry, b) with the presentation acting on it, read by fpfun's fp_eval
-and by stable's extension and lifting checks; it builds no Hom(relations,
-b) when Hom(entry, b) = 0.  Kernels, images and cokernels are taken
-vertexwise.  A minimal projective cover takes its
+and by stable's extension and lifting checks; it builds no
+Hom(relations, b) when Hom(entry, b) = 0.  Kernels, images and cokernels
+are taken vertexwise.  A minimal projective cover takes its
 generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis; an injective envelope is the dual
 of the cover of the dual module.  Both record their middle term's

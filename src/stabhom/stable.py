@@ -194,10 +194,9 @@ def _kills_indecomposables(variance: str, gamma: ModuleMap) -> bool:
     """Whether the functor gamma presents vanishes at every indecomposable
     projective (covariant) or injective (contravariant): gamma acting on
     the entry's Hom space there reaches all of it (checked by rank)."""
-    entry = _ordered(variance, gamma.domain, gamma.codomain)[0]
-    for v in entry.vertices:
-        probe = _indecomposable(variance, entry.algebra, v, entry.side)
-        hom, t = _presented_value(variance, gamma, probe)
+    alg, side = gamma.domain.algebra, gamma.domain.side
+    for v in alg.quiver.vertices:
+        hom, t = _presented_value(variance, gamma, _indecomposable(variance, alg, v, side))
         if rank(t) < hom.dim:
             return False
     return True
