@@ -421,13 +421,18 @@ class Representation:
     @property
     def key(self) -> tuple:
         """The module's value within its algebra: side, dimension vector
-        and the exact arrow matrices (raw bytes for int64 entries, the
-        entries themselves for object ones), by arrow name."""
+        and the exact arrow matrices, by arrow name, each one bytes string
+        (raw bytes for int64 entries, the ASCII of the entries joined by
+        commas for object ones, whose canonical form is their text), which
+        caches its hash as a tuple of Fractions would not."""
         if self._key is None:
             parts = []
             for name in sorted(self.arrow_maps):
                 data = self.arrow_maps[name].data
-                parts.append(data.tobytes() if data.dtype != object else tuple(data.flat))
+                if data.dtype == object:
+                    parts.append(",".join(map(str, data.flat)).encode())
+                else:
+                    parts.append(data.tobytes())
             self._key = (self.side, self.dim_vector(), tuple(parts))
         return self._key
 
@@ -889,7 +894,17 @@ def _build_projective_with_labels(algebra: BoundQuiverAlgebra, v: str, side: str
     for a in q.arrows:
         x, y = arrow_ends(a, side)
         maps[a.name] = extension_matrix(algebra, a, side, labels[x], labels[y])
-    return Representation(algebra, side, dims, maps), labels
+    rep = Representation(algebra, side, dims, maps)
+    _indec_vertices(algebra, "proj", side)[rep.key] = v
+    return rep, labels
+
+
+def _indec_vertices(algebra: BoundQuiverAlgebra, kind: str, side: str) -> Dict[tuple, str]:
+    """Key -> vertex v of each indecomposable projective P(v) (kind "proj")
+    or injective I(v) ("inj") on this side built so far.  A module with
+    simple top or socle S(v) is P(v) or I(v) only for that v, so no two
+    vertices share a key."""
+    return algebra._cached(("indec_vertices", kind, side), dict)
 
 
 def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
@@ -897,9 +912,13 @@ def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> R
 
 
 def indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
-    return algebra._cached(
-        ("inj", v, side), lambda: dual_module(indec_projective(algebra, v, other_side(side)))
-    )
+    return algebra._cached(("inj", v, side), _build_indec_injective, algebra, v, side)
+
+
+def _build_indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str) -> Representation:
+    rep = dual_module(indec_projective(algebra, v, other_side(side)))
+    _indec_vertices(algebra, "inj", side)[rep.key] = v
+    return rep
 
 
 def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:

@@ -29,6 +29,8 @@ Conventions:
   * A kernel basis (null_rows) is the identity on the free columns of the
     eliminated matrix.  So both kinds of basis are the identity on known
     columns, where coordinates are read off and then checked by a product.
+    That kernel basis is unique, and _kernel_form writes it from any other
+    basis of the kernel, with no matrix to eliminate.
 """
 from __future__ import annotations
 
@@ -512,6 +514,8 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
     columns, and the free columns; row k is the identity on free column k."""
     field = r.field
+    if len(pivots) == r.cols:
+        return Matrix.zeros(field, 0, r.cols), ()
     is_free = [True] * r.cols
     for c in pivots:
         is_free[c] = False
@@ -529,6 +533,18 @@ def kernel_basis(m: Matrix, with_free: bool = False):
     r, _, pivots = rref(m)
     out = null_rows(r, pivots)
     return out if with_free else out[0]
+
+
+def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
+    """kernel_basis(m, with_free=True) for any m whose kernel the independent
+    rows span.  That basis is the only one of the kernel that is the identity
+    on the free columns, and a column is free when some kernel vector ends
+    there, so it is the rref of span with its columns reversed, read with
+    rows and columns reversed back."""
+    n = span.cols
+    r, _, pivots = rref(Matrix(span.field, span.data[:, ::-1], _trusted=True))
+    basis = Matrix(span.field, r.data[::-1, ::-1].copy(), _trusted=True)
+    return basis, tuple(n - 1 - c for c in reversed(pivots))
 
 
 def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:

@@ -5,7 +5,16 @@ one block of rows per arrow x -> y.  Each block is written by one
 Kronecker writer (add_kron) into 4-D views of its columns (I (x) A^T at
 phi_y, -B (x) I at phi_x, adding up on a loop), which writes an identity
 factor by index instead of multiplying by it; the tensor product's
-balancing relations and tensor_map are written alike.
+balancing relations and tensor_map are written alike.  No system is written
+for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
+probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
+e_v to a unit vector of b_v and each path label of P(v) to its action on
+it (_label_actions, as for a projective cover's generators), and
+Hom(a, I(v)) = Hom(P'(v), D a) with P' on the other side, transposed.  The
+kernel basis of the system is the only basis of that space that is the
+identity at its free columns, so the stack is the rref of these rows with
+their columns reversed, reversed back (exactla._kernel_form): bit for bit
+kernel_basis's.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
 basis; its composition body (_composites) takes a stack of k maps per
@@ -61,6 +70,7 @@ from .exactla import (
     Matrix,
     Subspace,
     _dot,
+    _kernel_form,
     coordinates,
     hstack,
     kernel_basis,
@@ -74,6 +84,7 @@ from .algebra import (
     ModuleMap,
     Representation,
     SubRep,
+    _indec_vertices,
     _projective_with_labels,
     arrow_ends,
     direct_sum,
@@ -173,6 +184,20 @@ def _stack_entries(hom: HomSpace) -> int:
 
 
 def _build_hom(a: Representation, b: Representation) -> HomSpace:
+    """The kernel of the intertwiner system, or for Hom(P(v), b) and
+    Hom(a, I(v)) with P(v) or I(v) already built, its Yoneda basis put in
+    the same canonical form (the rref of the reversed rows, reversed back),
+    so both routes give kernel_basis's stack and free columns bit for bit."""
+    v = _indec_vertices(a.algebra, "proj", a.side).get(a.key)
+    if v is not None:
+        labels = _projective_with_labels(a.algebra, v, a.side)[1]
+        return HomSpace(a, b, *_kernel_form(_yoneda_rows(b, v, labels, dual=False)))
+    v = _indec_vertices(a.algebra, "inj", a.side).get(b.key)
+    if v is not None:
+        # I(v) = D P'(v) with P' on the other side: a map a -> I(v) is the
+        # dual of one P'(v) -> D a, whose labels act on D a as on a, transposed
+        labels = _projective_with_labels(a.algebra, v, other_side(a.side))[1]
+        return HomSpace(a, b, *_kernel_form(_yoneda_rows(a, v, labels, dual=True)))
     offs, total = _block_offsets(a.vertices, b.dims, a.dims)
     terms = []
     for ar in a.algebra.quiver.arrows:
@@ -181,6 +206,30 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
         terms.append((x, -b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
     system = _kron_rows(a.algebra.field, offs, total, terms)
     return HomSpace(a, b, *kernel_basis(system, with_free=True))
+
+
+def _yoneda_rows(m: Representation, v: str, labels: Dict[str, List], dual: bool) -> Matrix:
+    """Row i is the flattened map P(v) -> m sending the generator e_v to unit
+    vector i of m_v, each path label to its action on it (labels: P(v)'s, on
+    m's side); dual, the map m -> D P'(v) dual to P'(v) -> D m sending e_v
+    to unit vector i (labels: P'(v)'s, on the other side)."""
+    d = m.dims[v]
+    parts = []
+    for w in m.vertices:
+        shape = (d, m.dims[w]) if dual else (m.dims[w], d)
+        acts = _label_actions(m, labels[w], shape)
+        block = acts.transpose(1, 0, 2) if dual else acts.transpose(2, 1, 0)
+        parts.append(block.reshape(d, block.shape[1] * block.shape[2]))
+    return Matrix(m.algebra.field, np.concatenate(parts, axis=1), _trusted=True)
+
+
+def _label_actions(m: Representation, paths: List, shape: Tuple[int, int]) -> np.ndarray:
+    """The actions on m of paths, path labels of one projective at one
+    vertex, each of this shape, stacked along a first axis."""
+    acts = np.empty((len(paths),) + shape, dtype=m.algebra.field.dtype)
+    for j, path in enumerate(paths):
+        acts[j] = m.path_map(path).data
+    return acts
 
 
 def _block_offsets(
@@ -365,10 +414,8 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
         rep, labels = _projective_with_labels(alg, v, m.side)
         summands.extend([rep] * g)
         for w in m.vertices:
-            images = np.empty((m.dims[w], g, len(labels[w])), dtype=field.dtype)
-            for j, path in enumerate(labels[w]):
-                images[:, :, j] = m.path_map(path).data[:, gens[v]]
-            flat = images.reshape(m.dims[w], g * len(labels[w]))
+            acts = _label_actions(m, labels[w], (m.dims[w], m.dims[v]))[:, :, gens[v]]
+            flat = acts.transpose(1, 2, 0).reshape(m.dims[w], g * len(labels[w]))
             blocks[w].append(Matrix(field, flat, _trusted=True))
     if summands:
         p = direct_sum(summands).module

@@ -181,6 +181,27 @@ def test_representation_accepts_numpy_integer_dims(a2):
 # -- opposite algebra and duality -------------------------------------------
 
 
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(4294967311)], ids=repr)
+def test_object_module_keys_are_bytes_equal_for_equal_modules(field):
+    # object entries are keyed by their text, one bytes string per arrow
+    alg = BUILDERS["kronecker"](field)
+
+    def module(a, b):
+        return Representation(alg, LEFT, {"1": 2, "2": 1}, {"a": a, "b": b})
+
+    from_rows = module(Matrix.from_rows(field, [[2, -1]]), Matrix.from_rows(field, [[0, 3]]))
+    from_array = module(
+        Matrix(field, np.array([[2.0, -1.0]])), Matrix(field, np.array([[0, 3]], dtype=np.int64))
+    )
+    twice_dual = dual_module(dual_module(from_rows))
+    assert from_rows.key == from_array.key == twice_dual.key
+    assert hash(from_rows.key) == hash(from_array.key)
+    assert all(type(part) is bytes for part in from_rows.key[2])
+    changed = module(Matrix.from_rows(field, [[2, -1]]), Matrix.from_rows(field, [[0, 4]]))
+    assert changed.key != from_rows.key
+    assert changed != from_rows
+
+
 def test_opposite_reverses_arrows(a2):
     op = a2.opposite()
     (arrow,) = op.quiver.arrows

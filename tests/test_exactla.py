@@ -14,6 +14,7 @@ from stabhom.exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
+    _kernel_form,
     coordinates,
     kernel_basis,
     null_rows,
@@ -224,6 +225,21 @@ def test_coordinates_read_off_either_echelon_form(m, seed):
             e = Matrix.zeros(m.field, 1, m.cols).data.copy()
             e[0, outside[0]] = m.field.one()
             assert coordinates(basis, cols, Matrix(m.field, e)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_strategy(max_dim=5))
+def test_kernel_form_of_any_kernel_basis_is_kernel_basis_bit_for_bit(m):
+    want = kernel_basis(m, with_free=True)
+    ker = want[0]
+    # another basis of the kernel: add every row to the first
+    mix = Matrix.identity(m.field, ker.rows).data.copy()
+    mix[:1, :] = m.field.one()
+    other = Matrix(m.field, mix, _trusted=True) @ ker
+    for span in (ker, other):
+        got = _kernel_form(span)
+        assert got == want
+        assert got[0].data.dtype == want[0].data.dtype
 
 
 @settings(max_examples=60, deadline=None)
@@ -482,6 +498,25 @@ def test_large_prime_rank_and_rref_match_python_ints(p):
     assert [[int(x) for x in row] for row in got[0].data] == [
         [int(x) for x in row] for row in want[0].data
     ]
+
+
+@pytest.mark.parametrize(
+    "field,dtype",
+    [
+        (Field.prime(2), np.int64),
+        (Field.prime(5), np.int64),
+        (Field.prime(P31), np.int64),
+        (Field.prime(P32), object),
+        (Field.rational(), object),
+    ],
+    ids=["F2", "F5", "F_P31", "F_P32", "Q"],
+)
+def test_kernel_of_an_invertible_matrix_is_empty_in_the_fields_dtype(field, dtype):
+    m = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    ker, free = kernel_basis(m, with_free=True)
+    assert ker.shape == (0, 3)
+    assert free == ()
+    assert ker.data.dtype == dtype
 
 
 def test_each_prime_gets_the_backend_its_products_fit():

@@ -6,6 +6,10 @@ ModuleMap for each basis element, compose it and flatten it again.  The
 indexed writes must give the same systems entry for entry, and the
 per-vertex products the same coordinates, over every backend: int64 (F2,
 F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).
+
+Hom(P(v), m) and Hom(m, I(v)) build no system at all: they are read off the
+path labels of P(v) (Yoneda).  Their stacks and free columns must still be
+the kernel of the Kronecker reference system, bit for bit.
 """
 
 import random
@@ -31,7 +35,15 @@ from stabhom.algebra import (
     zero_module,
 )
 from stabhom.cli.randmod import random_hom_element, random_module
-from stabhom.exactla import Field, Matrix, QuotientSpace, Subspace, kernel_basis, vstack
+from stabhom.exactla import (
+    Field,
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    _kernel_form,
+    kernel_basis,
+    vstack,
+)
 from stabhom.homology import HomSpace, TensorSpace, hom_basis, push_coords, tensor_map
 
 FIELDS = [
@@ -153,12 +165,31 @@ def _push_by_maps(source, target, transform):
 # -- assembly ---------------------------------------------------------------------------
 
 
+def _yoneda_shape(a, b):
+    """Whether a is an indecomposable projective or b an indecomposable
+    injective, building every one of them on their side first: the Yoneda
+    route knows those built so far."""
+    alg, side = a.algebra, a.side
+    return any(
+        a == indec_projective(alg, v, side) or b == indec_injective(alg, v, side)
+        for v in alg.quiver.vertices
+    )
+
+
 def _assert_hom_matches(a, b):
+    yoneda_shape = _yoneda_shape(a, b)
     # the build itself: hom_basis may answer from its memo without a system
-    with mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as spy:
+    with mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as spy, \
+            mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda:
         hom = homology._build_hom(a, b)
     want = _hom_system_by_kron(a, b)
-    assert spy.call_args.args[0] == want
+    if yoneda_shape:
+        # read off the path labels of P(v): no system is built or eliminated
+        assert not spy.called
+        assert yoneda.call_count == 1
+    else:
+        assert spy.call_args.args[0] == want
+        assert not yoneda.called
     ref = HomSpace(a, b, *kernel_basis(want, with_free=True))
     assert hom.stack == ref.stack
     assert hom.free == ref.free
@@ -186,6 +217,23 @@ def test_hom_system_equals_the_kronecker_reference_on_canonical_modules(name, si
     for a in mods:
         for b in mods:
             _assert_hom_matches(a, b)
+
+
+@pytest.mark.parametrize("k", range(len(FIELDS)), ids=[repr(f) for f in FIELDS])
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_hom_from_a_projective_or_into_an_injective_is_read_off_path_labels(name, side, k):
+    alg = _algebra(name, k)
+    mods = [zero_module(alg, side)] + _modules(alg, side, random.Random(k), 6)
+    for v in alg.quiver.vertices:
+        mods += [simple(alg, v, side), indec_projective(alg, v, side), indec_injective(alg, v, side)]
+    for v in alg.quiver.vertices:
+        p, i = indec_projective(alg, v, side), indec_injective(alg, v, side)
+        for m in mods:
+            for a, b in ((p, m), (m, i)):
+                assert _yoneda_shape(a, b)
+                _assert_hom_matches(a, b)
+                assert hom_basis(a, b).dim == m.dims[v]
 
 
 def _identity_quotient(ts):
