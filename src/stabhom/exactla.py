@@ -12,13 +12,20 @@ kept in one of two backends, chosen by the field (Field.dtype):
     arrays.  Products (_dot) and elimination (rref) run on integer
     numerators, Python ints, and return canonical Fractions, so no
     multiply-add is Fraction arithmetic.
+Over F_p, a matrix of at most SMALL_ENTRIES entries is eliminated, and a
+kernel basis of at most that many written, on Python lists of ints and
+returned in the field's dtype: at that size a numpy call costs more than
+the arithmetic it does.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
 Elimination (rref) touches only what a pivot changes: the pivot row from
 the pivot column on, and the rows with a nonzero entry in the pivot
-column, from the pivot column on.  Over Q it is fraction-free on integer
-rows, which a pivot changes from the first pivot column on.
+column, from the pivot column on.  Over F_p it runs on lists
+(_rref_rows) or on the numpy array (_rref_numpy) by size; over Q it is
+fraction-free on integer rows (_rref_rational), which a pivot changes
+from the first pivot column on.  The rref is unique, so the core chosen
+changes no output.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -416,24 +423,73 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
 # -- gaussian elimination ----------------------------------------------
 
 
+# Elimination and kernel rows with at most this many entries run on Python
+# lists of ints: below it a numpy call costs more than the arithmetic it
+# does (the crossover is measured in BENCH_19.json's layer rows).
+SMALL_ENTRIES = 64
+
+
 def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
     """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
 
-    A pivot changes only the rows with a nonzero entry in its column (the
-    hit rows), and only from its column on: the pivot row is zero left of
-    it.  Gathering and scattering the hit rows costs a few numpy calls.  In
-    int64, where an entry costs nanoseconds, that is worth it only when
-    fewer than half of the rows are hit, and otherwise the whole slice from
-    the pivot column on is updated; in object arrays it always is, unless
-    every row is hit.  Over Q the elimination runs on integer rows and
-    returns canonical Fractions (see _rref_rational)."""
+    Over F_p a matrix of at most SMALL_ENTRIES entries is eliminated on
+    Python lists (_rref_rows) and a larger one on its numpy array
+    (_rref_numpy); over Q on integer rows, returning canonical Fractions
+    (_rref_rational).  The rref is unique, so every core returns the same
+    matrix, pivots and dtype."""
     if not m.rows:
         return m, 0, ()
     field = m.field
     if field.kind == RATIONAL:
         a, pivots = _rref_rational(m.data)
-        return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
-    a = m.data.copy()
+    elif m.data.size <= SMALL_ENTRIES:
+        a, pivots = _rref_rows(m.data, field.p)
+    else:
+        a, pivots = _rref_numpy(field, m.data)
+    return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
+
+
+def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """rref over F_p on Python lists of ints, for small matrices.  The pivot
+    row is scaled by the inverse of its pivot, and each other row with an
+    entry y in the pivot column takes y times it away, from that column
+    on: the pivot row is zero left of it.  Returns an array of data's
+    dtype, so object arrays hold Python ints."""
+    nr, nc = data.shape
+    a = data.tolist()
+    pivots: List[int] = []
+    row = 0
+    for col in range(nc):
+        if row == nr:
+            break
+        piv = next((i for i in range(row, nr) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        prow = a[row]
+        x = prow[col]
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            prow[col:] = [u * inv % p for u in prow[col:]]
+        tail = prow[col:]
+        for i, r in enumerate(a):
+            y = r[col]
+            if y and i != row:
+                r[col:] = [(u - y * v) % p for u, v in zip(r[col:], tail)]
+        pivots.append(col)
+        row += 1
+    return np.array(a, dtype=data.dtype), pivots
+
+
+def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """rref over F_p on a numpy array.  A pivot changes only the rows with a
+    nonzero entry in its column (the hit rows), and only from its column
+    on: the pivot row is zero left of it.  Gathering and scattering the hit
+    rows costs a few numpy calls.  In int64, where an entry costs
+    nanoseconds, that is worth it only when fewer than half of the rows are
+    hit, and otherwise the whole slice from the pivot column on is updated;
+    in object arrays it always is, unless every row is hit."""
+    a = data.copy()
     nr, nc = a.shape
     # the number of hit rows from which the whole slice is updated
     dense = nr if a.dtype == object else (nr + 1) // 2
@@ -461,7 +517,7 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
         a[row, col:] = prow
         pivots.append(col)
         row += 1
-    return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
+    return a, pivots
 
 
 def _rref_rational(data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -512,7 +568,12 @@ def rank(m: Matrix) -> int:
 
 def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]]:
     """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
-    columns, and the free columns; row k is the identity on free column k."""
+    columns, and the free columns; row k is the identity on free column k
+    and minus r's column there at the pivot columns.  Over F_p a basis of
+    at most SMALL_ENTRIES entries is written on Python lists
+    (_null_rows_lists), any other with numpy (_null_rows_numpy).  The
+    choice reads the size of the basis, not of r: a 0 x n r has an n x n
+    basis."""
     field = r.field
     if len(pivots) == r.cols:
         return Matrix.zeros(field, 0, r.cols), ()
@@ -520,11 +581,33 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     for c in pivots:
         is_free[c] = False
     free = [c for c, f in enumerate(is_free) if f]
+    small = field.kind == PRIME and len(free) * r.cols <= SMALL_ENTRIES
+    out = (_null_rows_lists if small else _null_rows_numpy)(r, pivots, free)
+    return Matrix(field, out, _trusted=True), tuple(free)
+
+
+def _null_rows_lists(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
+    """null_rows' basis over F_p, written row by row on Python lists."""
+    p = r.field.p
+    prows = r.data[: len(pivots)].tolist()
+    out = []
+    for f in free:
+        o = [0] * r.cols
+        o[f] = 1
+        for c, row in zip(pivots, prows):
+            o[c] = -row[f] % p
+        out.append(o)
+    return np.array(out, dtype=r.field.dtype)
+
+
+def _null_rows_numpy(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
+    """null_rows' basis in one numpy array, for any field."""
+    field = r.field
     block = field.normalize(-r.data[: len(pivots), free].T)
     out = field.zeros(len(free), r.cols)
     out[range(len(free)), free] = field.one()
     out[:, list(pivots)] = block
-    return Matrix(field, out, _trusted=True), tuple(free)
+    return out
 
 
 def kernel_basis(m: Matrix, with_free: bool = False):

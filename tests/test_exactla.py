@@ -404,18 +404,120 @@ def test_rref_equals_the_whole_matrix_reference(m):
 @pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
 def test_rref_takes_both_updates(field):
     """A block-diagonal matrix has pivots that hit fewer than half of the
-    rows (the update gathers those rows); a dense invertible one has
-    pivots that hit every row (the update takes the whole slice)."""
+    rows (the numpy core's update gathers those rows); a dense one whose
+    first column is nonzero has a pivot that hits every row (the update
+    takes the whole slice).  Both have more than SMALL_ENTRIES entries, so
+    over F_p they reach the numpy core."""
     block = [[1, 2], [1, 1]]
     sparse = Matrix.from_rows(
-        field, [[0] * (2 * k) + row + [0] * (6 - 2 * k) for k in range(4) for row in block]
+        field, [[0] * (2 * k) + row + [0] * (10 - 2 * k) for k in range(6) for row in block]
     )
-    dense = Matrix.from_rows(field, [[1, 1, 1], [1, 2, 4], [1, 3, 2]])
+    dense = Matrix.from_rows(field, [[1] + [(i * j + i + j) % 7 for j in range(8)] for i in range(9)])
     for m, check in ((sparse, lambda h: 1 < h < m.rows / 2), (dense, lambda h: h == m.rows)):
+        assert m.data.size > exactla.SMALL_ENTRIES
         hits = []
         _rref_by_outer(m, hits)
         assert any(check(h) for h in hits)
         _assert_same_elimination(m)
+
+
+# -- the list cores against the numpy cores ----------------------------------
+
+CORE_FIELDS = [Field.prime(2), Field.prime(5), Field.prime(P31), Field.prime(P32)]
+
+
+def _core_matrix(args):
+    """A matrix over F_p with 0-12 rows and 0-16 columns at this density;
+    with copies, its last row repeats its first and a zero row is added."""
+    field, rows, cols, density, copies, seed = args
+    rng = random.Random(seed)
+    data = [[rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if copies and rows:
+        data = data[:-1] + [list(data[0]), [0] * cols]
+    return Matrix(field, np.array(data, dtype=object).reshape(len(data), cols))
+
+
+CORE_MATRICES = st.tuples(
+    st.sampled_from(CORE_FIELDS),
+    st.integers(0, 12),
+    st.integers(0, 16),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+).map(_core_matrix)
+
+
+def _assert_same_array(got, want, dtype):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+    if dtype == object:
+        assert all(type(x) is int for x in got.ravel().tolist() + want.ravel().tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORE_MATRICES)
+def test_the_list_rref_core_equals_the_numpy_core(m):
+    field = m.field
+    if not m.rows:
+        # rref returns a matrix with no rows before choosing a core
+        assert rref(m) == (m, 0, ())
+        return
+    got, got_pivots = exactla._rref_rows(m.data, field.p)
+    want, want_pivots = exactla._rref_numpy(field, m.data)
+    assert got_pivots == want_pivots
+    _assert_same_array(got, want, field.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORE_MATRICES)
+def test_the_list_null_rows_body_equals_the_numpy_body(m):
+    r, _, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        # null_rows returns an empty kernel before choosing a body
+        assert null_rows(r, pivots) == (Matrix.zeros(m.field, 0, m.cols), ())
+        return
+    got = exactla._null_rows_lists(r, pivots, free)
+    want = exactla._null_rows_numpy(r, pivots, free)
+    _assert_same_array(got, want, m.field.dtype)
+
+
+def _spy_on(monkeypatch, *names):
+    """Wrap exactla's functions of these names; returns name -> call count."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, real=getattr(exactla, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(exactla, name, spy)
+    return calls
+
+
+def test_the_elimination_core_is_chosen_by_size(monkeypatch):
+    f5 = Field.prime(5)
+    calls = _spy_on(monkeypatch, "_rref_rows", "_rref_numpy")
+    rref(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]]))
+    assert calls == {"_rref_rows": 1, "_rref_numpy": 0}
+    rref(Matrix.from_rows(f5, [[1 + (i * j) % 4 for j in range(12)] for i in range(12)]))
+    assert calls == {"_rref_rows": 1, "_rref_numpy": 1}
+    # the bound is inclusive, and Q takes neither core
+    for cols in (exactla.SMALL_ENTRIES, exactla.SMALL_ENTRIES + 1):
+        rref(Matrix.from_rows(f5, [[1] * cols]))
+    rref(Matrix.from_rows(Field.rational(), [[1, 2, 3], [4, 0, 1]]))
+    assert calls == {"_rref_rows": 2, "_rref_numpy": 2}
+
+
+def test_the_kernel_body_is_chosen_by_the_size_of_the_basis(monkeypatch):
+    f5 = Field.prime(5)
+    calls = _spy_on(monkeypatch, "_null_rows_lists", "_null_rows_numpy")
+    assert kernel_basis(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]])).shape == (1, 3)
+    assert calls == {"_null_rows_lists": 1, "_null_rows_numpy": 0}
+    # a 0 x 100 matrix has the 100 x 100 identity as its kernel basis
+    assert kernel_basis(Matrix.zeros(f5, 0, 100)) == Matrix.identity(f5, 100)
+    assert calls == {"_null_rows_lists": 1, "_null_rows_numpy": 1}
 
 
 def test_rref_leaves_a_matrix_with_no_rows_as_it_is():
