@@ -460,10 +460,10 @@ def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     pivots: List[int] = []
     row = 0
     for col in range(nc):
-        if row == nr:
-            break
-        piv = next((i for i in range(row, nr) if a[i][col]), None)
-        if piv is None:
+        for piv in range(row, nr):
+            if a[piv][col]:
+                break
+        else:
             continue
         a[row], a[piv] = a[piv], a[row]
         prow = a[row]
@@ -472,12 +472,14 @@ def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             inv = pow(x, p - 2, p)
             prow[col:] = [u * inv % p for u in prow[col:]]
         tail = prow[col:]
-        for i, r in enumerate(a):
+        for r in a:
             y = r[col]
-            if y and i != row:
+            if y and r is not prow:
                 r[col:] = [(u - y * v) % p for u, v in zip(r[col:], tail)]
         pivots.append(col)
         row += 1
+        if row == nr:
+            break
     return np.array(a, dtype=data.dtype), pivots
 
 
