@@ -423,9 +423,8 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
 # -- gaussian elimination ----------------------------------------------
 
 
-# Elimination and kernel rows with at most this many entries run on Python
-# lists of ints: below it a numpy call costs more than the arithmetic it
-# does (the crossover is measured in BENCH_19.json's layer rows).
+# Where the list cores stop beating numpy on dense F5 matrices (8 x 8);
+# sparser inputs gain well past it (BENCH_19.json's layer_rows).
 SMALL_ENTRIES = 64
 
 
