@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..algebra import (
@@ -510,9 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused: parsing leaves
+    the parser as it was, and in-process callers run main many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UnknownLaw, ReportNotWritten) as exc:

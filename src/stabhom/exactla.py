@@ -5,7 +5,8 @@ kept in one of two backends, chosen by the field (Field.dtype):
   * F_p with (p-1)^2 < 2^63, that is p <= 3037000500: machine integers
     reduced mod p inside int64 numpy arrays.  A product of two entries
     fits; a matrix product sums k of them at a time and reduces, with
-    k (p-1)^2 < 2^63 (one block for small p such as 2 and 5).
+    k (p-1)^2 < 2^63, and is one numpy product when its inner dimension
+    is at most k, as it always is for small p such as 2 and 5.
   * Larger p: Python ints reduced mod p inside object-dtype arrays, which
     cannot overflow.
   * Q: fractions.Fraction objects in lowest terms inside object-dtype
@@ -15,7 +16,9 @@ kept in one of two backends, chosen by the field (Field.dtype):
 Over F_p, a matrix of at most SMALL_ENTRIES entries is eliminated, and a
 kernel basis of at most that many written, on Python lists of ints and
 returned in the field's dtype: at that size a numpy call costs more than
-the arithmetic it does.
+the arithmetic it does.  _kernel_lists runs the same two list bodies on
+rows given as lists, for callers that write small systems without numpy
+(homology's Hom and tensor systems).
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -35,7 +38,8 @@ Conventions:
     together with the pivot columns that elimination found.
   * A kernel basis (null_rows) is the identity on the free columns of the
     eliminated matrix.  So both kinds of basis are the identity on known
-    columns, where coordinates are read off and then checked by a product.
+    columns, where coordinates are read off and then checked by a product
+    at the other columns.
     That kernel basis is unique, and _kernel_form writes it from any other
     basis of the kernel, with no matrix to eliminate.
 """
@@ -378,6 +382,8 @@ def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return field.normalize(np.dot(a, b))
     p, n = field.p, a.shape[-1]
     k = _INT64_MAX // (p - 1) ** 2
+    if n <= k:
+        return np.dot(a, b) % p
     out = np.dot(a[..., :k], b[:k]) % p
     for s in range(k, n, k):
         out = (out + np.dot(a[..., s : s + k], b[s : s + k]) % p) % p
@@ -424,7 +430,9 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
 
 
 # Where the list cores stop beating numpy on dense F5 matrices (8 x 8);
-# sparser inputs gain well past it (BENCH_19.json's layer_rows).
+# sparser inputs gain well past it (BENCH_19.json's layer_rows).  The
+# sparse Hom and tensor systems homology writes on lists have their own,
+# larger bound (homology.SMALL_SYSTEM_ENTRIES).
 SMALL_ENTRIES = 64
 
 
@@ -449,16 +457,23 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
 
 
 def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """rref over F_p on Python lists of ints, for small matrices.  The pivot
-    row is scaled by the inverse of its pivot, and each other row with an
-    entry y in the pivot column takes y times it away, from that column
-    on: the pivot row is zero left of it.  Returns an array of data's
-    dtype, so object arrays hold Python ints."""
-    nr, nc = data.shape
-    a = data.tolist()
+    """rref over F_p of a small array by _rref_lists, returned as an array of
+    data's dtype, so object arrays hold Python ints."""
+    a, pivots = _rref_lists(data.tolist(), data.shape[1], p)
+    return np.array(a, dtype=data.dtype), pivots
+
+
+def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], List[int]]:
+    """rref over F_p of the rows a, Python lists of nc ints, in place.  The
+    pivot row is scaled by the inverse of its pivot, and each other row with
+    an entry y in the pivot column takes y times it away, from that column
+    on: the pivot row is zero left of it."""
+    nr = len(a)
     pivots: List[int] = []
     row = 0
     for col in range(nc):
+        if row == nr:
+            break
         for piv in range(row, nr):
             if a[piv][col]:
                 break
@@ -477,9 +492,7 @@ def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
                 r[col:] = [(u - y * v) % p for u, v in zip(r[col:], tail)]
         pivots.append(col)
         row += 1
-        if row == nr:
-            break
-    return np.array(a, dtype=data.dtype), pivots
+    return a, pivots
 
 
 def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -578,27 +591,39 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     field = r.field
     if len(pivots) == r.cols:
         return Matrix.zeros(field, 0, r.cols), ()
-    is_free = [True] * r.cols
-    for c in pivots:
-        is_free[c] = False
-    free = [c for c, f in enumerate(is_free) if f]
+    free = _other_columns(r.cols, pivots)
     small = field.kind == PRIME and len(free) * r.cols <= SMALL_ENTRIES
     out = (_null_rows_lists if small else _null_rows_numpy)(r, pivots, free)
     return Matrix(field, out, _trusted=True), tuple(free)
 
 
+def _other_columns(nc: int, cols: Sequence[int]) -> List[int]:
+    """The columns of range(nc) not in cols, in order."""
+    is_other = [True] * nc
+    for c in cols:
+        is_other[c] = False
+    return [c for c, f in enumerate(is_other) if f]
+
+
 def _null_rows_lists(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
-    """null_rows' basis over F_p, written row by row on Python lists."""
-    p = r.field.p
-    prows = r.data[: len(pivots)].tolist()
+    """null_rows' basis over F_p by _null_lists, as an array of r's dtype."""
+    out = _null_lists(r.data[: len(pivots)].tolist(), pivots, free, r.cols, r.field.p)
+    return np.array(out, dtype=r.field.dtype)
+
+
+def _null_lists(
+    prows: List[List[int]], pivots: Sequence[int], free: List[int], nc: int, p: int
+) -> List[List[int]]:
+    """null_rows' basis over F_p on Python lists, written row by row from the
+    pivot rows prows of an rref with nc columns."""
     out = []
     for f in free:
-        o = [0] * r.cols
+        o = [0] * nc
         o[f] = 1
         for c, row in zip(pivots, prows):
             o[c] = -row[f] % p
         out.append(o)
-    return np.array(out, dtype=r.field.dtype)
+    return out
 
 
 def _null_rows_numpy(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
@@ -619,6 +644,19 @@ def kernel_basis(m: Matrix, with_free: bool = False):
     return out if with_free else out[0]
 
 
+def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix, Tuple[int, ...]]:
+    """kernel_basis(m, with_free=True) for the F_p matrix m whose rows are
+    the Python lists rows, of nc ints each: eliminated in place by
+    _rref_lists, the basis written by _null_lists, one array made at the
+    end."""
+    a, pivots = _rref_lists(rows, nc, field.p)
+    if len(pivots) == nc:
+        return Matrix.zeros(field, 0, nc), ()
+    free = _other_columns(nc, pivots)
+    out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
+    return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
+
+
 def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(m, with_free=True) for any m whose kernel the independent
     rows span.  That basis is the only one of the kernel that is the identity
@@ -633,9 +671,17 @@ def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
 
 def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:
     """C with C @ basis = vectors, read off at columns cols where basis is the
-    identity; None if the product shows some row is outside the span."""
-    c = Matrix(vectors.field, vectors.data[:, list(cols)], _trusted=True)
-    return c if c @ basis == vectors else None
+    identity; None if the product shows some row is outside the span.  At
+    cols the product is C itself, so only the other columns are multiplied
+    and compared."""
+    basis._check(vectors)
+    if vectors.cols != basis.cols:
+        return None
+    c = vectors.data[:, list(cols)]
+    rest = _other_columns(basis.cols, cols)
+    if not np.array_equal(_dot(basis.field, c, basis.data[:, rest]), vectors.data[:, rest]):
+        return None
+    return Matrix(vectors.field, c, _trusted=True)
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -1,11 +1,17 @@
 """Homological machinery over a bound quiver algebra.
 
 Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
-one block of rows per arrow x -> y.  Each block is written by one
-Kronecker writer (add_kron) into 4-D views of its columns (I (x) A^T at
-phi_y, -B (x) I at phi_x, adding up on a loop), which writes an identity
-factor by index instead of multiplying by it; the tensor product's
-balancing relations and tensor_map are written alike.  No system is written
+one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
+adding up on a loop), and the tensor product a (x) b the cokernel of its
+balancing relations, whose projection is the kernel basis of the relations:
+both are the kernel of one Kronecker system, found by _kron_kernel.  Over
+F_p a small system (SMALL_SYSTEM_ENTRIES) is written as Python lists of
+ints (_kron_lists) and eliminated by exactla's list core, with one array
+made at the end; a larger one, or one over Q, is written by the numpy
+writer (_kron_rows, through add_kron into 4-D views of its columns, which
+writes an identity factor by index instead of multiplying by it) and
+eliminated by kernel_basis.  tensor_map's blocks are written by add_kron
+too.  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
 e_v to a unit vector of b_v and each path label of P(v) to its action on
@@ -66,11 +72,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from .exactla import (
+    PRIME,
     Field,
     Matrix,
+    QuotientSpace,
     Subspace,
     _dot,
     _kernel_form,
+    _kernel_lists,
     coordinates,
     hstack,
     kernel_basis,
@@ -204,8 +213,7 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
         terms.append((x, -b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
-    system = _kron_rows(a.algebra.field, offs, total, terms)
-    return HomSpace(a, b, *kernel_basis(system, with_free=True))
+    return HomSpace(a, b, *_kron_kernel(a.algebra.field, offs, total, terms))
 
 
 def _yoneda_rows(m: Representation, v: str, labels: Dict[str, List], dual: bool) -> Matrix:
@@ -263,6 +271,55 @@ def add_kron(
     else:
         view += f[..., :, None, :, None] * g[..., None, :, None, :]
     view[...] = field.normalize(view)
+
+
+# Over F_p, a Kronecker system is written and eliminated on Python lists
+# when it and every kernel basis it can have (columns x columns) hold at most
+# this many entries: Hom and tensor systems are sparse, and up to here lists
+# beat numpy on laws_sweep's and big_fp's systems (BENCH_20.json's
+# layer_rows).
+SMALL_SYSTEM_ENTRIES = 256
+
+
+def _kron_kernel(
+    field: Field, offs: Dict[str, int], total: int, terms: list
+) -> Tuple[Matrix, Tuple[int, ...]]:
+    """kernel_basis(_kron_rows(field, offs, total, terms), with_free=True).
+    Over F_p, when max(rows, total) * total is at most SMALL_SYSTEM_ENTRIES,
+    the rows are written by _kron_lists and the kernel found by exactla's
+    list core (_kernel_lists), with no array before the basis; otherwise
+    they are written by _kron_rows and eliminated by kernel_basis.  The
+    kernel basis is unique, so both give the same matrix and free columns
+    bit for bit."""
+    terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
+    rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
+    if field.kind == PRIME and max(rows, total) * total <= SMALL_SYSTEM_ENTRIES:
+        return _kernel_lists(field, _kron_lists(field.p, offs, total, terms), total)
+    return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
+
+
+def _kron_lists(p: int, offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
+    """_kron_rows' rows over F_p as Python lists of ints reduced mod p: row
+    (i, j) of a term (v1, M1, v2, M2) holds M1[i, k] at column
+    offs[v1] + k q + j and M2[j, l] at offs[v2] + i c2 + l, where M2 is
+    q x c2; when v1 = v2 they add up."""
+    rows = []
+    for v1, m1, v2, m2 in terms:
+        q, c2 = m2.shape
+        o1, o2 = offs[v1], offs[v2]
+        m2rows = m2.tolist()
+        for i, xs in enumerate(m1.tolist()):
+            base = o2 + i * c2
+            for j, ys in enumerate(m2rows):
+                row = [0] * total
+                for k, x in enumerate(xs):
+                    if x:
+                        row[o1 + k * q + j] = x % p
+                for l, y in enumerate(ys):
+                    if y:
+                        row[base + l] = (row[base + l] + y) % p
+                rows.append(row)
+    return rows
 
 
 def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
@@ -676,8 +733,10 @@ class TensorSpace:
 
     The carrier is the quotient of D = sum_v a_v (x) b_v by the arrow
     balancing relations (x.alpha (x) y - x (x) alpha.y).  projection and
-    section realize the quotient; pure-tensor coordinates at vertex v sit
-    at offset[v] + i * dim b_v + j.
+    section realize the quotient; the projection is the kernel basis of the
+    relations (_kron_kernel), which is what Subspace(relations).quotient()
+    would give.  Pure-tensor coordinates at vertex v sit at
+    offset[v] + i * dim b_v + j.
     """
 
     __slots__ = ("left_arg", "right_arg", "offsets", "quotient", "ambient_dim")
@@ -694,12 +753,11 @@ class TensorSpace:
             (ar.source, a.arrow_maps[ar.name].data.T, ar.target, -b.arrow_maps[ar.name].data.T)
             for ar in a.algebra.quiver.arrows
         ]
-        relations = Subspace(field, total, _kron_rows(field, offs, total, terms))
         self.left_arg = a
         self.right_arg = b
         self.offsets = offs
         self.ambient_dim = total
-        self.quotient = relations.quotient()
+        self.quotient = QuotientSpace(*_kron_kernel(field, offs, total, terms))
 
     @property
     def dim(self) -> int:

@@ -807,6 +807,22 @@ def test_negative_generation_flag_exits_2(a2_file, capsys, argv, flag, expected)
     assert f"argument {flag}: expected a {expected} integer" in err
 
 
+def test_main_builds_its_parser_once_and_a_usage_error_leaves_it_working(a2_file, capsys, monkeypatch):
+    main_mod._parser.cache_clear()
+    built = []
+    build = main_mod.build_parser
+    monkeypatch.setattr(main_mod, "build_parser", lambda: built.append(1) or build())
+    code, report = _run_json(capsys, ["info", a2_file])
+    assert code == 0 and report["command"] == "info"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", a2_file, "--count", "-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, report = _run_json(capsys, ["info", a2_file])
+    assert code == 0 and report["command"] == "info"
+    assert len(built) == 1
+
+
 def test_catalog_accepts_a_zero_count(a2_file, capsys):
     code, report = _run_json(capsys, ["catalog", "--search", "t-nonidempotent", a2_file, "--count", "0"])
     assert code == 0

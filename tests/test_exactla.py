@@ -25,15 +25,17 @@ from stabhom.exactla import (
 )
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational()]
+P31 = 2147483647  # largest prime whose products of two entries fit int64
+P32 = 4294967311  # smallest prime above 2^32: computed with Python ints
 
 
 def field_strategy():
     return st.sampled_from(FIELDS)
 
 
-def matrix_strategy(max_dim=4):
+def matrix_strategy(max_dim=4, fields=FIELDS):
     return st.tuples(
-        field_strategy(),
+        st.sampled_from(fields),
         st.integers(1, max_dim),
         st.integers(1, max_dim),
         st.integers(0, 10 ** 6),
@@ -210,8 +212,8 @@ def test_kernel_basis_is_the_identity_on_its_free_columns(m):
     assert unit == Matrix.identity(m.field, len(free))
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrix_strategy(max_dim=5), st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+@given(matrix_strategy(max_dim=5, fields=FIELDS + [Field.prime(P32)]), st.integers(0, 10 ** 6))
 def test_coordinates_read_off_either_echelon_form(m, seed):
     rng = np.random.RandomState(seed)
     u = Subspace(m.field, m.cols, m)
@@ -221,10 +223,13 @@ def test_coordinates_read_off_either_echelon_form(m, seed):
         assert coordinates(basis, cols, c @ basis) == c
         outside = [j for j in range(m.cols) if j not in cols]
         if outside:
-            # a unit vector off the identity columns reads as 0 there
-            e = Matrix.zeros(m.field, 1, m.cols).data.copy()
-            e[0, outside[0]] = m.field.one()
-            assert coordinates(basis, cols, Matrix(m.field, e)) is None
+            # a unit vector off the identity columns reads as 0 there, and
+            # added to a vector of the span it moves it out of it
+            e = Matrix.zeros(m.field, 3, m.cols).data.copy()
+            e[0, outside[-1]] = m.field.one()
+            e = Matrix(m.field, e)
+            assert coordinates(basis, cols, Matrix(m.field, e.data[:1])) is None
+            assert coordinates(basis, cols, c @ basis + e) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,8 +332,6 @@ def test_rank_transpose_invariant(m):
 
 # -- elimination against the whole-matrix reference --------------------------
 
-P31 = 2147483647  # largest prime whose products of two entries fit int64
-P32 = 4294967311  # smallest prime above 2^32: computed with Python ints
 ELIM_FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(P31)]
 
 
@@ -572,6 +575,46 @@ def test_rational_products_and_elimination_make_no_fraction_arithmetic(monkeypat
 
 def _python_int_product(a, b, p):
     return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _dot_by_blocks(field, a, b):
+    """a @ b over F_p, k products summed at a time with k (p-1)^2 < 2^63, in
+    int64, or in Python ints for an object array."""
+    p = field.p
+    if field.dtype is object:
+        return np.dot(a, b) % p
+    k = exactla._INT64_MAX // (p - 1) ** 2
+    out = np.dot(a[..., :k], b[:k]) % p
+    for s in range(k, a.shape[-1], k):
+        out = (out + np.dot(a[..., s : s + k], b[s : s + k]) % p) % p
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CORE_FIELDS),
+    st.integers(0, 5),
+    st.integers(0, 8),
+    st.integers(0, 5),
+    st.booleans(),
+    st.integers(0, 10 ** 6),
+)
+def test_one_product_when_the_inner_dimension_fits_equals_the_block_loop(field, r, n, c, vector, seed):
+    rng = random.Random(seed)
+    a = np.array([[rng.randrange(field.p) for _ in range(n)] for _ in range(r)], dtype=field.dtype)
+    b = np.array([[rng.randrange(field.p) for _ in range(c)] for _ in range(n)], dtype=field.dtype)
+    a, b = a.reshape(r, n), b.reshape(n, c)
+    if vector:
+        b = b[:, 0] if c else np.zeros(n, dtype=field.dtype)
+    got = exactla._dot(field, a, b)
+    want = _dot_by_blocks(field, a, b)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == field.dtype
+    assert np.array_equal(got, want)
+    width = 1 if vector else c
+    ints = [[sum(int(x) * int(y) for x, y in zip(row, col)) % field.p
+             for col in b.reshape(n, width).T.tolist()] for row in a.tolist()]
+    assert got.reshape(r, width).tolist() == ints
 
 
 @pytest.mark.parametrize("p", [P31, P32])

@@ -7,12 +7,16 @@ indexed writes must give the same systems entry for entry, and the
 per-vertex products the same coordinates, over every backend: int64 (F2,
 F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).
 
-Hom(P(v), m) and Hom(m, I(v)) build no system at all: they are read off the
-path labels of P(v) (Yoneda).  Their stacks and free columns must still be
-the kernel of the Kronecker reference system, bit for bit.
+A system is written by one of two writers, _kron_rows (numpy arrays) or
+_kron_lists (Python lists, for small F_p systems), and whichever wrote it
+is compared with the reference.  Hom(P(v), m) and Hom(m, I(v)) build no
+system at all: they are read off the path labels of P(v) (Yoneda).  Their
+stacks and free columns must still be the kernel of the Kronecker reference
+system, bit for bit.
 """
 
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 from unittest import mock
 
@@ -176,19 +180,43 @@ def _yoneda_shape(a, b):
     )
 
 
+@contextmanager
+def _written_systems(field):
+    """The Kronecker systems homology writes in this block, as matrices over
+    field, from either writer: _kron_rows' arrays, or _kron_lists' rows,
+    copied before the list core eliminates them in place."""
+    systems = []
+    write_rows, write_lists = homology._kron_rows, homology._kron_lists
+
+    def rows(*args):
+        out = write_rows(*args)
+        systems.append(out)
+        return out
+
+    def lists(p, offs, total, terms):
+        out = write_lists(p, offs, total, terms)
+        data = np.array(out, dtype=field.dtype).reshape(len(out), total)
+        systems.append(Matrix(field, data, _trusted=True))
+        return out
+
+    with mock.patch.object(homology, "_kron_rows", rows), \
+            mock.patch.object(homology, "_kron_lists", lists):
+        yield systems
+
+
 def _assert_hom_matches(a, b):
     yoneda_shape = _yoneda_shape(a, b)
     # the build itself: hom_basis may answer from its memo without a system
-    with mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as spy, \
+    with _written_systems(a.algebra.field) as systems, \
             mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda:
         hom = homology._build_hom(a, b)
     want = _hom_system_by_kron(a, b)
     if yoneda_shape:
         # read off the path labels of P(v): no system is built or eliminated
-        assert not spy.called
+        assert systems == []
         assert yoneda.call_count == 1
     else:
-        assert spy.call_args.args[0] == want
+        assert systems == [want]
         assert not yoneda.called
     ref = HomSpace(a, b, *kernel_basis(want, with_free=True))
     assert hom.stack == ref.stack
@@ -249,9 +277,13 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
     rng = random.Random(seed)
     a, a2 = _modules(alg, RIGHT, rng, 2)
     b, b2 = _modules(alg, LEFT, rng, 2)
-    with mock.patch.object(homology, "Subspace", wraps=Subspace) as spy:
-        TensorSpace(a, b)
-    assert spy.call_args.args[2] == _tensor_relations_by_kron(a, b)
+    with _written_systems(alg.field) as systems:
+        ts = TensorSpace(a, b)
+    want = _tensor_relations_by_kron(a, b)
+    assert systems == [want]
+    ref = Subspace(alg.field, ts.ambient_dim, want).quotient()
+    assert ts.quotient.projection == ref.projection
+    assert ts.quotient.free == ref.free
     f, g = random_hom_element(a, a2, rng), random_hom_element(b, b2, rng)
     for ff, gg, ends in ((None, None, (a, b)), (f, None, (a2, b)), (None, g, (a, b2)), (f, g, (a2, b2))):
         src, dst = TensorSpace(a, b), TensorSpace(*ends)
@@ -261,6 +293,101 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
         # through identity quotients tensor_map returns its vertexwise block itself
         src.quotient, dst.quotient = _identity_quotient(src), _identity_quotient(dst)
         assert tensor_map(src, dst, ff, gg) == want
+
+
+# -- the two routes of the Kronecker kernel -----------------------------------------------
+
+ROUTE_FIELDS = [Field.prime(2), Field.prime(5), Field.prime(2147483647), Field.prime(4294967311)]
+
+
+def _kron_case(args):
+    """(field, offs, total, terms) of a Hom or a tensor system between two
+    random representations of a random quiver on 1-3 vertices, with loops
+    and zero-dimensional vertices: Hom terms (x, -B, y, A^T) for arrows
+    x -> y with offsets of the b_v x a_v blocks, tensor terms
+    (u, A^T, w, -B^T) for arrows u -> w, a on the right, with offsets of
+    the a_v x b_v blocks."""
+    field, kind, nverts, narrows, density, seed = args
+    rng = random.Random(seed)
+    verts = [str(v) for v in range(nverts)]
+    da = {v: rng.randint(0, 3) for v in verts}
+    db = {v: rng.randint(0, 3) for v in verts}
+
+    def arrow_matrix(rows, cols):
+        data = [[rng.randrange(1, field.p) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+        return np.array(data, dtype=field.dtype).reshape(rows, cols)
+
+    terms = []
+    for _ in range(narrows):
+        s, t = rng.choice(verts), rng.choice(verts)  # s = t is a loop
+        if kind == "hom":
+            a, b = arrow_matrix(da[t], da[s]), arrow_matrix(db[t], db[s])
+            terms.append((s, field.normalize(-b), t, a.T))
+        else:
+            a, b = arrow_matrix(da[s], da[t]), arrow_matrix(db[t], db[s])
+            terms.append((s, a.T, t, field.normalize(-b.T)))
+    rows, cols = (db, da) if kind == "hom" else (da, db)
+    offs, total = _offsets(verts, rows, cols)
+    return field, offs, total, terms
+
+
+kron_cases = st.tuples(
+    st.sampled_from(ROUTE_FIELDS),
+    st.sampled_from(["hom", "tensor"]),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 10 ** 6),
+).map(_kron_case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kron_cases)
+def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
+    field, offs, total, terms = case
+    with mock.patch.object(homology, "SMALL_SYSTEM_ENTRIES", 10 ** 9), \
+            mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
+        got, got_free = homology._kron_kernel(field, offs, total, terms)
+    assert not numpy_route.called
+    with mock.patch.object(homology, "SMALL_SYSTEM_ENTRIES", -1), \
+            mock.patch.object(homology, "_kernel_lists") as list_route:
+        want, want_free = homology._kron_kernel(field, offs, total, terms)
+    assert not list_route.called
+    assert (want, want_free) == kernel_basis(homology._kron_rows(field, offs, total, terms), with_free=True)
+    assert got_free == want_free
+    assert got == want
+    assert got.data.dtype == want.data.dtype == field.dtype
+    if field.dtype == object:
+        assert all(type(x) is int for x in got.data.ravel().tolist() + want.data.ravel().tolist())
+
+
+def _one_column_system(field, rows, total):
+    """A rows x total system whose first column is all ones: one term
+    (x, ones (rows x 1), y, 1 x 0) with x's block at column 0 and y's
+    (empty) after it; no term when rows is 0."""
+    ones = np.ones((rows, 1), dtype=field.dtype)
+    terms = [("x", ones, "y", np.zeros((1, 0), dtype=field.dtype))] if rows else []
+    return field, {"x": 0, "y": 1}, total, terms
+
+
+@pytest.mark.parametrize(
+    "rows, total, lists",
+    [(16, 16, True), (16, 17, False), (1, 16, True), (1, 17, False), (0, 16, True), (0, 17, False)],
+    ids=["16x16", "16x17", "1x16", "1x17", "0x16", "0x17"],
+)
+def test_the_kronecker_kernel_route_is_chosen_by_size(rows, total, lists):
+    # the system and any kernel basis of it (total x total) within the bound
+    assert homology.SMALL_SYSTEM_ENTRIES == 256
+    for field in (Field.prime(5), Field.rational()):
+        with mock.patch.object(homology, "_kernel_lists", wraps=homology._kernel_lists) as list_route, \
+                mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
+            basis, free = homology._kron_kernel(*_one_column_system(field, rows, total))
+        # Q never takes the list route
+        takes_lists = lists and field.p is not None
+        assert (list_route.call_count, numpy_route.call_count) == (int(takes_lists), int(not takes_lists))
+        assert free == tuple(range(1 if rows else 0, total))
+        assert basis.shape == (len(free), total)
 
 
 # -- pushforward ------------------------------------------------------------------------
