@@ -13,19 +13,22 @@ kept in one of two backends, chosen by the field (Field.dtype):
     arrays.  Products (_dot) and elimination (rref) run on integer
     numerators, Python ints, and return canonical Fractions, so no
     multiply-add is Fraction arithmetic.
-Over F_p, a matrix of at most SMALL_ENTRIES entries is eliminated, and a
-kernel basis of at most that many written, on Python lists of ints and
-returned in the field's dtype: at that size a numpy call costs more than
-the arithmetic it does.  _kernel_lists runs the same two list bodies on
-rows given as lists, for callers that write small systems without numpy
-(homology's Hom and tensor systems).
+Over F_p, a job runs on Python lists of ints, and returns its array in the
+field's dtype, when every array it reads or writes holds at most
+SMALL_ENTRIES entries: at that size a numpy call costs more than the
+arithmetic it does.  That is the matrix for rref, the basis (free columns
+x columns) for null_rows, and the matrix and any kernel basis of it
+(columns x columns) for a kernel, kernel_basis or homology's Hom and
+tensor systems, which ask _kernel_on_lists and write their rows as lists
+for _kernel_lists.  Q never runs on lists.  This module alone makes that
+choice.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
 Elimination (rref) touches only what a pivot changes: the pivot row from
 the pivot column on, and the rows with a nonzero entry in the pivot
 column, from the pivot column on.  Over F_p it runs on lists
-(_rref_rows) or on the numpy array (_rref_numpy) by size; over Q it is
+(_rref_lists) or on the numpy array (_rref_numpy) by size; over Q it is
 fraction-free on integer rows (_rref_rational), which a pivot changes
 from the first pivot column on.  The rref is unique, so the core chosen
 changes no output.
@@ -429,38 +432,40 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
 # -- gaussian elimination ----------------------------------------------
 
 
-# Where the list cores stop beating numpy on dense F5 matrices (8 x 8);
-# sparser inputs gain well past it (BENCH_19.json's layer_rows).  The
-# sparse Hom and tensor systems homology writes on lists have their own,
-# larger bound (homology.SMALL_SYSTEM_ENTRIES).
-SMALL_ENTRIES = 64
+# The one bound of the list route.  On the rref inputs of 65-256 entries that
+# the numpy core took, lists took 3.57 against 3.73 ms in big_fp (dense F5)
+# and 3.95 against 7.53 ms in laws_sweep (BENCH_19.json's threshold_replay);
+# Hom and tensor systems gain up to 256 too (BENCH_20.json's layer_rows).
+# Above 512 entries big_fp runs 4.5x slower on lists.
+SMALL_ENTRIES = 256
+
+
+def _kernel_on_lists(field: Field, rows: int, cols: int) -> bool:
+    """Whether the kernel of a rows x cols matrix over this field is found on
+    lists: over F_p, when the matrix and any kernel basis of it (cols x cols)
+    hold at most SMALL_ENTRIES entries."""
+    return field.kind == PRIME and max(rows, cols) * cols <= SMALL_ENTRIES
 
 
 def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
     """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
 
     Over F_p a matrix of at most SMALL_ENTRIES entries is eliminated on
-    Python lists (_rref_rows) and a larger one on its numpy array
+    Python lists (_rref_lists) and a larger one on its numpy array
     (_rref_numpy); over Q on integer rows, returning canonical Fractions
     (_rref_rational).  The rref is unique, so every core returns the same
-    matrix, pivots and dtype."""
+    matrix, pivots and dtype (object arrays hold Python ints)."""
     if not m.rows:
         return m, 0, ()
     field = m.field
     if field.kind == RATIONAL:
         a, pivots = _rref_rational(m.data)
     elif m.data.size <= SMALL_ENTRIES:
-        a, pivots = _rref_rows(m.data, field.p)
+        a, pivots = _rref_lists(m.data.tolist(), m.cols, field.p)
+        a = np.array(a, dtype=field.dtype)
     else:
         a, pivots = _rref_numpy(field, m.data)
     return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
-
-
-def _rref_rows(data: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """rref over F_p of a small array by _rref_lists, returned as an array of
-    data's dtype, so object arrays hold Python ints."""
-    a, pivots = _rref_lists(data.tolist(), data.shape[1], p)
-    return np.array(a, dtype=data.dtype), pivots
 
 
 def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], List[int]]:
@@ -584,16 +589,18 @@ def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]
     """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
     columns, and the free columns; row k is the identity on free column k
     and minus r's column there at the pivot columns.  Over F_p a basis of
-    at most SMALL_ENTRIES entries is written on Python lists
-    (_null_rows_lists), any other with numpy (_null_rows_numpy).  The
-    choice reads the size of the basis, not of r: a 0 x n r has an n x n
-    basis."""
+    at most SMALL_ENTRIES entries is written on Python lists (_null_lists),
+    any other with numpy (_null_rows_numpy).  The choice reads the size of
+    the basis, not of r: a 0 x n r has an n x n basis."""
     field = r.field
     if len(pivots) == r.cols:
         return Matrix.zeros(field, 0, r.cols), ()
     free = _other_columns(r.cols, pivots)
-    small = field.kind == PRIME and len(free) * r.cols <= SMALL_ENTRIES
-    out = (_null_rows_lists if small else _null_rows_numpy)(r, pivots, free)
+    if field.kind == PRIME and len(free) * r.cols <= SMALL_ENTRIES:
+        out = _null_lists(r.data[: len(pivots)].tolist(), pivots, free, r.cols, field.p)
+        out = np.array(out, dtype=field.dtype)
+    else:
+        out = _null_rows_numpy(r, pivots, free)
     return Matrix(field, out, _trusted=True), tuple(free)
 
 
@@ -603,12 +610,6 @@ def _other_columns(nc: int, cols: Sequence[int]) -> List[int]:
     for c in cols:
         is_other[c] = False
     return [c for c, f in enumerate(is_other) if f]
-
-
-def _null_rows_lists(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
-    """null_rows' basis over F_p by _null_lists, as an array of r's dtype."""
-    out = _null_lists(r.data[: len(pivots)].tolist(), pivots, free, r.cols, r.field.p)
-    return np.array(out, dtype=r.field.dtype)
 
 
 def _null_lists(
@@ -638,9 +639,13 @@ def _null_rows_numpy(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.nd
 
 def kernel_basis(m: Matrix, with_free: bool = False):
     """Basis (as rows) of the right kernel {x : m x = 0}; with_free, the
-    pair of it and its free columns, where the basis is the identity."""
-    r, _, pivots = rref(m)
-    out = null_rows(r, pivots)
+    pair of it and its free columns, where the basis is the identity.  A
+    small F_p matrix (_kernel_on_lists) goes to _kernel_lists as lists."""
+    if _kernel_on_lists(m.field, m.rows, m.cols):
+        out = _kernel_lists(m.field, m.data.tolist(), m.cols)
+    else:
+        r, _, pivots = rref(m)
+        out = null_rows(r, pivots)
     return out if with_free else out[0]
 
 

@@ -4,10 +4,10 @@ Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop), and the tensor product a (x) b the cokernel of its
 balancing relations, whose projection is the kernel basis of the relations:
-both are the kernel of one Kronecker system, found by _kron_kernel.  Over
-F_p a small system (SMALL_SYSTEM_ENTRIES) is written as Python lists of
-ints (_kron_lists) and eliminated by exactla's list core, with one array
-made at the end; a larger one, or one over Q, is written by the numpy
+both are the kernel of one Kronecker system, found by _kron_kernel.  A
+system that exactla puts on its list core (_kernel_on_lists: small, over
+F_p) is written as Python lists of ints (_kron_lists) and eliminated
+there, with one array made at the end; any other is written by the numpy
 writer (_kron_rows, through add_kron into 4-D views of its columns, which
 writes an identity factor by index instead of multiplying by it) and
 eliminated by kernel_basis.  tensor_map's blocks are written by add_kron
@@ -72,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from .exactla import (
-    PRIME,
     Field,
     Matrix,
     QuotientSpace,
@@ -80,6 +79,7 @@ from .exactla import (
     _dot,
     _kernel_form,
     _kernel_lists,
+    _kernel_on_lists,
     coordinates,
     hstack,
     kernel_basis,
@@ -273,27 +273,19 @@ def add_kron(
     view[...] = field.normalize(view)
 
 
-# Over F_p, a Kronecker system is written and eliminated on Python lists
-# when it and every kernel basis it can have (columns x columns) hold at most
-# this many entries: Hom and tensor systems are sparse, and up to here lists
-# beat numpy on laws_sweep's and big_fp's systems (BENCH_20.json's
-# layer_rows).
-SMALL_SYSTEM_ENTRIES = 256
-
-
 def _kron_kernel(
     field: Field, offs: Dict[str, int], total: int, terms: list
 ) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(_kron_rows(field, offs, total, terms), with_free=True).
-    Over F_p, when max(rows, total) * total is at most SMALL_SYSTEM_ENTRIES,
-    the rows are written by _kron_lists and the kernel found by exactla's
-    list core (_kernel_lists), with no array before the basis; otherwise
-    they are written by _kron_rows and eliminated by kernel_basis.  The
-    kernel basis is unique, so both give the same matrix and free columns
-    bit for bit."""
+    When exactla's rule puts a system of this size on its list core
+    (_kernel_on_lists), the rows are written by _kron_lists and the kernel
+    found by _kernel_lists, with no array before the basis; otherwise they
+    are written by _kron_rows and eliminated by kernel_basis.  The kernel
+    basis is unique, so both give the same matrix and free columns bit for
+    bit."""
     terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
     rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
-    if field.kind == PRIME and max(rows, total) * total <= SMALL_SYSTEM_ENTRIES:
+    if _kernel_on_lists(field, rows, total):
         return _kernel_lists(field, _kron_lists(field.p, offs, total, terms), total)
     return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
 

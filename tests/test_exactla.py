@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from stabhom.exactla import (
     Subspace,
     _kernel_form,
     coordinates,
+    hstack,
     kernel_basis,
     null_rows,
     rank,
@@ -413,9 +416,9 @@ def test_rref_takes_both_updates(field):
     over F_p they reach the numpy core."""
     block = [[1, 2], [1, 1]]
     sparse = Matrix.from_rows(
-        field, [[0] * (2 * k) + row + [0] * (10 - 2 * k) for k in range(6) for row in block]
+        field, [[0] * (2 * k) + row + [0] * (22 - 2 * k) for k in range(12) for row in block]
     )
-    dense = Matrix.from_rows(field, [[1] + [(i * j + i + j) % 7 for j in range(8)] for i in range(9)])
+    dense = Matrix.from_rows(field, [[1] + [(i * j + i + j) % 7 for j in range(16)] for i in range(17)])
     for m, check in ((sparse, lambda h: 1 < h < m.rows / 2), (dense, lambda h: h == m.rows)):
         assert m.data.size > exactla.SMALL_ENTRIES
         hits = []
@@ -467,10 +470,10 @@ def test_the_list_rref_core_equals_the_numpy_core(m):
         # rref returns a matrix with no rows before choosing a core
         assert rref(m) == (m, 0, ())
         return
-    got, got_pivots = exactla._rref_rows(m.data, field.p)
+    got, got_pivots = exactla._rref_lists(m.data.tolist(), m.cols, field.p)
     want, want_pivots = exactla._rref_numpy(field, m.data)
     assert got_pivots == want_pivots
-    _assert_same_array(got, want, field.dtype)
+    _assert_same_array(np.array(got, dtype=field.dtype), want, field.dtype)
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,9 +485,21 @@ def test_the_list_null_rows_body_equals_the_numpy_body(m):
         # null_rows returns an empty kernel before choosing a body
         assert null_rows(r, pivots) == (Matrix.zeros(m.field, 0, m.cols), ())
         return
-    got = exactla._null_rows_lists(r, pivots, free)
+    got = exactla._null_lists(r.data[: len(pivots)].tolist(), pivots, free, m.cols, m.field.p)
     want = exactla._null_rows_numpy(r, pivots, free)
-    _assert_same_array(got, want, m.field.dtype)
+    _assert_same_array(np.array(got, dtype=m.field.dtype), want, m.field.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORE_MATRICES)
+def test_the_list_route_of_kernel_basis_equals_the_numpy_route(m):
+    # every CORE_MATRICES matrix is small enough for the list route
+    assert exactla._kernel_on_lists(m.field, m.rows, m.cols)
+    got, got_free = kernel_basis(m, with_free=True)
+    with mock.patch.object(exactla, "SMALL_ENTRIES", -1):
+        want, want_free = kernel_basis(m, with_free=True)
+    assert got_free == want_free
+    _assert_same_array(got.data, want.data, m.field.dtype)
 
 
 def _spy_on(monkeypatch, *names):
@@ -501,26 +516,55 @@ def _spy_on(monkeypatch, *names):
 
 def test_the_elimination_core_is_chosen_by_size(monkeypatch):
     f5 = Field.prime(5)
-    calls = _spy_on(monkeypatch, "_rref_rows", "_rref_numpy")
+    calls = _spy_on(monkeypatch, "_rref_lists", "_rref_numpy")
     rref(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]]))
-    assert calls == {"_rref_rows": 1, "_rref_numpy": 0}
-    rref(Matrix.from_rows(f5, [[1 + (i * j) % 4 for j in range(12)] for i in range(12)]))
-    assert calls == {"_rref_rows": 1, "_rref_numpy": 1}
+    assert calls == {"_rref_lists": 1, "_rref_numpy": 0}
+    n = isqrt(exactla.SMALL_ENTRIES) + 1
+    rref(Matrix.from_rows(f5, [[1 + (i * j) % 4 for j in range(n)] for i in range(n)]))
+    assert calls == {"_rref_lists": 1, "_rref_numpy": 1}
     # the bound is inclusive, and Q takes neither core
     for cols in (exactla.SMALL_ENTRIES, exactla.SMALL_ENTRIES + 1):
         rref(Matrix.from_rows(f5, [[1] * cols]))
     rref(Matrix.from_rows(Field.rational(), [[1, 2, 3], [4, 0, 1]]))
-    assert calls == {"_rref_rows": 2, "_rref_numpy": 2}
+    assert calls == {"_rref_lists": 2, "_rref_numpy": 2}
 
 
 def test_the_kernel_body_is_chosen_by_the_size_of_the_basis(monkeypatch):
+    calls = _spy_on(monkeypatch, "_null_lists", "_null_rows_numpy")
+    for field in (Field.prime(5), Field.rational()):
+        # [I | 0] with c columns is in rref and has a 1 x c kernel basis
+        for c in (exactla.SMALL_ENTRIES, exactla.SMALL_ENTRIES + 1):
+            r = hstack(field, [Matrix.identity(field, c - 1), Matrix.zeros(field, c - 1, 1)])
+            assert null_rows(r, range(c - 1))[1] == (c - 1,)
+    # the bound is inclusive, and Q writes with numpy
+    assert calls == {"_null_lists": 1, "_null_rows_numpy": 3}
+    # the choice reads the basis, not r: a 0 x n r has an n x n basis
+    n = isqrt(exactla.SMALL_ENTRIES) + 1
+    assert null_rows(Matrix.zeros(Field.prime(5), 0, n), ())[0] == Matrix.identity(Field.prime(5), n)
+    assert calls == {"_null_lists": 1, "_null_rows_numpy": 4}
+
+
+def test_kernel_basis_takes_a_small_matrix_straight_to_lists(monkeypatch):
+    # no rref or null_rows on arrays, nor their list bodies through them
     f5 = Field.prime(5)
-    calls = _spy_on(monkeypatch, "_null_rows_lists", "_null_rows_numpy")
-    assert kernel_basis(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]])).shape == (1, 3)
-    assert calls == {"_null_rows_lists": 1, "_null_rows_numpy": 0}
-    # a 0 x 100 matrix has the 100 x 100 identity as its kernel basis
-    assert kernel_basis(Matrix.zeros(f5, 0, 100)) == Matrix.identity(f5, 100)
-    assert calls == {"_null_rows_lists": 1, "_null_rows_numpy": 1}
+    calls = _spy_on(monkeypatch, "rref", "null_rows", "_kernel_lists")
+    basis, free = kernel_basis(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]]), with_free=True)
+    assert calls == {"rref": 0, "null_rows": 0, "_kernel_lists": 1}
+    assert basis == Matrix.from_rows(f5, [[1, 3, 1]]) and free == (2,)
+
+
+@pytest.mark.parametrize("extra_rows, extra_cols", [(0, 0), (1, 0), (0, 1)], ids=["at", "rows", "cols"])
+def test_the_kernel_route_is_chosen_by_the_matrix_and_its_basis(monkeypatch, extra_rows, extra_cols):
+    # an n x n matrix with n^2 = SMALL_ENTRIES and its n x n basis are at the
+    # bound; one more row or column puts the matrix or the basis past it
+    n = isqrt(exactla.SMALL_ENTRIES)
+    assert n * n == exactla.SMALL_ENTRIES
+    calls = _spy_on(monkeypatch, "_kernel_lists")
+    for field in (Field.prime(5), Field.rational()):
+        m = Matrix.zeros(field, n + extra_rows, n + extra_cols)
+        assert kernel_basis(m) == Matrix.identity(field, m.cols)
+    # Q never takes the list route
+    assert calls == {"_kernel_lists": int(not extra_rows + extra_cols)}
 
 
 def test_rref_leaves_a_matrix_with_no_rows_as_it_is():

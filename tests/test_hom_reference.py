@@ -18,6 +18,7 @@ system, bit for bit.
 import random
 from contextlib import contextmanager
 from functools import lru_cache
+from math import isqrt
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
-from stabhom import homology
+from stabhom import exactla, homology
 from stabhom.algebra import (
     LEFT,
     RIGHT,
@@ -346,11 +347,11 @@ kron_cases = st.tuples(
 @given(kron_cases)
 def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
     field, offs, total, terms = case
-    with mock.patch.object(homology, "SMALL_SYSTEM_ENTRIES", 10 ** 9), \
+    with mock.patch.object(exactla, "SMALL_ENTRIES", 10 ** 9), \
             mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
         got, got_free = homology._kron_kernel(field, offs, total, terms)
     assert not numpy_route.called
-    with mock.patch.object(homology, "SMALL_SYSTEM_ENTRIES", -1), \
+    with mock.patch.object(exactla, "SMALL_ENTRIES", -1), \
             mock.patch.object(homology, "_kernel_lists") as list_route:
         want, want_free = homology._kron_kernel(field, offs, total, terms)
     assert not list_route.called
@@ -371,14 +372,17 @@ def _one_column_system(field, rows, total):
     return field, {"x": 0, "y": 1}, total, terms
 
 
+# the side of exactla's bound: N x N entries, with N^2 = SMALL_ENTRIES
+N = isqrt(exactla.SMALL_ENTRIES)
+ROUTE_SIZES = [(N, N, True), (N, N + 1, False), (1, N, True), (1, N + 1, False), (0, N, True), (0, N + 1, False)]
+
+
 @pytest.mark.parametrize(
-    "rows, total, lists",
-    [(16, 16, True), (16, 17, False), (1, 16, True), (1, 17, False), (0, 16, True), (0, 17, False)],
-    ids=["16x16", "16x17", "1x16", "1x17", "0x16", "0x17"],
+    "rows, total, lists", ROUTE_SIZES, ids=[f"{r}x{t}" for r, t, _ in ROUTE_SIZES]
 )
 def test_the_kronecker_kernel_route_is_chosen_by_size(rows, total, lists):
     # the system and any kernel basis of it (total x total) within the bound
-    assert homology.SMALL_SYSTEM_ENTRIES == 256
+    assert N * N == exactla.SMALL_ENTRIES
     for field in (Field.prime(5), Field.rational()):
         with mock.patch.object(homology, "_kernel_lists", wraps=homology._kernel_lists) as list_route, \
                 mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
