@@ -17,10 +17,10 @@ Over F_p, a job runs on Python lists of ints, and returns its array in the
 field's dtype, when every array it reads or writes holds at most
 SMALL_ENTRIES entries: at that size a numpy call costs more than the
 arithmetic it does.  That is the matrix for rref, the basis (free columns
-x columns) for null_rows, and the matrix and any kernel basis of it
-(columns x columns) for a kernel, kernel_basis or homology's Hom and
-tensor systems, which ask _kernel_on_lists and write their rows as lists
-for _kernel_lists.  Q never runs on lists.  This module alone makes that
+x columns) for null_rows, and for a kernel the matrix and any kernel basis
+of it (columns x columns): _kernel_on_lists, which kernel_basis asks, and
+homology too, before writing a Hom or tensor system as lists for
+_kernel_lists.  Q never runs on lists.  This module alone makes that
 choice.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
