@@ -18,10 +18,11 @@ field's dtype, when every array it reads or writes holds at most
 SMALL_ENTRIES entries: at that size a numpy call costs more than the
 arithmetic it does.  That is the matrix for rref, the basis (free columns
 x columns) for null_rows, and for a kernel the matrix and any kernel basis
-of it (columns x columns): _kernel_on_lists, which kernel_basis asks, and
-homology too, before writing a Hom or tensor system as lists for
-_kernel_lists.  Q never runs on lists.  This module alone makes that
-choice.
+of it (columns x columns).  A Q kernel is always found on lists, on
+integer rows: a row scaled to integers has the same kernel, and Fractions
+are made only for the basis.  _kernel_on_lists states that rule;
+kernel_basis asks it, and homology too, before writing a Hom or tensor
+system as lists for _kernel_lists.  This module alone makes that choice.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -30,8 +31,9 @@ the pivot column on, and the rows with a nonzero entry in the pivot
 column, from the pivot column on.  Over F_p it runs on lists
 (_rref_lists) or on the numpy array (_rref_numpy) by size; over Q it is
 fraction-free on integer rows (_rref_rational), which a pivot changes
-from the first pivot column on.  The rref is unique, so the core chosen
-changes no output.
+from the first pivot column on: the one Q core, under rref's Fractions
+and under kernel_basis's.  The rref is unique, so the core chosen changes
+no output.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -351,9 +353,14 @@ class Matrix:
 
 
 def _integers(xs: List[Fraction]) -> Tuple[List[int], int]:
-    """(ns, d) with xs[i] = ns[i] / d: d is the lcm of the denominators."""
-    d = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    """(ns, d) with xs[i] = ns[i] / d: d is the lcm of the denominators.
+    Each x is read once, and with every denominator 1 the numerators are
+    returned as they are."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = lcm(*[e for _, e in pairs])
+    if d == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (d // e) for n, e in pairs], d
 
 
 def _objects(xs: list, shape: Tuple[int, ...]) -> np.ndarray:
@@ -442,9 +449,9 @@ SMALL_ENTRIES = 256
 
 def _kernel_on_lists(field: Field, rows: int, cols: int) -> bool:
     """Whether the kernel of a rows x cols matrix over this field is found on
-    lists: over F_p, when the matrix and any kernel basis of it (cols x cols)
-    hold at most SMALL_ENTRIES entries."""
-    return field.kind == PRIME and max(rows, cols) * cols <= SMALL_ENTRIES
+    lists: over Q always, on integer rows; over F_p when the matrix and any
+    kernel basis of it (cols x cols) hold at most SMALL_ENTRIES entries."""
+    return field.kind == RATIONAL or max(rows, cols) * cols <= SMALL_ENTRIES
 
 
 def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
@@ -452,14 +459,22 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
 
     Over F_p a matrix of at most SMALL_ENTRIES entries is eliminated on
     Python lists (_rref_lists) and a larger one on its numpy array
-    (_rref_numpy); over Q on integer rows, returning canonical Fractions
-    (_rref_rational).  The rref is unique, so every core returns the same
-    matrix, pivots and dtype (object arrays hold Python ints)."""
+    (_rref_numpy); over Q on integer rows (_rref_rational), each pivot row
+    then divided by its pivot into canonical Fractions.  The rref is unique,
+    so every core returns the same matrix, pivots and dtype (object arrays
+    hold Python ints over F_p)."""
     if not m.rows:
         return m, 0, ()
     field = m.field
     if field.kind == RATIONAL:
-        a, pivots = _rref_rational(m.data)
+        rows, pivots = _rref_rational([_integers(r)[0] for r in m.data.tolist()], m.cols)
+        zero = Fraction(0)
+        flat = []
+        for r, col in zip(rows, pivots):
+            v = r[col]
+            flat += [Fraction(u, v) if u else zero for u in r]
+        flat += [zero] * ((m.rows - len(pivots)) * m.cols)
+        a = _objects(flat, m.shape)
     elif m.data.size <= SMALL_ENTRIES:
         a, pivots = _rref_lists(m.data.tolist(), m.cols, field.p)
         a = np.array(a, dtype=field.dtype)
@@ -539,16 +554,15 @@ def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return a, pivots
 
 
-def _rref_rational(data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """rref over Q, fraction-free on integer rows (Python lists of ints):
-    each row is scaled to integers by the lcm of its denominators, and a
+def _rref_rational(a: List[List[int]], nc: int) -> Tuple[List[List[int]], List[int]]:
+    """The Q elimination core: fraction-free on the rows a, Python lists of
+    nc ints, in place (scaling a row does not change its row space).  A
     pivot x in row p turns each other row r hit at its column col into
     x r - r[col] p, divided by its content (the gcd of its entries).  Every
     row is zero left of the first pivot, so updates start there.  Pivot row
-    p ends with its pivot v and every other pivot column zero, so its rref
+    p ends with its pivot v and every other pivot column zero, so the rref
     row is p / v; the rows past the rank are zero."""
-    nr, nc = data.shape
-    a = [_integers(row)[0] for row in data.tolist()]
+    nr = len(a)
     pivots: List[int] = []
     row = 0
     for col in range(nc):
@@ -572,13 +586,7 @@ def _rref_rational(data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
                 a[i] = r[:lead] + new
         pivots.append(col)
         row += 1
-    zero = Fraction(0)
-    flat = []
-    for r, col in zip(a, pivots):
-        v = r[col]
-        flat += [Fraction(u, v) if u else zero for u in r]
-    flat += [zero] * ((nr - len(pivots)) * nc)
-    return _objects(flat, (nr, nc)), pivots
+    return a, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -640,9 +648,14 @@ def _null_rows_numpy(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.nd
 def kernel_basis(m: Matrix, with_free: bool = False):
     """Basis (as rows) of the right kernel {x : m x = 0}; with_free, the
     pair of it and its free columns, where the basis is the identity.  A
-    small F_p matrix (_kernel_on_lists) goes to _kernel_lists as lists."""
+    small F_p matrix (_kernel_on_lists) goes to _kernel_lists as lists, and
+    a Q matrix always, each row scaled to integers (the kernel is the
+    same)."""
     if _kernel_on_lists(m.field, m.rows, m.cols):
-        out = _kernel_lists(m.field, m.data.tolist(), m.cols)
+        rows = m.data.tolist()
+        if m.field.kind == RATIONAL:
+            rows = [_integers(r)[0] for r in rows]
+        out = _kernel_lists(m.field, rows, m.cols)
     else:
         r, _, pivots = rref(m)
         out = null_rows(r, pivots)
@@ -650,15 +663,32 @@ def kernel_basis(m: Matrix, with_free: bool = False):
 
 
 def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix, Tuple[int, ...]]:
-    """kernel_basis(m, with_free=True) for the F_p matrix m whose rows are
-    the Python lists rows, of nc ints each: eliminated in place by
-    _rref_lists, the basis written by _null_lists, one array made at the
-    end."""
-    a, pivots = _rref_lists(rows, nc, field.p)
+    """kernel_basis(m, with_free=True) for the matrix m whose rows are the
+    Python lists rows, of nc ints each (over Q, any integer multiples of
+    m's rows), eliminated in place, with one array made at the end.  Over
+    F_p _rref_lists eliminates and _null_lists writes the basis.  Over Q
+    _rref_rational eliminates, and row f of the basis is Fraction(1) at f
+    and Fraction(-r[f], r[c]) at the pivot column c of each pivot row r;
+    these are the only Fractions made."""
+    if field.kind == RATIONAL:
+        a, pivots = _rref_rational(rows, nc)
+    else:
+        a, pivots = _rref_lists(rows, nc, field.p)
     if len(pivots) == nc:
         return Matrix.zeros(field, 0, nc), ()
     free = _other_columns(nc, pivots)
-    out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
+    if field.kind == RATIONAL:
+        zero, one = Fraction(0), Fraction(1)
+        out = []
+        for f in free:
+            o = [zero] * nc
+            o[f] = one
+            for c, r in zip(pivots, a):
+                if r[f]:
+                    o[c] = Fraction(-r[f], r[c])
+            out.append(o)
+    else:
+        out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
     return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
 
 

@@ -5,13 +5,15 @@ one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop), and the tensor product a (x) b the cokernel of its
 balancing relations, whose projection is the kernel basis of the relations:
 both are the kernel of one Kronecker system, found by _kron_kernel.  A
-system that exactla puts on its list core (_kernel_on_lists: small, over
-F_p) is written as Python lists of ints (_kron_lists) and eliminated
-there, with one array made at the end; any other is written by the numpy
-writer (_kron_rows, through add_kron into 4-D views of its columns, which
-writes an identity factor by index instead of multiplying by it) and
-eliminated by kernel_basis.  tensor_map's blocks are written by add_kron
-too.  No system is written
+system that exactla puts on its list core (_kernel_on_lists: every Q
+system, and a small F_p one) is written as Python lists of ints
+(_kron_lists) and eliminated there, with one array made at the end; over
+Q the ints are the system times the common denominator d of its terms,
+which has the same kernel, so no Fraction is made before the basis.  A
+large F_p system is written by the numpy writer (_kron_rows, through
+add_kron into 4-D views of its columns, which writes an identity factor
+by index instead of multiplying by it) and eliminated by kernel_basis.
+tensor_map's blocks are written by add_kron too.  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
 e_v to a unit vector of b_v and each path label of P(v) to its action on
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -77,6 +79,7 @@ from .exactla import (
     QuotientSpace,
     Subspace,
     _dot,
+    _integers,
     _kernel_form,
     _kernel_lists,
     _kernel_on_lists,
@@ -278,38 +281,54 @@ def _kron_kernel(
 ) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(_kron_rows(field, offs, total, terms), with_free=True).
     When exactla's rule puts a system of this size on its list core
-    (_kernel_on_lists), the rows are written by _kron_lists and the kernel
-    found by _kernel_lists, with no array before the basis; otherwise they
-    are written by _kron_rows and eliminated by kernel_basis.  The kernel
-    basis is unique, so both give the same matrix and free columns bit for
-    bit."""
+    (_kernel_on_lists: always over Q, when small over F_p), the rows are
+    written by _kron_lists and the kernel found by _kernel_lists, with no
+    array before the basis; otherwise they are written by _kron_rows and
+    eliminated by kernel_basis.  Over Q one pass (_integers) over all the
+    terms' entries gives their common denominator d, and the system is
+    written d times over, in integers: it has the same kernel.  The kernel
+    basis is unique, so both routes give the same matrix and free columns
+    bit for bit."""
     terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
     rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
-    if _kernel_on_lists(field, rows, total):
-        return _kernel_lists(field, _kron_lists(field.p, offs, total, terms), total)
-    return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
+    if not _kernel_on_lists(field, rows, total):
+        return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
+    if field.p is None:
+        flat = [x for _, m1, _, m2 in terms for m in (m1, m2) for x in m.ravel().tolist()]
+        ints = iter(_integers(flat)[0])
+
+        def take(m):  # m's rows, d times over, from ints
+            return [list(islice(ints, m.shape[1])) for _ in range(m.shape[0])]
+
+        terms = [(v1, take(m1), v2, take(m2)) for v1, m1, v2, m2 in terms]
+    else:
+        terms = [(v1, m1.tolist(), v2, m2.tolist()) for v1, m1, v2, m2 in terms]
+    return _kernel_lists(field, _kron_lists(field.p, offs, total, terms), total)
 
 
-def _kron_lists(p: int, offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
-    """_kron_rows' rows over F_p as Python lists of ints reduced mod p: row
-    (i, j) of a term (v1, M1, v2, M2) holds M1[i, k] at column
-    offs[v1] + k q + j and M2[j, l] at offs[v2] + i c2 + l, where M2 is
-    q x c2; when v1 = v2 they add up."""
+def _kron_lists(
+    p: Optional[int], offs: Dict[str, int], total: int, terms: list
+) -> List[List[int]]:
+    """_kron_rows' rows as Python lists of ints, from terms whose matrices are
+    lists of rows of ints: row (i, j) of a term (v1, M1, v2, M2) holds
+    M1[i][k] at column offs[v1] + k q + j and M2[j][l] at offs[v2] + i c2 + l,
+    where M2 is q x c2; when v1 = v2 they add up.  Over F_p every entry is
+    reduced mod p; over Q (p None) nothing is reduced."""
     rows = []
     for v1, m1, v2, m2 in terms:
-        q, c2 = m2.shape
+        q, c2 = len(m2), len(m2[0])
         o1, o2 = offs[v1], offs[v2]
-        m2rows = m2.tolist()
-        for i, xs in enumerate(m1.tolist()):
+        for i, xs in enumerate(m1):
             base = o2 + i * c2
-            for j, ys in enumerate(m2rows):
+            for j, ys in enumerate(m2):
                 row = [0] * total
                 for k, x in enumerate(xs):
                     if x:
-                        row[o1 + k * q + j] = x % p
+                        row[o1 + k * q + j] = x if p is None else x % p
                 for l, y in enumerate(ys):
                     if y:
-                        row[base + l] = (row[base + l] + y) % p
+                        y += row[base + l]
+                        row[base + l] = y if p is None else y % p
                 rows.append(row)
     return rows
 

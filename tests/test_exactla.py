@@ -559,12 +559,15 @@ def test_the_kernel_route_is_chosen_by_the_matrix_and_its_basis(monkeypatch, ext
     # bound; one more row or column puts the matrix or the basis past it
     n = isqrt(exactla.SMALL_ENTRIES)
     assert n * n == exactla.SMALL_ENTRIES
-    calls = _spy_on(monkeypatch, "_kernel_lists")
-    for field in (Field.prime(5), Field.rational()):
-        m = Matrix.zeros(field, n + extra_rows, n + extra_cols)
-        assert kernel_basis(m) == Matrix.identity(field, m.cols)
-    # Q never takes the list route
-    assert calls == {"_kernel_lists": int(not extra_rows + extra_cols)}
+    calls = _spy_on(monkeypatch, "_kernel_lists", "rref")
+    m = Matrix.zeros(Field.prime(5), n + extra_rows, n + extra_cols)
+    assert kernel_basis(m) == Matrix.identity(m.field, m.cols)
+    on_lists = int(not extra_rows + extra_cols)
+    assert calls == {"_kernel_lists": on_lists, "rref": 1 - on_lists}
+    # Q always takes the list route, at any size
+    m = Matrix.zeros(Field.rational(), n + extra_rows, n + extra_cols)
+    assert kernel_basis(m) == Matrix.identity(m.field, m.cols)
+    assert calls == {"_kernel_lists": on_lists + 1, "rref": 1 - on_lists}
 
 
 def test_rref_leaves_a_matrix_with_no_rows_as_it_is():

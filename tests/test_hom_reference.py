@@ -8,8 +8,10 @@ per-vertex products the same coordinates, over every backend: int64 (F2,
 F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).
 
 A system is written by one of two writers, _kron_rows (numpy arrays) or
-_kron_lists (Python lists, for small F_p systems), and whichever wrote it
-is compared with the reference.  Hom(P(v), m) and Hom(m, I(v)) build no
+_kron_lists (Python lists, for small F_p systems and every Q system), and
+whichever wrote it is compared with the reference.  Over Q the list writer
+writes integers: the system times d, the common denominator of the entries
+of its terms, and that must be d times the reference entry for entry.  Hom(P(v), m) and Hom(m, I(v)) build no
 system at all: they are read off the path labels of P(v) (Yoneda).  Their
 stacks and free columns must still be the kernel of the Kronecker reference
 system, bit for bit.
@@ -17,8 +19,9 @@ system, bit for bit.
 
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from unittest import mock
 
 import numpy as np
@@ -32,6 +35,7 @@ from stabhom.algebra import (
     RIGHT,
     AlgebraError,
     ModuleMap,
+    Representation,
     arrow_ends,
     direct_sum,
     indec_injective,
@@ -183,26 +187,45 @@ def _yoneda_shape(a, b):
 
 @contextmanager
 def _written_systems(field):
-    """The Kronecker systems homology writes in this block, as matrices over
-    field, from either writer: _kron_rows' arrays, or _kron_lists' rows,
-    copied before the list core eliminates them in place."""
-    systems = []
-    write_rows, write_lists = homology._kron_rows, homology._kron_lists
+    """The Kronecker systems homology writes in this block, from either
+    writer, each as a pair (matrix over field, d): _kron_rows' arrays, or
+    _kron_lists' rows, copied before the list core eliminates them in
+    place.  d is 1 over F_p; over Q it is the lcm of the denominators of
+    the entries of the terms that write rows, and the rows must be Python
+    ints."""
+    systems, scales = [], []
+    solve, write_rows, write_lists = homology._kron_kernel, homology._kron_rows, homology._kron_lists
+
+    def kernel(field, offs, total, terms):
+        entries = [x for _, m1, _, m2 in terms if m1.shape[0] * m2.shape[0]
+                   for m in (m1, m2) for x in m.ravel().tolist()]
+        scales.append(1 if field.p else lcm(*(Fraction(x).denominator for x in entries)))
+        return solve(field, offs, total, terms)
 
     def rows(*args):
         out = write_rows(*args)
-        systems.append(out)
+        systems.append((out, scales[-1]))
         return out
 
     def lists(p, offs, total, terms):
         out = write_lists(p, offs, total, terms)
+        if p is None:
+            assert all(type(x) is int for row in out for x in row)
         data = np.array(out, dtype=field.dtype).reshape(len(out), total)
-        systems.append(Matrix(field, data, _trusted=True))
+        systems.append((Matrix(field, data, _trusted=True), scales[-1]))
         return out
 
-    with mock.patch.object(homology, "_kron_rows", rows), \
+    with mock.patch.object(homology, "_kron_kernel", kernel), \
+            mock.patch.object(homology, "_kron_rows", rows), \
             mock.patch.object(homology, "_kron_lists", lists):
         yield systems
+
+
+def _assert_written(systems, want):
+    """One system was written, and it is want times its d, exactly."""
+    [(got, d)] = systems
+    assert got.shape == want.shape
+    assert got.data.tolist() == [[d * x for x in row] for row in want.data.tolist()]
 
 
 def _assert_hom_matches(a, b):
@@ -217,7 +240,7 @@ def _assert_hom_matches(a, b):
         assert systems == []
         assert yoneda.call_count == 1
     else:
-        assert systems == [want]
+        _assert_written(systems, want)
         assert not yoneda.called
     ref = HomSpace(a, b, *kernel_basis(want, with_free=True))
     assert hom.stack == ref.stack
@@ -281,7 +304,7 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
     with _written_systems(alg.field) as systems:
         ts = TensorSpace(a, b)
     want = _tensor_relations_by_kron(a, b)
-    assert systems == [want]
+    _assert_written(systems, want)
     ref = Subspace(alg.field, ts.ambient_dim, want).quotient()
     assert ts.quotient.projection == ref.projection
     assert ts.quotient.free == ref.free
@@ -294,6 +317,72 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
         # through identity quotients tensor_map returns its vertexwise block itself
         src.quotient, dst.quotient = _identity_quotient(src), _identity_quotient(dst)
         assert tensor_map(src, dst, ff, gg) == want
+
+
+def _rescaled(m, rng):
+    """m conjugated at each vertex by a diagonal matrix of nonzero Fractions
+    with numerators and denominators up to 2^70: an isomorphic module whose
+    arrow matrices have large denominators."""
+    field = m.algebra.field
+    scale = {v: [Fraction(rng.choice([-1, 1]) * rng.randint(1, 2 ** 70), rng.randint(1, 2 ** 70))
+                 for _ in range(m.dims[v])] for v in m.vertices}
+    maps = {}
+    for ar in m.algebra.quiver.arrows:
+        x, y = arrow_ends(ar, m.side)
+        a = m.arrow_maps[ar.name].data
+        data = np.empty(a.shape, dtype=object)
+        for i, j in np.ndindex(*a.shape):
+            data[i, j] = scale[y][i] * a[i, j] / scale[x][j]
+        maps[ar.name] = Matrix(field, data, _trusted=True)
+    return Representation(m.algebra, m.side, dict(m.dims), maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_q_systems_are_written_in_integers_d_times_the_reference(case):
+    # over Q the rows are d times the reference, d the lcm of the denominators
+    _, name, side, seed = case
+    alg = _algebra(name, FIELDS.index(Field.rational()))
+    rng = random.Random(seed)
+    a, b = (_rescaled(m, rng) for m in _modules(alg, side, rng, 2))
+    _assert_hom_matches(a, b)
+    a, b = _rescaled(_modules(alg, RIGHT, rng, 1)[0], rng), _rescaled(_modules(alg, LEFT, rng, 1)[0], rng)
+    with _written_systems(alg.field) as systems:
+        ts = TensorSpace(a, b)
+    want = _tensor_relations_by_kron(a, b)
+    _assert_written(systems, want)
+    ref = Subspace(alg.field, ts.ambient_dim, want).quotient()
+    assert ts.quotient.projection == ref.projection
+    assert ts.quotient.free == ref.free
+
+
+def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
+    """A Q Hom space not read off path labels is solved on integer rows: the
+    numpy writer (_kron_rows, add_kron) is not called, and the Fractions
+    made are the basis entries off its free columns, at most free x pivots,
+    one Fraction(0) and one Fraction(1), besides the codomain's arrow
+    matrices, negated as Fractions into the terms."""
+    alg = _algebra("kronecker", FIELDS.index(Field.rational()))
+    rng = random.Random(1)
+    a, b = (_rescaled(direct_sum(_modules(alg, LEFT, rng, 3)).module, rng) for _ in range(2))
+    assert not _yoneda_shape(a, b)
+    negated = sum(m.data.size for m in b.arrow_maps.values())
+    made = []
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return make(cls, *args, **kwargs)
+
+    with mock.patch.object(homology, "_kron_rows") as rows, mock.patch.object(homology, "add_kron") as kron:
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        hom = homology._build_hom(a, b)
+        monkeypatch.undo()
+    assert not rows.called and not kron.called
+    free, pivots = len(hom.free), hom.stack.cols - len(hom.free)
+    assert free and pivots and 2 < len(made) <= free * pivots + 2 + negated
+    ref = kernel_basis(_hom_system_by_kron(a, b), with_free=True)
+    assert (hom.stack, hom.free) == ref
 
 
 # -- the two routes of the Kronecker kernel -----------------------------------------------
@@ -387,8 +476,8 @@ def test_the_kronecker_kernel_route_is_chosen_by_size(rows, total, lists):
         with mock.patch.object(homology, "_kernel_lists", wraps=homology._kernel_lists) as list_route, \
                 mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
             basis, free = homology._kron_kernel(*_one_column_system(field, rows, total))
-        # Q never takes the list route
-        takes_lists = lists and field.p is not None
+        # Q always takes the list route, at any size
+        takes_lists = lists or field.p is None
         assert (list_route.call_count, numpy_route.call_count) == (int(takes_lists), int(not takes_lists))
         assert free == tuple(range(1 if rows else 0, total))
         assert basis.shape == (len(free), total)

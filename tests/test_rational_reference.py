@@ -14,6 +14,9 @@ operands, on zero-size shapes and on rank-deficient matrices with free
 columns left of later pivots.  null_rows negates the pivot block of a kernel
 basis with numpy's negation of the whole block; it must give the same
 kernel basis and free columns as the entrywise negation below.
+kernel_basis used to be that Fraction rref and then null_rows' numpy body;
+it now eliminates integer rows and makes Fractions only for the basis, and
+must give the same basis, free columns and Fraction entries.
 """
 
 from fractions import Fraction
@@ -22,7 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabhom.exactla import Field, Matrix, null_rows, rref
+from stabhom import exactla
+from stabhom.exactla import Field, Matrix, kernel_basis, null_rows, rref
 
 Q = Field.rational()
 
@@ -226,4 +230,42 @@ def test_null_rows_of_zero_and_columnless_matrices(shape):
     got, free = null_rows(r, ())
     want, want_free = _fraction_null_rows(r, ())
     assert free == want_free
+    _assert_same_entries(got.data, want)
+
+
+def _kernel_by_fraction_rref(m):
+    """kernel_basis(m, with_free=True) over Q as it was: the Fraction rref,
+    then null_rows' numpy body on its pivot rows."""
+    r, _, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        return Matrix.zeros(Q, 0, m.cols).data, ()
+    return exactla._null_rows_numpy(r, pivots, free), tuple(free)
+
+
+@st.composite
+def _kernel_inputs(draw, entries):
+    """A matrix of 0-7 rows and 0-7 columns, 0 x n and n x 0 included, with
+    some of its rows and columns zero, or a rank-deficient one."""
+    if draw(st.booleans()):
+        return draw(_rank_deficient(entries))[0]
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    m = draw(_matrices(entries, r, c))
+    if not m.rows * m.cols:
+        return m
+    data = m.data.copy()
+    data[draw(st.lists(st.integers(0, r - 1), max_size=r)), :] = Fraction(0)
+    data[:, draw(st.lists(st.integers(0, c - 1), max_size=c))] = Fraction(0)
+    return Matrix(Q, data, _trusted=True)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_basis_matches_the_fraction_rref_route(kind, data):
+    m = data.draw(_kernel_inputs(ENTRIES[kind]))
+    got, free = kernel_basis(m, with_free=True)
+    want, want_free = _kernel_by_fraction_rref(m)
+    assert free == want_free
+    assert got.data.dtype == object
     _assert_same_entries(got.data, want)
