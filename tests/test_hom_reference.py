@@ -10,11 +10,11 @@ F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).
 A system is written by one of two writers, _kron_rows (numpy arrays) or
 _kron_lists (Python lists, for small F_p systems and every Q system), and
 whichever wrote it is compared with the reference.  Over Q the list writer
-writes integers: the system times d, the common denominator of the entries
-of its terms, and that must be d times the reference entry for entry.  Hom(P(v), m) and Hom(m, I(v)) build no
-system at all: they are read off the path labels of P(v) (Yoneda).  Their
-stacks and free columns must still be the kernel of the Kronecker reference
-system, bit for bit.
+writes integers, the system times d, the common denominator of the entries
+of its terms: they must be d times the reference, entry for entry.
+Hom(P(v), m) and Hom(m, I(v)) build no system at all: they are read off
+the path labels of P(v) (Yoneda).  Their stacks and free columns must
+still be the kernel of the Kronecker reference system, bit for bit.
 """
 
 import random
@@ -196,11 +196,11 @@ def _written_systems(field):
     systems, scales = [], []
     solve, write_rows, write_lists = homology._kron_kernel, homology._kron_rows, homology._kron_lists
 
-    def kernel(field, offs, total, terms):
+    def kernel(over, offs, total, terms):
         entries = [x for _, m1, _, m2 in terms if m1.shape[0] * m2.shape[0]
                    for m in (m1, m2) for x in m.ravel().tolist()]
-        scales.append(1 if field.p else lcm(*(Fraction(x).denominator for x in entries)))
-        return solve(field, offs, total, terms)
+        scales.append(1 if over.p else lcm(*(Fraction(x).denominator for x in entries)))
+        return solve(over, offs, total, terms)
 
     def rows(*args):
         out = write_rows(*args)
