@@ -22,7 +22,8 @@ of it (columns x columns).  A Q kernel is always found on lists, on
 integer rows: a row scaled to integers has the same kernel, and Fractions
 are made only for the basis.  _kernel_on_lists states that rule;
 kernel_basis asks it, and homology too, before writing a Hom or tensor
-system as lists for _kernel_lists.  This module alone makes that choice.
+system as lists for _kernel_lists (over F_p, unreduced: any ints of
+absolute value below p).  This module alone makes that choice.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -487,7 +488,9 @@ def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], L
     """rref over F_p of the rows a, Python lists of nc ints, in place.  The
     pivot row is scaled by the inverse of its pivot, and each other row with
     an entry y in the pivot column takes y times it away, from that column
-    on: the pivot row is zero left of it."""
+    on: the pivot row is zero left of it.  An entry may be any int of
+    absolute value below p, which is nonzero exactly when it is nonzero mod
+    p; the rows come back reduced mod p if they went in reduced."""
     nr = len(a)
     pivots: List[int] = []
     row = 0
@@ -664,31 +667,31 @@ def kernel_basis(m: Matrix, with_free: bool = False):
 
 def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(m, with_free=True) for the matrix m whose rows are the
-    Python lists rows, of nc ints each (over Q, any integer multiples of
-    m's rows), eliminated in place, with one array made at the end.  Over
-    F_p _rref_lists eliminates and _null_lists writes the basis.  Over Q
+    Python lists rows, of nc ints each, eliminated in place, with one array
+    made at the end.  Over Q the rows may be any integer multiples of m's:
     _rref_rational eliminates, and row f of the basis is Fraction(1) at f
     and Fraction(-r[f], r[c]) at the pivot column c of each pivot row r;
-    these are the only Fractions made."""
+    these are the only Fractions made.  Over F_p the entries may be any ints
+    of absolute value below p (as _kron_lists writes them): _rref_lists
+    eliminates and _null_lists writes the basis, reduced mod p."""
     if field.kind == RATIONAL:
         a, pivots = _rref_rational(rows, nc)
-    else:
-        a, pivots = _rref_lists(rows, nc, field.p)
-    if len(pivots) == nc:
-        return Matrix.zeros(field, 0, nc), ()
-    free = _other_columns(nc, pivots)
-    if field.kind == RATIONAL:
+        free = _other_columns(nc, pivots)
         zero, one = Fraction(0), Fraction(1)
-        out = []
+        flat: list = []
         for f in free:
             o = [zero] * nc
             o[f] = one
             for c, r in zip(pivots, a):
                 if r[f]:
                     o[c] = Fraction(-r[f], r[c])
-            out.append(o)
-    else:
-        out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
+            flat += o
+        return Matrix(field, _objects(flat, (len(free), nc)), _trusted=True), tuple(free)
+    a, pivots = _rref_lists(rows, nc, field.p)
+    if len(pivots) == nc:
+        return Matrix.zeros(field, 0, nc), ()
+    free = _other_columns(nc, pivots)
+    out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
     return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
 
 

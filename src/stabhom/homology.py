@@ -4,15 +4,17 @@ Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop), and the tensor product a (x) b the cokernel of its
 balancing relations, whose projection is the kernel basis of the relations:
-both are the kernel of one Kronecker system, found by _kron_kernel.  A
-system that exactla puts on its list core (_kernel_on_lists: every Q
-system, and a small F_p one) is written as Python lists of ints
-(_kron_lists) and eliminated there, with one array made at the end; over
-Q the ints are the system times the common denominator d of its terms,
-which has the same kernel, so no Fraction is made before the basis.  A
-large F_p system is written by the numpy writer (_kron_rows, through
-add_kron into 4-D views of its columns, which writes an identity factor
-by index instead of multiplying by it) and eliminated by kernel_basis.
+both are the kernel of one Kronecker system, found by _kron_kernel.  Its
+terms (v1, M1, v2, M2) hold the arrow matrices as they are, and the
+writers put in the minus sign of I (x) M2 - M1 (x) I.  A system that
+exactla puts on its list core (_kernel_on_lists: every Q system, and a
+small F_p one) is written as Python lists of ints (_kron_lists) and
+eliminated there, with one array made at the end; over Q the ints are the
+system times the common denominator d of its terms, which has the same
+kernel, so no Fraction is made before the basis.  A large F_p system is
+written by the numpy writer (_kron_rows, through add_kron into 4-D views
+of its columns, which writes an identity factor by index instead of
+multiplying by it) and eliminated by kernel_basis.
 tensor_map's blocks are written by add_kron too.  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
@@ -74,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from .exactla import (
+    RATIONAL,
     Field,
     Matrix,
     QuotientSpace,
@@ -215,7 +218,7 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
     for ar in a.algebra.quiver.arrows:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
-        terms.append((x, -b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
+        terms.append((x, b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
     return HomSpace(a, b, *_kron_kernel(a.algebra.field, offs, total, terms))
 
 
@@ -293,7 +296,7 @@ def _kron_kernel(
     rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
     if not _kernel_on_lists(field, rows, total):
         return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
-    if field.p is None:
+    if field.kind == RATIONAL:
         flat = [x for _, m1, _, m2 in terms for m in (m1, m2) for x in m.ravel().tolist()]
         ints = iter(_integers(flat)[0])
 
@@ -303,17 +306,16 @@ def _kron_kernel(
         terms = [(v1, take(m1), v2, take(m2)) for v1, m1, v2, m2 in terms]
     else:
         terms = [(v1, m1.tolist(), v2, m2.tolist()) for v1, m1, v2, m2 in terms]
-    return _kernel_lists(field, _kron_lists(field.p, offs, total, terms), total)
+    return _kernel_lists(field, _kron_lists(offs, total, terms), total)
 
 
-def _kron_lists(
-    p: Optional[int], offs: Dict[str, int], total: int, terms: list
-) -> List[List[int]]:
+def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
     """_kron_rows' rows as Python lists of ints, from terms whose matrices are
     lists of rows of ints: row (i, j) of a term (v1, M1, v2, M2) holds
-    M1[i][k] at column offs[v1] + k q + j and M2[j][l] at offs[v2] + i c2 + l,
-    where M2 is q x c2; when v1 = v2 they add up.  Over F_p every entry is
-    reduced mod p; over Q (p None) nothing is reduced."""
+    -M1[i][k] at column offs[v1] + k q + j and M2[j][l] at offs[v2] + i c2 + l,
+    where M2 is q x c2; when v1 = v2 they add up.  Nothing is reduced, for
+    either field: over F_p, from entries in [0, p), every entry written lies
+    in (-p, p), which _kernel_lists takes as it is."""
     rows = []
     for v1, m1, v2, m2 in terms:
         q, c2 = len(m2), len(m2[0])
@@ -324,19 +326,18 @@ def _kron_lists(
                 row = [0] * total
                 for k, x in enumerate(xs):
                     if x:
-                        row[o1 + k * q + j] = x if p is None else x % p
+                        row[o1 + k * q + j] = -x
                 for l, y in enumerate(ys):
                     if y:
-                        y += row[base + l]
-                        row[base + l] = y if p is None else y % p
+                        row[base + l] += y
                 rows.append(row)
     return rows
 
 
 def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
-    """Rows M1 (x) I_q at the columns of v1 plus I_p (x) M2 at those of v2,
+    """Rows I_p (x) M2 at the columns of v2 minus M1 (x) I_q at those of v1,
     for each term (v1, M1, v2, M2) with M1 of p rows and M2 of q rows: row
-    (i, j) holds M1[i, :] at columns (:, j) of v1 and M2[j, :] at columns
+    (i, j) holds -M1[i, :] at columns (:, j) of v1 and M2[j, :] at columns
     (i, :) of v2, written through 4-D views; when v1 = v2 they add up."""
     terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
     row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
@@ -344,7 +345,8 @@ def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> M
     for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
         (p, c1), (q, c2) = m1.shape, m2.shape
         block = out[r0:r1]
-        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), m1, None)
+        minus = field.normalize(-m1)
+        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), minus, None)
         add_kron(field, block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2), None, m2)
     return Matrix(field, out, _trusted=True)
 
@@ -743,7 +745,7 @@ class TensorSpace:
     """a (x)_Lambda b as a quotient of the vertexwise tensor sum.
 
     The carrier is the quotient of D = sum_v a_v (x) b_v by the arrow
-    balancing relations (x.alpha (x) y - x (x) alpha.y).  projection and
+    balancing relations (x (x) alpha.y - x.alpha (x) y).  projection and
     section realize the quotient; the projection is the kernel basis of the
     relations (_kron_kernel), which is what Subspace(relations).quotient()
     would give.  Pure-tensor coordinates at vertex v sit at
@@ -759,9 +761,9 @@ class TensorSpace:
             raise AlgebraError("tensor takes a right module and a left module")
         field = a.algebra.field
         offs, total = _block_offsets(a.vertices, a.dims, b.dims)
-        # x.alpha (x) y - x (x) alpha.y, for x in a_w and y in b_u (alpha: u -> w)
+        # x (x) alpha.y - x.alpha (x) y, for x in a_w and y in b_u (alpha: u -> w)
         terms = [
-            (ar.source, a.arrow_maps[ar.name].data.T, ar.target, -b.arrow_maps[ar.name].data.T)
+            (ar.source, a.arrow_maps[ar.name].data.T, ar.target, b.arrow_maps[ar.name].data.T)
             for ar in a.algebra.quiver.arrows
         ]
         self.left_arg = a

@@ -502,6 +502,19 @@ def test_the_list_route_of_kernel_basis_equals_the_numpy_route(m):
     _assert_same_array(got.data, want.data, m.field.dtype)
 
 
+@settings(max_examples=300, deadline=None)
+@given(CORE_MATRICES, st.integers(0, 10 ** 6))
+def test_the_list_kernel_takes_entries_in_minus_p_to_p(m, seed):
+    # _kron_lists writes -x for x in [0, p), and y - x on a loop: the list
+    # kernel must read any representative of absolute value below p
+    p, rng = m.field.p, random.Random(seed)
+    rows = [[x - p if x and rng.random() < 0.5 else x for x in row] for row in m.data.tolist()]
+    got, got_free = exactla._kernel_lists(m.field, rows, m.cols)
+    want, want_free = kernel_basis(m, with_free=True)
+    assert got_free == want_free
+    _assert_same_array(got.data, want.data, m.field.dtype)
+
+
 def _spy_on(monkeypatch, *names):
     """Wrap exactla's functions of these names; returns name -> call count."""
     calls = dict.fromkeys(names, 0)

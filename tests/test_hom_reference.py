@@ -128,7 +128,7 @@ def _hom_system_by_kron(a, b):
 
 
 def _tensor_relations_by_kron(a, b):
-    """The balancing relations x.alpha (x) y - x (x) alpha.y from A^T (x) I and I (x) B^T."""
+    """The balancing relations x (x) alpha.y - x.alpha (x) y from I (x) B^T and A^T (x) I."""
     field = a.algebra.field
     offs, total = _offsets(a.vertices, a.dims, b.dims)
     rows = []
@@ -140,9 +140,9 @@ def _tensor_relations_by_kron(a, b):
         left = _kron(a.arrow_maps[ar.name].transpose(), Matrix.identity(field, b.dims[u]))
         right = _kron(Matrix.identity(field, a.dims[w]), b.arrow_maps[ar.name].transpose())
         if left.cols:
-            block[:, offs[u] : offs[u] + left.cols] += left.data
+            block[:, offs[u] : offs[u] + left.cols] -= left.data
         if right.cols:
-            block[:, offs[w] : offs[w] + right.cols] -= right.data
+            block[:, offs[w] : offs[w] + right.cols] += right.data
         rows.append(Matrix(field, field.normalize(block), _trusted=True))
     return vstack(field, rows, cols=total)
 
@@ -191,8 +191,9 @@ def _written_systems(field):
     writer, each as a pair (matrix over field, d): _kron_rows' arrays, or
     _kron_lists' rows, copied before the list core eliminates them in
     place.  d is 1 over F_p; over Q it is the lcm of the denominators of
-    the entries of the terms that write rows, and the rows must be Python
-    ints."""
+    the entries of the terms that write rows.  The rows must be Python
+    ints, over F_p of absolute value below p (the writer does not reduce
+    them), and are read mod p."""
     systems, scales = [], []
     solve, write_rows, write_lists = homology._kron_kernel, homology._kron_rows, homology._kron_lists
 
@@ -207,12 +208,13 @@ def _written_systems(field):
         systems.append((out, scales[-1]))
         return out
 
-    def lists(p, offs, total, terms):
-        out = write_lists(p, offs, total, terms)
-        if p is None:
-            assert all(type(x) is int for row in out for x in row)
+    def lists(offs, total, terms):
+        out = write_lists(offs, total, terms)
+        assert all(type(x) is int for row in out for x in row)
+        if field.p:
+            assert all(abs(x) < field.p for row in out for x in row)
         data = np.array(out, dtype=field.dtype).reshape(len(out), total)
-        systems.append((Matrix(field, data, _trusted=True), scales[-1]))
+        systems.append((Matrix(field, field.normalize(data), _trusted=True), scales[-1]))
         return out
 
     with mock.patch.object(homology, "_kron_kernel", kernel), \
@@ -358,15 +360,13 @@ def test_q_systems_are_written_in_integers_d_times_the_reference(case):
 
 def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
     """A Q Hom space not read off path labels is solved on integer rows: the
-    numpy writer (_kron_rows, add_kron) is not called, and the Fractions
-    made are the basis entries off its free columns, at most free x pivots,
-    one Fraction(0) and one Fraction(1), besides the codomain's arrow
-    matrices, negated as Fractions into the terms."""
+    numpy writer (_kron_rows, add_kron) is not called, and the only
+    Fractions made are the basis entries off its free columns, at most
+    free x pivots, one Fraction(0) and one Fraction(1)."""
     alg = _algebra("kronecker", FIELDS.index(Field.rational()))
     rng = random.Random(1)
     a, b = (_rescaled(direct_sum(_modules(alg, LEFT, rng, 3)).module, rng) for _ in range(2))
     assert not _yoneda_shape(a, b)
-    negated = sum(m.data.size for m in b.arrow_maps.values())
     made = []
     make = Fraction.__new__
 
@@ -380,7 +380,7 @@ def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
         monkeypatch.undo()
     assert not rows.called and not kron.called
     free, pivots = len(hom.free), hom.stack.cols - len(hom.free)
-    assert free and pivots and 2 < len(made) <= free * pivots + 2 + negated
+    assert free and pivots and 2 < len(made) <= free * pivots + 2
     ref = kernel_basis(_hom_system_by_kron(a, b), with_free=True)
     assert (hom.stack, hom.free) == ref
 
@@ -393,9 +393,9 @@ ROUTE_FIELDS = [Field.prime(2), Field.prime(5), Field.prime(2147483647), Field.p
 def _kron_case(args):
     """(field, offs, total, terms) of a Hom or a tensor system between two
     random representations of a random quiver on 1-3 vertices, with loops
-    and zero-dimensional vertices: Hom terms (x, -B, y, A^T) for arrows
+    and zero-dimensional vertices: Hom terms (x, B, y, A^T) for arrows
     x -> y with offsets of the b_v x a_v blocks, tensor terms
-    (u, A^T, w, -B^T) for arrows u -> w, a on the right, with offsets of
+    (u, A^T, w, B^T) for arrows u -> w, a on the right, with offsets of
     the a_v x b_v blocks."""
     field, kind, nverts, narrows, density, seed = args
     rng = random.Random(seed)
@@ -413,10 +413,10 @@ def _kron_case(args):
         s, t = rng.choice(verts), rng.choice(verts)  # s = t is a loop
         if kind == "hom":
             a, b = arrow_matrix(da[t], da[s]), arrow_matrix(db[t], db[s])
-            terms.append((s, field.normalize(-b), t, a.T))
+            terms.append((s, b, t, a.T))
         else:
             a, b = arrow_matrix(da[s], da[t]), arrow_matrix(db[t], db[s])
-            terms.append((s, a.T, t, field.normalize(-b.T)))
+            terms.append((s, a.T, t, b.T))
     rows, cols = (db, da) if kind == "hom" else (da, db)
     offs, total = _offsets(verts, rows, cols)
     return field, offs, total, terms
@@ -453,8 +453,8 @@ def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
 
 
 def _one_column_system(field, rows, total):
-    """A rows x total system whose first column is all ones: one term
-    (x, ones (rows x 1), y, 1 x 0) with x's block at column 0 and y's
+    """A rows x total system whose first column is nonzero in every row: one
+    term (x, ones (rows x 1), y, 1 x 0) with x's block at column 0 and y's
     (empty) after it; no term when rows is 0."""
     ones = np.ones((rows, 1), dtype=field.dtype)
     terms = [("x", ones, "y", np.zeros((1, 0), dtype=field.dtype))] if rows else []
