@@ -2,20 +2,18 @@
 
 Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
-adding up on a loop), and the tensor product a (x) b the cokernel of its
-balancing relations, whose projection is the kernel basis of the relations:
-both are the kernel of one Kronecker system, found by _kron_kernel.  Its
-terms (v1, M1, v2, M2) hold the arrow matrices as they are, and the
-writers put in the minus sign of I (x) M2 - M1 (x) I.  A system that
-exactla puts on its list core (_kernel_on_lists: every Q system, and a
-small F_p one) is written as Python lists of ints (_kron_lists) and
-eliminated there, with one array made at the end; over Q the ints are the
-system times the common denominator d of its terms, which has the same
-kernel, so no Fraction is made before the basis.  A large F_p system is
-written by the numpy writer (_kron_rows, through add_kron into 4-D views
-of its columns, which writes an identity factor by index instead of
-multiplying by it) and eliminated by kernel_basis.
-tensor_map's blocks are written by add_kron too.  No system is written
+adding up on a loop): the kernel of one Kronecker system, found by
+_kron_kernel.  Its terms (v1, M1, v2, M2) = (x, B, y, A^T) hold the arrow
+matrices as they are, and the writers put in the minus sign of
+I (x) M2 - M1 (x) I.  A
+system that exactla puts on its list core (_kernel_on_lists: every Q
+system, and a small F_p one) is written as Python lists of ints
+(_kron_lists) and eliminated there, with one array made at the end; over Q
+the ints are the system times the common denominator d of its terms, which
+has the same kernel, so no Fraction is made before the basis.  A large F_p
+system is written by the numpy writer (_kron_rows, through add_kron into
+4-D views of its columns, which writes an identity factor by index instead
+of multiplying by it) and eliminated by kernel_basis.  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
 e_v to a unit vector of b_v and each path label of P(v) to its action on
@@ -25,12 +23,16 @@ kernel basis of the system is the only basis of that space that is the
 identity at its free columns, so the stack is the rref of these rows with
 their columns reversed, reversed back (exactla._kernel_form): bit for bit
 kernel_basis's.
+The tensor product a (x) b is read off its dual: (a (x) b)* = Hom(b, D a)
+(the tensor-Hom adjunction, Auslander-Reiten-Smalo, Representation Theory
+of Artin Algebras, 1995), so TensorSpace's projection is the stack of
+hom_basis(b, D a), memo and Yoneda route included, and tensor_map is the
+dual pushforward psi -> D f psi g.  No tensor system or block is written.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
 basis; its composition body (_composites) takes a stack of k maps per
 vertex, so that stable composes a basis with all copies of a summand at
-once, and tensor_maps stacks the matrices of k maps f_t (x) g_t alike.
-Beside it sits the variance rule that fpfun and stable write
+once.  Beside it sits the variance rule that fpfun and stable write
 their covariant/contravariant mirrors through once: a functor reads a
 pair (x, y) as is when covariant and as (y, x) when contravariant
 (_ordered), and a map acts on its values by push_coords's pre= when
@@ -44,8 +46,8 @@ generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis; an injective envelope is the dual
 of the cover of the dual module.  Both record their middle term's
 indecomposable summands, P(v) or I(v) with multiplicity g_v, in direct_sum
-order (ShortExactSequence.summands): stable_hom and tensor_substab work
-one summand at a time and never solve over the whole sum.  The star dual
+order (ShortExactSequence.summands): stable_hom works one summand at a
+time and never solves over the whole sum.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
 at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
 0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
@@ -264,30 +266,30 @@ def add_kron(
 ) -> None:
     """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
     ((i, j), (k, l)) stands for f[i, k] g[j, l].  A missing factor (None) is
-    read as the identity and written by index.  Leading axes of view, f and
-    g are a stack: view[t] gets f[t] (x) g[t].  The sum is reduced after
+    read as the identity and written by index.  The sum is reduced after
     every term: over a p near 2^31 two products already overflow int64."""
-    i, j = np.arange(view.shape[-4]), np.arange(view.shape[-3])
+    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
     if f is None and g is None:
-        view[..., i[:, None], j, i[:, None], j] += field.one()
+        view[i[:, None], j, i[:, None], j] += field.one()
     elif g is None:
-        view[..., :, j, :, j] += f
+        view[:, j, :, j] += f
     elif f is None:
-        view[..., i, :, i, :] += g
+        view[i, :, i, :] += g
     else:
-        view += f[..., :, None, :, None] * g[..., None, :, None, :]
+        view += f[:, None, :, None] * g[None, :, None, :]
     view[...] = field.normalize(view)
 
 
 def _kron_kernel(
     field: Field, offs: Dict[str, int], total: int, terms: list
 ) -> Tuple[Matrix, Tuple[int, ...]]:
-    """kernel_basis(_kron_rows(field, offs, total, terms), with_free=True).
-    When exactla's rule puts a system of this size on its list core
-    (_kernel_on_lists: always over Q, when small over F_p), the rows are
-    written by _kron_lists and the kernel found by _kernel_lists, with no
-    array before the basis; otherwise they are written by _kron_rows and
-    eliminated by kernel_basis.  Over Q one pass (_integers) over all the
+    """The kernel of the Hom(a, b) system, one term (x, B, y, A^T) per
+    arrow x -> y: kernel_basis(_kron_rows(field, offs, total, terms),
+    with_free=True).  When exactla's rule puts a system of this size on its
+    list core (_kernel_on_lists: always over Q, when small over F_p), the
+    rows are written by _kron_lists and the kernel found by _kernel_lists,
+    with no array before the basis; otherwise they are written by _kron_rows
+    and eliminated by kernel_basis.  Over Q one pass (_integers) over all the
     terms' entries gives their common denominator d, and the system is
     written d times over, in integers: it has the same kernel.  The kernel
     basis is unique, so both routes give the same matrix and free columns
@@ -742,35 +744,37 @@ def ext1(m: Representation, n: Representation) -> Ext1Result:
 
 
 class TensorSpace:
-    """a (x)_Lambda b as a quotient of the vertexwise tensor sum.
+    """a (x)_Lambda b, read off its dual Hom(b, D a).
 
-    The carrier is the quotient of D = sum_v a_v (x) b_v by the arrow
-    balancing relations (x (x) alpha.y - x.alpha (x) y).  projection and
-    section realize the quotient; the projection is the kernel basis of the
-    relations (_kron_kernel), which is what Subspace(relations).quotient()
-    would give.  Pure-tensor coordinates at vertex v sit at
-    offset[v] + i * dim b_v + j.
+    The carrier is the quotient of sum_v a_v (x) b_v by the arrow balancing
+    relations (x (x) alpha.y - x.alpha (x) y).  A functional on a_v (x) b_v
+    is a dim a_v x dim b_v matrix, a map b_v -> (D a)_v, and those that kill
+    the relations are the module maps b -> D a: (a (x) b)* = Hom(b, D a), the
+    tensor-Hom adjunction.  So projection and free columns are hom's stack
+    and free columns, what Subspace(relations).quotient() would give, and
+    pure-tensor coordinates at vertex v sit at offset[v] + i * dim b_v + j.
+    The basis of hom and the quotient's basis tensors are dual bases.
     """
 
-    __slots__ = ("left_arg", "right_arg", "offsets", "quotient", "ambient_dim")
+    __slots__ = ("left_arg", "right_arg", "hom", "quotient")
 
     def __init__(self, a: Representation, b: Representation):
         if a.algebra is not b.algebra:
             raise AlgebraError("tensor needs a common algebra")
         if a.side != RIGHT or b.side != LEFT:
             raise AlgebraError("tensor takes a right module and a left module")
-        field = a.algebra.field
-        offs, total = _block_offsets(a.vertices, a.dims, b.dims)
-        # x (x) alpha.y - x.alpha (x) y, for x in a_w and y in b_u (alpha: u -> w)
-        terms = [
-            (ar.source, a.arrow_maps[ar.name].data.T, ar.target, b.arrow_maps[ar.name].data.T)
-            for ar in a.algebra.quiver.arrows
-        ]
         self.left_arg = a
         self.right_arg = b
-        self.offsets = offs
-        self.ambient_dim = total
-        self.quotient = QuotientSpace(*_kron_kernel(field, offs, total, terms))
+        self.hom = hom_basis(b, dual_module(a))
+        self.quotient = QuotientSpace(self.hom.stack, self.hom.free)
+
+    @property
+    def offsets(self) -> Dict[str, int]:
+        return self.hom.offsets
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.hom.stack.cols
 
     @property
     def dim(self) -> int:
@@ -787,49 +791,20 @@ def tensor_map(
     f: Optional[ModuleMap] = None,
     g: Optional[ModuleMap] = None,
 ) -> Matrix:
-    """Matrix of f (x) g from src to dst in quotient coordinates."""
-
-    def stack(m: Optional[ModuleMap]) -> Optional[Dict[str, np.ndarray]]:
-        return None if m is None else {v: x.data[None] for v, x in m.vertex_maps.items()}
-
-    return tensor_maps(src, dst, stack(f), stack(g))
-
-
-def tensor_maps(
-    src: TensorSpace,
-    dst: TensorSpace,
-    f: Optional[Dict[str, np.ndarray]] = None,
-    g: Optional[Dict[str, np.ndarray]] = None,
-) -> Matrix:
-    """The matrices of f_t (x) g_t from src to dst, t < k, in quotient
-    coordinates, stacked one below the other.  f and g give the k vertex
-    maps at each vertex as one array of shape (k, rows, cols); a missing
-    factor (None) is the identity, and with both missing k is 1."""
-    field = src.left_arg.algebra.field
-    given = [x for x in (f, g) if x is not None]
-    k = next(iter(given[0].values())).shape[0] if given else 1
-    na, ns = dst.ambient_dim, src.ambient_dim
-    big = field.zeros(k * na, ns).reshape(k, na, ns)
-    for v in src.left_arg.vertices:
-        da, db = src.left_arg.dims[v], src.right_arg.dims[v]
-        ea, eb = dst.left_arg.dims[v], dst.right_arg.dims[v]
-        if not da * db * ea * eb:
-            continue  # an empty block
-        rows = slice(dst.offsets[v], dst.offsets[v] + ea * eb)
-        cols = slice(src.offsets[v], src.offsets[v] + da * db)
-        # entry (t, (i', j'), (i, j)) of the block is f_t[i', i] g_t[j', j]
-        add_kron(
-            field,
-            big[:, rows, cols].reshape(k, ea, eb, da, db),
-            None if f is None else f[v],
-            None if g is None else g[v],
-        )
-    # the projection left of each of the k blocks in one product, then the
-    # section right of all of them: a selection of src's free columns
-    q = dst.dim
-    left = _dot(field, dst.quotient.projection.data, big.transpose(1, 0, 2).reshape(na, k * ns))
-    rows = left.reshape(q, k, ns).transpose(1, 0, 2).reshape(k * q, ns)
-    return Matrix(field, rows[:, src.quotient.free], _trusted=True)
+    """Matrix of f (x) g from src to dst in quotient coordinates, a missing
+    factor being the identity.  Its row i is basis map i of dst.hom composed
+    as psi -> D f psi g, in src.hom's coordinates: one push_coords per given
+    factor, through Hom(b, D a') when both are."""
+    hom, steps = dst.hom, []
+    if g is not None:
+        mid = src.hom if f is None else hom_basis(src.right_arg, hom.codomain)
+        steps.append(push_coords(hom, mid, pre=g))
+        hom = mid
+    if f is not None:
+        steps.append(push_coords(hom, src.hom, post=dual_map(f)))
+    if not steps:
+        return src.hom.coords_of_flats(hom.stack)
+    return steps[0] if len(steps) == 1 else steps[0] @ steps[1]
 
 
 # -- star duality -------------------------------------------------------------

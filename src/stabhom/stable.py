@@ -25,14 +25,16 @@ lines, and shared code that branches on its caller reads worse than two
 plain halves.
 
 One summand at a time.  The cover P -> b and the envelope a -> I are sums
-of copies of indecomposables P(v) and I(v), and Hom and the tensor product
-are additive (Auslander-Reiten-Smalo, Representation Theory of Artin
-Algebras, 1995, II.1).  So stable_hom composes the small Hom(a, P(v)) or
-Hom(I(v), b) with the cover's column blocks or the envelope's row blocks at
-each group of copies, and tensor_substab maps a (x) b into each a (x) I(v);
-neither solves over the whole sum.  The spans are those of the whole sum,
-and a Subspace or a kernel basis depends only on a row space (through the
-unique rref), so every output is what the whole sum gives, bit for bit.
+of copies of indecomposables P(v) and I(v), and Hom is additive
+(Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, 1995,
+II.1).  So stable_hom composes the small Hom(a, P(v)) or Hom(I(v), b) with
+the cover's column blocks or the envelope's row blocks at each group of
+copies, and never solves over the whole sum.  The spans are those of the
+whole sum, and a Subspace or a kernel basis depends only on a row space
+(through the unique rref), so every output is what the whole sum gives,
+bit for bit.  The sub-stabilized tensor product is a stable Hom read
+dually: (a (x) b)* = Hom(b, D a), and tensor_substab is the annihilator of
+the maps b -> D a that factor through an injective.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactla import Matrix, QuotientSpace, Subspace, kernel_basis, rank, vstack
+from .exactla import Matrix, QuotientSpace, Subspace, rank
 from .algebra import (
     LEFT,
     RIGHT,
@@ -81,7 +83,6 @@ from .homology import (
     kernel_map,
     projective_cover,
     tensor,
-    tensor_maps,
     vstack_maps,
 )
 
@@ -398,14 +399,14 @@ def fp_certificate(a: Representation, kind: str) -> Certificate:
 class SubStabTensor:
     """Kernel of a (x) b -> a (x) I along the injective envelope b -> I.
 
-    I is a sum of copies of indecomposables I(v), so a (x) I is the sum of
-    the a (x) I(v): map stacks the matrices of 1 (x) eps, one block of rows
-    per copy eps: b -> I(v) of the envelope's components, and the kernel is
-    that of the stack.  When a (x) b = 0 the kernel is 0 outright and map
-    is 0 x 0: no envelope is fetched."""
+    Read dually, a (x) b -> a (x) I is Hom(I, D a) -> Hom(b, D a), composing
+    with the envelope, whose image is the maps b -> D a that factor through
+    an injective.  So the kernel is the annihilator of stable's factoring
+    subspace in Hom(b, D a) modulo injectives: the span of its quotient's
+    projection, in source's coordinates, which are dual to Hom(b, D a)'s."""
 
     source: TensorSpace
-    map: Matrix
+    stable: StableHom
     kernel: Subspace
 
     @property
@@ -414,17 +415,9 @@ class SubStabTensor:
 
 
 def tensor_substab(a: Representation, b: Representation) -> SubStabTensor:
-    field = a.algebra.field
     src = tensor(a, b)
-    if not src.dim:
-        return SubStabTensor(src, Matrix.zeros(field, 0, 0), Subspace(field, 0))
-    blocks = [
-        tensor_maps(src, tensor(a, i), g=maps)
-        for i, maps in _summand_maps(injective_envelope(b), False)
-    ]
-    mat = vstack(field, blocks, cols=src.dim)
-    ker = Subspace(field, src.dim, kernel_basis(mat))
-    return SubStabTensor(src, mat, ker)
+    over = stable_hom(b, src.hom.codomain, MODULO_INJECTIVES)
+    return SubStabTensor(src, over, Subspace(a.algebra.field, src.dim, over.quotient.projection))
 
 
 def torsion_radical(a: Representation) -> SubStabTensor:

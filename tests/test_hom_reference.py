@@ -5,7 +5,11 @@ blocks with np.kron and identity matrices; push_coords used to build a
 ModuleMap for each basis element, compose it and flatten it again.  The
 indexed writes must give the same systems entry for entry, and the
 per-vertex products the same coordinates, over every backend: int64 (F2,
-F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).
+F5, p = 2^31 - 1), Python ints (p > 2^32) and fractions (Q).  A tensor
+space writes no system or block of its own: it is read off Hom(b, D a),
+and tensor_map off pushforwards between such Hom spaces, so the balancing
+relations and the blocks f_v (x) g_v by np.kron are references for their
+projection, free columns and matrices alone.
 
 A system is written by one of two writers, _kron_rows (numpy arrays) or
 _kron_lists (Python lists, for small F_p systems and every Q system), and
@@ -47,7 +51,6 @@ from stabhom.cli.randmod import random_hom_element, random_module
 from stabhom.exactla import (
     Field,
     Matrix,
-    QuotientSpace,
     Subspace,
     _kernel_form,
     kernel_basis,
@@ -290,11 +293,6 @@ def test_hom_from_a_projective_or_into_an_injective_is_read_off_path_labels(name
                 assert hom_basis(a, b).dim == m.dims[v]
 
 
-def _identity_quotient(ts):
-    field = ts.left_arg.algebra.field
-    return QuotientSpace(Matrix.identity(field, ts.ambient_dim), range(ts.ambient_dim))
-
-
 @settings(max_examples=100, deadline=None)
 @given(cases)
 def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
@@ -303,10 +301,8 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
     rng = random.Random(seed)
     a, a2 = _modules(alg, RIGHT, rng, 2)
     b, b2 = _modules(alg, LEFT, rng, 2)
-    with _written_systems(alg.field) as systems:
-        ts = TensorSpace(a, b)
+    ts = TensorSpace(a, b)
     want = _tensor_relations_by_kron(a, b)
-    _assert_written(systems, want)
     ref = Subspace(alg.field, ts.ambient_dim, want).quotient()
     assert ts.quotient.projection == ref.projection
     assert ts.quotient.free == ref.free
@@ -316,9 +312,38 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
         want = _tensor_block_by_kron(src, dst, ff, gg)
         got = tensor_map(src, dst, ff, gg)
         assert got == dst.quotient.projection @ want @ src.quotient.section
-        # through identity quotients tensor_map returns its vertexwise block itself
-        src.quotient, dst.quotient = _identity_quotient(src), _identity_quotient(dst)
-        assert tensor_map(src, dst, ff, gg) == want
+
+
+FIXTURES = [name for name in BUILDERS if not name.endswith("_rational")]
+
+
+@pytest.mark.parametrize("k", range(len(FIELDS)), ids=[repr(f) for f in FIELDS])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_tensor_with_a_projective_factor_takes_the_yoneda_route(name, k):
+    # a fresh algebra: every Hom space below is built here, none remembered
+    alg = BUILDERS[name](FIELDS[k])
+    rng = random.Random(k)
+    for v in alg.quiver.vertices:
+        indec_injective(alg, v, LEFT)  # the route knows the I(v) built so far
+    pairs, seen = [], set()
+    for v in alg.quiver.vertices:
+        p, pr = indec_projective(alg, v, LEFT), indec_projective(alg, v, RIGHT)
+        for a in [zero_module(alg, RIGHT), simple(alg, v, RIGHT)] + _modules(alg, RIGHT, rng, 3):
+            pairs.append((a, p))
+        for b in [zero_module(alg, LEFT), simple(alg, v, LEFT)] + _modules(alg, LEFT, rng, 3):
+            pairs.append((pr, b))
+    for a, b in pairs:
+        if (a.key, b.key) in seen:
+            continue
+        seen.add((a.key, b.key))
+        with mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda, \
+                mock.patch.object(homology, "_kron_kernel") as system:
+            ts = TensorSpace(a, b)
+        assert yoneda.call_count == 1 and not system.called
+        ref = Subspace(alg.field, ts.ambient_dim, _tensor_relations_by_kron(a, b)).quotient()
+        assert ts.quotient.projection.data.dtype == ref.projection.data.dtype
+        assert ts.quotient.projection == ref.projection
+        assert ts.quotient.free == ref.free
 
 
 def _rescaled(m, rng):
@@ -348,14 +373,6 @@ def test_q_systems_are_written_in_integers_d_times_the_reference(case):
     rng = random.Random(seed)
     a, b = (_rescaled(m, rng) for m in _modules(alg, side, rng, 2))
     _assert_hom_matches(a, b)
-    a, b = _rescaled(_modules(alg, RIGHT, rng, 1)[0], rng), _rescaled(_modules(alg, LEFT, rng, 1)[0], rng)
-    with _written_systems(alg.field) as systems:
-        ts = TensorSpace(a, b)
-    want = _tensor_relations_by_kron(a, b)
-    _assert_written(systems, want)
-    ref = Subspace(alg.field, ts.ambient_dim, want).quotient()
-    assert ts.quotient.projection == ref.projection
-    assert ts.quotient.free == ref.free
 
 
 def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):

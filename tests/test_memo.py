@@ -6,8 +6,9 @@ caller's modules; equal modules share one build, algebras share nothing,
 each memo stays within its capacity, and the Hom memo within its budget of
 stack entries, evicting the least recently used; a Hom space over the whole
 budget is returned but not stored.  The law-run tests count builds on a
-full law run, and a dense pair's Hom space is built once for both stable
-Homs, so a lost hit path fails here instead of only slowing the benchmark.
+full law run, a dense pair's Hom space is built once for both stable Homs,
+and a tensor space, read off a Hom space, once for equal modules, so a lost
+hit path fails here instead of only slowing the benchmark.
 """
 
 import importlib.util
@@ -37,6 +38,7 @@ from stabhom.homology import (
     injective_envelope,
     projective_cover,
     star_dual,
+    tensor,
 )
 from stabhom.stable import MODULO_INJECTIVES, MODULO_PROJECTIVES, stable_hom
 
@@ -348,6 +350,24 @@ def test_both_stable_homs_of_a_dense_pair_solve_hom_once(monkeypatch):
     for flavor in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         assert stable_hom(a, b, flavor).hom.stack is hom.stack
     assert built.count((a.key, b.key)) == 1
+
+
+def test_a_tensor_space_built_twice_for_equal_modules_solves_one_system(monkeypatch):
+    alg = square_algebra()  # a fresh algebra, so the memo starts empty
+    a = random_catalog(alg, RIGHT, 1, 2, random.Random(11))[0][0]
+    b = random_catalog(alg, LEFT, 1, 2, random.Random(12))[0][0]
+    solved = []
+    real = homology._kron_kernel
+
+    def kernel(*args):
+        solved.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "_kron_kernel", kernel)
+    first = tensor(a, b)
+    second = tensor(_copy(a), _copy(b))
+    assert len(solved) == 1
+    assert first.dim and second.quotient.projection is first.quotient.projection
 
 
 def test_two_algebras_never_share_hom_entries(monkeypatch):

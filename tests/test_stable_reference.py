@@ -3,15 +3,16 @@
 stable_hom used to solve one Hom system into the whole projective cover P
 (or out of the whole injective envelope I) and push its basis along the
 cover (envelope) map; tensor_substab used to build a (x) I in one piece and
-take the kernel of 1 (x) (b -> I).  Both are now built one indecomposable
-summand P(v) or I(v) at a time.  The spans are the same, and a Subspace
+take the kernel of 1 (x) (b -> I).  stable_hom is now built one
+indecomposable summand P(v) or I(v) at a time, and tensor_substab is
+stable_hom(b, D a) modulo injectives read dually.  The spans are the same, and a Subspace
 and a kernel basis depend only on a row space (the rref is unique), so
 every output must be the same bit for bit: over F_p and Q, on the fixture
 algebras, on conjugated direct sums like the benchmark's, and on the edge
 cases (zero modules, Hom(a, b) = 0, projective or injective arguments, a
 vertex with no summand).  When Hom(a, b) = 0 there is nothing to factor,
 and no cover or envelope is built; when a (x) b = 0 its kernel is 0, and
-no envelope is fetched.  The guard test makes sure that no Hom system or
+no envelope is fetched (Hom(b, D a) = 0 then).  The guard test makes sure that no Hom system or
 tensor space over a decomposable cover or envelope is built any more.
 """
 
@@ -225,7 +226,7 @@ def test_a_zero_tensor_product_needs_no_envelope():
             sub = tensor_substab(a, b)
         assert envelope.call_count == 0
         assert spaces.call_count == 1  # a (x) b alone: no a (x) I(v)
-        assert sub.dim == 0 and sub.map.shape == (0, 0)
+        assert sub.dim == 0 and sub.stable.dim == 0
         assert _bits(sub.kernel.basis) == _bits(ker.basis) and sub.kernel.pivots == ker.pivots
 
 
