@@ -5,15 +5,16 @@ stable_hom used to solve one Hom system into the whole projective cover P
 cover (envelope) map; tensor_substab used to build a (x) I in one piece and
 take the kernel of 1 (x) (b -> I).  stable_hom is now built one
 indecomposable summand P(v) or I(v) at a time, and tensor_substab is
-stable_hom(b, D a) modulo injectives read dually.  The spans are the same, and a Subspace
-and a kernel basis depend only on a row space (the rref is unique), so
-every output must be the same bit for bit: over F_p and Q, on the fixture
-algebras, on conjugated direct sums like the benchmark's, and on the edge
-cases (zero modules, Hom(a, b) = 0, projective or injective arguments, a
-vertex with no summand).  When Hom(a, b) = 0 there is nothing to factor,
-and no cover or envelope is built; when a (x) b = 0 its kernel is 0, and
-no envelope is fetched (Hom(b, D a) = 0 then).  The guard test makes sure that no Hom system or
-tensor space over a decomposable cover or envelope is built any more.
+stable_hom(b, D a) modulo injectives read dually.  The spans are the same,
+and a Subspace and a kernel basis depend only on a row space (the rref is
+unique), so every output must be the same bit for bit: over F_p and Q, on
+the fixture algebras, on conjugated direct sums like the benchmark's, and
+on the edge cases (zero modules, Hom(a, b) = 0, projective or injective
+arguments, a vertex with no summand).  When Hom(a, b) = 0 there is nothing
+to factor, and no cover or envelope is built; when a (x) b = 0 its kernel
+is 0, and no envelope is fetched (Hom(b, D a) = 0 then).  The guard test
+makes sure that no Hom system or tensor space over a decomposable cover or
+envelope is built any more.
 """
 
 import importlib.util
