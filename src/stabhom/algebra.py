@@ -367,7 +367,7 @@ class Representation:
     their keys are.
     """
 
-    __slots__ = ("algebra", "side", "dims", "arrow_maps", "_key")
+    __slots__ = ("algebra", "side", "dims", "arrow_maps", "_key", "_dual")
 
     def __init__(
         self,
@@ -414,7 +414,7 @@ class Representation:
                 raise AlgebraError(f"arrow {a.name}: field mismatch")
             maps[a.name] = m
         self.arrow_maps = MappingProxyType(maps)
-        self._key = None
+        self._key = self._dual = None
         if not _trusted:
             self._check_relations()
 
@@ -768,9 +768,13 @@ def radical_top_socle(m: Representation) -> RadicalTopSocle:
 
 
 def dual_module(m: Representation) -> Representation:
-    """Vector-space dual, a module on the other side with transposed maps."""
-    maps = {a: mat.transpose() for a, mat in m.arrow_maps.items()}
-    return Representation(m.algebra, other_side(m.side), m.dims, maps, _trusted=True)
+    """Vector-space dual, a module on the other side with transposed maps.
+    It is built on the first call and kept on m, and m on it, so D D m is m."""
+    if m._dual is None:
+        maps = {a: mat.transpose() for a, mat in m.arrow_maps.items()}
+        m._dual = Representation(m.algebra, other_side(m.side), m.dims, maps, _trusted=True)
+        m._dual._dual = m
+    return m._dual
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -896,14 +900,17 @@ def _build_projective_with_labels(algebra: BoundQuiverAlgebra, v: str, side: str
         maps[a.name] = extension_matrix(algebra, a, side, labels[x], labels[y])
     rep = Representation(algebra, side, dims, maps)
     _indec_vertices(algebra, "proj", side)[rep.key] = v
+    # I(v) on the other side is D P(v) (indec_injective)
+    _indec_vertices(algebra, "inj", other_side(side))[dual_module(rep).key] = v
     return rep, labels
 
 
 def _indec_vertices(algebra: BoundQuiverAlgebra, kind: str, side: str) -> Dict[tuple, str]:
     """Key -> vertex v of each indecomposable projective P(v) (kind "proj")
-    or injective I(v) ("inj") on this side built so far.  A module with
-    simple top or socle S(v) is P(v) or I(v) only for that v, so no two
-    vertices share a key."""
+    or injective I(v) ("inj") on this side built so far; I(v), the dual of
+    P(v) on the other side, is entered when that P(v) is built.  A module
+    with simple top or socle S(v) is P(v) or I(v) only for that v, so no
+    two vertices share a key."""
     return algebra._cached(("indec_vertices", kind, side), dict)
 
 
@@ -912,13 +919,8 @@ def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> R
 
 
 def indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:
-    return algebra._cached(("inj", v, side), _build_indec_injective, algebra, v, side)
-
-
-def _build_indec_injective(algebra: BoundQuiverAlgebra, v: str, side: str) -> Representation:
-    rep = dual_module(indec_projective(algebra, v, other_side(side)))
-    _indec_vertices(algebra, "inj", side)[rep.key] = v
-    return rep
+    """I(v) = D P(v), P(v) on the other side: the dual kept on the projective."""
+    return dual_module(indec_projective(algebra, v, other_side(side)))
 
 
 def regular_module(algebra: BoundQuiverAlgebra, side: str = LEFT) -> Representation:

@@ -37,9 +37,9 @@ from ..algebra import (
     indec_projective,
     quotient_rep,
 )
-from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix, vstack
+from ..exactla import Matrix, Subspace, add_kron, kernel_basis, solve_matrix, vstack
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
-from ..homology import add_kron, hom_basis, hstack_maps, pushout
+from ..homology import hom_basis, hstack_maps, pushout
 
 MAX_REJECTION_TRIES = 60
 
@@ -94,7 +94,9 @@ def _linear_system(alg, side, dims, maps, target: str):
 
     Row-major vectorization: vec(L X R) = (L kron R^T) vec(X), written by
     add_kron.  Relations not mentioning the target must already hold;
-    returns None when one fails so the caller resamples.
+    returns None when one fails so the caller resamples.  The target is
+    _solvable_arrow's, which some relation mentions, so that relation
+    writes a block.
     """
     field = alg.field
     tgt_arrow = alg.quiver.arrow_by_name[target]
@@ -139,8 +141,6 @@ def _linear_system(alg, side, dims, maps, target: str):
             rhs_parts.extend([field.zero()] * size)
         else:
             rhs_parts.extend((-const).entries())
-    if not blocks:
-        return None, None, (x_rows, x_cols)
     system = Matrix(field, np.concatenate(blocks, axis=0), _trusted=True)
     rhs = Matrix(
         field,

@@ -20,10 +20,16 @@ arithmetic it does.  That is the matrix for rref, the basis (free columns
 x columns) for null_rows, and for a kernel the matrix and any kernel basis
 of it (columns x columns).  A Q kernel is always found on lists, on
 integer rows: a row scaled to integers has the same kernel, and Fractions
-are made only for the basis.  _kernel_on_lists states that rule;
-kernel_basis asks it, and homology too, before writing a Hom or tensor
-system as lists for _kernel_lists (over F_p, unreduced: any ints of
-absolute value below p).  This module alone makes that choice.
+are made only for the basis.  _kernel_on_lists states that rule, and
+this module alone asks it: kernel_basis for a matrix, and kron_kernel for
+a Kronecker system given by its terms, the form of every Hom system.  On
+the list route _kron_lists writes such a system as Python lists of ints
+for _kernel_lists, unreduced over F_p (any ints of absolute value below
+p) and over Q the system times the common denominator d of its terms,
+which has the same kernel, so no Fraction is made before the basis.  On
+the numpy route _kron_rows writes it through add_kron into 4-D views of
+its columns, which writes an identity factor by index instead of
+multiplying by it, for kernel_basis.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -53,8 +59,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -705,6 +712,102 @@ def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     r, _, pivots = rref(Matrix(span.field, span.data[:, ::-1], _trusted=True))
     basis = Matrix(span.field, r.data[::-1, ::-1].copy(), _trusted=True)
     return basis, tuple(n - 1 - c for c in reversed(pivots))
+
+
+# -- Kronecker systems ---------------------------------------------------
+
+
+def kron_kernel(
+    field: Field, offs: Dict[str, int], total: int, terms: list
+) -> Tuple[Matrix, Tuple[int, ...]]:
+    """kernel_basis(m, with_free=True) for the Kronecker system m with total
+    columns and, for each term (v1, M1, v2, M2) of numpy arrays over the
+    field, the rows I_p (x) M2 at the columns of v2 minus M1 (x) I_q at those
+    of v1 (M1 of p rows, M2 of q rows; the blocks of v1 and v2 start at
+    offs[v1] and offs[v2], and add up when v1 = v2).  The terms hold the
+    matrices as they are: the writers put the minus sign in.  When
+    _kernel_on_lists puts a system of this size on the list core (always over
+    Q, when small over F_p), _kron_lists writes its rows and _kernel_lists
+    eliminates them, with no array before the basis; otherwise _kron_rows
+    writes them and kernel_basis eliminates.  Over Q one pass (_integers)
+    over all the terms' entries gives their common denominator d, and the
+    system is written d times over, in integers: it has the same kernel.
+    The kernel basis is unique, so both routes give the same matrix and free
+    columns bit for bit."""
+    terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
+    rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
+    if not _kernel_on_lists(field, rows, total):
+        return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
+    if field.kind == RATIONAL:
+        flat = [x for _, m1, _, m2 in terms for m in (m1, m2) for x in m.ravel().tolist()]
+        ints = iter(_integers(flat)[0])
+
+        def take(m):  # m's rows, d times over, from ints
+            return [list(islice(ints, m.shape[1])) for _ in range(m.shape[0])]
+
+        terms = [(v1, take(m1), v2, take(m2)) for v1, m1, v2, m2 in terms]
+    else:
+        terms = [(v1, m1.tolist(), v2, m2.tolist()) for v1, m1, v2, m2 in terms]
+    return _kernel_lists(field, _kron_lists(offs, total, terms), total)
+
+
+def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
+    """_kron_rows' rows as Python lists of ints, from terms that write rows
+    and whose matrices are lists of rows of ints: row (i, j) of a term (v1, M1, v2, M2)
+    holds -M1[i][k] at column offs[v1] + k q + j and M2[j][l] at
+    offs[v2] + i c2 + l, where M2 is q x c2; when v1 = v2 they add up.
+    Nothing is reduced, for either field: over F_p, from entries in [0, p),
+    every entry written lies in (-p, p), which _kernel_lists takes as it is."""
+    rows = []
+    for v1, m1, v2, m2 in terms:
+        q, c2 = len(m2), len(m2[0])
+        o1, o2 = offs[v1], offs[v2]
+        for i, xs in enumerate(m1):
+            base = o2 + i * c2
+            for j, ys in enumerate(m2):
+                row = [0] * total
+                for k, x in enumerate(xs):
+                    if x:
+                        row[o1 + k * q + j] = -x
+                for l, y in enumerate(ys):
+                    if y:
+                        row[base + l] += y
+                rows.append(row)
+    return rows
+
+
+def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
+    """kron_kernel's system in one array: row (i, j) of a term
+    (v1, M1, v2, M2), M1 of p rows and M2 of q rows, holds -M1[i, :] at
+    columns (:, j) of v1 and M2[j, :] at columns (i, :) of v2, written
+    through 4-D views by add_kron; when v1 = v2 they add up."""
+    row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
+    out = field.zeros(row_offs[-1], total)
+    for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
+        (p, c1), (q, c2) = m1.shape, m2.shape
+        block = out[r0:r1]
+        minus = field.normalize(-m1)
+        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), minus, None)
+        add_kron(field, block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2), None, m2)
+    return Matrix(field, out, _trusted=True)
+
+
+def add_kron(
+    field: Field, view: np.ndarray, f: Optional[np.ndarray], g: Optional[np.ndarray]
+) -> None:
+    """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
+    ((i, j), (k, l)) stands for f[i, k] g[j, l].  At least one factor is
+    given; a missing one (None) is read as the identity and written by
+    index.  The sum is reduced after every term: over a p near 2^31 two
+    products already overflow int64."""
+    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
+    if g is None:
+        view[:, j, :, j] += f
+    elif f is None:
+        view[i, :, i, :] += g
+    else:
+        view += f[:, None, :, None] * g[None, :, None, :]
+    view[...] = field.normalize(view)
 
 
 def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:

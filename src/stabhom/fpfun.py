@@ -326,7 +326,9 @@ def present_tensor_substab(a: Representation) -> FpFunctor:
 def tensor_envelope_morphism(alg: BoundQuiverAlgebra) -> FpMorphism:
     """The transformation (- (x) regular) -> (- (x) envelope of regular),
     assembled by lifting the envelope through minimal presentations and
-    dualizing the resulting chain map."""
+    dualizing the resulting chain map.  The regular module is projective,
+    so its minimal presentation starts at 0 and the chain map is zero
+    there."""
     reg = regular_module(alg, LEFT)
     env = injective_envelope(reg)
     td_reg = transpose(reg)
@@ -339,14 +341,7 @@ def tensor_envelope_morphism(alg: BoundQuiverAlgebra) -> FpMorphism:
     )
     if h0 is None:
         raise AlgebraError("projective lift of the envelope failed")
-    p1_reg = td_reg.presentation.domain
-    p1_env = td_env.presentation.domain
-    if p1_reg.is_zero():
-        h1 = ModuleMap.zero(p1_reg, p1_env)
-    else:
-        h1 = factor_through(h0 @ td_reg.presentation, post=td_env.presentation)
-        if h1 is None:
-            raise AlgebraError("syzygy lift of the envelope failed")
+    h1 = ModuleMap.zero(td_reg.presentation.domain, td_env.presentation.domain)
     u = star_dual_map(h0, sd_dom=td_reg.sd0, sd_cod=td_env.sd0)
     v = star_dual_map(h1, sd_dom=td_reg.sd1, sd_cod=td_env.sd1)
     return FpMorphism(source, target, u, v)

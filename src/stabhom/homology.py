@@ -2,18 +2,8 @@
 
 Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
-adding up on a loop): the kernel of one Kronecker system, found by
-_kron_kernel.  Its terms (v1, M1, v2, M2) = (x, B, y, A^T) hold the arrow
-matrices as they are, and the writers put in the minus sign of
-I (x) M2 - M1 (x) I.  A
-system that exactla puts on its list core (_kernel_on_lists: every Q
-system, and a small F_p one) is written as Python lists of ints
-(_kron_lists) and eliminated there, with one array made at the end; over Q
-the ints are the system times the common denominator d of its terms, which
-has the same kernel, so no Fraction is made before the basis.  A large F_p
-system is written by the numpy writer (_kron_rows, through add_kron into
-4-D views of its columns, which writes an identity factor by index instead
-of multiplying by it) and eliminated by kernel_basis.  No system is written
+adding up on a loop): the kernel of one Kronecker system
+(exactla.kron_kernel), with terms (x, B, y, A^T).  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
 e_v to a unit vector of b_v and each path label of P(v) to its action on
@@ -72,25 +62,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from .exactla import (
-    RATIONAL,
-    Field,
     Matrix,
     QuotientSpace,
     Subspace,
     _dot,
-    _integers,
     _kernel_form,
-    _kernel_lists,
-    _kernel_on_lists,
     coordinates,
     hstack,
     kernel_basis,
+    kron_kernel,
     solve_right,
 )
 from .algebra import (
@@ -221,7 +206,7 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
         terms.append((x, b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
-    return HomSpace(a, b, *_kron_kernel(a.algebra.field, offs, total, terms))
+    return HomSpace(a, b, *kron_kernel(a.algebra.field, offs, total, terms))
 
 
 def _yoneda_rows(m: Representation, v: str, labels: Dict[str, List], dual: bool) -> Matrix:
@@ -259,98 +244,6 @@ def _block_offsets(
         offs[v] = total
         total += rows[v] * cols[v]
     return offs, total
-
-
-def add_kron(
-    field: Field, view: np.ndarray, f: Optional[np.ndarray], g: Optional[np.ndarray]
-) -> None:
-    """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
-    ((i, j), (k, l)) stands for f[i, k] g[j, l].  A missing factor (None) is
-    read as the identity and written by index.  The sum is reduced after
-    every term: over a p near 2^31 two products already overflow int64."""
-    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
-    if f is None and g is None:
-        view[i[:, None], j, i[:, None], j] += field.one()
-    elif g is None:
-        view[:, j, :, j] += f
-    elif f is None:
-        view[i, :, i, :] += g
-    else:
-        view += f[:, None, :, None] * g[None, :, None, :]
-    view[...] = field.normalize(view)
-
-
-def _kron_kernel(
-    field: Field, offs: Dict[str, int], total: int, terms: list
-) -> Tuple[Matrix, Tuple[int, ...]]:
-    """The kernel of the Hom(a, b) system, one term (x, B, y, A^T) per
-    arrow x -> y: kernel_basis(_kron_rows(field, offs, total, terms),
-    with_free=True).  When exactla's rule puts a system of this size on its
-    list core (_kernel_on_lists: always over Q, when small over F_p), the
-    rows are written by _kron_lists and the kernel found by _kernel_lists,
-    with no array before the basis; otherwise they are written by _kron_rows
-    and eliminated by kernel_basis.  Over Q one pass (_integers) over all the
-    terms' entries gives their common denominator d, and the system is
-    written d times over, in integers: it has the same kernel.  The kernel
-    basis is unique, so both routes give the same matrix and free columns
-    bit for bit."""
-    terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
-    rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
-    if not _kernel_on_lists(field, rows, total):
-        return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
-    if field.kind == RATIONAL:
-        flat = [x for _, m1, _, m2 in terms for m in (m1, m2) for x in m.ravel().tolist()]
-        ints = iter(_integers(flat)[0])
-
-        def take(m):  # m's rows, d times over, from ints
-            return [list(islice(ints, m.shape[1])) for _ in range(m.shape[0])]
-
-        terms = [(v1, take(m1), v2, take(m2)) for v1, m1, v2, m2 in terms]
-    else:
-        terms = [(v1, m1.tolist(), v2, m2.tolist()) for v1, m1, v2, m2 in terms]
-    return _kernel_lists(field, _kron_lists(offs, total, terms), total)
-
-
-def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
-    """_kron_rows' rows as Python lists of ints, from terms whose matrices are
-    lists of rows of ints: row (i, j) of a term (v1, M1, v2, M2) holds
-    -M1[i][k] at column offs[v1] + k q + j and M2[j][l] at offs[v2] + i c2 + l,
-    where M2 is q x c2; when v1 = v2 they add up.  Nothing is reduced, for
-    either field: over F_p, from entries in [0, p), every entry written lies
-    in (-p, p), which _kernel_lists takes as it is."""
-    rows = []
-    for v1, m1, v2, m2 in terms:
-        q, c2 = len(m2), len(m2[0])
-        o1, o2 = offs[v1], offs[v2]
-        for i, xs in enumerate(m1):
-            base = o2 + i * c2
-            for j, ys in enumerate(m2):
-                row = [0] * total
-                for k, x in enumerate(xs):
-                    if x:
-                        row[o1 + k * q + j] = -x
-                for l, y in enumerate(ys):
-                    if y:
-                        row[base + l] += y
-                rows.append(row)
-    return rows
-
-
-def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
-    """Rows I_p (x) M2 at the columns of v2 minus M1 (x) I_q at those of v1,
-    for each term (v1, M1, v2, M2) with M1 of p rows and M2 of q rows: row
-    (i, j) holds -M1[i, :] at columns (:, j) of v1 and M2[j, :] at columns
-    (i, :) of v2, written through 4-D views; when v1 = v2 they add up."""
-    terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
-    row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
-    out = field.zeros(row_offs[-1], total)
-    for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
-        (p, c1), (q, c2) = m1.shape, m2.shape
-        block = out[r0:r1]
-        minus = field.normalize(-m1)
-        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), minus, None)
-        add_kron(field, block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2), None, m2)
-    return Matrix(field, out, _trusted=True)
 
 
 # -- kernels, images, cokernels -------------------------------------------

@@ -99,6 +99,22 @@ def test_a2_injectives(a2):
     assert i2.dim_vector() == (1, 1)
 
 
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_dual_is_built_once_and_the_injectives_are_duals_of_projectives(name, side):
+    alg = BUILDERS[name]()
+    for m in random_catalog(alg, side, 3, 3, random.Random(5))[0]:
+        d = dual_module(m)
+        assert dual_module(m) is d and dual_module(d) is m
+        assert d.side != m.side and d.dims == m.dims
+        for a, mat in m.arrow_maps.items():
+            assert d.arrow_maps[a] == mat.transpose()
+    for v in alg.quiver.vertices:
+        p = indec_projective(alg, v, side)
+        i = indec_injective(alg, v, RIGHT if side == LEFT else LEFT)
+        assert i is dual_module(p) and dual_module(i) is p
+
+
 def test_simples_kill_arrows(square):
     for v in square.quiver.vertices:
         s = simple(square, v)

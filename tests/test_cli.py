@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +33,7 @@ from stabhom.cli.serialize import (
     functor_from_dict,
     functor_to_dict,
     load_algebra,
+    load_module,
     map_from_dict,
     map_to_dict,
     module_from_dict,
@@ -258,6 +260,49 @@ def test_readme_module_document_exits_0_and_misspelled_key_exits_2(
     bad.write_text(json.dumps(dict(doc, arrow_maps={"a": ["1"]})))
     code, _ = _run(capsys, ["invariants", a2_file, str(bad)])
     assert code == 2
+
+
+def test_a_module_document_loads_its_algebra_by_a_path_relative_to_itself(tmp_path, a2_file):
+    # README's module document: "algebra": "a2.json", loaded with no algebra given
+    doc = {"algebra": "a2.json", "side": "left", "dims": {"1": 1, "2": 1}, "arrows": {"a": ["1"]}}
+    (tmp_path / "p1.json").write_text(json.dumps(doc))
+    (tmp_path / "mods").mkdir()
+    (tmp_path / "mods" / "p1.json").write_text(json.dumps(dict(doc, algebra="../a2.json")))
+    want = algebra_to_dict(load_algebra(a2_file))
+    for path in (tmp_path / "p1.json", tmp_path / "mods" / "p1.json"):
+        m = load_module(str(path))
+        assert algebra_to_dict(m.algebra) == want
+        assert m.side == LEFT and m.dim_vector() == (1, 1)
+        assert m == indec_projective(m.algebra, "1", LEFT)
+    for ref in ("missing.json", 7):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, algebra=ref)))
+        with pytest.raises(ParseError):
+            load_module(str(bad))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_library_tour_gives_the_values_its_comments_state():
+    tour = README.read_text().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(code, ns)
+    # the comment of each expression line (no assignment), by its expression
+    said = {}
+    for line in code.splitlines():
+        expr, _, comment = (part.strip() for part in line.partition("#"))
+        if expr and comment and "=" not in expr:
+            said[expr] = comment
+    torsion = 'bass_torsion(s1).dim_vector()'
+    assert said[torsion].startswith("(1, 0)")
+    assert eval(torsion, ns) == (1, 0)
+    cert = eval('fp_certificate(s1, "covariant_underline")', ns)
+    assert cert.sequence.validate() and not any(cert.ext_witness.values())
+    substab = 'tensor_substab(sr2, simple(alg, "2")).dim'
+    assert said[substab].startswith("1, equals Ext^1(S(1), S(2))")
+    assert eval(substab, ns) == 1 == eval('ext1(simple(alg, "1"), simple(alg, "2")).dim', ns)
 
 
 # -- info / invariants / stablehom / tensor / functor --------------------------------

@@ -42,7 +42,7 @@ from stabhom.fpfun import (
     standard_probes,
     tensor_envelope_morphism,
 )
-from stabhom.homology import hom_basis, projective_cover, tensor
+from stabhom.homology import hom_basis, projective_cover, tensor, transpose
 from stabhom.stable import stable_hom, tensor_substab, torsion_radical
 
 
@@ -292,6 +292,14 @@ def test_tensor_envelope_morphism_kernel_is_torsion_radical(a2):
     ker, _ = fp_kernel(alpha)
     for a in standard_probes(a2, RIGHT):
         assert fp_eval(ker, a).dim == torsion_radical(a).dim
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_the_minimal_presentation_of_the_regular_module_starts_at_zero(name, side):
+    # tensor_envelope_morphism writes its syzygy lift as the zero map for this
+    td = transpose(regular_module(BUILDERS[name](), side))
+    assert td.presentation.domain.is_zero()
 
 
 # -- morphisms, kernels, cokernels -------------------------------------------------

@@ -11,11 +11,12 @@ and tensor_map off pushforwards between such Hom spaces, so the balancing
 relations and the blocks f_v (x) g_v by np.kron are references for their
 projection, free columns and matrices alone.
 
-A system is written by one of two writers, _kron_rows (numpy arrays) or
-_kron_lists (Python lists, for small F_p systems and every Q system), and
-whichever wrote it is compared with the reference.  Over Q the list writer
-writes integers, the system times d, the common denominator of the entries
-of its terms: they must be d times the reference, entry for entry.
+A system is written by one of exactla's two writers, _kron_rows (numpy
+arrays) or _kron_lists (Python lists, for small F_p systems and every Q
+system), and whichever wrote it is compared with the reference.  Over Q
+the list writer writes integers, the system times d, the common
+denominator of the entries of its terms: they must be d times the
+reference, entry for entry.
 Hom(P(v), m) and Hom(m, I(v)) build no system at all: they are read off
 the path labels of P(v) (Yoneda).  Their stacks and free columns must
 still be the kernel of the Kronecker reference system, bit for bit.
@@ -198,7 +199,7 @@ def _written_systems(field):
     ints, over F_p of absolute value below p (the writer does not reduce
     them), and are read mod p."""
     systems, scales = [], []
-    solve, write_rows, write_lists = homology._kron_kernel, homology._kron_rows, homology._kron_lists
+    solve, write_rows, write_lists = exactla.kron_kernel, exactla._kron_rows, exactla._kron_lists
 
     def kernel(over, offs, total, terms):
         entries = [x for _, m1, _, m2 in terms if m1.shape[0] * m2.shape[0]
@@ -220,9 +221,9 @@ def _written_systems(field):
         systems.append((Matrix(field, field.normalize(data), _trusted=True), scales[-1]))
         return out
 
-    with mock.patch.object(homology, "_kron_kernel", kernel), \
-            mock.patch.object(homology, "_kron_rows", rows), \
-            mock.patch.object(homology, "_kron_lists", lists):
+    with mock.patch.object(homology, "kron_kernel", kernel), \
+            mock.patch.object(exactla, "_kron_rows", rows), \
+            mock.patch.object(exactla, "_kron_lists", lists):
         yield systems
 
 
@@ -337,7 +338,7 @@ def test_a_tensor_with_a_projective_factor_takes_the_yoneda_route(name, k):
             continue
         seen.add((a.key, b.key))
         with mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda, \
-                mock.patch.object(homology, "_kron_kernel") as system:
+                mock.patch.object(homology, "kron_kernel") as system:
             ts = TensorSpace(a, b)
         assert yoneda.call_count == 1 and not system.called
         ref = Subspace(alg.field, ts.ambient_dim, _tensor_relations_by_kron(a, b)).quotient()
@@ -391,7 +392,7 @@ def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
         made.append(args)
         return make(cls, *args, **kwargs)
 
-    with mock.patch.object(homology, "_kron_rows") as rows, mock.patch.object(homology, "add_kron") as kron:
+    with mock.patch.object(exactla, "_kron_rows") as rows, mock.patch.object(exactla, "add_kron") as kron:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         hom = homology._build_hom(a, b)
         monkeypatch.undo()
@@ -454,14 +455,14 @@ kron_cases = st.tuples(
 def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
     field, offs, total, terms = case
     with mock.patch.object(exactla, "SMALL_ENTRIES", 10 ** 9), \
-            mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
-        got, got_free = homology._kron_kernel(field, offs, total, terms)
+            mock.patch.object(exactla, "kernel_basis", wraps=kernel_basis) as numpy_route:
+        got, got_free = exactla.kron_kernel(field, offs, total, terms)
     assert not numpy_route.called
     with mock.patch.object(exactla, "SMALL_ENTRIES", -1), \
-            mock.patch.object(homology, "_kernel_lists") as list_route:
-        want, want_free = homology._kron_kernel(field, offs, total, terms)
+            mock.patch.object(exactla, "_kernel_lists") as list_route:
+        want, want_free = exactla.kron_kernel(field, offs, total, terms)
     assert not list_route.called
-    assert (want, want_free) == kernel_basis(homology._kron_rows(field, offs, total, terms), with_free=True)
+    assert (want, want_free) == kernel_basis(exactla._kron_rows(field, offs, total, terms), with_free=True)
     assert got_free == want_free
     assert got == want
     assert got.data.dtype == want.data.dtype == field.dtype
@@ -490,9 +491,9 @@ def test_the_kronecker_kernel_route_is_chosen_by_size(rows, total, lists):
     # the system and any kernel basis of it (total x total) within the bound
     assert N * N == exactla.SMALL_ENTRIES
     for field in (Field.prime(5), Field.rational()):
-        with mock.patch.object(homology, "_kernel_lists", wraps=homology._kernel_lists) as list_route, \
-                mock.patch.object(homology, "kernel_basis", wraps=kernel_basis) as numpy_route:
-            basis, free = homology._kron_kernel(*_one_column_system(field, rows, total))
+        with mock.patch.object(exactla, "_kernel_lists", wraps=exactla._kernel_lists) as list_route, \
+                mock.patch.object(exactla, "kernel_basis", wraps=kernel_basis) as numpy_route:
+            basis, free = exactla.kron_kernel(*_one_column_system(field, rows, total))
         # Q always takes the list route, at any size
         takes_lists = lists or field.p is None
         assert (list_route.call_count, numpy_route.call_count) == (int(takes_lists), int(not takes_lists))

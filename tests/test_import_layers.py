@@ -6,6 +6,10 @@ main).  A module may import only modules below it, at module level or
 inside a function: an import inside a function is where a cycle hides,
 since it runs only when called.  The two package __init__ files sit on
 top: they may import every layer, and no layer may import them.
+
+exactla alone chooses between its list core and its numpy route for a
+kernel, and alone writes the rows a kernel on lists reads: no other module
+names the rule, the bound, the list core or the integer scaling.
 """
 
 import ast
@@ -84,3 +88,28 @@ def test_function_level_and_submodule_imports_are_seen(tmp_path):
     src = root / "cli" / "serialize.py"
     src.write_text("from .. import exactla\ndef f():\n    from ..homology import hom_basis\n")
     assert list(_imports(src, root)) == [(1, "stabhom.exactla"), (3, "stabhom.homology")]
+
+
+# exactla alone decides which kernels run on its list core and writes their rows
+LIST_ROUTE = {"_kernel_on_lists", "_kernel_lists", "_integers", "SMALL_ENTRIES"}
+
+
+def _names(path: Path):
+    """(line, name) for every name, attribute and imported name in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+@pytest.mark.parametrize("path", FILES, ids=_module_name)
+def test_only_exactla_names_its_list_route(path):
+    if _module_name(path) == "stabhom.exactla":
+        assert {name for _, name in _names(path)} >= LIST_ROUTE
+        return
+    named = [f"line {line}: {name}" for line, name in _names(path) if name in LIST_ROUTE]
+    assert not named, f"{_module_name(path)} names exactla's list route: {named}"

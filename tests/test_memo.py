@@ -357,13 +357,13 @@ def test_a_tensor_space_built_twice_for_equal_modules_solves_one_system(monkeypa
     a = random_catalog(alg, RIGHT, 1, 2, random.Random(11))[0][0]
     b = random_catalog(alg, LEFT, 1, 2, random.Random(12))[0][0]
     solved = []
-    real = homology._kron_kernel
+    real = homology.kron_kernel
 
     def kernel(*args):
         solved.append(args)
         return real(*args)
 
-    monkeypatch.setattr(homology, "_kron_kernel", kernel)
+    monkeypatch.setattr(homology, "kron_kernel", kernel)
     first = tensor(a, b)
     second = tensor(_copy(a), _copy(b))
     assert len(solved) == 1

@@ -3,7 +3,7 @@ replaced, kept here as references.
 
 _linear_system used to build each relation block as the sum over terms of
 c * np.kron(L, R^T), with an identity matrix standing in for a missing L
-or R.  It now writes every term through homology.add_kron.  The system and
+or R.  It now writes every term through exactla.add_kron.  The system and
 its right-hand side must be the same entry for entry, over every backend
 of the fields below, with the target arrow first, last and in the middle
 of a term, and in two terms of one relation.
