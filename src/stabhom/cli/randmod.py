@@ -37,7 +37,7 @@ from ..algebra import (
     indec_projective,
     quotient_rep,
 )
-from ..exactla import Matrix, Subspace, add_kron, kernel_basis, solve_matrix, vstack
+from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix, vstack
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
 from ..homology import hom_basis, hstack_maps, pushout
 
@@ -92,8 +92,9 @@ def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
 def _linear_system(alg, side, dims, maps, target: str):
     """Stacked system A vec(X) = rhs for the target arrow's matrix X.
 
-    Row-major vectorization: vec(L X R) = (L kron R^T) vec(X), written by
-    add_kron.  Relations not mentioning the target must already hold;
+    Row-major vectorization: vec(L X R) = (L kron R^T) vec(X), one
+    broadcast product per term, with an identity for a missing L or R.
+    Relations not mentioning the target must already hold;
     returns None when one fails so the caller resamples.  The target is
     _solvable_arrow's, which some relation mentions, so that relation
     writes a block.
@@ -110,7 +111,7 @@ def _linear_system(alg, side, dims, maps, target: str):
             if not const.is_zero():
                 return None, None, (x_rows, x_cols)
             continue
-        view = None
+        block = None
         for coeff, arrows in rel.terms:
             if target not in arrows:
                 continue
@@ -119,23 +120,17 @@ def _linear_system(alg, side, dims, maps, target: str):
             applied_first, applied_last = in_application_order(
                 (arrows[:pos], arrows[pos + 1 :]), side
             )
-            left = compose_path(maps, applied_last, side) if applied_last else None
-            right = compose_path(maps, applied_first, side) if applied_first else None
-            # c rides on a present factor (no term is the target arrow alone);
-            # a missing factor is the identity
-            if left is not None:
-                left = left.scale(coeff)
-            else:
-                right = right.scale(coeff)
-            f = None if left is None else left.data
-            g = None if right is None else right.data.T
-            if view is None:
-                p = x_rows if f is None else f.shape[0]
-                q = x_cols if g is None else g.shape[0]
-                block = field.zeros(p * q, x_rows * x_cols)
-                view = block.reshape(p, q, x_rows, x_cols)
-            add_kron(field, view, f, g)
-        size = block.shape[0]
+            left, right = (
+                compose_path(maps, path, side).data if path else np.eye(n, dtype=field.dtype)
+                for path, n in ((applied_last, x_rows), (applied_first, x_cols))
+            )
+            # c L is reduced first: a product of three reduced factors
+            # overflows int64 near p = 2^31
+            cl = field.normalize(field.coerce(coeff) * left)
+            kron = field.normalize(cl[:, None, :, None] * right.T[None, :, None, :])
+            block = kron if block is None else field.normalize(block + kron)
+        size = block.shape[0] * block.shape[1]
+        block = block.reshape(size, x_rows * x_cols)
         blocks.append(block)
         if const is None:
             rhs_parts.extend([field.zero()] * size)

@@ -27,9 +27,8 @@ the list route _kron_lists writes such a system as Python lists of ints
 for _kernel_lists, unreduced over F_p (any ints of absolute value below
 p) and over Q the system times the common denominator d of its terms,
 which has the same kernel, so no Fraction is made before the basis.  On
-the numpy route _kron_rows writes it through add_kron into 4-D views of
-its columns, which writes an identity factor by index instead of
-multiplying by it, for kernel_basis.
+the numpy route _kron_rows writes it for kernel_basis, by index into 4-D
+views of its columns: an identity factor is never multiplied.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -528,15 +527,10 @@ def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], L
 def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """rref over F_p on a numpy array.  A pivot changes only the rows with a
     nonzero entry in its column (the hit rows), and only from its column
-    on: the pivot row is zero left of it.  Gathering and scattering the hit
-    rows costs a few numpy calls.  In int64, where an entry costs
-    nanoseconds, that is worth it only when fewer than half of the rows are
-    hit, and otherwise the whole slice from the pivot column on is updated;
-    in object arrays it always is, unless every row is hit."""
+    on: the pivot row is zero left of it.  The other hit rows are gathered,
+    updated and scattered back, in int64 and object arrays alike."""
     a = data.copy()
     nr, nc = a.shape
-    # the number of hit rows from which the whole slice is updated
-    dense = nr if a.dtype == object else (nr + 1) // 2
     pivots: List[int] = []
     row = 0
     for col in range(nc):
@@ -552,9 +546,7 @@ def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
             a[row], a[piv] = a[piv], a[row].copy()
         x = a[row, col]  # a pivot of 1 needs no scaling
         prow = a[row, col:].copy() if x == 1 else field.normalize(a[row, col:] * field.inv(x))
-        if len(hits) >= dense:
-            a[:, col:] = field.normalize(a[:, col:] - a[:, col, None] * prow)
-        elif len(hits) > 1:
+        if len(hits) > 1:
             # after the swap the other hit rows are hit without piv
             rows = hit[hit != piv]
             a[rows, col:] = field.normalize(a[rows, col:] - a[rows, col, None] * prow)
@@ -779,35 +771,19 @@ def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]
 def _kron_rows(field: Field, offs: Dict[str, int], total: int, terms: list) -> Matrix:
     """kron_kernel's system in one array: row (i, j) of a term
     (v1, M1, v2, M2), M1 of p rows and M2 of q rows, holds -M1[i, :] at
-    columns (:, j) of v1 and M2[j, :] at columns (i, :) of v2, written
-    through 4-D views by add_kron; when v1 = v2 they add up."""
+    columns (:, j) of v1 and M2[j, :] at columns (i, :) of v2, written by
+    index into 4-D views of those columns; when v1 = v2 they add up.  An
+    entry takes at most one of each, so it lies in (-p, p) until the one
+    reduction at the end."""
     row_offs = list(accumulate((m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms), initial=0))
     out = field.zeros(row_offs[-1], total)
     for (v1, m1, v2, m2), r0, r1 in zip(terms, row_offs, row_offs[1:]):
         (p, c1), (q, c2) = m1.shape, m2.shape
         block = out[r0:r1]
-        minus = field.normalize(-m1)
-        add_kron(field, block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q), minus, None)
-        add_kron(field, block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2), None, m2)
-    return Matrix(field, out, _trusted=True)
-
-
-def add_kron(
-    field: Field, view: np.ndarray, f: Optional[np.ndarray], g: Optional[np.ndarray]
-) -> None:
-    """Add f (x) g into view, an array of shape (p, q, r, s) whose entry
-    ((i, j), (k, l)) stands for f[i, k] g[j, l].  At least one factor is
-    given; a missing one (None) is read as the identity and written by
-    index.  The sum is reduced after every term: over a p near 2^31 two
-    products already overflow int64."""
-    i, j = np.arange(view.shape[0]), np.arange(view.shape[1])
-    if g is None:
-        view[:, j, :, j] += f
-    elif f is None:
-        view[i, :, i, :] += g
-    else:
-        view += f[:, None, :, None] * g[None, :, None, :]
-    view[...] = field.normalize(view)
+        i, j = np.arange(p), np.arange(q)
+        block[:, offs[v1] : offs[v1] + c1 * q].reshape(p, q, c1, q)[:, j, :, j] -= m1
+        block[:, offs[v2] : offs[v2] + p * c2].reshape(p, q, p, c2)[i, :, i, :] += m2
+    return Matrix(field, field.normalize(out), _trusted=True)
 
 
 def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional[Matrix]:

@@ -362,14 +362,17 @@ def projective_cover(m: Representation) -> ShortExactSequence:
 
 
 def _build_projective_cover(m: Representation) -> ShortExactSequence:
-    """One summand P(v) per generator at v, a column of the top's section
-    (the unit vectors at the radical's free columns lift a basis of the
-    top).  A path label of P(v) sends v's generators to the columns of its
-    action at those free columns, laid out generator-major, as direct_sum
-    orders the summands."""
+    """One summand P(v) per generator at v, a column of m_v that is not a
+    pivot of the radical's echelon basis (the unit vectors there lift a
+    basis of the top).  A path label of P(v) sends v's generators to the
+    columns of its action at those columns, laid out generator-major, as
+    direct_sum orders the summands."""
     alg = m.algebra
     field = alg.field
-    gens = {v: rad.quotient().free for v, rad in radical_subspaces(m).items()}
+    gens = {
+        v: [c for c in range(m.dims[v]) if c not in rad.pivots]
+        for v, rad in radical_subspaces(m).items()
+    }
     summands: List[Representation] = []
     blocks: Dict[str, List[Matrix]] = {w: [] for w in m.vertices}
     for v in m.vertices:
@@ -540,9 +543,7 @@ def _composites(source: HomSpace, stacks: Dict[str, np.ndarray], post: bool) -> 
         g, s = source.blocks(v), stacks[v]
         k, r, c = s.shape[0], g.shape[1], g.shape[2]
         rc = s.shape[1] if post else s.shape[2]
-        if not n * k * r * c * rc:
-            parts.append(field.zeros(k * n, rc * c if post else r * rc))  # empty sums
-        elif post:
+        if post:
             # [s_1; ...; s_k] times [g_1 | ... | g_n]
             sg = _dot(field, s.reshape(k * rc, r), g.transpose(1, 0, 2).reshape(r, n * c))
             parts.append(sg.reshape(k, rc, n, c).transpose(0, 2, 1, 3).reshape(k * n, rc * c))

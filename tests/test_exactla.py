@@ -408,12 +408,12 @@ def test_rref_equals_the_whole_matrix_reference(m):
 
 
 @pytest.mark.parametrize("field", ELIM_FIELDS, ids=repr)
-def test_rref_takes_both_updates(field):
+def test_rref_takes_sparse_and_full_pivot_columns(field):
     """A block-diagonal matrix has pivots that hit fewer than half of the
-    rows (the numpy core's update gathers those rows); a dense one whose
-    first column is nonzero has a pivot that hits every row (the update
-    takes the whole slice).  Both have more than SMALL_ENTRIES entries, so
-    over F_p they reach the numpy core."""
+    rows; a dense one whose first column is nonzero has a pivot that hits
+    every row, so the numpy core's update gathers every row but the pivot
+    row.  Both have more than SMALL_ENTRIES entries, so over F_p they reach
+    the numpy core."""
     block = [[1, 2], [1, 1]]
     sparse = Matrix.from_rows(
         field, [[0] * (2 * k) + row + [0] * (22 - 2 * k) for k in range(12) for row in block]

@@ -378,7 +378,7 @@ def test_q_systems_are_written_in_integers_d_times_the_reference(case):
 
 def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
     """A Q Hom space not read off path labels is solved on integer rows: the
-    numpy writer (_kron_rows, add_kron) is not called, and the only
+    numpy writer (_kron_rows) is not called, and the only
     Fractions made are the basis entries off its free columns, at most
     free x pivots, one Fraction(0) and one Fraction(1)."""
     alg = _algebra("kronecker", FIELDS.index(Field.rational()))
@@ -392,11 +392,11 @@ def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
         made.append(args)
         return make(cls, *args, **kwargs)
 
-    with mock.patch.object(exactla, "_kron_rows") as rows, mock.patch.object(exactla, "add_kron") as kron:
+    with mock.patch.object(exactla, "_kron_rows") as rows:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         hom = homology._build_hom(a, b)
         monkeypatch.undo()
-    assert not rows.called and not kron.called
+    assert not rows.called
     free, pivots = len(hom.free), hom.stack.cols - len(hom.free)
     assert free and pivots and 2 < len(made) <= free * pivots + 2
     ref = kernel_basis(_hom_system_by_kron(a, b), with_free=True)
@@ -528,6 +528,26 @@ def test_push_coords_from_a_zero_hom_space_is_an_empty_matrix(field):
     pre = push_coords(hom_basis(zero, p), target, pre=ModuleMap.zero(p, zero))
     post = push_coords(hom_basis(p, zero), target, post=ModuleMap.zero(zero, p))
     assert pre.shape == post.shape == (0, 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_push_coords_through_a_zero_vertex_equals_the_per_basis_reference(field):
+    """On A2, S(2) is zero at vertex 1 where P(1) + P(2) and P(1) are not:
+    composing through S(2) makes, at vertex 1, a product of inner dimension
+    0 whose entries are empty sums, on every backend."""
+    alg = BUILDERS["a2"](field)
+    p1, s2 = indec_projective(alg, "1"), simple(alg, "2")
+    a = direct_sum([p1, indec_projective(alg, "2")]).module
+    assert s2.dims["1"] == 0 and a.dims["1"] == p1.dims["1"] == 1
+    into, out_of, target = hom_basis(a, s2), hom_basis(s2, p1), hom_basis(a, p1)
+    assert into.dim == out_of.dim == 1
+    for source, kw, transform in (
+        (into, {"post": out_of.element([1])}, lambda g: out_of.element([1]) @ g),
+        (out_of, {"pre": into.element([1])}, lambda g: g @ into.element([1])),
+    ):
+        got, want = push_coords(source, target, **kw), _push_by_maps(source, target, transform)
+        assert got == want
+        assert [type(x) for x in got.entries()] == [type(x) for x in want.entries()]
 
 
 def test_push_coords_checks_the_composition_domain(a2):

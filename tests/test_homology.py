@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from unittest import mock
 
 import pytest
 
+import algebras
 from algebras import BUILDERS
 from oracles import ext1_brute_force_f2, ext1_cocycle_dim
 from stabhom.algebra import (
@@ -163,6 +165,16 @@ def test_cover_of_zero(a2):
     assert cov.middle.is_zero() and cov.left.is_zero()
 
 
+def test_a_sequence_with_a_zero_end_map_is_not_exact(a2):
+    """0 -> S(2) -> P(1) -> S(1) -> 0 stops being exact when its first map
+    is made zero (not injective) or its last (not surjective)."""
+    cov = projective_cover(simple(a2, "1"))
+    assert cov.validate()
+    no_mono = dataclasses.replace(cov, inclusion=ModuleMap.zero(cov.left, cov.middle))
+    no_epi = dataclasses.replace(cov, surjection=ModuleMap.zero(cov.middle, cov.right))
+    assert not no_mono.validate() and not no_epi.validate()
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_covers_and_envelopes_are_minimal(name):
     """A cover surjects, has the top of its module and its syzygy inside its
@@ -248,7 +260,10 @@ def test_ext_kronecker_multiplicity(kronecker):
     assert ext1(s2, s1).dim == 0
 
 
-def test_ext_reuses_the_memoized_cover(a2):
+def test_ext_reuses_the_memoized_cover():
+    # a fresh algebra: on a shared one an earlier test may have stored the
+    # cover of a module equal to S(1), and the hit is then a rebound copy
+    a2 = algebras.a2_algebra()
     s1 = simple(a2, "1")
     res = ext1(s1, simple(a2, "2"))
     assert res.dim == 1

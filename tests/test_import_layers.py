@@ -90,8 +90,21 @@ def test_function_level_and_submodule_imports_are_seen(tmp_path):
     assert list(_imports(src, root)) == [(1, "stabhom.exactla"), (3, "stabhom.homology")]
 
 
-# exactla alone decides which kernels run on its list core and writes their rows
-LIST_ROUTE = {"_kernel_on_lists", "_kernel_lists", "_integers", "SMALL_ENTRIES"}
+# exactla alone decides which kernels run on its list core, writes their rows
+# and names its elimination cores and system writers
+LIST_ROUTE = {
+    "_kernel_on_lists",
+    "_kernel_lists",
+    "_integers",
+    "SMALL_ENTRIES",
+    "_rref_lists",
+    "_rref_numpy",
+    "_rref_rational",
+    "_null_lists",
+    "_null_rows_numpy",
+    "_kron_lists",
+    "_kron_rows",
+}
 
 
 def _names(path: Path):

@@ -3,10 +3,11 @@ replaced, kept here as references.
 
 _linear_system used to build each relation block as the sum over terms of
 c * np.kron(L, R^T), with an identity matrix standing in for a missing L
-or R.  It now writes every term through exactla.add_kron.  The system and
-its right-hand side must be the same entry for entry, over every backend
-of the fields below, with the target arrow first, last and in the middle
-of a term, and in two terms of one relation.
+or R.  It now writes every term as one broadcast product c L (x) R^T,
+with np.eye for a missing factor and c L reduced before the product.  The
+system and its right-hand side must be the same entry for entry, over
+every backend of the fields below, with the target arrow first, last and
+in the middle of a term, and in two terms of one relation.
 
 _projective_quotient used to close its generators under the arrows by a
 fixpoint (_invariant_span) and take the cokernel of the SubRep's

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from algebras import BUILDERS
 from stabhom.algebra import (
     AlgebraError,
     LEFT,
+    ModuleMap,
     RIGHT,
     direct_sum,
     indec_injective,
     indec_projective,
     regular_module,
     simple,
+    zero_module,
 )
 from stabhom.cli.randmod import random_module
 from stabhom.homology import (
@@ -236,6 +239,18 @@ def test_right_approximation_of_injective_split_epi(a2):
     assert lifts_from_injectives(gamma)
 
 
+def test_a_zero_map_out_of_a_projective_does_not_extend_to_projectives(a2):
+    # the identity of P(2) does not extend over P(2) -> 0
+    p2 = indec_projective(a2, "2")
+    assert not extends_to_projectives(ModuleMap.zero(p2, zero_module(a2, p2.side)))
+
+
+def test_a_zero_map_into_an_injective_does_not_lift_from_injectives(a2):
+    # the identity of I(1) does not lift through 0 -> I(1)
+    i1 = indec_injective(a2, "1")
+    assert not lifts_from_injectives(ModuleMap.zero(zero_module(a2, i1.side), i1))
+
+
 def test_right_approximation_image_is_cotrace(all_algebras):
     from stabhom.homology import image_map
 
@@ -257,6 +272,14 @@ def test_certificate_of_torsion_simple(a2):
     assert q.is_zero() and m.is_zero()
     assert not any(cert.ext_witness.values())
     assert cert.validate()
+
+
+def test_a_certificate_of_an_inexact_sequence_does_not_validate(a2):
+    cert = fp_certificate(simple(a2, "1"), "covariant_underline")
+    tor, a = cert.sequence.modules[:2]
+    maps = (ModuleMap.zero(tor, a),) + cert.sequence.maps[1:]  # tor is S(1), not 0
+    bad = dataclasses.replace(cert, sequence=dataclasses.replace(cert.sequence, maps=maps))
+    assert cert.validate() and not bad.validate()
 
 
 def test_certificate_over_loop(loop2):
