@@ -544,9 +544,8 @@ def _composites(source: HomSpace, stacks: Dict[str, np.ndarray], post: bool) -> 
         k, r, c = s.shape[0], g.shape[1], g.shape[2]
         rc = s.shape[1] if post else s.shape[2]
         if not n * k * r * c * rc:
-            # empty sums, as _dot would give them, but zeros cost less than its
-            # product and reshapes: about 3,000 of 4,800 vertices in a warm
-            # laws_sweep round are empty
+            # empty sums: zeros cost less than _dot's empty product and reshapes,
+            # and about 3,000 of 4,800 vertices in a warm laws_sweep round are empty
             parts.append(field.zeros(k * n, rc * c if post else r * rc))
         elif post:
             # [s_1; ...; s_k] times [g_1 | ... | g_n]

@@ -533,8 +533,8 @@ def test_push_coords_from_a_zero_hom_space_is_an_empty_matrix(field):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_push_coords_through_a_zero_vertex_equals_the_per_basis_reference(field):
     """On A2, S(2) is zero at vertex 1 where P(1) + P(2) and P(1) are not:
-    composing through S(2) makes, at vertex 1, a product of inner dimension
-    0 whose entries are empty sums, on every backend."""
+    composing through S(2), every entry at vertex 1 is an empty sum, which
+    must be a zero of the field's own type on every backend."""
     alg = BUILDERS["a2"](field)
     p1, s2 = indec_projective(alg, "1"), simple(alg, "2")
     a = direct_sum([p1, indec_projective(alg, "2")]).module
