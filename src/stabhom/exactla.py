@@ -39,7 +39,8 @@ column, from the pivot column on.  Over F_p it runs on lists
 fraction-free on integer rows (_rref_rational), which a pivot changes
 from the first pivot column on: the one Q core, under rref's Fractions
 and under kernel_basis's.  The rref is unique, so the core chosen changes
-no output.
+no output.  rank counts the pivots of the same elimination (_eliminate)
+and makes no rref matrix, over Q no Fraction.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -473,21 +474,30 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
     if not m.rows:
         return m, 0, ()
     field = m.field
+    a, pivots = _eliminate(m)
     if field.kind == RATIONAL:
-        rows, pivots = _rref_rational([_integers(r)[0] for r in m.data.tolist()], m.cols)
         zero = Fraction(0)
         flat = []
-        for r, col in zip(rows, pivots):
+        for r, col in zip(a, pivots):
             v = r[col]
             flat += [Fraction(u, v) if u else zero for u in r]
         flat += [zero] * ((m.rows - len(pivots)) * m.cols)
         a = _objects(flat, m.shape)
-    elif m.data.size <= SMALL_ENTRIES:
-        a, pivots = _rref_lists(m.data.tolist(), m.cols, field.p)
+    elif isinstance(a, list):
         a = np.array(a, dtype=field.dtype)
-    else:
-        a, pivots = _rref_numpy(field, m.data)
     return Matrix(field, a, _trusted=True), len(pivots), tuple(pivots)
+
+
+def _eliminate(m: Matrix) -> Tuple[object, List[int]]:
+    """m (with at least one row) eliminated by the core for its field and
+    size, and its pivots: over Q the rows of _rref_rational, integer
+    multiples of the rref's; over F_p the rref itself, as lists from
+    _rref_lists or as an array from _rref_numpy."""
+    if m.field.kind == RATIONAL:
+        return _rref_rational([_integers(r)[0] for r in m.data.tolist()], m.cols)
+    if m.data.size <= SMALL_ENTRIES:
+        return _rref_lists(m.data.tolist(), m.cols, m.field.p)
+    return _rref_numpy(m.field, m.data)
 
 
 def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], List[int]]:
@@ -592,7 +602,9 @@ def _rref_rational(a: List[List[int]], nc: int) -> Tuple[List[List[int]], List[i
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    """The number of rref pivots, counted off the core's elimination: no
+    rref matrix is made, and over Q no Fraction."""
+    return len(_eliminate(m)[1]) if m.rows else 0
 
 
 def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]]:

@@ -31,13 +31,16 @@ _presented_value is the one body of a presented functor's value at b,
 Hom(entry, b) with the presentation acting on it, read by fpfun's fp_eval
 and by stable's extension and lifting checks; it builds no
 Hom(relations, b) when Hom(entry, b) = 0.  Kernels, images and cokernels
-are taken vertexwise.  A minimal projective cover takes its
+are taken vertexwise.  A minimal projective cover map P -> m takes its
 generators at v from the top's own section, the unit vectors at the free
-columns of the radical's echelon basis; an injective envelope is the dual
-of the cover of the dual module.  Both record their middle term's
-indecomposable summands, P(v) or I(v) with multiplicity g_v, in direct_sum
-order (ShortExactSequence.summands): stable_hom works one summand at a
-time and never solves over the whole sum.  The star dual
+columns of the radical's echelon basis, and is checked onto by rank; an
+injective envelope map m -> I is the dual of the cover map of the dual
+module.  Both record their middle term's indecomposable summands, P(v) or
+I(v) with multiplicity g_v, in direct_sum order (CoverMap.summands):
+stable_hom reads the map and its summands alone, one summand at a time,
+and never solves over the whole sum.  The far end of the sequence, the
+syzygy (a kernel) or the cosyzygy (a cokernel), is built only when
+projective_cover or injective_envelope asks for it.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
 at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
 0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
@@ -45,18 +48,22 @@ dimension sum g_v dim n_v by Yoneda, so ext1 builds no Hom system over P.
 ShortExactSequence.validate checks exactness through _is_exact, the check
 of any chain of maps that stable's four-term sequences share.
 
-Modules are immutable values, so projective_cover, injective_envelope,
-star_dual and hom_basis build each result once per value: _memoized keeps
-one bounded least-recently-used memo per kind in the algebra (through
+Modules are immutable values, so cover_map, envelope_map, star_dual and
+hom_basis build each result once per value: _memoized keeps one bounded
+least-recently-used memo per kind in the algebra (through
 BoundQuiverAlgebra._cached, as for projectives and simples), with
 MEMO_CAPACITY entries, keyed by Representation.key (by the pair of keys of
-domain and codomain for Hom spaces).  A hit is the stored result rebound
-to the caller's modules (a cover's right, an envelope's left, a Hom
-space's domain and codomain) over the same matrices.  The Hom memo is
-bounded by what it holds as well: its stacks have at most HOM_MEMO_BUDGET
-entries in all, so Hom(a, b) is solved once for hom_basis and both stable
-Homs of a pair, dense or not, and a stack over the whole budget is not
-stored.
+domain and codomain for Hom spaces).  The cover and envelope memos hold
+CoverMaps, the maps with their summands; projective_cover and
+injective_envelope build the whole sequence on their first call for a
+value and keep it on that CoverMap, so it shares the map's slot and goes
+with it.  A hit of projective_cover, injective_envelope or hom_basis is
+the stored result rebound to the caller's modules (a cover's right, an
+envelope's left, a Hom space's domain and codomain) over the same
+matrices.  The Hom memo is bounded by what it holds as well: its stacks
+have at most HOM_MEMO_BUDGET entries in all, so Hom(a, b) is solved once
+for hom_basis and both stable Homs of a pair, dense or not, and a stack
+over the whole budget is not stored.
 """
 from __future__ import annotations
 
@@ -336,10 +343,13 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
     returned without being stored.  The least recently used entries go
     first."""
     memo = alg._cached(("memo", kind), _Memo)
-    out = memo.get(key)
-    if out is not None:
+    try:
         memo.move_to_end(key)
-        return out
+    except KeyError:
+        pass
+    else:
+        # the hit is now the last entry: read there, not looked up again
+        return next(reversed(memo.values()))
     out = build(*args)
     n = 0 if size is None else size(out)
     if n <= HOM_MEMO_BUDGET:
@@ -351,22 +361,42 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
     return out
 
 
-def projective_cover(m: Representation) -> ShortExactSequence:
-    """Minimal projective cover, returned as 0 -> syzygy -> P -> m -> 0.
-    Memoized per module value; right is always m itself."""
-    cov = _memoized("cover", m.algebra, m.key, _build_projective_cover, m)
-    if cov.right is m:
-        return cov
-    onto = ModuleMap(cov.middle, m, cov.surjection.vertex_maps, _trusted=True)
-    return ShortExactSequence(cov.left, cov.middle, m, cov.inclusion, onto, cov.summands)
+class CoverMap:
+    """A minimal projective cover P -> m or injective envelope m -> I as its
+    memo holds it: the map, its middle term's summands as
+    ShortExactSequence.summands lists them, and sequence, the short exact
+    sequence through the map, None until projective_cover or
+    injective_envelope first asks for it."""
+
+    __slots__ = ("map", "summands", "sequence")
+
+    def __init__(self, f: ModuleMap, summands: Tuple[Tuple[str, int], ...]):
+        self.map = f
+        self.summands = summands
+        self.sequence: Optional[ShortExactSequence] = None
 
 
-def _build_projective_cover(m: Representation) -> ShortExactSequence:
+def _rebind(f: ModuleMap, domain: Representation, codomain: Representation) -> ModuleMap:
+    """f between the equal modules domain and codomain, over its matrices."""
+    if f.domain is domain and f.codomain is codomain:
+        return f
+    return ModuleMap(domain, codomain, f.vertex_maps, _trusted=True)
+
+
+def cover_map(m: Representation) -> CoverMap:
+    """The minimal projective cover map P -> m with its summands, and no
+    syzygy.  Memoized per module value: the map's codomain may be an equal
+    module seen first, not m itself."""
+    return _memoized("cover", m.algebra, m.key, _build_cover_map, m)
+
+
+def _build_cover_map(m: Representation) -> CoverMap:
     """One summand P(v) per generator at v, a column of m_v that is not a
     pivot of the radical's echelon basis (the unit vectors there lift a
     basis of the top).  A path label of P(v) sends v's generators to the
     columns of its action at those columns, laid out generator-major, as
-    direct_sum orders the summands."""
+    direct_sum orders the summands.  The map is checked to be onto by its
+    rank at every vertex."""
     alg = m.algebra
     field = alg.field
     gens = {
@@ -391,36 +421,71 @@ def _build_projective_cover(m: Representation) -> ShortExactSequence:
             p, m, {w: hstack(field, blocks[w], rows=m.dims[w]) for w in m.vertices}
         )
     else:
-        p = zero_module(alg, m.side)
-        cover = ModuleMap.zero(p, m)
-    omega = kernel_map(cover)
-    # rank-nullity: onto m_w exactly when the kernel has codimension dim m_w
-    if any(p.dims[w] - omega.subspaces[w].dim != m.dims[w] for w in m.vertices):
+        cover = ModuleMap.zero(zero_module(alg, m.side), m)
+    if not cover.is_surjective():
         raise AlgebraError("projective cover failed to surject")
-    layout = tuple((v, len(gens[v])) for v in m.vertices if gens[v])
-    return ShortExactSequence(omega.rep, p, m, omega.inclusion, cover, layout)
+    return CoverMap(cover, tuple((v, len(gens[v])) for v in m.vertices if gens[v]))
+
+
+def projective_cover(m: Representation) -> ShortExactSequence:
+    """Minimal projective cover, returned as 0 -> syzygy -> P -> m -> 0.
+    The sequence is built on the first call per module value and kept with
+    its memoized cover map; right is always m itself."""
+    cov = cover_map(m)
+    if cov.sequence is None:
+        cov.sequence = _build_projective_cover(cov.map.codomain)
+    seq = cov.sequence
+    if seq.right is m:
+        return seq
+    onto = _rebind(seq.surjection, seq.middle, m)
+    return ShortExactSequence(seq.left, seq.middle, m, seq.inclusion, onto, seq.summands)
+
+
+def _build_projective_cover(m: Representation) -> ShortExactSequence:
+    """The cover map of m with its kernel, the syzygy."""
+    cov = cover_map(m)
+    onto = _rebind(cov.map, cov.map.domain, m)
+    omega = kernel_map(onto)
+    return ShortExactSequence(omega.rep, onto.domain, m, omega.inclusion, onto, cov.summands)
+
+
+def envelope_map(m: Representation) -> CoverMap:
+    """The minimal injective envelope map m -> I with its summands, and no
+    cosyzygy.  Memoized per module value: the map's domain may be an equal
+    module seen first, not m itself."""
+    return _memoized("envelope", m.algebra, m.key, _build_envelope_map, m)
+
+
+def _build_envelope_map(m: Representation) -> CoverMap:
+    """The dual of the cover map of the dual module: the dual of its P(v) on
+    the other side is I(v) = indec_injective(alg, v, side), so the summands
+    are the cover's.  D is exact, so the dual of that onto map is one to
+    one: the cover's rank check is the envelope's."""
+    cov = cover_map(dual_module(m))
+    denv = dual_map(cov.map)
+    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), cov.summands)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:
     """Minimal injective envelope, returned as 0 -> m -> I -> cosyzygy -> 0.
-    Memoized per module value; left is always m itself."""
-    env = _memoized("envelope", m.algebra, m.key, _build_injective_envelope, m)
-    if env.left is m:
-        return env
-    into = ModuleMap(m, env.middle, env.inclusion.vertex_maps, _trusted=True)
-    return ShortExactSequence(m, env.middle, env.right, into, env.surjection, env.summands)
+    The sequence is built on the first call per module value and kept with
+    its memoized envelope map; left is always m itself."""
+    env = envelope_map(m)
+    if env.sequence is None:
+        env.sequence = _build_injective_envelope(env.map.domain)
+    seq = env.sequence
+    if seq.left is m:
+        return seq
+    into = _rebind(seq.inclusion, m, seq.middle)
+    return ShortExactSequence(m, seq.middle, seq.right, into, seq.surjection, seq.summands)
 
 
 def _build_injective_envelope(m: Representation) -> ShortExactSequence:
-    """The dual of the cover of the dual module: the dual of its P(v) on the
-    other side is I(v) = indec_injective(alg, v, side), so the summands are
-    the cover's."""
-    md = dual_module(m)
-    cov = projective_cover(md)
-    denv = dual_map(cov.surjection)
-    env = ModuleMap(m, denv.codomain, denv.vertex_maps)
-    coker, proj = cokernel_map(env)
-    return ShortExactSequence(m, env.codomain, coker, env, proj, cov.summands)
+    """The envelope map of m with its cokernel, the cosyzygy."""
+    env = envelope_map(m)
+    into = _rebind(env.map, m, env.map.codomain)
+    coker, proj = cokernel_map(into)
+    return ShortExactSequence(m, into.codomain, coker, into, proj, env.summands)
 
 
 def syzygy(m: Representation) -> Representation:

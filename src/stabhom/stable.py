@@ -28,13 +28,16 @@ One summand at a time.  The cover P -> b and the envelope a -> I are sums
 of copies of indecomposables P(v) and I(v), and Hom is additive
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, 1995,
 II.1).  So stable_hom composes the small Hom(a, P(v)) or Hom(I(v), b) with
-the cover's column blocks or the envelope's row blocks at each group of
-copies, and never solves over the whole sum.  The spans are those of the
-whole sum, and a Subspace or a kernel basis depends only on a row space
-(through the unique rref), so every output is what the whole sum gives,
-bit for bit.  The sub-stabilized tensor product is a stable Hom read
-dually: (a (x) b)* = Hom(b, D a), and tensor_substab is the annihilator of
-the maps b -> D a that factor through an injective.
+the cover map's column blocks or the envelope map's row blocks at each
+group of copies, and never solves over the whole sum.  It reads homology's
+memoized cover and envelope maps with their summands (cover_map,
+envelope_map) and nothing else of the sequences: no syzygy or cosyzygy is
+built for a stable Hom.  The spans are those of the whole sum, and a
+Subspace or a kernel basis depends only on a row space (through the
+unique rref), so every output is what the whole sum gives, bit for bit.
+The sub-stabilized tensor product is a stable Hom read dually:
+(a (x) b)* = Hom(b, D a), and tensor_substab is the annihilator of the
+maps b -> D a that factor through an injective.
 """
 from __future__ import annotations
 
@@ -63,24 +66,27 @@ from .algebra import (
 from .homology import (
     CONTRAVARIANT,
     COVARIANT,
+    CoverMap,
     HomSpace,
-    ShortExactSequence,
     TensorSpace,
     _composites,
     _is_exact,
     _ordered,
     _presented_value,
     cokernel_map,
+    cover_map,
+    envelope_map,
     eval_double_dual,
     ext1,
     factor_through,
     hom_basis,
     hstack_maps,
     image_map,
-    injective_envelope,
     is_injective_module,
     is_projective,
     kernel_map,
+    # not called here any more, but kept bound for code that reaches it as
+    # stable.projective_cover (the benchmark's tracer tests do)
     projective_cover,
     tensor,
     vstack_maps,
@@ -144,9 +150,9 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
         factor = Subspace(field, 0)
         return StableHom(hom, factor, factor.quotient())
     if post:
-        homs = [(hom_basis(a, p), maps) for p, maps in _summand_maps(projective_cover(b), True)]
+        homs = [(hom_basis(a, p), maps) for p, maps in _summand_maps(cover_map(b), True)]
     else:
-        homs = [(hom_basis(i, b), maps) for i, maps in _summand_maps(injective_envelope(a), False)]
+        homs = [(hom_basis(i, b), maps) for i, maps in _summand_maps(envelope_map(a), False)]
     parts = [_composites(h, maps, post) for h, maps in homs if h.dim]
     flats = np.concatenate(parts) if parts else field.zeros(0, hom.stack.cols)
     factor = Subspace(field, hom.dim, hom.coords_of_flats(Matrix(field, flats, _trusted=True)))
@@ -154,22 +160,23 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
 
 
 def _summand_maps(
-    seq: ShortExactSequence, cover: bool
+    approx: CoverMap, cover: bool
 ) -> List[Tuple[Representation, Dict[str, np.ndarray]]]:
-    """Per summand group (v, g) of a projective cover's (cover) or an
-    injective envelope's middle term: the indecomposable X, P(v) or I(v),
-    and at each vertex the g maps X -> right (the cover map's column blocks
-    at X's copies) or left -> X (the envelope map's row blocks), as one
+    """Per summand group (v, g) of a projective cover map's (cover) or an
+    injective envelope map's middle term: the indecomposable X, P(v) or
+    I(v), and at each vertex the g maps X -> m (the cover map's column
+    blocks at X's copies) or m -> X (the envelope map's row blocks), as one
     array of shape (g, rows, cols)."""
-    alg, side = seq.middle.algebra, seq.middle.side
-    outer, mid = (seq.right, seq.surjection) if cover else (seq.left, seq.inclusion)
+    f = approx.map
+    alg, side = f.domain.algebra, f.domain.side
+    outer = f.codomain if cover else f.domain
     offs = dict.fromkeys(outer.vertices, 0)
     out = []
-    for v, g in seq.summands:
+    for v, g in approx.summands:
         x = (indec_projective if cover else indec_injective)(alg, v, side)
         maps = {}
         for w, o in offs.items():
-            d, n, data = x.dims[w], outer.dims[w], mid.vertex_maps[w].data
+            d, n, data = x.dims[w], outer.dims[w], f.vertex_maps[w].data
             if cover:
                 maps[w] = data[:, o : o + g * d].reshape(n, g, d).transpose(1, 0, 2)
             else:

@@ -630,6 +630,29 @@ def test_rational_products_and_elimination_make_no_fraction_arithmetic(monkeypat
     assert nrank == 12 and r == Matrix.identity(m.field, 12)
 
 
+def test_rank_counts_the_pivots_of_rref_and_makes_no_rref_or_fraction(monkeypatch):
+    """rank reads the pivots of the core rref would use: F_p lists (at most
+    SMALL_ENTRIES entries), F_p numpy (more, int64 and Python ints) and Q
+    integer rows, with no rref matrix and no Fraction made."""
+    cases = [Matrix.zeros(Field.prime(5), 0, 3)]
+    for field in FIELDS + [Field.prime(P32)]:
+        for rows, cols, inner in ((3, 4, 2), (6, 6, 6), (12, 30, 7), (30, 12, 12)):
+            for seed in range(2):
+                left = _build_matrix((field, rows, inner, seed))
+                right = _build_matrix((field, inner, cols, seed + 10))
+                cases.append(left @ right)  # rank at most inner
+    assert any(m.data.size > exactla.SMALL_ENTRIES for m in cases)
+    want = [rref(m)[1] for m in cases]
+    assert len(set(want)) > 3
+
+    def refused(*args):
+        raise AssertionError("rank made an rref matrix or a Fraction")
+
+    monkeypatch.setattr(exactla, "rref", refused)
+    monkeypatch.setattr(exactla, "Fraction", refused)
+    assert [rank(m) for m in cases] == want
+
+
 # -- primes above 2^31 -----------------------------------------------------------
 
 

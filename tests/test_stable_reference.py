@@ -14,7 +14,11 @@ arguments, a vertex with no summand).  When Hom(a, b) = 0 there is nothing
 to factor, and no cover or envelope is built; when a (x) b = 0 its kernel
 is 0, and no envelope is fetched (Hom(b, D a) = 0 then).  The guard test
 makes sure that no Hom system or tensor space over a decomposable cover or
-envelope is built any more.
+envelope is built any more.  The last tests check that stable Homs read
+the cover and envelope maps alone, building no syzygy or cosyzygy until
+projective_cover or injective_envelope asks for one, and that the cover's
+surjectivity check still refuses a cover one generator short on every
+route that builds a cover map.
 """
 
 import importlib.util
@@ -29,8 +33,10 @@ from stabhom import homology, stable
 from stabhom.algebra import (
     LEFT,
     RIGHT,
+    AlgebraError,
     Representation,
     direct_sum,
+    dual_module,
     indec_injective,
     indec_projective,
     simple,
@@ -205,8 +211,8 @@ def test_edge_cases_match_the_whole_routes():
 def test_a_zero_hom_space_needs_no_cover_or_envelope():
     alg = a2_algebra()  # fresh, so a cover or envelope asked for is built here
     s1, s2 = simple(alg, "1", LEFT), simple(alg, "2", LEFT)
-    with mock.patch.object(homology, "_build_projective_cover") as cover, \
-            mock.patch.object(homology, "_build_injective_envelope") as envelope:
+    with mock.patch.object(homology, "_build_cover_map") as cover, \
+            mock.patch.object(homology, "_build_envelope_map") as envelope:
         for flavor in FLAVORS:
             st = stable_hom(s1, s2, flavor)
             assert st.hom.dim == st.factor.dim == st.dim == 0
@@ -222,7 +228,7 @@ def test_a_zero_tensor_product_needs_no_envelope():
     assert any(not tensor(a, b).ambient_dim for a, b in pairs)
     for a, b in pairs:
         ker = _whole_substab_kernel(a, b)
-        with mock.patch.object(stable, "injective_envelope") as envelope, \
+        with mock.patch.object(stable, "envelope_map") as envelope, \
                 mock.patch.object(stable, "tensor", wraps=tensor) as spaces:
             sub = tensor_substab(a, b)
         assert envelope.call_count == 0
@@ -308,3 +314,76 @@ def test_no_hom_system_or_tensor_space_over_a_decomposable_middle():
     assert not any(b == p for _, b in builds for p in covers)
     assert not any(a == i for a, _ in builds for i in envs)
     assert not any(b == i for _, b in spaces for i in envs)
+
+
+# -- the far ends: a stable Hom reads the cover and envelope maps alone -------------------
+
+
+def _record(monkeypatch, name):
+    """The maps homology's kernel_map or cokernel_map is called on, in order."""
+    seen, real = [], getattr(homology, name)
+
+    def recorded(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(homology, name, recorded)
+    return seen
+
+
+def test_stable_homs_build_no_syzygy_or_cosyzygy(monkeypatch):
+    alg = square_algebra()  # fresh, so every cover and envelope map is built here
+    lefts = _catalog(alg, LEFT, 15, count=4) + [simple(alg, "1", LEFT)]
+    rights = _catalog(alg, RIGHT, 16, count=3)
+    kernels = _record(monkeypatch, "kernel_map")
+    cokernels = _record(monkeypatch, "cokernel_map")
+    for a in lefts:
+        for b in lefts:
+            for flavor in FLAVORS:
+                stable_hom(a, b, flavor)
+    for a in rights:
+        for b in lefts:
+            tensor_substab(a, b)
+    # tensor_substab reads the envelope maps of lefts, so the cover maps of their duals
+    covers = [homology.cover_map(m).map for m in lefts + [dual_module(m) for m in lefts]]
+    envelopes = [homology.envelope_map(m).map for m in lefts]
+    assert all(len(alg._cache[("memo", kind)]) for kind in ("cover", "envelope"))
+    assert not any(f is g for f in kernels for g in covers)
+    assert not any(f is g for f in cokernels for g in envelopes)
+    b = max(lefts, key=lambda m: m.total_dim)
+    cover = homology.cover_map(b)
+    syzygy = projective_cover(b).left
+    assert kernels[-1] is cover.map
+    assert syzygy.total_dim == cover.map.domain.total_dim - b.total_dim
+    envelope = homology.envelope_map(b)
+    cosyzygy = injective_envelope(b).right
+    assert cokernels[-1] is envelope.map
+    assert cosyzygy.total_dim == envelope.map.codomain.total_dim - b.total_dim
+
+
+def test_the_cover_check_fires_on_every_route(monkeypatch):
+    """With one generator short, the cover map misses the top: projective_cover,
+    stable_hom modulo projectives (the cover of m) and modulo injectives (the
+    cover of D m, dualized to m's envelope) each refuse it."""
+    alg = square_algebra()  # fresh, so no cover map is remembered
+    m = max(_catalog(alg, LEFT, 15, count=4), key=lambda x: x.total_dim)
+    real = homology.radical_subspaces
+
+    def one_generator_short(x):
+        rad = real(x)
+        v = next(v for v, sub in rad.items() if sub.dim < x.dims[v])
+        unit = alg.field.zeros(1, x.dims[v])
+        unit[0, next(c for c in range(x.dims[v]) if c not in rad[v].pivots)] = 1
+        rad[v] = rad[v] + Subspace(alg.field, x.dims[v], Matrix(alg.field, unit))
+        return rad
+
+    monkeypatch.setattr(homology, "radical_subspaces", one_generator_short)
+    routes = (
+        lambda: projective_cover(m),
+        lambda: stable_hom(m, m, MODULO_PROJECTIVES),
+        lambda: stable_hom(m, m, MODULO_INJECTIVES),
+    )
+    for route in routes:
+        with pytest.raises(AlgebraError, match="^projective cover failed to surject$"):
+            route()
+    assert not alg._cache.get(("memo", "cover")) and not alg._cache.get(("memo", "envelope"))
