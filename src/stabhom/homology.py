@@ -345,11 +345,9 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
     memo = alg._cached(("memo", kind), _Memo)
     try:
         memo.move_to_end(key)
+        return memo[key]
     except KeyError:
         pass
-    else:
-        # the hit is now the last entry: read there, not looked up again
-        return next(reversed(memo.values()))
     out = build(*args)
     n = 0 if size is None else size(out)
     if n <= HOM_MEMO_BUDGET:
@@ -374,13 +372,6 @@ class CoverMap:
         self.map = f
         self.summands = summands
         self.sequence: Optional[ShortExactSequence] = None
-
-
-def _rebind(f: ModuleMap, domain: Representation, codomain: Representation) -> ModuleMap:
-    """f between the equal modules domain and codomain, over its matrices."""
-    if f.domain is domain and f.codomain is codomain:
-        return f
-    return ModuleMap(domain, codomain, f.vertex_maps, _trusted=True)
 
 
 def cover_map(m: Representation) -> CoverMap:
@@ -433,20 +424,20 @@ def projective_cover(m: Representation) -> ShortExactSequence:
     its memoized cover map; right is always m itself."""
     cov = cover_map(m)
     if cov.sequence is None:
-        cov.sequence = _build_projective_cover(cov.map.codomain)
+        cov.sequence = _build_projective_cover(cov)
     seq = cov.sequence
     if seq.right is m:
         return seq
-    onto = _rebind(seq.surjection, seq.middle, m)
+    onto = ModuleMap(seq.middle, m, seq.surjection.vertex_maps, _trusted=True)
     return ShortExactSequence(seq.left, seq.middle, m, seq.inclusion, onto, seq.summands)
 
 
-def _build_projective_cover(m: Representation) -> ShortExactSequence:
-    """The cover map of m with its kernel, the syzygy."""
-    cov = cover_map(m)
-    onto = _rebind(cov.map, cov.map.domain, m)
-    omega = kernel_map(onto)
-    return ShortExactSequence(omega.rep, onto.domain, m, omega.inclusion, onto, cov.summands)
+def _build_projective_cover(cov: CoverMap) -> ShortExactSequence:
+    """The cover map with its kernel, the syzygy."""
+    omega = kernel_map(cov.map)
+    return ShortExactSequence(
+        omega.rep, cov.map.domain, cov.map.codomain, omega.inclusion, cov.map, cov.summands
+    )
 
 
 def envelope_map(m: Representation) -> CoverMap:
@@ -472,20 +463,20 @@ def injective_envelope(m: Representation) -> ShortExactSequence:
     its memoized envelope map; left is always m itself."""
     env = envelope_map(m)
     if env.sequence is None:
-        env.sequence = _build_injective_envelope(env.map.domain)
+        env.sequence = _build_injective_envelope(env)
     seq = env.sequence
     if seq.left is m:
         return seq
-    into = _rebind(seq.inclusion, m, seq.middle)
+    into = ModuleMap(m, seq.middle, seq.inclusion.vertex_maps, _trusted=True)
     return ShortExactSequence(m, seq.middle, seq.right, into, seq.surjection, seq.summands)
 
 
-def _build_injective_envelope(m: Representation) -> ShortExactSequence:
-    """The envelope map of m with its cokernel, the cosyzygy."""
-    env = envelope_map(m)
-    into = _rebind(env.map, m, env.map.codomain)
-    coker, proj = cokernel_map(into)
-    return ShortExactSequence(m, into.codomain, coker, into, proj, env.summands)
+def _build_injective_envelope(env: CoverMap) -> ShortExactSequence:
+    """The envelope map with its cokernel, the cosyzygy."""
+    coker, proj = cokernel_map(env.map)
+    return ShortExactSequence(
+        env.map.domain, env.map.codomain, coker, env.map, proj, env.summands
+    )
 
 
 def syzygy(m: Representation) -> Representation:

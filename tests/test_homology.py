@@ -203,7 +203,7 @@ def test_building_a_cover_makes_no_solve_call(square):
     real = exactla.solve_matrix
     with mock.patch.object(homology, "solve_matrix", create=True, wraps=real) as local, \
             mock.patch.object(exactla, "solve_matrix", wraps=real) as spy:
-        cov = homology._build_projective_cover(m)
+        cov = homology._build_projective_cover(homology._build_cover_map(m))
     assert cov.validate()
     assert local.call_count == 0
     assert spy.call_count == 0

@@ -34,6 +34,8 @@ from stabhom.exactla import Matrix
 from stabhom.homology import (
     HOM_MEMO_BUDGET,
     MEMO_CAPACITY,
+    cover_map,
+    envelope_map,
     hom_basis,
     injective_envelope,
     projective_cover,
@@ -88,6 +90,18 @@ def _same_sequence(s, t) -> bool:
     )
 
 
+def _same_cover_map(c, d) -> bool:
+    return _same_map(c.map, d.map) and c.summands == d.summands
+
+
+def _fresh_projective_cover(m):
+    return homology._build_projective_cover(homology._build_cover_map(m))
+
+
+def _fresh_injective_envelope(m):
+    return homology._build_injective_envelope(homology._build_envelope_map(m))
+
+
 def _same_star_dual(s, t) -> bool:
     return _same_module(s.module, t.module) and all(
         _same_matrix(s.hom[v].stack, t.hom[v].stack) for v in s.hom
@@ -104,11 +118,13 @@ def test_memo_hits_equal_the_direct_build_bit_for_bit(name):
     for side in (LEFT, RIGHT):
         for m in _modules(alg, side):
             for get, build, same in (
-                (projective_cover, homology._build_projective_cover, _same_sequence),
-                (injective_envelope, homology._build_injective_envelope, _same_sequence),
+                (cover_map, homology._build_cover_map, _same_cover_map),
+                (envelope_map, homology._build_envelope_map, _same_cover_map),
+                (projective_cover, _fresh_projective_cover, _same_sequence),
+                (injective_envelope, _fresh_injective_envelope, _same_sequence),
                 (star_dual, homology._build_star_dual, _same_star_dual),
             ):
-                direct = build(m)
+                direct = build(m)  # built here, not read from the memo
                 assert same(get(m), direct)  # a miss, or a hit from an equal probe
                 assert same(get(_copy(m)), direct)  # a hit, rebound
 
