@@ -16,6 +16,7 @@ from ..algebra import (
     LEFT,
     RIGHT,
     BoundQuiverAlgebra,
+    ModuleMap,
     Representation,
     indec_injective,
     indec_projective,
@@ -43,13 +44,13 @@ from ..fpfun import (
     present_underline_cov,
 )
 from ..homology import (
+    cover_map,
+    envelope_map,
     ext1,
     hom_basis,
     image_map,
     is_self_injective,
-    injective_envelope,
     kernel_map,
-    projective_cover,
     star_dual,
     tensor,
     tensor_map,
@@ -433,11 +434,10 @@ def _law_quasi_frobenius(ctx: LawContext, res: LawResult) -> None:
         res.skipped = "algebra is not self-injective"
         return
     for side, i, a in ctx.catalog():
-        env = injective_envelope(a)
-        cov = projective_cover(a)
-        ok = extends_to_projectives(env.inclusion) and lifts_from_injectives(
-            cov.surjection
-        )
+        env, cov = envelope_map(a).map, cover_map(a).map
+        ok = extends_to_projectives(
+            ModuleMap(a, env.codomain, env.vertex_maps, _trusted=True)
+        ) and lifts_from_injectives(ModuleMap(cov.domain, a, cov.vertex_maps, _trusted=True))
         res.record(ok, _witness(i, a, side=side))
 
 

@@ -35,12 +35,17 @@ A prime modulus is checked by deterministic Miller-Rabin, exact below
 Elimination (rref) touches only what a pivot changes: the pivot row from
 the pivot column on, and the rows with a nonzero entry in the pivot
 column, from the pivot column on.  Over F_p it runs on lists
-(_rref_lists) or on the numpy array (_rref_numpy) by size; over Q it is
-fraction-free on integer rows (_rref_rational), which a pivot changes
-from the first pivot column on: the one Q core, under rref's Fractions
-and under kernel_basis's.  The rref is unique, so the core chosen changes
-no output.  rank counts the pivots of the same elimination (_eliminate)
-and makes no rref matrix, over Q no Fraction.
+(_rref_lists) or on the numpy array (_rref_numpy) by size.  The numpy
+core works in the narrowest signed dtype that holds a product of two
+reduced entries (int16 up to p = 181, int32 up to p = 46337, then int64;
+Python ints in object arrays beyond), swaps no rows, and delays reduction
+mod p: the whole array is reduced only as often as the dtype's range
+demands, and once at the end.  Over Q it is fraction-free on integer rows
+(_rref_rational), which a pivot changes from the first pivot column on:
+the one Q core, under rref's Fractions and under kernel_basis's.  The
+rref is unique, so the core chosen changes no output.  rank counts the
+pivots of the same elimination (_eliminate) and makes no rref matrix,
+over Q no Fraction.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -57,7 +62,6 @@ Conventions:
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
@@ -534,36 +538,66 @@ def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], L
     return a, pivots
 
 
+# The signed machine integers _rref_numpy eliminates in, narrowest first, each
+# with its bits: it holds every integer in [-2^bits, 2^bits).
+_WORK_DTYPES = ((np.int16, 15), (np.int32, 31), (np.int64, 63))
+
+
 def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """rref over F_p on a numpy array.  A pivot changes only the rows with a
-    nonzero entry in its column (the hit rows), and only from its column
-    on: the pivot row is zero left of it.  The other hit rows are gathered,
-    updated and scattered back, in int64 and object arrays alike."""
-    a = data.copy()
+    """rref over F_p on a numpy array, returned in the field's dtype.
+
+    It works in the narrowest dtype of _WORK_DTYPES with (p-1)^2 <= 2^bits
+    (int16 up to p = 181, int32 up to p = 46337), or on the object array's
+    Python ints.  A pivot changes only the rows with a nonzero entry in its
+    column (the hit rows), and only from its column on.  Reduction mod p is
+    delayed: the pivot column is reduced before the search and the scaled
+    pivot row after it, and each hit row takes c times the pivot row, c its
+    reduced entry, with no reduction.  Such an update takes at most (p-1)^2
+    from an entry, so from entries in [0, p) lim = 2^bits // (p-1)^2
+    updates stay at or above -2^bits: the whole array is reduced after every
+    lim updates, and while none is pending every entry is reduced.  Python
+    ints cannot overflow and are reduced only at the end.  No row is
+    swapped: the update runs over every hit row, the pivot row included,
+    which then takes its scaled row and is marked used.  The rows not used
+    are zero mod p in every column searched, so the rref is the pivot rows
+    in pivot order, reduced, over zero rows."""
+    p = field.p
+    sq = (p - 1) ** 2
+    if field.dtype is object:
+        a, lim = data.copy(), 0
+    else:
+        dtype, bits = next((t, b) for t, b in _WORK_DTYPES if sq <= 2 ** b)
+        a, lim = data.astype(dtype), 2 ** bits // sq
     nr, nc = a.shape
+    used = [False] * nr
+    prows: List[int] = []
     pivots: List[int] = []
-    row = 0
+    updates = 0  # since the array was last reduced
     for col in range(nc):
-        if row == nr:
+        if len(prows) == nr:
             break
-        hit = a[:, col].nonzero()[0]
-        hits = hit.tolist()
-        i = bisect_left(hits, row)
-        if i == len(hits):
+        c = a[:, col] % p if updates else a[:, col]
+        hit = c.nonzero()[0]
+        for piv in hit.tolist():
+            if not used[piv]:
+                break
+        else:
             continue
-        piv = hits[i]
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row].copy()
-        x = a[row, col]  # a pivot of 1 needs no scaling
-        prow = a[row, col:].copy() if x == 1 else field.normalize(a[row, col:] * field.inv(x))
-        if len(hits) > 1:
-            # after the swap the other hit rows are hit without piv
-            rows = hit[hit != piv]
-            a[rows, col:] = field.normalize(a[rows, col:] - a[rows, col, None] * prow)
-        a[row, col:] = prow
+        x = c[piv]  # a pivot of 1 needs no scaling
+        prow = a[piv, col:] % p if x == 1 else a[piv, col:] % p * field.inv(x) % p
+        if len(hit) > 1:
+            a[hit, col:] = a.take(hit, axis=0)[:, col:] - c.take(hit)[:, None] * prow
+            updates += 1
+            if updates == lim:
+                a %= p
+                updates = 0
+        a[piv, col:] = prow
+        used[piv] = True
+        prows.append(piv)
         pivots.append(col)
-        row += 1
-    return a, pivots
+    out = field.zeros(nr, nc)
+    out[: len(prows)] = a.take(prows, axis=0) % p
+    return out, pivots
 
 
 def _rref_rational(a: List[List[int]], nc: int) -> Tuple[List[List[int]], List[int]]:

@@ -55,12 +55,13 @@ from .homology import (
     _ordered,
     _presented_value,
     cokernel_map,
+    cover_map,
+    envelope_map,
     factor_through,
     hstack_maps,
     image_map,
     injective_envelope,
     kernel_map,
-    projective_cover,
     pullback,
     push_coords,
     pushout,
@@ -279,15 +280,17 @@ def fp_substab(func: FpFunctor) -> FpFunctor:
 
 
 def present_overline_cov(a: Representation) -> FpFunctor:
-    """Hom(a,-) modulo injectives, presented by the injective envelope."""
-    env = injective_envelope(a)
-    return FpFunctor(COVARIANT, env.inclusion)
+    """Hom(a,-) modulo injectives, presented by the injective envelope map
+    out of a itself (the memoized map may start at an equal module)."""
+    env = envelope_map(a).map
+    return FpFunctor(COVARIANT, ModuleMap(a, env.codomain, env.vertex_maps, _trusted=True))
 
 
 def present_underline_contra(a: Representation) -> FpFunctor:
-    """Hom(-,a) modulo projectives, presented by the projective cover."""
-    cov = projective_cover(a)
-    return FpFunctor(CONTRAVARIANT, cov.surjection)
+    """Hom(-,a) modulo projectives, presented by the projective cover map
+    onto a itself (the memoized map may end at an equal module)."""
+    cov = cover_map(a).map
+    return FpFunctor(CONTRAVARIANT, ModuleMap(cov.domain, a, cov.vertex_maps, _trusted=True))
 
 
 def present_underline_cov(a: Representation) -> FpFunctor:

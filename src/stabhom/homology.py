@@ -488,11 +488,15 @@ def cosyzygy(m: Representation) -> Representation:
 
 
 def is_projective(m: Representation) -> bool:
-    return projective_cover(m).left.is_zero()
+    """Whether the cover P -> m, which is onto, is one to one: P and m have
+    equal dimensions.  No syzygy is built."""
+    return cover_map(m).map.domain.total_dim == m.total_dim
 
 
 def is_injective_module(m: Representation) -> bool:
-    return injective_envelope(m).right.is_zero()
+    """Whether the envelope m -> I, which is one to one, is onto: m and I
+    have equal dimensions.  No cosyzygy is built."""
+    return envelope_map(m).map.codomain.total_dim == m.total_dim
 
 
 def is_self_injective(alg: BoundQuiverAlgebra) -> bool:

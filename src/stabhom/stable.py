@@ -367,8 +367,11 @@ class Certificate:
     approximation: ModuleMap
 
     def validate(self) -> bool:
-        if not self.sequence.validate():
-            return False
+        return self.sequence.validate() and self.approximates()
+
+    def approximates(self) -> bool:
+        """validate without the exactness check: whether Q is projective
+        (covariant_underline) or I injective (contravariant_overline)."""
         if self.kind == "covariant_underline":
             return is_projective(self.sequence.modules[2])
         return is_injective_module(self.sequence.modules[1])

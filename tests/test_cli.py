@@ -21,6 +21,7 @@ from stabhom.algebra import (
     simple,
     socle_subspaces,
 )
+from stabhom import stable as stable_mod
 from stabhom.cli import laws as laws_mod
 from stabhom.cli import main as main_mod
 from stabhom.cli.laws import LawResult, UnknownLaw, build_context, run_laws
@@ -336,6 +337,22 @@ def test_invariants_of_torsion_simple(tmp_path, a2_file, capsys):
     cert = report["certificates"]["covariant_underline"]
     assert cert["valid"] and cert["exact"]
     assert cert["sequence"] == [[1, 0], [1, 0], [0, 0], [0, 0]]
+
+
+def test_invariants_checks_each_certificate_for_exactness_once(tmp_path, a2_file, capsys, monkeypatch):
+    alg = a2_algebra()
+    mod_file = _module_file(tmp_path, "a2.json", indec_projective(alg, "1"), "p1.json")
+    real, calls = stable_mod.FourTermSequence.validate, []
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(stable_mod.FourTermSequence, "validate", counted)
+    code, report = _run_json(capsys, ["invariants", a2_file, mod_file])
+    assert code == 0
+    assert len(calls) == len(report["certificates"]) == 2
+    assert all(c["exact"] and c["valid"] for c in report["certificates"].values())
 
 
 def test_invariants_of_right_module(tmp_path, a2_file, capsys):

@@ -411,9 +411,9 @@ def test_rref_equals_the_whole_matrix_reference(m):
 def test_rref_takes_sparse_and_full_pivot_columns(field):
     """A block-diagonal matrix has pivots that hit fewer than half of the
     rows; a dense one whose first column is nonzero has a pivot that hits
-    every row, so the numpy core's update gathers every row but the pivot
-    row.  Both have more than SMALL_ENTRIES entries, so over F_p they reach
-    the numpy core."""
+    every row, so the numpy core's update gathers every row, the pivot row
+    included.  Both have more than SMALL_ENTRIES entries, so over F_p they
+    reach the numpy core."""
     block = [[1, 2], [1, 1]]
     sparse = Matrix.from_rows(
         field, [[0] * (2 * k) + row + [0] * (22 - 2 * k) for k in range(12) for row in block]
@@ -427,9 +427,42 @@ def test_rref_takes_sparse_and_full_pivot_columns(field):
         _assert_same_elimination(m)
 
 
+@pytest.mark.parametrize("p, bits", [(181, 15), (46337, 31)])
+def test_dense_rref_reduces_before_its_working_dtype_overflows(p, bits):
+    """Over the largest primes the numpy core works on in int16 and int32,
+    lim = 2^bits // (p-1)^2 is 1: an update may take (p-1)^2 from an entry
+    once between whole-array reductions.  Dense 30 x 30 matrices, of full
+    rank and of rank 20 (their rows past the rank must come back zero),
+    make more than lim updates, and any entry that wrapped would change
+    the rref."""
+    field = Field.prime(p)
+    lim = 2 ** bits // (p - 1) ** 2
+    rng = np.random.default_rng(p)
+    low = rng.integers(0, p, (30, 20)) @ rng.integers(0, p, (20, 30)) % p
+    for data in (rng.integers(0, p, (30, 30)), np.full((30, 30), p - 1) - np.eye(30, dtype=int), low):
+        m = Matrix(field, data)
+        assert m.data.size > exactla.SMALL_ENTRIES
+        hits = []
+        _rref_by_outer(m, hits)
+        assert sum(h > 1 for h in hits) > lim
+        _assert_same_elimination(m)
+        assert rref(m)[0].data.dtype == field.dtype
+
+
 # -- the list cores against the numpy cores ----------------------------------
 
-CORE_FIELDS = [Field.prime(2), Field.prime(5), Field.prime(P31), Field.prime(P32)]
+# the numpy core works in int16 for F2, F5 and F181 (the largest prime with
+# (p-1)^2 <= 2^15), in int32 for F191 and F46337, in int64 for P31 and on
+# Python ints for P32
+CORE_FIELDS = [
+    Field.prime(2),
+    Field.prime(5),
+    Field.prime(181),
+    Field.prime(191),
+    Field.prime(46337),
+    Field.prime(P31),
+    Field.prime(P32),
+]
 
 
 def _core_matrix(args):

@@ -24,8 +24,10 @@ from stabhom.algebra import (
     zero_module,
 )
 from stabhom import exactla, homology
+from stabhom.cli.laws import build_context, run_laws
 from stabhom.cli.randmod import random_catalog, random_module
 from stabhom.exactla import Matrix, rank
+from stabhom.fpfun import present_overline_cov, present_underline_contra
 from stabhom.homology import (
     cokernel_map,
     eval_double_dual,
@@ -228,6 +230,43 @@ def test_loop_regular_is_projective_and_injective(loop2):
     reg = regular_module(loop2, LEFT)
     assert is_projective(reg)
     assert is_injective_module(reg)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_projectivity_predicates_agree_with_the_far_ends_of_the_sequences(name):
+    """is_projective and is_injective_module compare dimensions on the cover
+    and envelope maps; the syzygy and the cosyzygy are zero exactly then."""
+    alg = BUILDERS[name]()
+    for side in (LEFT, RIGHT):
+        catalog = random_catalog(alg, side, 8, 3, random.Random(11))[0]
+        modules = standard_probes(alg, side) + catalog + [regular_module(alg, side)]
+        for m in modules:
+            assert is_projective(m) == projective_cover(m).left.is_zero()
+            assert is_injective_module(m) == injective_envelope(m).right.is_zero()
+        assert any(map(is_projective, modules)) and not all(map(is_projective, modules))
+
+
+def test_callers_of_the_maps_alone_build_no_syzygy_or_cosyzygy(monkeypatch):
+    """The projectivity predicates, the presentations of Hom(-, a) modulo
+    projectives and Hom(a, -) modulo injectives, and the quasi-frobenius law
+    read the memoized cover and envelope maps: homology's kernel_map and
+    cokernel_map, which the sequence builders call, are never called, and
+    no memo entry holds a sequence."""
+    alg = algebras.nakayama_algebra()  # fresh and self-injective
+    ctx = build_context(alg, 1, 3, 2)
+    calls = []
+    for name in ("kernel_map", "cokernel_map"):
+        monkeypatch.setattr(homology, name, lambda f, name=name: calls.append(name))
+    for side, _, a in ctx.catalog():
+        is_projective(a)
+        is_injective_module(a)
+        assert present_underline_contra(a).presentation.codomain is a
+        assert present_overline_cov(a).presentation.domain is a
+    (result,) = run_laws(ctx, ["quasi-frobenius"])
+    assert result.failures == 0 and not result.skipped
+    assert calls == []
+    entries = [e for kind in ("cover", "envelope") for e in alg._cache[("memo", kind)].values()]
+    assert entries and all(e.sequence is None for e in entries)
 
 
 # -- ext groups -------------------------------------------------------------------
