@@ -434,10 +434,11 @@ def _law_quasi_frobenius(ctx: LawContext, res: LawResult) -> None:
         res.skipped = "algebra is not self-injective"
         return
     for side, i, a in ctx.catalog():
+        # the memoized maps may start or end at a module equal to a: rebind
         env, cov = envelope_map(a).map, cover_map(a).map
-        ok = extends_to_projectives(
-            ModuleMap(a, env.codomain, env.vertex_maps, _trusted=True)
-        ) and lifts_from_injectives(ModuleMap(cov.domain, a, cov.vertex_maps, _trusted=True))
+        into = ModuleMap(a, env.codomain, env.vertex_maps, _trusted=True)
+        onto = ModuleMap(cov.domain, a, cov.vertex_maps, _trusted=True)
+        ok = extends_to_projectives(into) and lifts_from_injectives(onto)
         res.record(ok, _witness(i, a, side=side))
 
 
