@@ -32,7 +32,6 @@ from .exactla import (
     block_diag,
     coordinates,
     kernel_basis,
-    null_rows,
     rank,
     rref,
     vstack,
@@ -170,9 +169,11 @@ class BoundQuiverAlgebra:
     Built degree by degree: degree n is spanned by the degree n-1 basis times
     the arrows and divided by b*r, for each relation r of length l and basis
     path b of degree n-l, multiplied out through lower degrees.  The free
-    columns of that quotient are the degree-n basis, ordered by source vertex
-    and arrow indices, and the columns of its projection the normal forms of
-    the spanning paths.  The build stops at the first empty degree.
+    columns of the rref of those products are the degree-n basis, ordered
+    by source vertex and arrow indices, and the normal forms of the spanning
+    paths are read off its rows: a free column is its own basis element, a
+    pivot column minus its row at the free columns.  The build stops at the
+    first empty degree.
 
     nilpotency_bound is a cap: a path class of that length surviving raises
     NotFiniteDimensional.  Relations whose terms differ in length, such as
@@ -274,12 +275,19 @@ class BoundQuiverAlgebra:
             for row, entries in enumerate(products):
                 mat[row, list(entries)] = list(entries.values())
             r, _, pivots = rref(Matrix(field, mat, _trusted=True))
-            projection, free = null_rows(r, pivots)
+            row_of = {c: i for i, c in enumerate(pivots)}
+            free = [j for j in range(len(span)) if j not in row_of]
             top = len(basis)
             basis += [(basis[i][0], basis[i][1] + (a,)) for i, a in (span[j] for j in free)]
-            # column j of the projection is the normal form of spanning path j
-            for pair, col in zip(span, projection.data.T.tolist()):
-                self._product[pair] = [(c, top + k) for k, c in enumerate(col) if c]
+            # normal forms read off the rref: the spanning path at free column k
+            # is basis element top + k, the one at row i's pivot minus row i at
+            # the free columns
+            for k, j in enumerate(free):
+                self._product[span[j]] = [(field.one(), top + k)]
+            for j, i in row_of.items():
+                row = r.data[i].tolist()
+                nf = [(field.neg(row[f]), top + k) for k, f in enumerate(free) if row[f]]
+                self._product[span[j]] = nf
             if len(basis) > top and n >= self.nilpotency_bound:
                 raise NotFiniteDimensional(
                     f"{len(basis) - top} path classes survive at length "

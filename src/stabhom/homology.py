@@ -36,11 +36,14 @@ generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis, and is checked onto by rank; an
 injective envelope map m -> I is the dual of the cover map of the dual
 module.  Both record their middle term's indecomposable summands, P(v) or
-I(v) with multiplicity g_v, in direct_sum order (CoverMap.summands):
-stable_hom reads the map and its summands alone, one summand at a time,
-and never solves over the whole sum.  The far end of the sequence, the
-syzygy (a kernel) or the cosyzygy (a cokernel), is built only when
-projective_cover or injective_envelope asks for it.  The star dual
+I(v) with multiplicity g_v, in direct_sum order (CoverMap.summands), and
+per group of copies the blocks of the map at them (CoverMap.parts).  The
+cover map is written through its parts, which are views of its matrices;
+an envelope's parts are its dual cover's, transposed.  So only this
+module knows the layout: stable_hom reads the parts alone, one summand at
+a time, and never solves over the whole sum.  The far end of the
+sequence, the syzygy (a kernel) or the cosyzygy (a cokernel), is built
+only when projective_cover or injective_envelope asks for it.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
 at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
 0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
@@ -80,7 +83,6 @@ from .exactla import (
     _dot,
     _kernel_form,
     coordinates,
-    hstack,
     kernel_basis,
     kron_kernel,
     solve_right,
@@ -362,15 +364,21 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
 class CoverMap:
     """A minimal projective cover P -> m or injective envelope m -> I as its
     memo holds it: the map, its middle term's summands as
-    ShortExactSequence.summands lists them, and sequence, the short exact
-    sequence through the map, None until projective_cover or
-    injective_envelope first asks for it."""
+    ShortExactSequence.summands lists them, parts, and sequence, the short
+    exact sequence through the map, None until projective_cover or
+    injective_envelope first asks for it.  parts has one entry per summand
+    group (v, g), in summands order: the indecomposable X, P(v) or I(v),
+    and per vertex w one read-only array of shape (g, rows, cols), the g
+    copies X -> m (the map's column blocks at X's copies) or m -> X (its
+    row blocks).  They are views, not copies: of the cover map's matrices,
+    or transposed, of the dual cover map's."""
 
-    __slots__ = ("map", "summands", "sequence")
+    __slots__ = ("map", "summands", "parts", "sequence")
 
-    def __init__(self, f: ModuleMap, summands: Tuple[Tuple[str, int], ...]):
+    def __init__(self, f: ModuleMap, summands: Tuple[Tuple[str, int], ...], parts: Tuple):
         self.map = f
         self.summands = summands
+        self.parts = parts
         self.sequence: Optional[ShortExactSequence] = None
 
 
@@ -386,36 +394,36 @@ def _build_cover_map(m: Representation) -> CoverMap:
     pivot of the radical's echelon basis (the unit vectors there lift a
     basis of the top).  A path label of P(v) sends v's generators to the
     columns of its action at those columns, laid out generator-major, as
-    direct_sum orders the summands.  The map is checked to be onto by its
-    rank at every vertex."""
+    direct_sum orders the summands: each group's actions are written into
+    the map's matrices through its parts.  The map is checked to be onto by
+    its rank at every vertex."""
     alg = m.algebra
     field = alg.field
     gens = {
         v: [c for c in range(m.dims[v]) if c not in rad.pivots]
         for v, rad in radical_subspaces(m).items()
     }
-    summands: List[Representation] = []
-    blocks: Dict[str, List[Matrix]] = {w: [] for w in m.vertices}
-    for v in m.vertices:
-        g = len(gens[v])
-        if not g:
-            continue
-        rep, labels = _projective_with_labels(alg, v, m.side)
-        summands.extend([rep] * g)
-        for w in m.vertices:
-            acts = _label_actions(m, labels[w], (m.dims[w], m.dims[v]))[:, :, gens[v]]
-            flat = acts.transpose(1, 2, 0).reshape(m.dims[w], g * len(labels[w]))
-            blocks[w].append(Matrix(field, flat, _trusted=True))
-    if summands:
-        p = direct_sum(summands).module
-        cover = ModuleMap(
-            p, m, {w: hstack(field, blocks[w], rows=m.dims[w]) for w in m.vertices}
-        )
-    else:
-        cover = ModuleMap.zero(zero_module(alg, m.side), m)
+    groups = [(v, _projective_with_labels(alg, v, m.side)) for v in m.vertices if gens[v]]
+    copies = [rep for v, (rep, _) in groups for _ in gens[v]]
+    p = direct_sum(copies).module if copies else zero_module(alg, m.side)
+    data = {w: field.zeros(m.dims[w], p.dims[w]) for w in m.vertices}
+    offs = dict.fromkeys(m.vertices, 0)
+    parts = []
+    for v, (rep, labels) in groups:
+        g, maps = len(gens[v]), {}
+        for w, o in offs.items():
+            n, d = m.dims[w], rep.dims[w]
+            acts = _label_actions(m, labels[w], (n, m.dims[v]))[:, :, gens[v]]
+            block = data[w][:, o : o + g * d].reshape(n, g, d, copy=False)
+            block[...] = acts.transpose(1, 2, 0)
+            maps[w] = block.transpose(1, 0, 2)
+            maps[w].flags.writeable = False
+            offs[w] = o + g * d
+        parts.append((rep, maps))
+    cover = ModuleMap(p, m, {w: Matrix(field, data[w], _trusted=True) for w in m.vertices})
     if not cover.is_surjective():
         raise AlgebraError("projective cover failed to surject")
-    return CoverMap(cover, tuple((v, len(gens[v])) for v in m.vertices if gens[v]))
+    return CoverMap(cover, tuple((v, len(gens[v])) for v, _ in groups), tuple(parts))
 
 
 def projective_cover(m: Representation) -> ShortExactSequence:
@@ -450,11 +458,16 @@ def envelope_map(m: Representation) -> CoverMap:
 def _build_envelope_map(m: Representation) -> CoverMap:
     """The dual of the cover map of the dual module: the dual of its P(v) on
     the other side is I(v) = indec_injective(alg, v, side), so the summands
-    are the cover's.  D is exact, so the dual of that onto map is one to
-    one: the cover's rank check is the envelope's."""
+    are the cover's, and each part is the dual of the cover's, transposed.
+    D is exact, so the dual of that onto map is one to one: the cover's
+    rank check is the envelope's."""
     cov = cover_map(dual_module(m))
     denv = dual_map(cov.map)
-    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), cov.summands)
+    parts = tuple(
+        (dual_module(x), {w: s.transpose(0, 2, 1) for w, s in maps.items()})
+        for x, maps in cov.parts
+    )
+    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), cov.summands, parts)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:

@@ -28,11 +28,12 @@ One summand at a time.  The cover P -> b and the envelope a -> I are sums
 of copies of indecomposables P(v) and I(v), and Hom is additive
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, 1995,
 II.1).  So stable_hom composes the small Hom(a, P(v)) or Hom(I(v), b) with
-the cover map's column blocks or the envelope map's row blocks at each
-group of copies, and never solves over the whole sum.  It reads homology's
-memoized cover and envelope maps with their summands (cover_map,
-envelope_map) and nothing else of the sequences: no syzygy or cosyzygy is
-built for a stable Hom.  The spans are those of the whole sum, and a
+the cover map's or the envelope map's blocks at each group of copies, and
+never solves over the whole sum.  It reads the parts of homology's
+memoized cover and envelope maps (CoverMap.parts, through cover_map and
+envelope_map), which hold those blocks, and nothing else: neither the
+maps' layout nor the sequences, so no syzygy or cosyzygy is built for a
+stable Hom.  The spans are those of the whole sum, and a
 Subspace or a kernel basis depends only on a row space (through the
 unique rref), so every output is what the whole sum gives, bit for bit.
 The sub-stabilized tensor product is a stable Hom read dually:
@@ -42,7 +43,7 @@ maps b -> D a that factor through an injective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from .algebra import (
 from .homology import (
     CONTRAVARIANT,
     COVARIANT,
-    CoverMap,
     HomSpace,
     TensorSpace,
     _composites,
@@ -138,8 +138,9 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
     """Hom(a, b) modulo the maps factoring through a projective or through
     an injective.  Hom is additive, so the first are spanned by Hom(a, P(v))
     composed with the cover P -> b at each copy of P(v), the second by
-    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v);
-    the composites of all summands are read in Hom(a, b) at once."""
+    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v):
+    one part of cover_map(b) or envelope_map(a) per group of copies.  The
+    composites of all summands are read in Hom(a, b) at once."""
     if flavor not in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         raise ValueError(f"unknown stable hom flavor: {flavor!r}")
     hom = hom_basis(a, b)
@@ -150,40 +151,13 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
         factor = Subspace(field, 0)
         return StableHom(hom, factor, factor.quotient())
     if post:
-        homs = [(hom_basis(a, p), maps) for p, maps in _summand_maps(cover_map(b), True)]
+        homs = [(hom_basis(a, p), maps) for p, maps in cover_map(b).parts]
     else:
-        homs = [(hom_basis(i, b), maps) for i, maps in _summand_maps(envelope_map(a), False)]
+        homs = [(hom_basis(i, b), maps) for i, maps in envelope_map(a).parts]
     parts = [_composites(h, maps, post) for h, maps in homs if h.dim]
     flats = np.concatenate(parts) if parts else field.zeros(0, hom.stack.cols)
     factor = Subspace(field, hom.dim, hom.coords_of_flats(Matrix(field, flats, _trusted=True)))
     return StableHom(hom, factor, factor.quotient())
-
-
-def _summand_maps(
-    approx: CoverMap, cover: bool
-) -> List[Tuple[Representation, Dict[str, np.ndarray]]]:
-    """Per summand group (v, g) of a projective cover map's (cover) or an
-    injective envelope map's middle term: the indecomposable X, P(v) or
-    I(v), and at each vertex the g maps X -> m (the cover map's column
-    blocks at X's copies) or m -> X (the envelope map's row blocks), as one
-    array of shape (g, rows, cols)."""
-    f = approx.map
-    alg, side = f.domain.algebra, f.domain.side
-    outer = f.codomain if cover else f.domain
-    offs = dict.fromkeys(outer.vertices, 0)
-    out = []
-    for v, g in approx.summands:
-        x = (indec_projective if cover else indec_injective)(alg, v, side)
-        maps = {}
-        for w, o in offs.items():
-            d, n, data = x.dims[w], outer.dims[w], f.vertex_maps[w].data
-            if cover:
-                maps[w] = data[:, o : o + g * d].reshape(n, g, d).transpose(1, 0, 2)
-            else:
-                maps[w] = data[o : o + g * d].reshape(g, d, n)
-            offs[w] = o + g * d
-        out.append((x, maps))
-    return out
 
 
 # -- approximations ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_free_loop_is_infinite_dimensional():
     q = Quiver(["v"], [Arrow("x", "v", "v")])
     with pytest.raises(NotFiniteDimensional):
         BoundQuiverAlgebra(q, [], Field.prime(2), 8)
+
+
+def test_a_free_algebra_is_refused_in_memory_linear_in_the_span():
+    # two loops and no relations: degree n has 2^n paths, 4,096 at the bound
+    # of 12.  The normal forms are read off the rref rows of the 0 x 4,096
+    # relation matrix, with no 4,096 x 4,096 projection (128 MiB of int64).
+    q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotFiniteDimensional, match="4096 path classes survive at length 12"):
+            BoundQuiverAlgebra(q, [], Field.prime(2), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_bad_relation_rejected(a2):

@@ -65,11 +65,15 @@ def _same_map(f: ModuleMap, g: ModuleMap) -> bool:
 
 
 def _same_matrix(x: Matrix, y: Matrix) -> bool:
-    if x.data.dtype != y.data.dtype or x.shape != y.shape:
+    return _same_array(x.data, y.data)
+
+
+def _same_array(x, y) -> bool:
+    if x.dtype != y.dtype or x.shape != y.shape:
         return False
-    if x.data.dtype == object:
-        return x.data.tolist() == y.data.tolist()
-    return x.data.tobytes() == y.data.tobytes()
+    if x.dtype == object:
+        return x.tolist() == y.tolist()
+    return x.tobytes() == y.tobytes()
 
 
 def _same_module(a: Representation, b: Representation) -> bool:
@@ -91,7 +95,16 @@ def _same_sequence(s, t) -> bool:
 
 
 def _same_cover_map(c, d) -> bool:
-    return _same_map(c.map, d.map) and c.summands == d.summands
+    return (
+        _same_map(c.map, d.map)
+        and c.summands == d.summands
+        and len(c.parts) == len(d.parts)
+        and all(
+            x is y and maps.keys() == others.keys()
+            and all(_same_array(maps[w], others[w]) for w in maps)
+            for (x, maps), (y, others) in zip(c.parts, d.parts)
+        )
+    )
 
 
 def _fresh_projective_cover(m):

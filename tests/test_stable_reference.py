@@ -14,11 +14,14 @@ arguments, a vertex with no summand).  When Hom(a, b) = 0 there is nothing
 to factor, and no cover or envelope is built; when a (x) b = 0 its kernel
 is 0, and no envelope is fetched (Hom(b, D a) = 0 then).  The guard test
 makes sure that no Hom system or tensor space over a decomposable cover or
-envelope is built any more.  The last tests check that stable Homs read
-the cover and envelope maps alone, building no syzygy or cosyzygy until
-projective_cover or injective_envelope asks for one, and that the cover's
-surjectivity check still refuses a cover one generator short on every
-route that builds a cover map.
+envelope is built any more.  The parts of each cover and envelope map
+(CoverMap.parts) must be, bit for bit, the blocks stable used to slice from
+the map by offsets (_summand_maps, kept as the reference), and read-only.
+The last tests check that stable Homs read the cover and envelope maps
+alone, building no syzygy or cosyzygy until projective_cover or
+injective_envelope asks for one, and that the cover's surjectivity check
+still refuses a cover one generator short on every route that builds a
+cover map.
 """
 
 import importlib.util
@@ -76,6 +79,31 @@ def _whole_stable_hom(a, b, flavor):
     return hom, factor, factor.quotient()
 
 
+def _summand_maps(approx, cover):
+    """Per summand group (v, g) of a projective cover map's (cover) or an
+    injective envelope map's middle term: the indecomposable X, P(v) or
+    I(v), and at each vertex the g maps X -> m (the cover map's column
+    blocks at X's copies) or m -> X (the envelope map's row blocks), as one
+    array of shape (g, rows, cols), sliced from the map by offsets."""
+    f = approx.map
+    alg, side = f.domain.algebra, f.domain.side
+    outer = f.codomain if cover else f.domain
+    offs = dict.fromkeys(outer.vertices, 0)
+    out = []
+    for v, g in approx.summands:
+        x = (indec_projective if cover else indec_injective)(alg, v, side)
+        maps = {}
+        for w, o in offs.items():
+            d, n, data = x.dims[w], outer.dims[w], f.vertex_maps[w].data
+            if cover:
+                maps[w] = data[:, o : o + g * d].reshape(n, g, d).transpose(1, 0, 2)
+            else:
+                maps[w] = data[o : o + g * d].reshape(g, d, n)
+            offs[w] = o + g * d
+        out.append((x, maps))
+    return out
+
+
 def _whole_substab_kernel(a, b):
     env = injective_envelope(b)
     src = tensor(a, b)
@@ -89,7 +117,11 @@ def _whole_substab_kernel(a, b):
 def _bits(m: Matrix):
     """A matrix as its dtype, shape and exact entries: raw bytes for int64,
     (type, numerator, denominator) for each Fraction or Python int."""
-    data = m.data
+    return _array_bits(m.data)
+
+
+def _array_bits(data):
+    """_bits of an array of any shape."""
     if data.dtype != object:
         return str(data.dtype), data.shape, data.tobytes()
     return "object", data.shape, [
@@ -244,14 +276,33 @@ def _copy(m: Representation) -> Representation:
     return Representation(m.algebra, m.side, m.dims, m.arrow_maps)
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+# past 3,037,000,500, so the maps and their parts hold Python ints (object dtype)
+BIG_PRIME = 4294967311
+SUMMAND_ALGEBRAS = {**BUILDERS, "square_big_prime": lambda: square_algebra(Field.prime(BIG_PRIME))}
+
+
+def _assert_parts_are_the_slices(approx, cover):
+    """approx.parts is the reference slicing of its map, bit for bit, and
+    read-only."""
+    want = _summand_maps(approx, cover)
+    assert len(approx.parts) == len(want) == len(approx.summands)
+    for (x, maps), (y, ref) in zip(approx.parts, want):
+        assert x is y
+        assert maps.keys() == ref.keys()
+        for w, part in maps.items():
+            assert _array_bits(part) == _array_bits(ref[w])
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+
+
+@pytest.mark.parametrize("name", sorted(SUMMAND_ALGEBRAS))
 def test_covers_and_envelopes_record_their_summands(name):
-    alg = BUILDERS[name]()
+    alg = SUMMAND_ALGEBRAS[name]()
     for side in (LEFT, RIGHT):
         for m in standard_probes(alg, side) + _catalog(alg, side, 14):
-            for get, indec in (
-                (projective_cover, indec_projective),
-                (injective_envelope, indec_injective),
+            for get, indec, approx, cover in (
+                (projective_cover, indec_projective, homology.cover_map, True),
+                (injective_envelope, indec_injective, homology.envelope_map, False),
             ):
                 seq = get(m)
                 vertices = [v for v, _ in seq.summands]
@@ -267,6 +318,15 @@ def test_covers_and_envelopes_record_their_summands(name):
                 hit = get(_copy(m))
                 assert hit is not seq
                 assert hit.summands == seq.summands
+                _assert_parts_are_the_slices(approx(m), cover)
+
+
+def test_the_parts_cover_object_dtype():
+    alg = SUMMAND_ALGEBRAS["square_big_prime"]()
+    m = max(_catalog(alg, LEFT, 14), key=lambda x: x.total_dim)
+    for approx in (homology.cover_map(m), homology.envelope_map(m)):
+        assert approx.parts
+        assert all(s.dtype == object for _, maps in approx.parts for s in maps.values())
 
 
 # -- the guard: no Hom system or tensor space over a decomposable middle term ----------------
