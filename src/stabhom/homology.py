@@ -35,15 +35,12 @@ are taken vertexwise.  A minimal projective cover map P -> m takes its
 generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis, and is checked onto by rank; an
 injective envelope map m -> I is the dual of the cover map of the dual
-module.  Both record their middle term's indecomposable summands, P(v) or
-I(v) with multiplicity g_v, in direct_sum order (CoverMap.summands), and
-per group of copies the blocks of the map at them (CoverMap.parts).  The
-cover map is written through its parts, which are views of its matrices;
-an envelope's parts are its dual cover's, transposed.  So only this
-module knows the layout: stable_hom reads the parts alone, one summand at
-a time, and never solves over the whole sum.  The far end of the
-sequence, the syzygy (a kernel) or the cosyzygy (a cokernel), is built
-only when projective_cover or injective_envelope asks for it.  The star dual
+module.  Both hold, per group of g_v copies of a summand P(v) or I(v) of
+their middle term, read-only views of the map's blocks at them
+(CoverMap.parts): the cover map is written through them, and stable_hom
+reads them alone, one summand at a time, never solving over the whole
+sum.  The syzygy (a kernel) or the cosyzygy (a cokernel) is built only
+when projective_cover or injective_envelope asks for it.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
 at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
 0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
@@ -363,23 +360,44 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
 
 class CoverMap:
     """A minimal projective cover P -> m or injective envelope m -> I as its
-    memo holds it: the map, its middle term's summands as
-    ShortExactSequence.summands lists them, parts, and sequence, the short
-    exact sequence through the map, None until projective_cover or
-    injective_envelope first asks for it.  parts has one entry per summand
-    group (v, g), in summands order: the indecomposable X, P(v) or I(v),
-    and per vertex w one read-only array of shape (g, rows, cols), the g
-    copies X -> m (the map's column blocks at X's copies) or m -> X (its
-    row blocks).  They are views, not copies: of the cover map's matrices,
-    or transposed, of the dual cover map's."""
+    memo holds it: the map; parts, one (v, X, maps) per group of g copies of
+    X = P(v) or I(v) in direct_sum order, maps[w] the map's g column blocks
+    X -> m or row blocks m -> X at vertex w as one read-only view of shape
+    (g, rows, cols); and sequence, the short exact sequence through the
+    map, None until projective_cover or injective_envelope asks for it."""
 
-    __slots__ = ("map", "summands", "parts", "sequence")
+    __slots__ = ("map", "parts", "sequence")
 
-    def __init__(self, f: ModuleMap, summands: Tuple[Tuple[str, int], ...], parts: Tuple):
+    def __init__(self, f: ModuleMap, parts: Tuple):
+        for _, _, maps in parts:
+            for s in maps.values():
+                s.flags.writeable = False
         self.map = f
-        self.summands = summands
         self.parts = parts
         self.sequence: Optional[ShortExactSequence] = None
+
+    @property
+    def summands(self) -> Tuple[Tuple[str, int], ...]:
+        """The (v, g) of the parts, as ShortExactSequence.summands lists them."""
+        return tuple((v, maps[v].shape[0]) for v, _, maps in self.parts)
+
+
+def _group_blocks(mats: Dict[str, np.ndarray], groups: Sequence, rows: bool) -> Tuple:
+    """CoverMap.parts of a map with vertex matrices mats and middle term the
+    sum of g copies of X per group (v, X, g): views of their row blocks
+    (rows) or column blocks."""
+    offs, parts = dict.fromkeys(mats, 0), []
+    for v, x, g in groups:
+        maps = {}
+        for w, o in offs.items():
+            a, d = mats[w], x.dims[w]
+            if rows:
+                maps[w] = a[o : o + g * d].reshape(g, d, a.shape[1])
+            else:
+                maps[w] = a[:, o : o + g * d].reshape(a.shape[0], g, d).transpose(1, 0, 2)
+            offs[w] = o + g * d
+        parts.append((v, x, maps))
+    return tuple(parts)
 
 
 def cover_map(m: Representation) -> CoverMap:
@@ -394,36 +412,26 @@ def _build_cover_map(m: Representation) -> CoverMap:
     pivot of the radical's echelon basis (the unit vectors there lift a
     basis of the top).  A path label of P(v) sends v's generators to the
     columns of its action at those columns, laid out generator-major, as
-    direct_sum orders the summands: each group's actions are written into
-    the map's matrices through its parts.  The map is checked to be onto by
-    its rank at every vertex."""
-    alg = m.algebra
-    field = alg.field
+    direct_sum orders the summands, through the parts.  The map is checked
+    to be onto by its rank at every vertex."""
+    alg, field = m.algebra, m.algebra.field
     gens = {
         v: [c for c in range(m.dims[v]) if c not in rad.pivots]
         for v, rad in radical_subspaces(m).items()
     }
-    groups = [(v, _projective_with_labels(alg, v, m.side)) for v in m.vertices if gens[v]]
-    copies = [rep for v, (rep, _) in groups for _ in gens[v]]
+    groups = [(v, *_projective_with_labels(alg, v, m.side)) for v in m.vertices if gens[v]]
+    copies = [rep for v, rep, _ in groups for _ in gens[v]]
     p = direct_sum(copies).module if copies else zero_module(alg, m.side)
     data = {w: field.zeros(m.dims[w], p.dims[w]) for w in m.vertices}
-    offs = dict.fromkeys(m.vertices, 0)
-    parts = []
-    for v, (rep, labels) in groups:
-        g, maps = len(gens[v]), {}
-        for w, o in offs.items():
-            n, d = m.dims[w], rep.dims[w]
-            acts = _label_actions(m, labels[w], (n, m.dims[v]))[:, :, gens[v]]
-            block = data[w][:, o : o + g * d].reshape(n, g, d, copy=False)
-            block[...] = acts.transpose(1, 2, 0)
-            maps[w] = block.transpose(1, 0, 2)
-            maps[w].flags.writeable = False
-            offs[w] = o + g * d
-        parts.append((rep, maps))
+    parts = _group_blocks(data, [(v, rep, len(gens[v])) for v, rep, _ in groups], rows=False)
+    for (v, _, labels), (_, _, maps) in zip(groups, parts):
+        for w, block in maps.items():
+            acts = _label_actions(m, labels[w], (m.dims[w], m.dims[v]))
+            block[...] = acts[:, :, gens[v]].transpose(2, 1, 0)
     cover = ModuleMap(p, m, {w: Matrix(field, data[w], _trusted=True) for w in m.vertices})
     if not cover.is_surjective():
         raise AlgebraError("projective cover failed to surject")
-    return CoverMap(cover, tuple((v, len(gens[v])) for v, _ in groups), tuple(parts))
+    return CoverMap(cover, parts)
 
 
 def projective_cover(m: Representation) -> ShortExactSequence:
@@ -457,17 +465,16 @@ def envelope_map(m: Representation) -> CoverMap:
 
 def _build_envelope_map(m: Representation) -> CoverMap:
     """The dual of the cover map of the dual module: the dual of its P(v) on
-    the other side is I(v) = indec_injective(alg, v, side), so the summands
-    are the cover's, and each part is the dual of the cover's, transposed.
-    D is exact, so the dual of that onto map is one to one: the cover's
-    rank check is the envelope's."""
+    the other side is I(v) = indec_injective(alg, v, side), so the groups
+    are the cover's; the parts are the dual map's row blocks.  D is exact,
+    so the dual of that onto map is one to one: the cover's rank check is
+    the envelope's."""
     cov = cover_map(dual_module(m))
     denv = dual_map(cov.map)
-    parts = tuple(
-        (dual_module(x), {w: s.transpose(0, 2, 1) for w, s in maps.items()})
-        for x, maps in cov.parts
-    )
-    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), cov.summands, parts)
+    groups = [(v, dual_module(x), g) for (v, x, _), (_, g) in zip(cov.parts, cov.summands)]
+    env = ModuleMap(m, denv.codomain, denv.vertex_maps)
+    mats = {w: f.data for w, f in env.vertex_maps.items()}
+    return CoverMap(env, _group_blocks(mats, groups, rows=True))
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:

@@ -29,11 +29,10 @@ of copies of indecomposables P(v) and I(v), and Hom is additive
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, 1995,
 II.1).  So stable_hom composes the small Hom(a, P(v)) or Hom(I(v), b) with
 the cover map's or the envelope map's blocks at each group of copies, and
-never solves over the whole sum.  It reads the parts of homology's
-memoized cover and envelope maps (CoverMap.parts, through cover_map and
-envelope_map), which hold those blocks, and nothing else: neither the
-maps' layout nor the sequences, so no syzygy or cosyzygy is built for a
-stable Hom.  The spans are those of the whole sum, and a
+never solves over the whole sum.  It reads those blocks, the parts of
+homology's memoized maps (cover_map, envelope_map), and nothing else: not
+the maps' layout, and no syzygy or cosyzygy.  The spans are those of the
+whole sum, and a
 Subspace or a kernel basis depends only on a row space (through the
 unique rref), so every output is what the whole sum gives, bit for bit.
 The sub-stabilized tensor product is a stable Hom read dually:
@@ -138,8 +137,8 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
     """Hom(a, b) modulo the maps factoring through a projective or through
     an injective.  Hom is additive, so the first are spanned by Hom(a, P(v))
     composed with the cover P -> b at each copy of P(v), the second by
-    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v):
-    one part of cover_map(b) or envelope_map(a) per group of copies.  The
+    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v), a
+    part of cover_map(b) or envelope_map(a) per group of copies; the
     composites of all summands are read in Hom(a, b) at once."""
     if flavor not in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         raise ValueError(f"unknown stable hom flavor: {flavor!r}")
@@ -151,9 +150,9 @@ def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
         factor = Subspace(field, 0)
         return StableHom(hom, factor, factor.quotient())
     if post:
-        homs = [(hom_basis(a, p), maps) for p, maps in cover_map(b).parts]
+        homs = [(hom_basis(a, p), maps) for _, p, maps in cover_map(b).parts]
     else:
-        homs = [(hom_basis(i, b), maps) for i, maps in envelope_map(a).parts]
+        homs = [(hom_basis(i, b), maps) for _, i, maps in envelope_map(a).parts]
     parts = [_composites(h, maps, post) for h, maps in homs if h.dim]
     flats = np.concatenate(parts) if parts else field.zeros(0, hom.stack.cols)
     factor = Subspace(field, hom.dim, hom.coords_of_flats(Matrix(field, flats, _trusted=True)))

@@ -100,9 +100,9 @@ def _same_cover_map(c, d) -> bool:
         and c.summands == d.summands
         and len(c.parts) == len(d.parts)
         and all(
-            x is y and maps.keys() == others.keys()
+            v == u and x is y and maps.keys() == others.keys()
             and all(_same_array(maps[w], others[w]) for w in maps)
-            for (x, maps), (y, others) in zip(c.parts, d.parts)
+            for (v, x, maps), (u, y, others) in zip(c.parts, d.parts)
         )
     )
 

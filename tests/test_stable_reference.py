@@ -29,6 +29,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from algebras import BUILDERS, a2_algebra, kronecker_algebra, square_algebra
@@ -282,15 +283,17 @@ SUMMAND_ALGEBRAS = {**BUILDERS, "square_big_prime": lambda: square_algebra(Field
 
 
 def _assert_parts_are_the_slices(approx, cover):
-    """approx.parts is the reference slicing of its map, bit for bit, and
-    read-only."""
+    """approx.parts is the reference slicing of its map, bit for bit,
+    read-only, and a view of the map's own matrices, so the entries are
+    held once."""
     want = _summand_maps(approx, cover)
     assert len(approx.parts) == len(want) == len(approx.summands)
-    for (x, maps), (y, ref) in zip(approx.parts, want):
-        assert x is y
+    for (v, x, maps), (y, ref), (u, g) in zip(approx.parts, want, approx.summands):
+        assert x is y and v == u and maps[v].shape[0] == g
         assert maps.keys() == ref.keys()
         for w, part in maps.items():
             assert _array_bits(part) == _array_bits(ref[w])
+            assert part.size == 0 or np.shares_memory(part, approx.map.vertex_maps[w].data)
             with pytest.raises(ValueError, match="read-only"):
                 part[...] = 0
 
@@ -326,7 +329,7 @@ def test_the_parts_cover_object_dtype():
     m = max(_catalog(alg, LEFT, 14), key=lambda x: x.total_dim)
     for approx in (homology.cover_map(m), homology.envelope_map(m)):
         assert approx.parts
-        assert all(s.dtype == object for _, maps in approx.parts for s in maps.values())
+        assert all(s.dtype == object for _, _, maps in approx.parts for s in maps.values())
 
 
 # -- the guard: no Hom system or tensor space over a decomposable middle term ----------------
