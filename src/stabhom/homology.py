@@ -35,12 +35,12 @@ are taken vertexwise.  A minimal projective cover map P -> m takes its
 generators at v from the top's own section, the unit vectors at the free
 columns of the radical's echelon basis, and is checked onto by rank; an
 injective envelope map m -> I is the dual of the cover map of the dual
-module.  Both hold, per group of g_v copies of a summand P(v) or I(v) of
-their middle term, read-only views of the map's blocks at them
-(CoverMap.parts): the cover map is written through them, and stable_hom
-reads them alone, one summand at a time, never solving over the whole
-sum.  The syzygy (a kernel) or the cosyzygy (a cokernel) is built only
-when projective_cover or injective_envelope asks for it.  The star dual
+module.  Both record their middle term's groups of g_v copies of P(v) or
+I(v) (CoverMap.groups) and read the map's blocks at them as read-only
+views (CoverMap.parts): the cover map is written through them, and
+stable_hom reads them alone, one summand at a time, never solving over
+the whole sum.  The syzygy (a kernel) or the cosyzygy (a cokernel) is
+built only when projective_cover or injective_envelope asks.  The star dual
 Hom(-, algebra) is a module on the other side, with component Hom(m, P(v))
 at vertex v.  Ext^1(m, n) is counted, not solved: Hom(-, n) on the cover
 0 -> syzygy -> P -> m -> 0 is exact up to Ext^1(m, n), and Hom(P, n) has
@@ -360,32 +360,35 @@ def _memoized(kind: str, alg: BoundQuiverAlgebra, key, build, *args, size=None):
 
 class CoverMap:
     """A minimal projective cover P -> m or injective envelope m -> I as its
-    memo holds it: the map; parts, one (v, X, maps) per group of g copies of
-    X = P(v) or I(v) in direct_sum order, maps[w] the map's g column blocks
-    X -> m or row blocks m -> X at vertex w as one read-only view of shape
-    (g, rows, cols); and sequence, the short exact sequence through the
-    map, None until projective_cover or injective_envelope asks for it."""
+    memo holds it: the map; groups, (v, X, g) per g copies of X = P(v) or
+    I(v) in the middle term (the codomain if envelope), in direct_sum
+    order; and sequence, the short exact sequence through the map, None
+    until projective_cover or injective_envelope asks for it."""
 
-    __slots__ = ("map", "parts", "sequence")
+    __slots__ = ("map", "groups", "envelope", "sequence")
 
-    def __init__(self, f: ModuleMap, parts: Tuple):
-        for _, _, maps in parts:
-            for s in maps.values():
-                s.flags.writeable = False
-        self.map = f
-        self.parts = parts
+    def __init__(self, f: ModuleMap, groups: Sequence, envelope: bool):
+        self.map, self.groups, self.envelope = f, tuple(groups), envelope
         self.sequence: Optional[ShortExactSequence] = None
 
     @property
     def summands(self) -> Tuple[Tuple[str, int], ...]:
-        """The (v, g) of the parts, as ShortExactSequence.summands lists them."""
-        return tuple((v, maps[v].shape[0]) for v, _, maps in self.parts)
+        """The (v, g) of the groups, as ShortExactSequence.summands lists them."""
+        return tuple((v, g) for v, _, g in self.groups)
+
+    @property
+    def parts(self) -> Tuple:
+        """One (v, X, maps) per group, maps[w] the map's g column blocks X -> m
+        or row blocks m -> X at vertex w as one read-only view of shape (g,
+        rows, cols).  Made on each read, so the memo holds no views."""
+        mats = {w: f.data for w, f in self.map.vertex_maps.items()}
+        return _group_blocks(mats, self.groups, self.envelope)
 
 
 def _group_blocks(mats: Dict[str, np.ndarray], groups: Sequence, rows: bool) -> Tuple:
     """CoverMap.parts of a map with vertex matrices mats and middle term the
     sum of g copies of X per group (v, X, g): views of their row blocks
-    (rows) or column blocks."""
+    (rows) or column blocks, read-only where mats are."""
     offs, parts = dict.fromkeys(mats, 0), []
     for v, x, g in groups:
         maps = {}
@@ -423,15 +426,15 @@ def _build_cover_map(m: Representation) -> CoverMap:
     copies = [rep for v, rep, _ in groups for _ in gens[v]]
     p = direct_sum(copies).module if copies else zero_module(alg, m.side)
     data = {w: field.zeros(m.dims[w], p.dims[w]) for w in m.vertices}
-    parts = _group_blocks(data, [(v, rep, len(gens[v])) for v, rep, _ in groups], rows=False)
-    for (v, _, labels), (_, _, maps) in zip(groups, parts):
+    blocks = [(v, rep, len(gens[v])) for v, rep, _ in groups]
+    for (v, _, labels), (_, _, maps) in zip(groups, _group_blocks(data, blocks, rows=False)):
         for w, block in maps.items():
             acts = _label_actions(m, labels[w], (m.dims[w], m.dims[v]))
             block[...] = acts[:, :, gens[v]].transpose(2, 1, 0)
     cover = ModuleMap(p, m, {w: Matrix(field, data[w], _trusted=True) for w in m.vertices})
     if not cover.is_surjective():
         raise AlgebraError("projective cover failed to surject")
-    return CoverMap(cover, parts)
+    return CoverMap(cover, blocks, envelope=False)
 
 
 def projective_cover(m: Representation) -> ShortExactSequence:
@@ -466,15 +469,12 @@ def envelope_map(m: Representation) -> CoverMap:
 def _build_envelope_map(m: Representation) -> CoverMap:
     """The dual of the cover map of the dual module: the dual of its P(v) on
     the other side is I(v) = indec_injective(alg, v, side), so the groups
-    are the cover's; the parts are the dual map's row blocks.  D is exact,
-    so the dual of that onto map is one to one: the cover's rank check is
-    the envelope's."""
+    are the cover's.  D is exact, so the dual of that onto map is one to
+    one: the cover's rank check is the envelope's."""
     cov = cover_map(dual_module(m))
     denv = dual_map(cov.map)
-    groups = [(v, dual_module(x), g) for (v, x, _), (_, g) in zip(cov.parts, cov.summands)]
-    env = ModuleMap(m, denv.codomain, denv.vertex_maps)
-    mats = {w: f.data for w, f in env.vertex_maps.items()}
-    return CoverMap(env, _group_blocks(mats, groups, rows=True))
+    groups = [(v, dual_module(x), g) for v, x, g in cov.groups]
+    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), groups, envelope=True)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:
