@@ -52,6 +52,16 @@ class NotFiniteDimensional(AlgebraError):
     """Nonzero path classes survive at the nilpotency bound."""
 
 
+class AlgebraTooLarge(AlgebraError):
+    """A degree of the path basis is spanned by more than MAX_DEGREE_SPAN
+    paths."""
+
+
+# Spanning paths one degree of the basis build may list: two free loops
+# reach 2^16 at degree 16, the default nilpotency bound.
+MAX_DEGREE_SPAN = 2 ** 16
+
+
 @dataclass(frozen=True)
 class Arrow:
     name: str
@@ -173,7 +183,8 @@ class BoundQuiverAlgebra:
     by source vertex and arrow indices, and the normal forms of the spanning
     paths are read off its rows: a free column is its own basis element, a
     pivot column minus its row at the free columns.  The build stops at the
-    first empty degree.
+    first empty degree.  The spanning paths of a degree are counted before
+    they are listed: more than MAX_DEGREE_SPAN raise AlgebraTooLarge.
 
     nilpotency_bound is a cap: a path class of that length surviving raises
     NotFiniteDimensional.  Relations whose terms differ in length, such as
@@ -247,8 +258,14 @@ class BoundQuiverAlgebra:
         self._product: Dict[Tuple[int, str], List[Tuple[object, int]]] = {}
         while starts[-2] < starts[-1]:
             n = len(starts) - 1
-            span = [(i, a.name) for i in range(starts[n - 1], starts[n])
-                    for a in q.arrows_from(_path_target(q, basis[i]))]
+            outs = [(i, q.arrows_from(_path_target(q, basis[i])))
+                    for i in range(starts[n - 1], starts[n])]
+            size = sum(len(arrows) for _, arrows in outs)
+            if size > MAX_DEGREE_SPAN:
+                raise AlgebraTooLarge(
+                    f"degree {n} is spanned by {size} paths, more than {MAX_DEGREE_SPAN}"
+                )
+            span = [(i, a.name) for i, arrows in outs for a in arrows]
             column = {pair: j for j, pair in enumerate(span)}
             # b * r for each relation r of length ell and basis path b of
             # degree n - ell, written in the spanning paths: b times all but

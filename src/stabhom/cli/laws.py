@@ -433,8 +433,6 @@ def _law_quasi_frobenius(ctx: LawContext, res: LawResult) -> None:
         res.skipped = "algebra is not self-injective"
         return
     for side, i, a in ctx.catalog():
-        # the memoized maps may start or end at a module equal to a; both
-        # checks read Hom spaces by module value, so the verdicts are a's
         into, onto = envelope_map(a).map, cover_map(a).map
         ok = extends_to_projectives(into) and lifts_from_injectives(onto)
         res.record(ok, _witness(i, a, side=side))

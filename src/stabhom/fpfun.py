@@ -280,17 +280,15 @@ def fp_substab(func: FpFunctor) -> FpFunctor:
 
 
 def present_overline_cov(a: Representation) -> FpFunctor:
-    """Hom(a,-) modulo injectives, presented by the injective envelope map
-    out of a itself (the memoized map may start at an equal module)."""
-    env = envelope_map(a).map
-    return FpFunctor(COVARIANT, ModuleMap(a, env.codomain, env.vertex_maps, _trusted=True))
+    """Hom(a,-) modulo injectives, presented by the memoized injective
+    envelope map, whose domain may be a module equal to a, seen first."""
+    return FpFunctor(COVARIANT, envelope_map(a).map)
 
 
 def present_underline_contra(a: Representation) -> FpFunctor:
-    """Hom(-,a) modulo projectives, presented by the projective cover map
-    onto a itself (the memoized map may end at an equal module)."""
-    cov = cover_map(a).map
-    return FpFunctor(CONTRAVARIANT, ModuleMap(cov.domain, a, cov.vertex_maps, _trusted=True))
+    """Hom(-,a) modulo projectives, presented by the memoized projective
+    cover map, whose codomain may be a module equal to a, seen first."""
+    return FpFunctor(CONTRAVARIANT, cover_map(a).map)
 
 
 def present_underline_cov(a: Representation) -> FpFunctor:

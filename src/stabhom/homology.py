@@ -57,10 +57,11 @@ domain and codomain for Hom spaces).  The cover and envelope memos hold
 CoverMaps, the maps with their summands; projective_cover and
 injective_envelope build the whole sequence on their first call for a
 value and keep it on that CoverMap, so it shares the map's slot and goes
-with it.  A hit of projective_cover, injective_envelope or hom_basis is
-the stored result rebound to the caller's modules (a cover's right, an
-envelope's left, a Hom space's domain and codomain) over the same
-matrices.  The Hom memo is bounded by what it holds as well: its stacks
+with it.  A memo hit is the stored result itself, so its modules (a
+cover's right, an envelope's left, a Hom space's domain and codomain) may
+be equal copies of the caller's, seen first; every module comparison reads
+values (==, with `is` only as a shortcut before it).  The Hom memo is
+bounded by what it holds as well: its stacks
 have at most HOM_MEMO_BUDGET entries in all, so Hom(a, b) is solved once
 for hom_basis and both stable Homs of a pair, dense or not, and a stack
 over the whole budget is not stored.
@@ -132,14 +133,6 @@ class HomSpace:
         self.free = free
         self.offsets = _block_offsets(domain.vertices, codomain.dims, domain.dims)[0]
 
-    def rebound(self, domain: Representation, codomain: Representation) -> "HomSpace":
-        """This space between equal modules domain and codomain: the same
-        stack, free columns and offsets."""
-        out = HomSpace.__new__(HomSpace)
-        out.domain, out.codomain = domain, codomain
-        out.stack, out.free, out.offsets = self.stack, self.free, self.offsets
-        return out
-
     @property
     def dim(self) -> int:
         return self.stack.rows
@@ -177,14 +170,11 @@ class HomSpace:
 
 def hom_basis(a: Representation, b: Representation) -> HomSpace:
     """Basis of the space of module maps a -> b.  Memoized per pair of
-    module values, within HOM_MEMO_BUDGET stack entries per algebra;
-    domain and codomain are always a and b themselves."""
+    module values, within HOM_MEMO_BUDGET stack entries per algebra: the
+    domain and codomain may be modules equal to a and b, seen first."""
     if a.algebra is not b.algebra or a.side != b.side:
         raise AlgebraError("hom needs matching algebra and side")
-    hom = _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, size=_stack_entries)
-    if hom.domain is a and hom.codomain is b:
-        return hom
-    return hom.rebound(a, b)
+    return _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, size=_stack_entries)
 
 
 def _stack_entries(hom: HomSpace) -> int:
@@ -279,19 +269,14 @@ def cokernel_map(f: ModuleMap) -> Tuple[Representation, ModuleMap]:
 
 @dataclass
 class ShortExactSequence:
-    """0 -> left -> middle -> right -> 0 with its two maps.
-
-    For a projective cover (an injective envelope) summands lists the
-    middle term's indecomposable summands P(v) (I(v)) as (vertex,
-    multiplicity) pairs in direct_sum order, each vertex once, none with
-    multiplicity 0; for other sequences it is empty."""
+    """0 -> left -> middle -> right -> 0 with its two maps.  A projective
+    cover's (an injective envelope's) summands are on its CoverMap."""
 
     left: Representation
     middle: Representation
     right: Representation
     inclusion: ModuleMap
     surjection: ModuleMap
-    summands: Tuple[Tuple[str, int], ...] = ()
 
     def validate(self) -> bool:
         return _is_exact((self.inclusion, self.surjection))
@@ -373,7 +358,9 @@ class CoverMap:
 
     @property
     def summands(self) -> Tuple[Tuple[str, int], ...]:
-        """The (v, g) of the groups, as ShortExactSequence.summands lists them."""
+        """The middle term's indecomposable summands P(v) (I(v)) as (vertex,
+        multiplicity) pairs in direct_sum order, each vertex once, none with
+        multiplicity 0."""
         return tuple((v, g) for v, _, g in self.groups)
 
     @property
@@ -405,8 +392,8 @@ def _group_blocks(mats: Dict[str, np.ndarray], groups: Sequence, rows: bool) -> 
 
 def cover_map(m: Representation) -> CoverMap:
     """The minimal projective cover map P -> m with its summands, and no
-    syzygy.  Memoized per module value: the map's codomain may be an equal
-    module seen first, not m itself."""
+    syzygy.  Memoized per module value: the map's codomain may be a module
+    equal to m, seen first."""
     return _memoized("cover", m.algebra, m.key, _build_cover_map, m)
 
 
@@ -440,29 +427,24 @@ def _build_cover_map(m: Representation) -> CoverMap:
 def projective_cover(m: Representation) -> ShortExactSequence:
     """Minimal projective cover, returned as 0 -> syzygy -> P -> m -> 0.
     The sequence is built on the first call per module value and kept with
-    its memoized cover map; right is always m itself."""
+    its memoized cover map, so right may be a module equal to m, seen
+    first."""
     cov = cover_map(m)
     if cov.sequence is None:
         cov.sequence = _build_projective_cover(cov)
-    seq = cov.sequence
-    if seq.right is m:
-        return seq
-    onto = ModuleMap(seq.middle, m, seq.surjection.vertex_maps, _trusted=True)
-    return ShortExactSequence(seq.left, seq.middle, m, seq.inclusion, onto, seq.summands)
+    return cov.sequence
 
 
 def _build_projective_cover(cov: CoverMap) -> ShortExactSequence:
     """The cover map with its kernel, the syzygy."""
-    omega = kernel_map(cov.map)
-    return ShortExactSequence(
-        omega.rep, cov.map.domain, cov.map.codomain, omega.inclusion, cov.map, cov.summands
-    )
+    f, omega = cov.map, kernel_map(cov.map)
+    return ShortExactSequence(omega.rep, f.domain, f.codomain, omega.inclusion, f)
 
 
 def envelope_map(m: Representation) -> CoverMap:
     """The minimal injective envelope map m -> I with its summands, and no
-    cosyzygy.  Memoized per module value: the map's domain may be an equal
-    module seen first, not m itself."""
+    cosyzygy.  Memoized per module value: the map's domain may be a module
+    equal to m, seen first."""
     return _memoized("envelope", m.algebra, m.key, _build_envelope_map, m)
 
 
@@ -480,23 +462,18 @@ def _build_envelope_map(m: Representation) -> CoverMap:
 def injective_envelope(m: Representation) -> ShortExactSequence:
     """Minimal injective envelope, returned as 0 -> m -> I -> cosyzygy -> 0.
     The sequence is built on the first call per module value and kept with
-    its memoized envelope map; left is always m itself."""
+    its memoized envelope map, so left may be a module equal to m, seen
+    first."""
     env = envelope_map(m)
     if env.sequence is None:
         env.sequence = _build_injective_envelope(env)
-    seq = env.sequence
-    if seq.left is m:
-        return seq
-    into = ModuleMap(m, seq.middle, seq.inclusion.vertex_maps, _trusted=True)
-    return ShortExactSequence(m, seq.middle, seq.right, into, seq.surjection, seq.summands)
+    return env.sequence
 
 
 def _build_injective_envelope(env: CoverMap) -> ShortExactSequence:
     """The envelope map with its cokernel, the cosyzygy."""
     coker, proj = cokernel_map(env.map)
-    return ShortExactSequence(
-        env.map.domain, env.map.codomain, coker, env.map, proj, env.summands
-    )
+    return ShortExactSequence(env.map.domain, env.map.codomain, coker, env.map, proj)
 
 
 def syzygy(m: Representation) -> Representation:
@@ -713,7 +690,7 @@ def ext1(m: Representation, n: Representation) -> Ext1Result:
     Ext^1(m, n) -> 0, exact for the cover P of m, with dim Hom(P, n) the sum
     of g_v dim n_v over its summands P(v)^g_v, by Yoneda."""
     cover = projective_cover(m)
-    dim_hom_p = sum(g * n.dims[v] for v, g in cover.summands)
+    dim_hom_p = sum(g * n.dims[v] for v, g in cover_map(m).summands)
     dim = hom_basis(cover.left, n).dim - dim_hom_p + hom_basis(m, n).dim
     return Ext1Result(dim, cover)
 
@@ -822,8 +799,8 @@ class StarDual:
 
 
 def star_dual(m: Representation) -> StarDual:
-    """Memoized per module value: hom[v].domain may be an equal module
-    seen first, not m itself."""
+    """Memoized per module value: the result is the stored one, so
+    hom[v].domain may be a module equal to m, seen first."""
     return _memoized("star", m.algebra, m.key, _build_star_dual, m)
 
 

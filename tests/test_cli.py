@@ -913,6 +913,42 @@ def test_python_dash_m_entry_point_writes_nothing_to_stderr(a2_file):
     assert "dimension" in proc.stdout
 
 
+def test_an_oversized_free_algebra_exits_with_usage_not_a_traceback(tmp_path):
+    # two free loops: degree n is spanned by 2^n paths, so the build would
+    # list 2^17 of them at degree 17 before the bound of 40 is reached
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import stabhom
+
+    doc = dict(LOOP2_DOC, nilpotency_bound=40, relations=[])
+    doc["quiver"] = {
+        "vertices": ["v"],
+        "arrows": [{"name": n, "from": "v", "to": "v"} for n in ("x", "y")],
+    }
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    limit = 1500 * 2 ** 20  # address space, as under `ulimit -v 1500000`
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabhom.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabhom.cli.main", "info", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap,
+        timeout=120,  # a hang guard only
+    )
+    assert proc.returncode == main_mod.EXIT_USAGE
+    assert "degree 17 is spanned by 131072 paths, more than 65536" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- generation machinery -----------------------------------------------------------
 
 

@@ -260,8 +260,8 @@ def test_callers_of_the_maps_alone_build_no_syzygy_or_cosyzygy(monkeypatch):
     for side, _, a in ctx.catalog():
         is_projective(a)
         is_injective_module(a)
-        assert present_underline_contra(a).presentation.codomain is a
-        assert present_overline_cov(a).presentation.domain is a
+        assert present_underline_contra(a).presentation.codomain == a
+        assert present_overline_cov(a).presentation.domain == a
     (result,) = run_laws(ctx, ["quasi-frobenius"])
     assert result.failures == 0 and not result.skipped
     assert calls == []
@@ -299,10 +299,7 @@ def test_ext_kronecker_multiplicity(kronecker):
     assert ext1(s2, s1).dim == 0
 
 
-def test_ext_reuses_the_memoized_cover():
-    # a fresh algebra: on a shared one an earlier test may have stored the
-    # cover of a module equal to S(1), and the hit is then a rebound copy
-    a2 = algebras.a2_algebra()
+def test_ext_reuses_the_memoized_cover(a2):
     s1 = simple(a2, "1")
     res = ext1(s1, simple(a2, "2"))
     assert res.dim == 1

@@ -1,14 +1,17 @@
 """The per-algebra memo of projective covers, injective envelopes, star
 duals and Hom spaces.
 
-A memo hit must give what a fresh build gives, bit for bit, rebound to the
-caller's modules; equal modules share one build, algebras share nothing,
-each memo stays within its capacity, and the Hom memo within its budget of
-stack entries, evicting the least recently used; a Hom space over the whole
-budget is returned but not stored.  The law-run tests count builds on a
-full law run, a dense pair's Hom space is built once for both stable Homs,
-and a tensor space, read off a Hom space, once for equal modules, so a lost
-hit path fails here instead of only slowing the benchmark.
+A memo hit must give what a fresh build gives, bit for bit, and is the
+stored result itself, also for an equal copy of the module it was built
+for; equal modules share one build, algebras share nothing, each memo stays
+within its capacity, and the Hom memo within its budget of stack entries,
+evicting the least recently used; a Hom space over the whole budget is
+returned but not stored.  The law-run tests count builds on a full law run,
+and run every law twice over equal but distinct catalogs, so the second
+run's hits carry the first run's modules; a dense pair's Hom space is built
+once for both stable Homs, and a tensor space, read off a Hom space, once
+for equal modules, so a lost hit path fails here instead of only slowing
+the benchmark.
 """
 
 import importlib.util
@@ -31,6 +34,7 @@ from stabhom.algebra import (
 from stabhom.cli.laws import LAWS, build_context, run_laws
 from stabhom.cli.randmod import random_catalog
 from stabhom.exactla import Matrix
+from stabhom.fpfun import present_overline_cov, present_underline_contra
 from stabhom.homology import (
     HOM_MEMO_BUDGET,
     MEMO_CAPACITY,
@@ -139,7 +143,7 @@ def test_memo_hits_equal_the_direct_build_bit_for_bit(name):
             ):
                 direct = build(m)  # built here, not read from the memo
                 assert same(get(m), direct)  # a miss, or a hit from an equal probe
-                assert same(get(_copy(m)), direct)  # a hit, rebound
+                assert same(get(_copy(m)), direct)  # a hit for an equal copy
 
 
 def _count_builds(monkeypatch, attr):
@@ -174,20 +178,17 @@ def test_equal_modules_share_one_build(monkeypatch, get, attr):
     assert get(m) is first  # the stored result itself when the caller is its module
 
 
-def test_results_are_rebound_to_the_callers_module():
+def test_a_hit_for_an_equal_copy_is_the_stored_result():
     alg = square_algebra()
     m = random_catalog(alg, RIGHT, 1, 2, random.Random(6))[0][0]
     stored_cov, stored_env = projective_cover(m), injective_envelope(m)
     twin = _copy(m)
-    cov = projective_cover(twin)
-    assert cov.right is twin and cov.surjection.codomain is twin
-    assert cov.middle is stored_cov.middle
-    env = injective_envelope(twin)
-    assert env.left is twin and env.inclusion.domain is twin
-    assert env.middle is stored_env.middle
-    for v in m.vertices:  # the same matrices, not copies
-        assert cov.surjection.vertex_maps[v] is stored_cov.surjection.vertex_maps[v]
-        assert env.inclusion.vertex_maps[v] is stored_env.inclusion.vertex_maps[v]
+    assert twin is not m and twin == m
+    assert projective_cover(twin) is stored_cov
+    assert injective_envelope(twin) is stored_env
+    assert stored_cov.right is m and stored_env.left is m  # the module seen first
+    assert present_underline_contra(twin).presentation is cover_map(m).map
+    assert present_overline_cov(twin).presentation is envelope_map(m).map
 
 
 def test_two_algebras_never_share_entries(monkeypatch):
@@ -261,6 +262,22 @@ def test_a_full_law_run_builds_each_cover_once(monkeypatch):
     assert counter["builds"] == len(received.keys)
 
 
+@pytest.mark.parametrize("name", ["nakayama", "square"])
+def test_every_law_holds_when_hits_carry_the_first_runs_modules(name):
+    alg = BUILDERS[name]()  # one algebra for both runs
+    first_ctx = build_context(alg, 1, 2, 2)
+    first = run_laws(first_ctx)
+    ctx = build_context(alg, 1, 2, 2)  # the same seed: equal modules, new objects
+    pairs = list(zip(first_ctx.catalog(), ctx.catalog()))
+    assert all(m is not n and m == n for (_, _, m), (_, _, n) in pairs)
+    second = run_laws(ctx)
+    assert len(second) == len(LAWS) == 21
+    assert all(r.failures == 0 for r in first + second)
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+    # the stored covers of the second catalog still end at the first's modules
+    assert any(cover_map(n).map.codomain is m for (_, _, m), (_, _, n) in pairs)
+
+
 # -- Hom spaces ---------------------------------------------------------------
 
 
@@ -300,20 +317,15 @@ def test_hom_hits_equal_the_direct_build_bit_for_bit(name):
                 assert hit.basis_maps() == direct.basis_maps()
 
 
-def test_a_hom_hit_is_rebound_to_the_callers_modules(monkeypatch):
+def test_a_hom_hit_for_equal_copies_is_the_stored_space(monkeypatch):
     alg = square_algebra()
     a, b = random_catalog(alg, LEFT, 2, 2, random.Random(7))[0]
     built = _count_hom_builds(monkeypatch)
     stored = hom_basis(a, b)
-    assert hom_basis(a, b) is stored  # the stored space itself for its own modules
-    twin_a, twin_b = _copy(a), _copy(b)
-    hit = hom_basis(twin_a, twin_b)
+    assert hom_basis(a, b) is stored
+    assert hom_basis(_copy(a), _copy(b)) is stored
     assert len(built) == 1
-    assert hit.domain is twin_a and hit.codomain is twin_b
-    assert hit.stack is stored.stack and hit.free is stored.free
-    assert hit.offsets is stored.offsets
-    assert all(f.domain is twin_a and f.codomain is twin_b for f in hit.basis_maps())
-    assert all(f.domain is a and f.codomain is b for f in stored.basis_maps())
+    assert stored.domain is a and stored.codomain is b  # the modules seen first
 
 
 def _entries(hom) -> int:
