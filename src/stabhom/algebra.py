@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +32,8 @@ from .exactla import (
     block_diag,
     coordinates,
     kernel_basis,
+    path_sum,
+    path_sum_is_zero,
     rank,
     rref,
     vstack,
@@ -57,9 +59,19 @@ class AlgebraTooLarge(AlgebraError):
     paths."""
 
 
+class ModuleTooLarge(AlgebraError):
+    """A module's arrow matrices would hold more than MAX_MODULE_ENTRIES
+    entries."""
+
+
 # Spanning paths one degree of the basis build may list: two free loops
 # reach 2^16 at degree 16, the default nilpotency bound.
 MAX_DEGREE_SPAN = 2 ** 16
+
+# Entries all arrow matrices of one given module may hold together, checked
+# before any is made: 128 MiB as int64.  The modules of the fixtures, the
+# benchmark and the acceptance tests hold at most a few thousand.
+MAX_MODULE_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -161,10 +173,22 @@ def compose_path(maps: Dict[str, Matrix], arrows: Sequence[str], side: str) -> M
     return acc
 
 
-def _relation_value(maps: Dict[str, Matrix], terms: Sequence, side: str) -> Optional[Matrix]:
-    """The sum of coeff * (action of path) over the terms, left to right; None for none."""
-    values = [compose_path(maps, arrows, side).scale(c) for c, arrows in terms]
-    return reduce(operator.add, values) if values else None
+def _term_arrays(maps: Dict[str, Matrix], terms: Sequence, side: str) -> list:
+    """The terms (coeff, path) as exactla's path sums take them: (coeff,
+    the arrays of the path's arrows in application order)."""
+    return [
+        (c, tuple(maps[name].data for name in in_application_order(arrows, side)))
+        for c, arrows in terms
+    ]
+
+
+def _relation_value(
+    field: Field, maps: Dict[str, Matrix], terms: Sequence, side: str
+) -> Optional[Matrix]:
+    """The sum of coeff * (action of path) over the terms; None for none."""
+    if not terms:
+        return None
+    return Matrix(field, path_sum(field, _term_arrays(maps, terms, side)), _trusted=True)
 
 
 def _path_target(quiver: Quiver, path: Path) -> str:
@@ -383,7 +407,9 @@ class Representation:
     dims maps each vertex to its dimension; arrow_maps[a] is the matrix
     of the action of arrow a, oriented as arrow_ends says.  The constructor
     refuses vertex or arrow names the quiver lacks, dimensions that are not
-    nonnegative integers, misshapen matrices and broken relations.
+    nonnegative integers, dimensions whose arrow matrices would hold more
+    than MAX_MODULE_ENTRIES entries (ModuleTooLarge, before any matrix is
+    made), misshapen matrices and broken relations.
 
     A module is an immutable value: dims and arrow_maps are read-only
     mappings and the matrices are read-only, so the value key (side,
@@ -425,10 +451,17 @@ class Representation:
         self.algebra = algebra
         self.side = side
         self.dims = MappingProxyType({v: int(dims.get(v, 0)) for v in q.vertices})
+        shapes = [arrow_shape(self.dims, a, side) for a in q.arrows]
+        if not _trusted:
+            entries = sum(r * c for r, c in shapes)
+            if entries > MAX_MODULE_ENTRIES:
+                raise ModuleTooLarge(
+                    f"the arrow matrices of dimension vector {self.dim_vector()} hold "
+                    f"{entries} entries, more than {MAX_MODULE_ENTRIES}"
+                )
         maps = {}
-        for a in q.arrows:
+        for a, rshape in zip(q.arrows, shapes):
             m = arrow_maps.get(a.name)
-            rshape = arrow_shape(self.dims, a, side)
             if m is None:
                 m = Matrix.zeros(algebra.field, *rshape)
             if m.shape != rshape:
@@ -462,8 +495,9 @@ class Representation:
         return self._key
 
     def _check_relations(self):
+        field = self.algebra.field
         for rel in self.algebra.relations:
-            if not _relation_value(self.arrow_maps, rel.terms, self.side).is_zero():
+            if not path_sum_is_zero(field, _term_arrays(self.arrow_maps, rel.terms, self.side)):
                 raise AlgebraError(f"representation violates relation {rel}")
 
     def path_map(self, path: Path) -> Matrix:

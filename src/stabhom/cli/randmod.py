@@ -30,6 +30,7 @@ from ..algebra import (
     Representation,
     _projective_with_labels,
     _relation_value,
+    _term_arrays,
     arrow_shape,
     compose_path,
     direct_sum,
@@ -37,7 +38,7 @@ from ..algebra import (
     indec_projective,
     quotient_rep,
 )
-from ..exactla import Matrix, Subspace, kernel_basis, solve_matrix, vstack
+from ..exactla import Matrix, Subspace, kernel_basis, path_sum_is_zero, solve_matrix, vstack
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
 from ..homology import hom_basis, hstack_maps, pushout
 
@@ -50,12 +51,11 @@ STRATEGY_QUOTIENT = "projective_quotient"
 
 
 def random_matrix(field, rows: int, cols: int, rng) -> Matrix:
-    data = [
-        [field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)
-    ]
-    return Matrix.from_rows(field, data) if rows and cols else Matrix.zeros(
-        field, rows, cols
-    )
+    """rows x cols draws of field.random_scalar, row-major, written into one
+    array: the draws are canonical scalars, so none is coerced again."""
+    draws = [field.random_scalar(rng) for _ in range(rows * cols)]
+    data = np.array(draws, dtype=field.dtype).reshape(rows, cols)
+    return Matrix(field, data, _trusted=True)
 
 
 def _random_dims(alg: BoundQuiverAlgebra, max_dim: int, rng) -> Dict[str, int]:
@@ -106,11 +106,11 @@ def _linear_system(alg, side, dims, maps, target: str):
     rhs_parts = []
     for rel in alg.relations:
         fixed = [(c, arrows) for c, arrows in rel.terms if target not in arrows]
-        const = _relation_value(maps, fixed, side)
         if len(fixed) == len(rel.terms):
-            if not const.is_zero():
+            if not path_sum_is_zero(field, _term_arrays(maps, fixed, side)):
                 return None, None, (x_rows, x_cols)
             continue
+        const = _relation_value(field, maps, fixed, side)
         block = None
         for coeff, arrows in rel.terms:
             if target not in arrows:

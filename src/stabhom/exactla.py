@@ -29,6 +29,11 @@ p) and over Q the system times the common denominator d of its terms,
 which has the same kernel, so no Fraction is made before the basis.  On
 the numpy route _kron_rows writes it for kernel_basis, by index into 4-D
 views of its columns: an identity factor is never multiplied.
+A path sum, sum_t c_t (A_t,l ... A_t,1), the value of a relation on a
+module, is tested for zero (path_sum_is_zero) or valued (path_sum) with
+no Matrix: over F_p on _dot's products, reduced once, and over Q on
+integer rows, scaled by the arrays' common denominator and the
+coefficients', so no Fraction is made before a value is asked for.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -65,6 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -410,6 +416,73 @@ def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(k, n, k):
         out = (out + np.dot(a[..., s : s + k], b[s : s + k]) % p) % p
     return out
+
+
+def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
+    """Whether sum_t c_t (A_t,l ... A_t,1) is zero, for a nonempty list of
+    terms (c_t, (A_t,1, ..., A_t,l)) of canonical scalars and numpy arrays
+    over the field, the arrays in application order, all with one product
+    shape.  It makes no Matrix, and over Q no Fraction: over F_p the
+    products are _dot's and the sum is reduced once (_prime_path_sum), over
+    Q they run on integer rows (_rational_path_sum)."""
+    if field.kind == RATIONAL:
+        return not any(_rational_path_sum(terms)[0])
+    return not _prime_path_sum(field, terms).any()
+
+
+def path_sum(field: Field, terms: Sequence) -> np.ndarray:
+    """The value of sum_t c_t (A_t,l ... A_t,1), as path_sum_is_zero takes
+    the terms, in an array of the field's dtype."""
+    if field.kind == RATIONAL:
+        flat, scale, shape = _rational_path_sum(terms)
+        return _objects([Fraction(x, scale) for x in flat], shape)
+    return _prime_path_sum(field, terms)
+
+
+def _prime_path_sum(field: Field, terms: Sequence) -> np.ndarray:
+    """The path sum over F_p: each term's first array scaled by c_t, then
+    multiplied by _dot, which reduces; the reduced terms are added and the
+    sum reduced once."""
+    p = field.p
+    out = None
+    for c, ms in terms:
+        acc = ms[0] if c == 1 else ms[0] * c % p
+        for m in ms[1:]:
+            acc = _dot(field, m, acc)
+        out = acc if out is None else out + acc
+    return out if len(terms) == 1 else out % p
+
+
+def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]]:
+    """(flat, s, shape): s times the path sum over Q, its row-major entries
+    Python ints, multiplied on lists.  One _integers pass over the entries
+    of every distinct array gives their common denominator d, and the lcm e
+    of the coefficients' denominators clears those: a term of length l is
+    d^(L-l) e c_t times its integer product, for the longest length L, so
+    s = d^L e.  A term through a space of dimension 0 is zero and dropped,
+    so every product multiplied has rows and columns."""
+    shape = (terms[0][1][-1].shape[0], terms[0][1][0].shape[1])
+    live = [(c, ms) for c, ms in terms if all(m.size for m in ms)]
+    if not live:
+        return [0] * (shape[0] * shape[1]), 1, shape
+    arrays = list({id(m): m for _, ms in live for m in ms}.values())
+    ns, d = _integers([x for m in arrays for x in m.ravel().tolist()])
+    rows, at = {}, 0
+    for m in arrays:
+        w = m.shape[1]
+        rows[id(m)] = [ns[i : i + w] for i in range(at, at + m.size, w)]
+        at += m.size
+    cs, e = _integers([c for c, _ in live])
+    top = max(len(ms) for _, ms in live)
+    total = [0] * (shape[0] * shape[1])
+    for c, (_, ms) in zip(cs, live):
+        acc = rows[id(ms[0])]
+        for m in ms[1:]:
+            cols = list(zip(*acc))
+            acc = [[sum(map(mul, r, col)) for col in cols] for r in rows[id(m)]]
+        c *= d ** (top - len(ms))
+        total = [t + c * x for t, x in zip(total, (x for r in acc for x in r))]
+    return total, d ** top * e, shape
 
 
 def vstack(field: Field, mats: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:

@@ -632,6 +632,9 @@ def push_coords(
     inner, outer = (pre.codomain, dom) if post is None else (cod, post.domain)
     if inner is not outer and inner != outer:
         raise AlgebraError("composition domain mismatch")
+    if not source.dim:
+        # no basis map to compose: about a quarter of the calls in laws_sweep
+        return Matrix.zeros(source.stack.field, 0, target.dim)
     m = pre if post is None else post
     stacks = {v: m.vertex_maps[v].data[None] for v in dom.vertices}
     flats = _composites(source, stacks, post is not None)
