@@ -55,13 +55,9 @@ class NotFiniteDimensional(AlgebraError):
 
 
 class AlgebraTooLarge(AlgebraError):
-    """A degree of the path basis is spanned by more than MAX_DEGREE_SPAN
-    paths."""
-
-
-class ModuleTooLarge(AlgebraError):
-    """A module's arrow matrices would hold more than MAX_MODULE_ENTRIES
-    entries."""
+    """An input past a documented size cap: a degree of the path basis
+    spanned by more than MAX_DEGREE_SPAN paths, or a module whose arrow
+    matrices would hold more than MAX_MODULE_ENTRIES entries."""
 
 
 # Spanning paths one degree of the basis build may list: two free loops
@@ -408,8 +404,8 @@ class Representation:
     of the action of arrow a, oriented as arrow_ends says.  The constructor
     refuses vertex or arrow names the quiver lacks, dimensions that are not
     nonnegative integers, dimensions whose arrow matrices would hold more
-    than MAX_MODULE_ENTRIES entries (ModuleTooLarge, before any matrix is
-    made), misshapen matrices and broken relations.
+    than MAX_MODULE_ENTRIES entries (AlgebraTooLarge, before any matrix
+    is made), misshapen matrices and broken relations.
 
     A module is an immutable value: dims and arrow_maps are read-only
     mappings and the matrices are read-only, so the value key (side,
@@ -455,7 +451,7 @@ class Representation:
         if not _trusted:
             entries = sum(r * c for r, c in shapes)
             if entries > MAX_MODULE_ENTRIES:
-                raise ModuleTooLarge(
+                raise AlgebraTooLarge(
                     f"the arrow matrices of dimension vector {self.dim_vector()} hold "
                     f"{entries} entries, more than {MAX_MODULE_ENTRIES}"
                 )

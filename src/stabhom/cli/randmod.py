@@ -52,9 +52,11 @@ STRATEGY_QUOTIENT = "projective_quotient"
 
 def random_matrix(field, rows: int, cols: int, rng) -> Matrix:
     """rows x cols draws of field.random_scalar, row-major, written into one
-    array: the draws are canonical scalars, so none is coerced again."""
-    draws = [field.random_scalar(rng) for _ in range(rows * cols)]
-    data = np.array(draws, dtype=field.dtype).reshape(rows, cols)
+    array: the draws are canonical scalars, so none is coerced again.  The
+    array owns its data, where a reshaped view would keep a second array
+    object alive with every module drawn."""
+    data = np.empty((rows, cols), dtype=field.dtype)
+    data.ravel()[:] = [field.random_scalar(rng) for _ in range(rows * cols)]
     return Matrix(field, data, _trusted=True)
 
 

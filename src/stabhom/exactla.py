@@ -421,8 +421,8 @@ def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
     """Whether sum_t c_t (A_t,l ... A_t,1) is zero, for a nonempty list of
     terms (c_t, (A_t,1, ..., A_t,l)) of canonical scalars and numpy arrays
-    over the field, the arrays in application order, all with one product
-    shape.  It makes no Matrix, and over Q no Fraction: over F_p the
+    over the field, the arrays in application order, all of one length l
+    and one product shape, as the terms of a relation are.  It makes no Matrix, and over Q no Fraction: over F_p the
     products are _dot's and the sum is reduced once (_prime_path_sum), over
     Q they run on integer rows (_rational_path_sum)."""
     if field.kind == RATIONAL:
@@ -457,10 +457,10 @@ def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]
     """(flat, s, shape): s times the path sum over Q, its row-major entries
     Python ints, multiplied on lists.  One _integers pass over the entries
     of every distinct array gives their common denominator d, and the lcm e
-    of the coefficients' denominators clears those: a term of length l is
-    d^(L-l) e c_t times its integer product, for the longest length L, so
-    s = d^L e.  A term through a space of dimension 0 is zero and dropped,
-    so every product multiplied has rows and columns."""
+    of the coefficients' denominators clears those, so with every term of
+    one length l, as in a relation, s = d^l e.  A term through a space of
+    dimension 0 is zero and dropped, so every product multiplied has rows
+    and columns."""
     shape = (terms[0][1][-1].shape[0], terms[0][1][0].shape[1])
     live = [(c, ms) for c, ms in terms if all(m.size for m in ms)]
     if not live:
@@ -473,16 +473,14 @@ def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]
         rows[id(m)] = [ns[i : i + w] for i in range(at, at + m.size, w)]
         at += m.size
     cs, e = _integers([c for c, _ in live])
-    top = max(len(ms) for _, ms in live)
     total = [0] * (shape[0] * shape[1])
     for c, (_, ms) in zip(cs, live):
         acc = rows[id(ms[0])]
         for m in ms[1:]:
             cols = list(zip(*acc))
             acc = [[sum(map(mul, r, col)) for col in cols] for r in rows[id(m)]]
-        c *= d ** (top - len(ms))
         total = [t + c * x for t, x in zip(total, (x for r in acc for x in r))]
-    return total, d ** top * e, shape
+    return total, d ** len(live[0][1]) * e, shape
 
 
 def vstack(field: Field, mats: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
