@@ -422,9 +422,10 @@ def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
     """Whether sum_t c_t (A_t,l ... A_t,1) is zero, for a nonempty list of
     terms (c_t, (A_t,1, ..., A_t,l)) of canonical scalars and numpy arrays
     over the field, the arrays in application order, all of one length l
-    and one product shape, as the terms of a relation are.  It makes no Matrix, and over Q no Fraction: over F_p the
-    products are _dot's and the sum is reduced once (_prime_path_sum), over
-    Q they run on integer rows (_rational_path_sum)."""
+    and one product shape, as the terms of a relation are.  It makes no
+    Matrix, and over Q no Fraction: over F_p the products are _dot's and the
+    sum is reduced once (_prime_path_sum), over Q they run on integer rows
+    (_rational_path_sum)."""
     if field.kind == RATIONAL:
         return not any(_rational_path_sum(terms)[0])
     return not _prime_path_sum(field, terms).any()

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
+from stabhom import algebra as algebra_mod
 from stabhom.algebra import (
     AlgebraError,
+    AlgebraTooLarge,
     Arrow,
     BoundQuiverAlgebra,
     LEFT,
@@ -208,6 +210,17 @@ def test_representation_rejects_bad_dims_and_names(a2, dims, arrow_names, match)
 def test_representation_accepts_numpy_integer_dims(a2):
     m = Representation(a2, LEFT, {"1": np.int64(2)}, {})
     assert m.dims["1"] == 2 and type(m.dims["1"]) is int
+
+
+def test_a_module_past_the_entry_cap_is_refused_before_any_matrix(a2, kronecker, monkeypatch):
+    monkeypatch.setattr(algebra_mod, "MAX_MODULE_ENTRIES", 24)
+    Representation(a2, LEFT, {"1": 4, "2": 6}, {})  # one 6 x 4 arrow matrix
+    Representation(kronecker, RIGHT, {"1": 4, "2": 3}, {})  # two 4 x 3
+    monkeypatch.setattr(algebra_mod.Matrix, "zeros", None)  # nothing is made
+    with pytest.raises(AlgebraTooLarge, match=r"dimension vector \(5, 5\) hold 25 entries, more than 24"):
+        Representation(a2, LEFT, {"1": 5, "2": 5}, {})
+    with pytest.raises(AlgebraTooLarge, match="hold 26 entries"):
+        Representation(kronecker, LEFT, {"1": 13, "2": 1}, {})
 
 
 # -- opposite algebra and duality -------------------------------------------

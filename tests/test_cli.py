@@ -913,9 +913,9 @@ def test_python_dash_m_entry_point_writes_nothing_to_stderr(a2_file):
     assert "dimension" in proc.stdout
 
 
-def test_an_oversized_free_algebra_exits_with_usage_not_a_traceback(tmp_path):
-    # two free loops: degree n is spanned by 2^n paths, so the build would
-    # list 2^17 of them at degree 17 before the bound of 40 is reached
+def _run_capped(argv):
+    """stabhom argv in a subprocess whose address space is capped at
+    1500 MiB, as under `ulimit -v 1500000`."""
     import os
     import resource
     import subprocess
@@ -923,6 +923,25 @@ def test_an_oversized_free_algebra_exits_with_usage_not_a_traceback(tmp_path):
 
     import stabhom
 
+    limit = 1500 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabhom.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "stabhom.cli.main", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap,
+        timeout=120,  # a hang guard only
+    )
+
+
+def test_an_oversized_free_algebra_exits_with_usage_not_a_traceback(tmp_path):
+    # two free loops: degree n is spanned by 2^n paths, so the build would
+    # list 2^17 of them at degree 17 before the bound of 40 is reached
     doc = dict(LOOP2_DOC, nilpotency_bound=40, relations=[])
     doc["quiver"] = {
         "vertices": ["v"],
@@ -930,22 +949,21 @@ def test_an_oversized_free_algebra_exits_with_usage_not_a_traceback(tmp_path):
     }
     path = tmp_path / "free.json"
     path.write_text(json.dumps(doc))
-    limit = 1500 * 2 ** 20  # address space, as under `ulimit -v 1500000`
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stabhom.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stabhom.cli.main", "info", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=cap,
-        timeout=120,  # a hang guard only
-    )
+    proc = _run_capped(["info", str(path)])
     assert proc.returncode == main_mod.EXIT_USAGE
     assert "degree 17 is spanned by 131072 paths, more than 65536" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_oversized_module_exits_with_usage_not_a_traceback(a2_file, tmp_path):
+    # the omitted arrow would be a 60000 x 60000 zero matrix, 26.8 GiB as
+    # int64: the entries are counted before any matrix is made
+    doc = {"algebra": a2_file, "side": "left", "dims": {"1": 60000, "2": 60000}, "arrows": {}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_capped(["stablehom", a2_file, str(path), str(path)])
+    assert proc.returncode == main_mod.EXIT_USAGE
+    assert "hold 3600000000 entries, more than 16777216" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -78,6 +78,32 @@ def test_coords_of_flats_rejects_a_non_map(a2):
         hom.coords_of_flats(Matrix(a2.field, flat))
 
 
+@pytest.mark.parametrize("name", ["a2", "a2_rational", "square_big_prime"])
+def test_push_coords_from_an_empty_hom_space_composes_nothing(name, monkeypatch):
+    # Hom(S(w), S(v)) = 0 between nonzero modules: composed with either end
+    # of S(w) + S(v), it goes to the 0 x dim(target) matrix of the field's
+    # dtype with no composite made, and the composition's domain is still
+    # checked first
+    if name == "square_big_prime":
+        alg = algebras.square_algebra(exactla.Field.prime(4294967311))
+    else:
+        alg = BUILDERS[name]()
+    v, w = alg.quiver.arrows[0].source, alg.quiver.arrows[0].target
+    s_v, s_w = simple(alg, v), simple(alg, w)
+    source = hom_basis(s_w, s_v)
+    both = direct_sum([s_w, s_v])
+    into, out_of = hom_basis(both.module, s_v), hom_basis(s_w, both.module)
+    assert source.dim == 0 and into.dim == out_of.dim == 1
+    monkeypatch.setattr(homology, "_composites", None)
+    for got in (
+        push_coords(source, into, pre=both.projections[0]),
+        push_coords(source, out_of, post=both.injections[1]),
+    ):
+        assert got.shape == (0, 1) and got.data.dtype == alg.field.dtype
+    with pytest.raises(AlgebraError, match="composition domain mismatch"):
+        push_coords(source, into, pre=ModuleMap.identity(s_v))
+
+
 def test_hom_projective_counts_dimension(all_algebras):
     # Hom(P(v), M) is the vector space M_v
     for alg in all_algebras.values():
