@@ -19,7 +19,7 @@ into Matrix.from_rows; it now writes the same draws into one array.
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -77,14 +77,11 @@ def diamond_algebra(field):
 
 
 NAMES = ("diamond", "square", "loop2", "loop3", "nakayama")
-_ALGEBRAS = {}
 
 
+@lru_cache(maxsize=None)
 def _algebra(name, k):
-    if (name, k) not in _ALGEBRAS:
-        build = diamond_algebra if name == "diamond" else BUILDERS[name]
-        _ALGEBRAS[name, k] = build(FIELDS[k])
-    return _ALGEBRAS[name, k]
+    return (diamond_algebra if name == "diamond" else BUILDERS[name])(FIELDS[k])
 
 
 def _matrix(field, rows, cols, entries):
