@@ -9,7 +9,8 @@ top: they may import every layer, and no layer may import them.
 
 exactla alone chooses between its list core and its numpy route for a
 kernel, and alone writes the rows a kernel on lists reads: no other module
-names the rule, the bound, the list core or the integer scaling.
+names the rule, the bound, the list core or the integer scaling.  The same
+holds for a relation's path sum, which runs on integer rows over Q.
 """
 
 import ast
@@ -104,6 +105,7 @@ LIST_ROUTE = {
     "_null_rows_numpy",
     "_kron_lists",
     "_kron_rows",
+    "_rational_path_sum",
 }
 
 
