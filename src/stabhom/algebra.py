@@ -32,7 +32,6 @@ from .exactla import (
     block_diag,
     coordinates,
     kernel_basis,
-    path_sum,
     path_sum_is_zero,
     rank,
     rref,
@@ -169,22 +168,27 @@ def compose_path(maps: Dict[str, Matrix], arrows: Sequence[str], side: str) -> M
     return acc
 
 
-def _term_arrays(maps: Dict[str, Matrix], terms: Sequence, side: str) -> list:
+def _term_arrays(arrays: Dict[str, np.ndarray], terms: Sequence, side: str) -> list:
     """The terms (coeff, path) as exactla's path sums take them: (coeff,
-    the arrays of the path's arrows in application order)."""
+    the arrays of the path's arrows in application order), from the arrays
+    of the arrows by name."""
     return [
-        (c, tuple(maps[name].data for name in in_application_order(arrows, side)))
+        (c, tuple(arrays[name] for name in in_application_order(arrows, side)))
         for c, arrows in terms
     ]
 
 
-def _relation_value(
-    field: Field, maps: Dict[str, Matrix], terms: Sequence, side: str
-) -> Optional[Matrix]:
-    """The sum of coeff * (action of path) over the terms; None for none."""
-    if not terms:
-        return None
-    return Matrix(field, path_sum(field, _term_arrays(maps, terms, side)), _trusted=True)
+def check_module_entries(quiver: Quiver, dims: Dict[str, int]) -> None:
+    """Raise AlgebraTooLarge when the arrow matrices of a module with these
+    dimensions at every vertex would hold more than MAX_MODULE_ENTRIES
+    entries together; nothing is allocated to tell."""
+    entries = sum(dims[a.source] * dims[a.target] for a in quiver.arrows)
+    if entries > MAX_MODULE_ENTRIES:
+        vector = tuple(dims[v] for v in quiver.vertices)
+        raise AlgebraTooLarge(
+            f"the arrow matrices of dimension vector {vector} hold "
+            f"{entries} entries, more than {MAX_MODULE_ENTRIES}"
+        )
 
 
 def _path_target(quiver: Quiver, path: Path) -> str:
@@ -447,16 +451,11 @@ class Representation:
         self.algebra = algebra
         self.side = side
         self.dims = MappingProxyType({v: int(dims.get(v, 0)) for v in q.vertices})
-        shapes = [arrow_shape(self.dims, a, side) for a in q.arrows]
         if not _trusted:
-            entries = sum(r * c for r, c in shapes)
-            if entries > MAX_MODULE_ENTRIES:
-                raise AlgebraTooLarge(
-                    f"the arrow matrices of dimension vector {self.dim_vector()} hold "
-                    f"{entries} entries, more than {MAX_MODULE_ENTRIES}"
-                )
+            check_module_entries(q, self.dims)
         maps = {}
-        for a, rshape in zip(q.arrows, shapes):
+        for a in q.arrows:
+            rshape = arrow_shape(self.dims, a, side)
             m = arrow_maps.get(a.name)
             if m is None:
                 m = Matrix.zeros(algebra.field, *rshape)
@@ -492,8 +491,9 @@ class Representation:
 
     def _check_relations(self):
         field = self.algebra.field
+        arrays = {name: m.data for name, m in self.arrow_maps.items()}
         for rel in self.algebra.relations:
-            if not path_sum_is_zero(field, _term_arrays(self.arrow_maps, rel.terms, self.side)):
+            if not path_sum_is_zero(field, _term_arrays(arrays, rel.terms, self.side)):
                 raise AlgebraError(f"representation violates relation {rel}")
 
     def path_map(self, path: Path) -> Matrix:

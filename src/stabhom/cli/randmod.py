@@ -15,6 +15,14 @@ the sampler tries, in order:
    at w is spanned by the path classes of P(v) at w applied to g.  This
    always succeeds but no longer controls the dimension vector.
 
+A candidate is drawn as raw integer arrays (Field.random_integers, the
+generator calls of random_scalar: residues mod p over F_p, over Q the
+integers random_scalar makes Fractions) and its relations are decided on
+those arrays by exactla.path_sum_is_zero.  Only the accepted draw becomes
+Matrices (Fractions over Q) and one Representation, which checks the
+relations again.  A dimension vector whose arrow matrices would pass the
+module size cap is refused before any entry is drawn.
+
 Every module records which strategy produced it, and catalogs aggregate
 those counts so reports can show the generation statistics.
 """
@@ -24,21 +32,27 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algebra import (
-    AlgebraError,
     BoundQuiverAlgebra,
     ModuleMap,
     Representation,
     _projective_with_labels,
-    _relation_value,
     _term_arrays,
     arrow_shape,
-    compose_path,
+    check_module_entries,
     direct_sum,
     in_application_order,
     indec_projective,
     quotient_rep,
 )
-from ..exactla import Matrix, Subspace, kernel_basis, path_sum_is_zero, solve_matrix, vstack
+from ..exactla import (
+    RATIONAL,
+    Matrix,
+    Subspace,
+    path_sum,
+    path_sum_is_zero,
+    solve_with_kernel,
+    vstack,
+)
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
 from ..homology import hom_basis, hstack_maps, pushout
 
@@ -50,28 +64,42 @@ STRATEGY_REJECTION = "rejection"
 STRATEGY_QUOTIENT = "projective_quotient"
 
 
+def _random_array(field, rows: int, cols: int, rng) -> np.ndarray:
+    """rows x cols draws of field.random_integers, row-major, in one array
+    that owns its data (a reshaped view would keep a second array object
+    alive with every module drawn): residues in the field's dtype over F_p,
+    int64 over Q."""
+    data = np.empty((rows, cols), dtype=np.int64 if field.kind == RATIONAL else field.dtype)
+    data.ravel()[:] = field.random_integers(rng, rows * cols)
+    return data
+
+
 def random_matrix(field, rows: int, cols: int, rng) -> Matrix:
-    """rows x cols draws of field.random_scalar, row-major, written into one
-    array: the draws are canonical scalars, so none is coerced again.  The
-    array owns its data, where a reshaped view would keep a second array
-    object alive with every module drawn."""
-    data = np.empty((rows, cols), dtype=field.dtype)
-    data.ravel()[:] = [field.random_scalar(rng) for _ in range(rows * cols)]
-    return Matrix(field, data, _trusted=True)
+    """rows x cols draws of field.random_scalar, row-major."""
+    return Matrix.from_integers(field, _random_array(field, rows, cols, rng))
 
 
 def _random_dims(alg: BoundQuiverAlgebra, max_dim: int, rng) -> Dict[str, int]:
     return {v: rng.randrange(max_dim + 1) for v in alg.quiver.vertices}
 
 
-def _random_arrows(alg, side, dims, rng, skip=None):
-    maps = {}
-    for a in alg.quiver.arrows:
-        if skip is not None and a.name == skip:
-            continue
-        rows, cols = arrow_shape(dims, a, side)
-        maps[a.name] = random_matrix(alg.field, rows, cols, rng)
-    return maps
+def _random_arrays(alg, side, dims, rng, skip=None) -> Dict[str, np.ndarray]:
+    """_random_array for every arrow but skip, in the quiver's order."""
+    return {
+        a.name: _random_array(alg.field, *arrow_shape(dims, a, side), rng)
+        for a in alg.quiver.arrows
+        if a.name != skip
+    }
+
+
+def _module(alg, side, dims, arrays, solved=None) -> Representation:
+    """The module of drawn arrays, with the solved arrow's Matrix, if any:
+    the only Matrices and Representation a draw makes, and the module
+    checks the relations once more."""
+    maps = {name: Matrix.from_integers(alg.field, a) for name, a in arrays.items()}
+    if solved is not None:
+        maps.update(solved)
+    return Representation(alg, side, dims, maps)
 
 
 def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
@@ -91,8 +119,9 @@ def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
     return None
 
 
-def _linear_system(alg, side, dims, maps, target: str):
-    """Stacked system A vec(X) = rhs for the target arrow's matrix X.
+def _linear_system(alg, side, dims, arrays, target: str):
+    """Stacked system A vec(X) = rhs for the target arrow's matrix X, from
+    the drawn arrays of the other arrows.
 
     Row-major vectorization: vec(L X R) = (L kron R^T) vec(X), one
     broadcast product per term, with an identity for a missing L or R.
@@ -102,6 +131,7 @@ def _linear_system(alg, side, dims, maps, target: str):
     writes a block.
     """
     field = alg.field
+    one = field.one()
     tgt_arrow = alg.quiver.arrow_by_name[target]
     x_rows, x_cols = arrow_shape(dims, tgt_arrow, side)
     blocks = []
@@ -109,10 +139,9 @@ def _linear_system(alg, side, dims, maps, target: str):
     for rel in alg.relations:
         fixed = [(c, arrows) for c, arrows in rel.terms if target not in arrows]
         if len(fixed) == len(rel.terms):
-            if not path_sum_is_zero(field, _term_arrays(maps, fixed, side)):
+            if not path_sum_is_zero(field, _term_arrays(arrays, fixed, side)):
                 return None, None, (x_rows, x_cols)
             continue
-        const = _relation_value(field, maps, fixed, side)
         block = None
         for coeff, arrows in rel.terms:
             if target not in arrows:
@@ -123,7 +152,9 @@ def _linear_system(alg, side, dims, maps, target: str):
                 (arrows[:pos], arrows[pos + 1 :]), side
             )
             left, right = (
-                compose_path(maps, path, side).data if path else np.eye(n, dtype=field.dtype)
+                path_sum(field, _term_arrays(arrays, [(one, path)], side))
+                if path
+                else np.eye(n, dtype=field.dtype)
                 for path, n in ((applied_last, x_rows), (applied_first, x_cols))
             )
             # c L is reduced first: a product of three reduced factors
@@ -134,10 +165,11 @@ def _linear_system(alg, side, dims, maps, target: str):
         size = block.shape[0] * block.shape[1]
         block = block.reshape(size, x_rows * x_cols)
         blocks.append(block)
-        if const is None:
-            rhs_parts.extend([field.zero()] * size)
+        if fixed:
+            const = path_sum(field, _term_arrays(arrays, fixed, side))
+            rhs_parts.extend(field.normalize(-const).ravel().tolist())
         else:
-            rhs_parts.extend((-const).entries())
+            rhs_parts.extend([field.zero()] * size)
     system = Matrix(field, np.concatenate(blocks, axis=0), _trusted=True)
     rhs = Matrix(
         field,
@@ -148,24 +180,26 @@ def _linear_system(alg, side, dims, maps, target: str):
 
 
 def _try_linear_solve(alg, side, dims, rng, target: str):
-    maps = _random_arrows(alg, side, dims, rng, skip=target)
-    system, rhs, (x_rows, x_cols) = _linear_system(alg, side, dims, maps, target)
+    """A module whose target arrow solves the relations for the other
+    arrows' draws, or None when the system is inconsistent: one elimination
+    of [system | rhs] tells, and when it is consistent gives a particular
+    solution and the kernel, from which a uniformly random solution is
+    drawn."""
+    arrays = _random_arrays(alg, side, dims, rng, skip=target)
+    system, rhs, (x_rows, x_cols) = _linear_system(alg, side, dims, arrays, target)
     if system is None:
         return None
-    particular = solve_matrix(system, rhs)
-    if particular is None:
+    solved = solve_with_kernel(system, rhs)
+    if solved is None:
         return None
-    free = kernel_basis(system)
+    particular, free = solved
     vec = particular.data[:, 0].copy()
     field = alg.field
     for i in range(free.rows):
         c = field.random_scalar(rng)
         vec = field.normalize(vec + c * free.data[i])
-    maps[target] = Matrix(field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
-    try:
-        return Representation(alg, side, dims, maps)
-    except AlgebraError:
-        return None
+    x = Matrix(field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
+    return _module(alg, side, dims, arrays, {target: x})
 
 
 def _projective_quotient(alg, side, max_dim, rng) -> Representation:
@@ -194,28 +228,27 @@ def _projective_quotient(alg, side, max_dim, rng) -> Representation:
 def random_module(
     alg: BoundQuiverAlgebra, side: str, max_dim: int, rng
 ) -> Tuple[Representation, str, int]:
-    """One random module plus the strategy used and the attempts spent."""
+    """One random module plus the strategy used and the attempts spent.  A
+    dimension vector whose arrow matrices would pass the module size cap
+    raises AlgebraTooLarge before any entry is drawn."""
     dims = _random_dims(alg, max_dim, rng)
+    check_module_entries(alg.quiver, dims)
     if not alg.relations:
-        return (
-            Representation(alg, side, dims, _random_arrows(alg, side, dims, rng)),
-            STRATEGY_DIRECT,
-            1,
-        )
+        return _module(alg, side, dims, _random_arrays(alg, side, dims, rng)), STRATEGY_DIRECT, 1
     target = _solvable_arrow(alg)
     if target is not None:
         for attempt in range(1, MAX_REJECTION_TRIES + 1):
             rep = _try_linear_solve(alg, side, dims, rng, target)
             if rep is not None:
                 return rep, STRATEGY_LINEAR, attempt
+    field = alg.field
     for attempt in range(1, MAX_REJECTION_TRIES + 1):
-        try:
-            rep = Representation(
-                alg, side, dims, _random_arrows(alg, side, dims, rng)
-            )
-            return rep, STRATEGY_REJECTION, attempt
-        except AlgebraError:
-            continue
+        arrays = _random_arrays(alg, side, dims, rng)
+        if all(
+            path_sum_is_zero(field, _term_arrays(arrays, rel.terms, side))
+            for rel in alg.relations
+        ):
+            return _module(alg, side, dims, arrays), STRATEGY_REJECTION, attempt
     return _projective_quotient(alg, side, max_dim, rng), STRATEGY_QUOTIENT, 1
 
 

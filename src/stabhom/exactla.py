@@ -33,7 +33,11 @@ A path sum, sum_t c_t (A_t,l ... A_t,1), the value of a relation on a
 module, is tested for zero (path_sum_is_zero) or valued (path_sum) with
 no Matrix: over F_p on _dot's products, reduced once, and over Q on
 integer rows, scaled by the arrays' common denominator and the
-coefficients', so no Fraction is made before a value is asked for.
+coefficients', so no Fraction is made before a value is asked for; arrays
+of an integer dtype are read as integers, with no denominator to clear.
+solve_with_kernel reads one solution of m X = b and the kernel of m off
+one elimination of [m | b], which shows an inconsistent system before
+either is written; solve_matrix reads the solution alone.
 A prime modulus is checked by deterministic Miller-Rabin, exact below
 3.317e24; larger moduli are refused.
 
@@ -70,7 +74,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +84,9 @@ RATIONAL = "rational"
 
 
 _INT64_MAX = 2 ** 63 - 1
+
+# randrange's bounds for a draw over Q: integers in [-2, 2]
+_RATIONAL_DRAWS = (-2, 3)
 
 
 class FieldMismatch(ValueError):
@@ -239,7 +246,18 @@ class Field:
     def random_scalar(self, rng):
         if self.kind == PRIME:
             return rng.randrange(self.p)
-        return Fraction(rng.randint(-2, 2))
+        return Fraction(rng.randrange(*_RATIONAL_DRAWS))
+
+    def random_integers(self, rng, n: int) -> List[int]:
+        """The integers behind n draws of random_scalar, with the same
+        generator calls: residues mod p over F_p, and over Q the integers
+        random_scalar makes Fractions."""
+        randrange = rng.randrange
+        if self.kind == PRIME:
+            p = self.p
+            return [randrange(p) for _ in range(n)]
+        lo, hi = _RATIONAL_DRAWS
+        return [randrange(lo, hi) for _ in range(n)]
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == PRIME else a + b
@@ -296,6 +314,15 @@ class Matrix:
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
         return cls(field, field.array(rows), _trusted=True)
+
+    @classmethod
+    def from_integers(cls, field: Field, data: np.ndarray) -> "Matrix":
+        """The matrix of an integer array it takes as its own: over F_p
+        residues mod p in the field's dtype, over Q integers of any dtype,
+        each made a Fraction."""
+        if field.kind == RATIONAL:
+            data = _objects([Fraction(x) for x in data.ravel().tolist()], data.shape)
+        return cls(field, data, _trusted=True)
 
     # -- shape ------------------------------------------------------------
 
@@ -421,8 +448,9 @@ def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
     """Whether sum_t c_t (A_t,l ... A_t,1) is zero, for a nonempty list of
     terms (c_t, (A_t,1, ..., A_t,l)) of canonical scalars and numpy arrays
-    over the field, the arrays in application order, all of one length l
-    and one product shape, as the terms of a relation are.  It makes no
+    over the field (over Q, Fractions or integers of an integer dtype), the
+    arrays in application order, all of one length l and one product shape,
+    as the terms of a relation are.  It makes no
     Matrix, and over Q no Fraction: over F_p the products are _dot's and the
     sum is reduced once (_prime_path_sum), over Q they run on integer rows
     (_rational_path_sum)."""
@@ -457,30 +485,36 @@ def _prime_path_sum(field: Field, terms: Sequence) -> np.ndarray:
 def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]]:
     """(flat, s, shape): s times the path sum over Q, its row-major entries
     Python ints, multiplied on lists.  One _integers pass over the entries
-    of every distinct array gives their common denominator d, and the lcm e
-    of the coefficients' denominators clears those, so with every term of
-    one length l, as in a relation, s = d^l e.  A term through a space of
-    dimension 0 is zero and dropped, so every product multiplied has rows
-    and columns."""
+    of every distinct array gives their common denominator d; arrays of an
+    integer dtype, as randmod draws, are read as they are, with d = 1.  The
+    lcm e of the coefficients' denominators clears those, so with every
+    term of one length l, as in a relation, s = d^l e.  A term through a
+    space of dimension 0 is zero and dropped, so every product multiplied
+    has rows and columns."""
     shape = (terms[0][1][-1].shape[0], terms[0][1][0].shape[1])
     live = [(c, ms) for c, ms in terms if all(m.size for m in ms)]
     if not live:
         return [0] * (shape[0] * shape[1]), 1, shape
-    arrays = list({id(m): m for _, ms in live for m in ms}.values())
-    ns, d = _integers([x for m in arrays for x in m.ravel().tolist()])
-    rows, at = {}, 0
-    for m in arrays:
-        w = m.shape[1]
-        rows[id(m)] = [ns[i : i + w] for i in range(at, at + m.size, w)]
-        at += m.size
+    arrays = {id(m): m for _, ms in live for m in ms}
+    if all(m.dtype.kind == "i" for m in arrays.values()):
+        # arrays of integers are their own rows, over d = 1
+        rows, d = {k: m.tolist() for k, m in arrays.items()}, 1
+    else:
+        ns, d = _integers([x for m in arrays.values() for x in m.ravel().tolist()])
+        rows, at = {}, 0
+        for k, m in arrays.items():
+            w = m.shape[1]
+            rows[k] = [ns[i : i + w] for i in range(at, at + m.size, w)]
+            at += m.size
     cs, e = _integers([c for c, _ in live])
-    total = [0] * (shape[0] * shape[1])
+    total = None
     for c, (_, ms) in zip(cs, live):
         acc = rows[id(ms[0])]
         for m in ms[1:]:
             cols = list(zip(*acc))
             acc = [[sum(map(mul, r, col)) for col in cols] for r in rows[id(m)]]
-        total = [t + c * x for t, x in zip(total, (x for r in acc for x in r))]
+        flat = [c * x for r in acc for x in r]
+        total = flat if total is None else list(map(add, total, flat))
     return total, d ** len(live[0][1]) * e, shape
 
 
@@ -565,8 +599,8 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
 
 
 def _eliminate(m: Matrix) -> Tuple[object, List[int]]:
-    """m (with at least one row) eliminated by the core for its field and
-    size, and its pivots: over Q the rows of _rref_rational, integer
+    """m eliminated by the core for its field and size (a matrix with no
+    rows on lists, with no pivots), and its pivots: over Q the rows of _rref_rational, integer
     multiples of the rref's; over F_p the rref itself, as lists from
     _rref_lists or as an array from _rref_numpy."""
     if m.field.kind == RATIONAL:
@@ -793,7 +827,24 @@ def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix,
     eliminates and _null_lists writes the basis, reduced mod p."""
     if field.kind == RATIONAL:
         a, pivots = _rref_rational(rows, nc)
-        free = _other_columns(nc, pivots)
+    else:
+        a, pivots = _rref_lists(rows, nc, field.p)
+    return _eliminated_kernel(field, a, pivots, nc)
+
+
+def _eliminated_kernel(
+    field: Field, a, pivots: List[int], nc: int
+) -> Tuple[Matrix, Tuple[int, ...]]:
+    """kernel_basis(m, with_free=True) for the first nc columns m of a
+    matrix eliminated as _eliminate returns it, rows a and pivots, every
+    pivot among those columns; later columns are not read.  Over Q row f of
+    the basis is Fraction(1) at f and Fraction(-r[f], r[c]) at the pivot
+    column c of each pivot row r, the only Fractions made; over F_p
+    _null_lists writes it from lists and null_rows from an array."""
+    if len(pivots) == nc:
+        return Matrix.zeros(field, 0, nc), ()
+    free = _other_columns(nc, pivots)
+    if field.kind == RATIONAL:
         zero, one = Fraction(0), Fraction(1)
         flat: list = []
         for f in free:
@@ -804,12 +855,10 @@ def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix,
                     o[c] = Fraction(-r[f], r[c])
             flat += o
         return Matrix(field, _objects(flat, (len(free), nc)), _trusted=True), tuple(free)
-    a, pivots = _rref_lists(rows, nc, field.p)
-    if len(pivots) == nc:
-        return Matrix.zeros(field, 0, nc), ()
-    free = _other_columns(nc, pivots)
-    out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
-    return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
+    if isinstance(a, list):
+        out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
+        return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
+    return null_rows(Matrix(field, a[:, :nc], _trusted=True), pivots)
 
 
 def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -921,18 +970,43 @@ def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional
 
 def solve_matrix(m: Matrix, b: Matrix) -> Optional[Matrix]:
     """One solution X of m @ X = b, or None when inconsistent."""
+    solved = _solve(m, b)
+    return None if solved is None else solved[0]
+
+
+def solve_with_kernel(m: Matrix, b: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
+    """(X, K): solve_matrix(m, b) and kernel_basis(m), read off one
+    elimination of [m | b]; None when inconsistent, which that elimination
+    shows before either is written."""
+    solved = _solve(m, b)
+    if solved is None:
+        return None
+    x, a, pivots = solved
+    return x, _eliminated_kernel(m.field, a, pivots, m.cols)[0]
+
+
+def _solve(m: Matrix, b: Matrix):
+    """(X, a, pivots): _eliminate's rows and pivots of [m | b], and the
+    solution X of m @ X = b that is zero at the free columns, read off the
+    pivot rows (over Q each divided by its pivot); None when a pivot lies
+    in b's columns."""
     m._check(b)
     if m.rows != b.rows:
         raise ShapeMismatch(f"solve: {m.shape} vs rhs {b.shape}")
-    aug = hstack(m.field, [m, b])
-    r, _, pivots = rref(aug)
-    for p in pivots:
-        if p >= m.cols:
-            return None
-    out = m.field.zeros(m.cols, b.cols)
-    for i, p in enumerate(pivots):
-        out[p, :] = r.data[i, m.cols :]
-    return Matrix(m.field, out, _trusted=True)
+    field, n = m.field, m.cols
+    a, pivots = _eliminate(Matrix(field, np.concatenate((m.data, b.data), axis=1), _trusted=True))
+    if pivots and pivots[-1] >= n:
+        return None
+    out = field.zeros(n, b.cols)
+    if field.kind == RATIONAL:
+        zero = Fraction(0)
+        for r, c in zip(a, pivots):
+            v = r[c]
+            out[c, :] = [Fraction(u, v) if u else zero for u in r[n:]]
+    else:
+        for r, c in zip(a, pivots):
+            out[c, :] = r[n:]
+    return Matrix(field, out, _trusted=True), a, pivots
 
 
 def solve_right(m: Matrix, b: np.ndarray) -> Optional[np.ndarray]:

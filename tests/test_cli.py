@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -964,6 +965,15 @@ def test_an_oversized_module_exits_with_usage_not_a_traceback(a2_file, tmp_path)
     proc = _run_capped(["stablehom", a2_file, str(path), str(path)])
     assert proc.returncode == main_mod.EXIT_USAGE
     assert "hold 3600000000 entries, more than 16777216" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_refuses_an_oversized_random_module_before_drawing_it(a2_file):
+    # at --max-dim 10^6 the first dimension vector drawn holds about 10^11
+    # entries; they used to be drawn one by one, or allocated at once
+    proc = _run_capped(["verify", a2_file, "--max-dim", "1000000"])
+    assert proc.returncode == main_mod.EXIT_USAGE
+    assert re.search(r"hold \d+ entries, more than 16777216", proc.stderr)
     assert "Traceback" not in proc.stderr
 
 

@@ -14,9 +14,20 @@ fixpoint (_invariant_span) and take the cokernel of the SubRep's
 inclusion.  It now spans the submodule by the path labels of P(v) applied
 to each generator.  The quotient module and the next draw of the random
 generator must be the same, on every fixture algebra and both sides.
+
+random_module used to draw every candidate as Matrices (Fractions over
+Q), build a Representation to check the relations and catch its
+AlgebraError, and solve the linear system twice, for one solution
+(solve_matrix) and the kernel (kernel_basis).  It now decides candidates
+on their raw integer draws, builds one module per accepted draw, and
+reads the solution and the kernel off one elimination (solve_with_kernel).
+The module, its strategy and attempts, and the generator's state after it
+must be the same: on every fixture, both sides, seeds 0-19 and max_dim
+0-3, and on algebras with relations over F(2^31-1) and F(4294967311).
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,10 +36,12 @@ from algebras import BUILDERS
 from stabhom.algebra import (
     LEFT,
     RIGHT,
+    AlgebraError,
     Arrow,
     BoundQuiverAlgebra,
     Quiver,
     Relation,
+    Representation,
     SubRep,
     arrow_ends,
     arrow_shape,
@@ -37,9 +50,20 @@ from stabhom.algebra import (
     in_application_order,
     indec_projective,
 )
-from stabhom.cli.randmod import _linear_system, _projective_quotient, _random_arrows
+from stabhom.cli.randmod import (
+    MAX_REJECTION_TRIES,
+    STRATEGY_DIRECT,
+    STRATEGY_LINEAR,
+    STRATEGY_QUOTIENT,
+    STRATEGY_REJECTION,
+    _linear_system,
+    _projective_quotient,
+    _random_arrays,
+    _solvable_arrow,
+    random_module,
+)
 from stabhom.cli.serialize import module_to_dict
-from stabhom.exactla import Field, Matrix, Subspace
+from stabhom.exactla import Field, Matrix, Subspace, kernel_basis, solve_matrix
 from stabhom.homology import cokernel_map
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(2147483647)]
@@ -167,8 +191,9 @@ def test_linear_system_equals_the_kronecker_reference(field, side):
         for target in _targets(alg):
             for _ in range(6):
                 dims = {v: rng.randrange(4) for v in alg.quiver.vertices}
-                maps = _random_arrows(alg, side, dims, rng, skip=target)
-                got = _linear_system(alg, side, dims, maps, target)
+                arrays = _random_arrays(alg, side, dims, rng, skip=target)
+                maps = {n: Matrix.from_integers(field, a) for n, a in arrays.items()}
+                got = _linear_system(alg, side, dims, arrays, target)
                 want = _linear_system_by_kron(alg, side, dims, maps, target)
                 assert got[2] == want[2]
                 assert (got[0] is None) == (want[0] is None)
@@ -254,3 +279,103 @@ def test_projective_quotient_equals_the_arrow_closure_reference(name, side):
         proper += sub_dim > 0
     # a third of the draws or more quotient by a nonzero submodule
     assert proper >= 80 // 3
+
+
+# -- random_module ---------------------------------------------------------------
+
+
+def _random_scalar_by_randint(field, rng):
+    """Field.random_scalar as it was: randint(-2, 2) over Q."""
+    if field.kind == "prime":
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-2, 2))
+
+
+def _random_arrows_by_scalars(alg, side, dims, rng, skip=None):
+    """Every arrow but skip, as a Matrix of row-major scalar draws."""
+    field = alg.field
+    maps = {}
+    for a in alg.quiver.arrows:
+        if a.name == skip:
+            continue
+        rows, cols = arrow_shape(dims, a, side)
+        data = np.empty((rows, cols), dtype=field.dtype)
+        data.ravel()[:] = [_random_scalar_by_randint(field, rng) for _ in range(rows * cols)]
+        maps[a.name] = Matrix(field, data, _trusted=True)
+    return maps
+
+
+def _try_linear_solve_twice(alg, side, dims, rng, target):
+    maps = _random_arrows_by_scalars(alg, side, dims, rng, skip=target)
+    system, rhs, (x_rows, x_cols) = _linear_system_by_kron(alg, side, dims, maps, target)
+    if system is None:
+        return None
+    particular = solve_matrix(system, rhs)
+    if particular is None:
+        return None
+    free = kernel_basis(system)
+    vec = particular.data[:, 0].copy()
+    field = alg.field
+    for i in range(free.rows):
+        c = _random_scalar_by_randint(field, rng)
+        vec = field.normalize(vec + c * free.data[i])
+    maps[target] = Matrix(field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
+    try:
+        return Representation(alg, side, dims, maps)
+    except AlgebraError:
+        return None
+
+
+def _random_module_by_candidates(alg, side, max_dim, rng):
+    """random_module as it was: a Representation per candidate."""
+    dims = {v: rng.randrange(max_dim + 1) for v in alg.quiver.vertices}
+    if not alg.relations:
+        maps = _random_arrows_by_scalars(alg, side, dims, rng)
+        return Representation(alg, side, dims, maps), STRATEGY_DIRECT, 1
+    target = _solvable_arrow(alg)
+    if target is not None:
+        for attempt in range(1, MAX_REJECTION_TRIES + 1):
+            rep = _try_linear_solve_twice(alg, side, dims, rng, target)
+            if rep is not None:
+                return rep, STRATEGY_LINEAR, attempt
+    for attempt in range(1, MAX_REJECTION_TRIES + 1):
+        try:
+            maps = _random_arrows_by_scalars(alg, side, dims, rng)
+            return Representation(alg, side, dims, maps), STRATEGY_REJECTION, attempt
+        except AlgebraError:
+            continue
+    return _projective_quotient(alg, side, max_dim, rng), STRATEGY_QUOTIENT, 1
+
+
+def _module_cases():
+    for name in sorted(BUILDERS):
+        yield name, BUILDERS[name]()
+    for p in (2147483647, 4294967311):
+        field = Field.prime(p)
+        yield f"diamond@{p}", diamond_algebra(field)
+        for name in ("square", "loop2", "loop3", "nakayama"):
+            yield f"{name}@{p}", BUILDERS[name](field)
+
+
+@pytest.mark.parametrize("name,alg", list(_module_cases()), ids=[n for n, _ in _module_cases()])
+def test_random_module_equals_the_candidate_reference(name, alg):
+    strategies = set()
+    for side in (LEFT, RIGHT):
+        for seed in range(20):
+            for max_dim in range(4):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got, strategy, attempts = random_module(alg, side, max_dim, got_rng)
+                want = _random_module_by_candidates(alg, side, max_dim, want_rng)
+                assert (got.key, strategy, attempts) == (want[0].key, want[1], want[2])
+                assert got_rng.getstate() == want_rng.getstate()
+                strategies.add(strategy)
+    if not alg.relations:
+        assert strategies == {STRATEGY_DIRECT}
+    elif _solvable_arrow(alg) is not None:
+        assert STRATEGY_LINEAR in strategies
+    else:
+        # k[x]/(x^n): rejection, and over Q the quotient after
+        # MAX_REJECTION_TRIES failed candidates
+        assert STRATEGY_REJECTION in strategies
+        if name == "loop2_rational":
+            assert STRATEGY_QUOTIENT in strategies

@@ -10,7 +10,10 @@ Q integer rows over a common denominator.  Both must agree with the
 reference on accepting and rejecting inputs, over every backend: F2, F5,
 F(2^31-1) (int64 products split into blocks), F(4294967311) (object
 dtype) and Q, with entries and coefficients that have denominators, and
-with vertices of dimension 0, where a product is empty.
+with vertices of dimension 0, where a product is empty.  Over Q randmod
+decides its candidates on int64 arrays of their integer draws, which
+must give the value of the Fraction matrices they become, for integers
+of any size: a product of int64 entries may pass 2^63.
 
 random_matrix used to build a list of rows of draws and coerce each one
 into Matrix.from_rows; it now writes the same draws into one array.
@@ -36,13 +39,12 @@ from stabhom.algebra import (
     Quiver,
     Relation,
     Representation,
-    _relation_value,
     _term_arrays,
     arrow_shape,
     compose_path,
 )
 from stabhom.cli.randmod import random_matrix, random_module
-from stabhom.exactla import Field, Matrix, path_sum_is_zero
+from stabhom.exactla import Field, Matrix, path_sum, path_sum_is_zero
 
 FIELDS = [
     Field.prime(2),
@@ -93,17 +95,18 @@ def _assert_agree(alg, side, maps):
     and randmod's right-hand sides take them, against the reference; returns
     whether the maps satisfy every relation."""
     field = alg.field
+    arrays = {name: m.data for name, m in maps.items()}
     holds = True
     for rel in alg.relations:
         for k in range(1, len(rel.terms) + 1):
             for terms in combinations(rel.terms, k):
                 want = _reference_value(maps, terms, side)
-                got = _relation_value(field, maps, terms, side)
-                assert got == want
-                assert got.data.dtype == want.data.dtype
-                zero = path_sum_is_zero(field, _term_arrays(maps, terms, side))
+                got = path_sum(field, _term_arrays(arrays, terms, side))
+                assert Matrix(field, got, _trusted=True) == want
+                assert got.dtype == want.data.dtype
+                zero = path_sum_is_zero(field, _term_arrays(arrays, terms, side))
                 assert zero == want.is_zero()
-        holds = holds and path_sum_is_zero(field, _term_arrays(maps, rel.terms, side))
+        holds = holds and path_sum_is_zero(field, _term_arrays(arrays, rel.terms, side))
     return holds
 
 
@@ -184,10 +187,49 @@ def test_a_term_through_a_zero_space_keeps_its_shape():
             "c": _matrix(field, 1, 2, [one, one]),
             "d": _matrix(field, 3, 1, [one, field.zero(), one]),
         }
-        value = _relation_value(field, maps, alg.relations[0].terms, LEFT)
+        arrays = {name: m.data for name, m in maps.items()}
+        value = path_sum(field, _term_arrays(arrays, alg.relations[0].terms, LEFT))
         assert value.shape == (3, 2)
-        assert value == _reference_value(maps, alg.relations[0].terms, LEFT)
+        assert Matrix(field, value, _trusted=True) == _reference_value(
+            maps, alg.relations[0].terms, LEFT
+        )
         assert not _accepts(alg, LEFT, dims, maps)
+
+
+@st.composite
+def integer_candidates(draw):
+    """(algebra over Q, side, int64 arrays of every arrow): small draws like
+    randmod's, mostly zero, or any int64 entries, whose products pass 2^63."""
+    alg = _algebra(draw(st.sampled_from(NAMES)), FIELDS.index(Field.rational()))
+    side = draw(st.sampled_from([LEFT, RIGHT]))
+    dims = {v: draw(st.integers(0, 3)) for v in alg.quiver.vertices}
+    bound = draw(st.sampled_from([2, 2 ** 63 - 1]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    arrays = {}
+    for a in alg.quiver.arrows:
+        rows, cols = arrow_shape(dims, a, side)
+        flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        arrays[a.name] = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    return alg, side, arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_candidates())
+def test_rational_path_sums_of_integer_arrays_are_those_of_their_fractions(candidate):
+    alg, side, arrays = candidate
+    field = alg.field
+    fractions = {name: Matrix.from_integers(field, a).data for name, a in arrays.items()}
+    assert all(type(x) is Fraction for m in fractions.values() for x in m.flat)
+    for rel in alg.relations:
+        for k in range(1, len(rel.terms) + 1):
+            for terms in combinations(rel.terms, k):
+                got = path_sum(field, _term_arrays(arrays, terms, side))
+                want = path_sum(field, _term_arrays(fractions, terms, side))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+                assert path_sum_is_zero(field, _term_arrays(arrays, terms, side)) == (
+                    not want.any()
+                )
 
 
 # -- random_matrix --------------------------------------------------------------
