@@ -450,10 +450,9 @@ def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
     terms (c_t, (A_t,1, ..., A_t,l)) of canonical scalars and numpy arrays
     over the field (over Q, Fractions or integers of an integer dtype), the
     arrays in application order, all of one length l and one product shape,
-    as the terms of a relation are.  It makes no
-    Matrix, and over Q no Fraction: over F_p the products are _dot's and the
-    sum is reduced once (_prime_path_sum), over Q they run on integer rows
-    (_rational_path_sum)."""
+    as the terms of a relation are.  It makes no Matrix, and over Q no
+    Fraction: over F_p the products are _dot's and the sum is reduced once
+    (_prime_path_sum), over Q they run on integer rows (_rational_path_sum)."""
     if field.kind == RATIONAL:
         return not any(_rational_path_sum(terms)[0])
     return not _prime_path_sum(field, terms).any()
@@ -599,10 +598,10 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
 
 
 def _eliminate(m: Matrix) -> Tuple[object, List[int]]:
-    """m eliminated by the core for its field and size (a matrix with no
-    rows on lists, with no pivots), and its pivots: over Q the rows of _rref_rational, integer
-    multiples of the rref's; over F_p the rref itself, as lists from
-    _rref_lists or as an array from _rref_numpy."""
+    """m eliminated by the core for its field and size, and its pivots (a
+    matrix with no rows has none): over Q the rows of _rref_rational,
+    integer multiples of the rref's; over F_p the rref itself, as lists
+    from _rref_lists or as an array from _rref_numpy."""
     if m.field.kind == RATIONAL:
         return _rref_rational([_integers(r)[0] for r in m.data.tolist()], m.cols)
     if m.data.size <= SMALL_ENTRIES:
@@ -819,12 +818,10 @@ def kernel_basis(m: Matrix, with_free: bool = False):
 def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(m, with_free=True) for the matrix m whose rows are the
     Python lists rows, of nc ints each, eliminated in place, with one array
-    made at the end.  Over Q the rows may be any integer multiples of m's:
-    _rref_rational eliminates, and row f of the basis is Fraction(1) at f
-    and Fraction(-r[f], r[c]) at the pivot column c of each pivot row r;
-    these are the only Fractions made.  Over F_p the entries may be any ints
-    of absolute value below p (as _kron_lists writes them): _rref_lists
-    eliminates and _null_lists writes the basis, reduced mod p."""
+    made at the end by _eliminated_kernel.  Over Q the rows may be any
+    integer multiples of m's, which _rref_rational eliminates.  Over F_p the
+    entries may be any ints of absolute value below p (as _kron_lists writes
+    them): _rref_lists eliminates, and the basis is reduced mod p."""
     if field.kind == RATIONAL:
         a, pivots = _rref_rational(rows, nc)
     else:
