@@ -55,8 +55,9 @@ class NotFiniteDimensional(AlgebraError):
 
 class AlgebraTooLarge(AlgebraError):
     """An input past a documented size cap: a degree of the path basis
-    spanned by more than MAX_DEGREE_SPAN paths, or a module whose arrow
-    matrices would hold more than MAX_MODULE_ENTRIES entries."""
+    spanned by more than MAX_DEGREE_SPAN paths, a module whose arrow
+    matrices would hold more than MAX_MODULE_ENTRIES entries, or a Hom
+    system of more than homology.MAX_HOM_SYSTEM_ENTRIES entries."""
 
 
 # Spanning paths one degree of the basis build may list: two free loops

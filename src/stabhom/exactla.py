@@ -13,28 +13,30 @@ kept in one of two backends, chosen by the field (Field.dtype):
     arrays.  Products (_dot) and elimination (rref) run on integer
     numerators, Python ints, and return canonical Fractions, so no
     multiply-add is Fraction arithmetic.
-Over F_p, a job runs on Python lists of ints, and returns its array in the
-field's dtype, when every array it reads or writes holds at most
+A kernel is found on one route, under one size rule.  Over F_p a job runs
+on Python lists of ints when the array it reads or writes holds at most
 SMALL_ENTRIES entries: at that size a numpy call costs more than the
-arithmetic it does.  That is the matrix for rref, the basis (free columns
-x columns) for null_rows, and for a kernel the matrix and any kernel basis
-of it (columns x columns).  A Q kernel is always found on lists, on
-integer rows: a row scaled to integers has the same kernel, and Fractions
-are made only for the basis.  _kernel_on_lists states that rule, and
-this module alone asks it: kernel_basis for a matrix, and kron_kernel for
-a Kronecker system given by its terms, the form of every Hom system.  On
-the list route _kron_lists writes such a system as Python lists of ints
-for _kernel_lists, unreduced over F_p (any ints of absolute value below
-p) and over Q the system times the common denominator d of its terms,
-which has the same kernel, so no Fraction is made before the basis.  On
-the numpy route _kron_rows writes it for kernel_basis, by index into 4-D
-views of its columns: an identity factor is never multiplied.
+arithmetic it does.  _eliminate is the one place an elimination core is
+chosen, by the entries of the matrix, and _eliminated_kernel the one writer
+of a kernel basis, on lists or with numpy by the entries of the basis (free
+columns x columns).  Over Q a matrix is always eliminated on integer rows:
+a row scaled to integers has the same kernel, and the writer makes a
+Fraction only for a nonzero entry of the basis.  kernel_basis is the writer
+on _eliminate's rows; solve_with_kernel and Subspace.quotient call the
+writer on an elimination they already hold; kron_kernel, for a Kronecker
+system given by its terms (the form of every Hom system), reads the
+system's size by _eliminate's rule.  On lists (always over Q) _kron_lists
+writes the system's rows for _eliminate_rows, the list half of _eliminate,
+unreduced over F_p (any ints of absolute value below p) and over Q the
+system times the common denominator d of its terms (_integer_rows), which
+has the same kernel, so no Fraction is made before the basis.  Otherwise
+_kron_rows writes it for kernel_basis, by index into 4-D views of its
+columns: an identity factor is never multiplied.
 A path sum, sum_t c_t (A_t,l ... A_t,1), the value of a relation on a
 module, is tested for zero (path_sum_is_zero) or valued (path_sum) with
 no Matrix: over F_p on _dot's products, reduced once, and over Q on
-integer rows, scaled by the arrays' common denominator and the
-coefficients', so no Fraction is made before a value is asked for; arrays
-of an integer dtype are read as integers, with no denominator to clear.
+integer rows, scaled by the arrays' common denominator (_integer_rows) and
+the coefficients', so no Fraction is made before a value is asked for.
 solve_with_kernel reads one solution of m X = b and the kernel of m off
 one elimination of [m | b], which shows an inconsistent system before
 either is written; solve_matrix reads the solution alone.
@@ -44,17 +46,17 @@ A prime modulus is checked by deterministic Miller-Rabin, exact below
 Elimination (rref) touches only what a pivot changes: the pivot row from
 the pivot column on, and the rows with a nonzero entry in the pivot
 column, from the pivot column on.  Over F_p it runs on lists
-(_rref_lists) or on the numpy array (_rref_numpy) by size.  The numpy
-core works in the narrowest signed dtype that holds a product of two
-reduced entries (int16 up to p = 181, int32 up to p = 46337, then int64;
-Python ints in object arrays beyond), swaps no rows, and delays reduction
-mod p: the whole array is reduced only as often as the dtype's range
-demands, and once at the end.  Over Q it is fraction-free on integer rows
-(_rref_rational), which a pivot changes from the first pivot column on:
-the one Q core, under rref's Fractions and under kernel_basis's.  The
-rref is unique, so the core chosen changes no output.  rank counts the
-pivots of the same elimination (_eliminate) and makes no rref matrix,
-over Q no Fraction.
+(_rref_lists) or on the numpy array (_rref_numpy), as _eliminate
+chooses.  The numpy core works in the narrowest signed dtype that holds
+a product of two reduced entries (int16 up to p = 181, int32 up to
+p = 46337, then int64; Python ints in object arrays beyond), swaps no
+rows, and delays reduction mod p: the whole array is reduced only as
+often as the dtype's range demands, and once at the end.  Over Q it is
+fraction-free on integer rows (_rref_rational), which a pivot changes
+from the first pivot column on: the one Q core, under rref's Fractions
+and under kernel_basis's.  The rref is unique, so the core chosen changes
+no output.  rank counts the pivots of the same elimination (_eliminate)
+and makes no rref matrix, over Q no Fraction.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c
@@ -62,10 +64,10 @@ Conventions:
   * A Subspace of k^n is stored as a matrix whose rows form a basis,
     kept in reduced row echelon form so equality is literal comparison,
     together with the pivot columns that elimination found.
-  * A kernel basis (null_rows) is the identity on the free columns of the
-    eliminated matrix.  So both kinds of basis are the identity on known
-    columns, where coordinates are read off and then checked by a product
-    at the other columns.
+  * A kernel basis (_eliminated_kernel) is the identity on the free
+    columns of the eliminated matrix.  So both kinds of basis are the
+    identity on known columns, where coordinates are read off and then
+    checked by a product at the other columns.
     That kernel basis is unique, and _kernel_form writes it from any other
     basis of the kernel, with no matrix to eliminate.
 """
@@ -483,28 +485,19 @@ def _prime_path_sum(field: Field, terms: Sequence) -> np.ndarray:
 
 def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]]:
     """(flat, s, shape): s times the path sum over Q, its row-major entries
-    Python ints, multiplied on lists.  One _integers pass over the entries
-    of every distinct array gives their common denominator d; arrays of an
-    integer dtype, as randmod draws, are read as they are, with d = 1.  The
-    lcm e of the coefficients' denominators clears those, so with every
-    term of one length l, as in a relation, s = d^l e.  A term through a
-    space of dimension 0 is zero and dropped, so every product multiplied
-    has rows and columns."""
+    Python ints, multiplied on lists.  The distinct arrays are read as
+    integer rows over their common denominator d (_integer_rows).  The lcm
+    e of the coefficients' denominators clears those, so with every term of
+    one length l, as in a relation, s = d^l e.  A term through a space of
+    dimension 0 is zero and dropped, so every product multiplied has rows
+    and columns."""
     shape = (terms[0][1][-1].shape[0], terms[0][1][0].shape[1])
     live = [(c, ms) for c, ms in terms if all(m.size for m in ms)]
     if not live:
         return [0] * (shape[0] * shape[1]), 1, shape
     arrays = {id(m): m for _, ms in live for m in ms}
-    if all(m.dtype.kind == "i" for m in arrays.values()):
-        # arrays of integers are their own rows, over d = 1
-        rows, d = {k: m.tolist() for k, m in arrays.items()}, 1
-    else:
-        ns, d = _integers([x for m in arrays.values() for x in m.ravel().tolist()])
-        rows, at = {}, 0
-        for k, m in arrays.items():
-            w = m.shape[1]
-            rows[k] = [ns[i : i + w] for i in range(at, at + m.size, w)]
-            at += m.size
+    ints, d = _integer_rows(list(arrays.values()))
+    rows = dict(zip(arrays, ints))
     cs, e = _integers([c for c, _ in live])
     total = None
     for c, (_, ms) in zip(cs, live):
@@ -515,6 +508,19 @@ def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]
         flat = [c * x for r in acc for x in r]
         total = flat if total is None else list(map(add, total, flat))
     return total, d ** len(live[0][1]) * e, shape
+
+
+def _integer_rows(arrays: Sequence[np.ndarray]) -> Tuple[List[List[List[int]]], int]:
+    """(rows, d): each 2-D array's rows, d times over, as lists of Python
+    ints, with d the lcm of the denominators of all their entries.  Arrays
+    all of an integer dtype (F_p's int64, or integers as randmod draws) are
+    read as they are, with d = 1; otherwise one _integers pass over every
+    entry gives d and the integers."""
+    if all(m.dtype.kind == "i" for m in arrays):
+        return [m.tolist() for m in arrays], 1
+    ns, d = _integers([x for m in arrays for x in m.ravel().tolist()])
+    ints = iter(ns)
+    return [[list(islice(ints, m.shape[1])) for _ in range(m.shape[0])] for m in arrays], d
 
 
 def vstack(field: Field, mats: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
@@ -564,19 +570,11 @@ def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
 SMALL_ENTRIES = 256
 
 
-def _kernel_on_lists(field: Field, rows: int, cols: int) -> bool:
-    """Whether the kernel of a rows x cols matrix over this field is found on
-    lists: over Q always, on integer rows; over F_p when the matrix and any
-    kernel basis of it (cols x cols) hold at most SMALL_ENTRIES entries."""
-    return field.kind == RATIONAL or max(rows, cols) * cols <= SMALL_ENTRIES
-
-
 def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
     """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
 
-    Over F_p a matrix of at most SMALL_ENTRIES entries is eliminated on
-    Python lists (_rref_lists) and a larger one on its numpy array
-    (_rref_numpy); over Q on integer rows (_rref_rational), each pivot row
+    The core is _eliminate's: over F_p _rref_lists or _rref_numpy by the
+    matrix's entries, over Q _rref_rational on integer rows, each pivot row
     then divided by its pivot into canonical Fractions.  The rref is unique,
     so every core returns the same matrix, pivots and dtype (object arrays
     hold Python ints over F_p)."""
@@ -598,15 +596,28 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
 
 
 def _eliminate(m: Matrix) -> Tuple[object, List[int]]:
-    """m eliminated by the core for its field and size, and its pivots (a
-    matrix with no rows has none): over Q the rows of _rref_rational,
-    integer multiples of the rref's; over F_p the rref itself, as lists
-    from _rref_lists or as an array from _rref_numpy."""
+    """m eliminated, and its pivots (a matrix with no rows has none): the one
+    place a core is chosen.  Over Q the rows of _rref_rational, integer
+    multiples of the rref's; over F_p the rref itself, as lists from
+    _rref_lists when m has at most SMALL_ENTRIES entries and as an array
+    from _rref_numpy otherwise."""
     if m.field.kind == RATIONAL:
-        return _rref_rational([_integers(r)[0] for r in m.data.tolist()], m.cols)
+        return _eliminate_rows(m.field, [_integers(r)[0] for r in m.data.tolist()], m.cols)
     if m.data.size <= SMALL_ENTRIES:
-        return _rref_lists(m.data.tolist(), m.cols, m.field.p)
+        return _eliminate_rows(m.field, m.data.tolist(), m.cols)
     return _rref_numpy(m.field, m.data)
+
+
+def _eliminate_rows(
+    field: Field, rows: List[List[int]], nc: int
+) -> Tuple[List[List[int]], List[int]]:
+    """_eliminate's list half, on rows given as Python lists of nc ints and
+    eliminated in place: over Q any integer multiples of the matrix's rows
+    (_rref_rational), over F_p any ints of absolute value below p
+    (_rref_lists)."""
+    if field.kind == RATIONAL:
+        return _rref_rational(rows, nc)
+    return _rref_lists(rows, nc, field.p)
 
 
 def _rref_lists(a: List[List[int]], nc: int, p: int) -> Tuple[List[List[int]], List[int]]:
@@ -746,25 +757,6 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m)[1]) if m.rows else 0
 
 
-def null_rows(r: Matrix, pivots: Sequence[int]) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Basis (as rows) of {x : r x = 0} for r in rref with these pivot
-    columns, and the free columns; row k is the identity on free column k
-    and minus r's column there at the pivot columns.  Over F_p a basis of
-    at most SMALL_ENTRIES entries is written on Python lists (_null_lists),
-    any other with numpy (_null_rows_numpy).  The choice reads the size of
-    the basis, not of r: a 0 x n r has an n x n basis."""
-    field = r.field
-    if len(pivots) == r.cols:
-        return Matrix.zeros(field, 0, r.cols), ()
-    free = _other_columns(r.cols, pivots)
-    if field.kind == PRIME and len(free) * r.cols <= SMALL_ENTRIES:
-        out = _null_lists(r.data[: len(pivots)].tolist(), pivots, free, r.cols, field.p)
-        out = np.array(out, dtype=field.dtype)
-    else:
-        out = _null_rows_numpy(r, pivots, free)
-    return Matrix(field, out, _trusted=True), tuple(free)
-
-
 def _other_columns(nc: int, cols: Sequence[int]) -> List[int]:
     """The columns of range(nc) not in cols, in order."""
     is_other = [True] * nc
@@ -773,89 +765,56 @@ def _other_columns(nc: int, cols: Sequence[int]) -> List[int]:
     return [c for c, f in enumerate(is_other) if f]
 
 
-def _null_lists(
-    prows: List[List[int]], pivots: Sequence[int], free: List[int], nc: int, p: int
-) -> List[List[int]]:
-    """null_rows' basis over F_p on Python lists, written row by row from the
-    pivot rows prows of an rref with nc columns."""
-    out = []
-    for f in free:
-        o = [0] * nc
-        o[f] = 1
-        for c, row in zip(pivots, prows):
-            o[c] = -row[f] % p
-        out.append(o)
-    return out
-
-
-def _null_rows_numpy(r: Matrix, pivots: Sequence[int], free: List[int]) -> np.ndarray:
-    """null_rows' basis in one numpy array, for any field."""
-    field = r.field
-    block = field.normalize(-r.data[: len(pivots), free].T)
-    out = field.zeros(len(free), r.cols)
-    out[range(len(free)), free] = field.one()
-    out[:, list(pivots)] = block
-    return out
-
-
 def kernel_basis(m: Matrix, with_free: bool = False):
     """Basis (as rows) of the right kernel {x : m x = 0}; with_free, the
-    pair of it and its free columns, where the basis is the identity.  A
-    small F_p matrix (_kernel_on_lists) goes to _kernel_lists as lists, and
-    a Q matrix always, each row scaled to integers (the kernel is the
-    same)."""
-    if _kernel_on_lists(m.field, m.rows, m.cols):
-        rows = m.data.tolist()
-        if m.field.kind == RATIONAL:
-            rows = [_integers(r)[0] for r in rows]
-        out = _kernel_lists(m.field, rows, m.cols)
-    else:
-        r, _, pivots = rref(m)
-        out = null_rows(r, pivots)
+    pair of it and its free columns, where the basis is the identity.  It is
+    _eliminated_kernel on _eliminate's rows."""
+    out = _eliminated_kernel(m.field, *_eliminate(m), m.cols)
     return out if with_free else out[0]
 
 
-def _kernel_lists(field: Field, rows: List[List[int]], nc: int) -> Tuple[Matrix, Tuple[int, ...]]:
-    """kernel_basis(m, with_free=True) for the matrix m whose rows are the
-    Python lists rows, of nc ints each, eliminated in place, with one array
-    made at the end by _eliminated_kernel.  Over Q the rows may be any
-    integer multiples of m's, which _rref_rational eliminates.  Over F_p the
-    entries may be any ints of absolute value below p (as _kron_lists writes
-    them): _rref_lists eliminates, and the basis is reduced mod p."""
-    if field.kind == RATIONAL:
-        a, pivots = _rref_rational(rows, nc)
-    else:
-        a, pivots = _rref_lists(rows, nc, field.p)
-    return _eliminated_kernel(field, a, pivots, nc)
-
-
 def _eliminated_kernel(
-    field: Field, a, pivots: List[int], nc: int
+    field: Field, a, pivots: Sequence[int], nc: int
 ) -> Tuple[Matrix, Tuple[int, ...]]:
     """kernel_basis(m, with_free=True) for the first nc columns m of a
-    matrix eliminated as _eliminate returns it, rows a and pivots, every
-    pivot among those columns; later columns are not read.  Over Q row f of
-    the basis is Fraction(1) at f and Fraction(-r[f], r[c]) at the pivot
-    column c of each pivot row r, the only Fractions made; over F_p
-    _null_lists writes it from lists and null_rows from an array."""
+    matrix eliminated as _eliminate returns it or in rref, rows a (Python
+    lists or an array) and pivots, every pivot among those columns; later
+    columns are not read.  The one writer of a kernel basis: row f is the
+    identity at free column f and -r[f] / r[c] at the pivot column c of
+    each pivot row r.  Over Q that is a Fraction made only where r[f] is
+    nonzero: Fraction(-r[f], r[c]) on integer rows, and -r[f] on Fractions
+    in rref, whose pivots are 1, which needs no gcd.  Over F_p, where
+    r[c] = 1 and r[f] may be any int of absolute value below p, it is
+    -r[f] mod p, written on Python lists when the basis has at most
+    SMALL_ENTRIES entries and with numpy otherwise."""
     if len(pivots) == nc:
         return Matrix.zeros(field, 0, nc), ()
     free = _other_columns(nc, pivots)
-    if field.kind == RATIONAL:
-        zero, one = Fraction(0), Fraction(1)
-        flat: list = []
-        for f in free:
-            o = [zero] * nc
-            o[f] = one
-            for c, r in zip(pivots, a):
-                if r[f]:
-                    o[c] = Fraction(-r[f], r[c])
-            flat += o
-        return Matrix(field, _objects(flat, (len(free), nc)), _trusted=True), tuple(free)
-    if isinstance(a, list):
-        out = _null_lists(a[: len(pivots)], pivots, free, nc, field.p)
-        return Matrix(field, np.array(out, dtype=field.dtype), _trusted=True), tuple(free)
-    return null_rows(Matrix(field, a[:, :nc], _trusted=True), pivots)
+    prows = a[: len(pivots)]
+    if field.kind == PRIME and len(free) * nc > SMALL_ENTRIES:
+        out = field.zeros(len(free), nc)
+        out[range(len(free)), free] = 1
+        if pivots:
+            block = np.asarray(prows, dtype=field.dtype)[:, free]
+            out[:, list(pivots)] = field.normalize(-block.T)
+        return Matrix(field, out, _trusted=True), tuple(free)
+    if isinstance(prows, np.ndarray):
+        prows = prows.tolist()
+    p = field.p
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    flat: list = []
+    for f in free:
+        o = [zero] * nc
+        o[f] = one
+        for c, r in zip(pivots, prows):
+            x = r[f]
+            if x and p:
+                o[c] = -x % p
+            elif x:  # integer rows over any pivot, or Fractions in rref over 1
+                o[c] = Fraction(-x, r[c]) if type(x) is int else -x
+        flat += o
+    out = np.array(flat, dtype=field.dtype).reshape(len(free), nc)
+    return Matrix(field, out, _trusted=True), tuple(free)
 
 
 def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
@@ -881,30 +840,23 @@ def kron_kernel(
     field, the rows I_p (x) M2 at the columns of v2 minus M1 (x) I_q at those
     of v1 (M1 of p rows, M2 of q rows; the blocks of v1 and v2 start at
     offs[v1] and offs[v2], and add up when v1 = v2).  The terms hold the
-    matrices as they are: the writers put the minus sign in.  When
-    _kernel_on_lists puts a system of this size on the list core (always over
-    Q, when small over F_p), _kron_lists writes its rows and _kernel_lists
+    matrices as they are: the writers put the minus sign in.  The system
+    takes _eliminate's rule, by its rows x total entries: always over Q, and
+    over F_p with at most SMALL_ENTRIES entries, _kron_lists writes its rows
+    from the terms' integer rows (_integer_rows) and _eliminate_rows
     eliminates them, with no array before the basis; otherwise _kron_rows
-    writes them and kernel_basis eliminates.  Over Q one pass (_integers)
-    over all the terms' entries gives their common denominator d, and the
-    system is written d times over, in integers: it has the same kernel.
-    The kernel basis is unique, so both routes give the same matrix and free
-    columns bit for bit."""
+    writes it and kernel_basis eliminates.  Over Q the integer rows are the
+    terms times their common denominator d, so the system is written d
+    times over: it has the same kernel.  The kernel basis is unique, so both
+    routes give the same matrix and free columns bit for bit."""
     terms = [t for t in terms if t[1].shape[0] * t[3].shape[0]]  # a term with no rows adds none
     rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
-    if not _kernel_on_lists(field, rows, total):
+    if field.kind == PRIME and rows * total > SMALL_ENTRIES:
         return kernel_basis(_kron_rows(field, offs, total, terms), with_free=True)
-    if field.kind == RATIONAL:
-        flat = [x for _, m1, _, m2 in terms for m in (m1, m2) for x in m.ravel().tolist()]
-        ints = iter(_integers(flat)[0])
-
-        def take(m):  # m's rows, d times over, from ints
-            return [list(islice(ints, m.shape[1])) for _ in range(m.shape[0])]
-
-        terms = [(v1, take(m1), v2, take(m2)) for v1, m1, v2, m2 in terms]
-    else:
-        terms = [(v1, m1.tolist(), v2, m2.tolist()) for v1, m1, v2, m2 in terms]
-    return _kernel_lists(field, _kron_lists(offs, total, terms), total)
+    ints = iter(_integer_rows([m for _, m1, _, m2 in terms for m in (m1, m2)])[0])
+    terms = [(v1, next(ints), v2, next(ints)) for v1, _, v2, _ in terms]
+    a, pivots = _eliminate_rows(field, _kron_lists(offs, total, terms), total)
+    return _eliminated_kernel(field, a, pivots, total)
 
 
 def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]]:
@@ -913,7 +865,8 @@ def _kron_lists(offs: Dict[str, int], total: int, terms: list) -> List[List[int]
     holds -M1[i][k] at column offs[v1] + k q + j and M2[j][l] at
     offs[v2] + i c2 + l, where M2 is q x c2; when v1 = v2 they add up.
     Nothing is reduced, for either field: over F_p, from entries in [0, p),
-    every entry written lies in (-p, p), which _kernel_lists takes as it is."""
+    every entry written lies in (-p, p), which _eliminate_rows takes as it
+    is."""
     rows = []
     for v1, m1, v2, m2 in terms:
         q, c2 = len(m2), len(m2[0])
@@ -1004,13 +957,6 @@ def _solve(m: Matrix, b: Matrix):
         for r, c in zip(a, pivots):
             out[c, :] = r[n:]
     return Matrix(field, out, _trusted=True), a, pivots
-
-
-def solve_right(m: Matrix, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution x of m x = b for a 1-D right side, or None."""
-    bm = Matrix(m.field, np.asarray(b).reshape(-1, 1))
-    x = solve_matrix(m, bm)
-    return None if x is None else x.data[:, 0].copy()
 
 
 # -- subspaces -----------------------------------------------------------
@@ -1119,4 +1065,5 @@ class Subspace:
 
     def quotient(self) -> QuotientSpace:
         """Canonical surjection of the ambient space with this as kernel."""
-        return QuotientSpace(*null_rows(self.basis, self.pivots))
+        basis, free = _eliminated_kernel(self.field, self.basis.data, self.pivots, self.ambient_dim)
+        return QuotientSpace(basis, free)

@@ -3,7 +3,9 @@
 Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop): the kernel of one Kronecker system
-(exactla.kron_kernel), with terms (x, B, y, A^T).  No system is written
+(exactla.kron_kernel), with terms (x, B, y, A^T), refused with
+AlgebraTooLarge past MAX_HOM_SYSTEM_ENTRIES before it is written; the
+tensor, read off a Hom space, takes the same cap.  No system is written
 for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
 probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
 e_v to a unit vector of b_v and each path label of P(v) to its action on
@@ -83,12 +85,13 @@ from .exactla import (
     coordinates,
     kernel_basis,
     kron_kernel,
-    solve_right,
+    solve_matrix,
 )
 from .algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    AlgebraTooLarge,
     BoundQuiverAlgebra,
     ModuleMap,
     Representation,
@@ -181,11 +184,19 @@ def _stack_entries(hom: HomSpace) -> int:
     return hom.stack.rows * hom.stack.cols
 
 
+# Entries (rows x columns) of the largest intertwiner system _build_hom
+# writes: 32 MiB as int64.  The systems of the fixtures, the benchmark and
+# the tests hold at most 32,768 (a 256 x 128 system over F5), 128 times fewer.
+MAX_HOM_SYSTEM_ENTRIES = 2 ** 22
+
+
 def _build_hom(a: Representation, b: Representation) -> HomSpace:
     """The kernel of the intertwiner system, or for Hom(P(v), b) and
     Hom(a, I(v)) with P(v) or I(v) already built, its Yoneda basis put in
     the same canonical form (the rref of the reversed rows, reversed back),
-    so both routes give kernel_basis's stack and free columns bit for bit."""
+    so both routes give kernel_basis's stack and free columns bit for bit.
+    A system of more than MAX_HOM_SYSTEM_ENTRIES entries raises
+    AlgebraTooLarge before any of it is written."""
     v = _indec_vertices(a.algebra, "proj", a.side).get(a.key)
     if v is not None:
         labels = _projective_with_labels(a.algebra, v, a.side)[1]
@@ -202,6 +213,13 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
         terms.append((x, b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
+    rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
+    if rows * total > MAX_HOM_SYSTEM_ENTRIES:
+        vectors = [tuple(m.dims[v] for v in a.vertices) for m in (a, b)]
+        raise AlgebraTooLarge(
+            f"the Hom system between dimension vectors {vectors[0]} and {vectors[1]} "
+            f"has {rows} x {total} = {rows * total} entries, more than {MAX_HOM_SYSTEM_ENTRIES}"
+        )
     return HomSpace(a, b, *kron_kernel(a.algebra.field, offs, total, terms))
 
 
@@ -673,8 +691,9 @@ def factor_through(
         hom_beta = hom_basis(h.domain, post.domain)
     hom_h = hom_basis(h.domain, h.codomain)
     t = push_coords(hom_beta, hom_h, pre=pre, post=post)
-    x = solve_right(t.transpose(), hom_h.coords_of(h))
-    return None if x is None else hom_beta.element(x)
+    coords = hom_h.coords_of_flats(Matrix(t.field, h.flat()[None], _trusted=True))
+    x = solve_matrix(t.transpose(), coords.transpose())
+    return None if x is None else hom_beta.element(x.data[:, 0])
 
 
 # -- Ext^1 -------------------------------------------------------------------

@@ -977,6 +977,35 @@ def test_verify_refuses_an_oversized_random_module_before_drawing_it(a2_file):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, field, sides",
+    [
+        ("stablehom", {"kind": "rational"}, ("left", "left")),
+        ("tensor", {"kind": "prime", "p": 5}, ("right", "left")),
+    ],
+    ids=["stablehom-q", "tensor-f5"],
+)
+def test_an_oversized_hom_system_exits_with_usage_not_a_traceback(tmp_path, command, field, sides):
+    # semisimple modules of dimension vector (300, 300) over A2: each holds
+    # 90000 entries, but Hom between two of them (and the tensor, read off
+    # Hom(b, D a)) is a 90000 x 180000 system, refused before any of it is
+    # written; it used to end in a MemoryError
+    algebra = tmp_path / "a2.json"
+    algebra.write_text(json.dumps(dict(A2_DOC, field=field)))
+    paths = []
+    for i, side in enumerate(sides):
+        path = tmp_path / f"m{i}.json"
+        doc = {"algebra": str(algebra), "side": side, "dims": {"1": 300, "2": 300}, "arrows": {}}
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    start = time.perf_counter()
+    proc = _run_capped([command, str(algebra), *paths])
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
+    assert "has 90000 x 180000 = 16200000000 entries, more than 4194304" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- generation machinery -----------------------------------------------------------
 
 

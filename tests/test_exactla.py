@@ -18,13 +18,10 @@ from stabhom.exactla import (
     Subspace,
     _kernel_form,
     coordinates,
-    hstack,
     kernel_basis,
-    null_rows,
     rank,
     rref,
     solve_matrix,
-    solve_right,
 )
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational()]
@@ -81,9 +78,9 @@ def test_kernel_of_sum_functional():
 def test_solve_over_f2():
     f2 = Field.prime(2)
     m = Matrix.from_rows(f2, [[1, 1]])
-    x = solve_right(m, np.array([1], dtype=np.int64))
+    x = solve_matrix(m, Matrix.from_rows(f2, [[1]]))
     assert x is not None
-    assert list(m.apply(x)) == [1]
+    assert m @ x == Matrix.from_rows(f2, [[1]])
 
 
 def test_quotient_of_plane_by_diagonal():
@@ -190,7 +187,7 @@ def test_rref_idempotent(m):
 
 
 def _null_rows_by_loop(r, pivots):
-    """The entry-by-entry construction that null_rows vectorizes."""
+    """The kernel basis of r in rref with these pivots, entry by entry."""
     field = r.field
     free = [c for c in range(r.cols) if c not in pivots]
     out = Matrix.zeros(field, len(free), r.cols).data.copy()
@@ -205,7 +202,8 @@ def _null_rows_by_loop(r, pivots):
 @given(matrix_strategy(max_dim=5))
 def test_kernel_basis_is_the_identity_on_its_free_columns(m):
     r, _, pivots = rref(m)
-    ker, free = null_rows(r, pivots)
+    # the writer on the rref's rows, as Subspace.quotient calls it
+    ker, free = exactla._eliminated_kernel(m.field, r.data, pivots, m.cols)
     assert ker == kernel_basis(m) == _null_rows_by_loop(r, pivots)
     assert kernel_basis(m, with_free=True) == (ker, free)
     # row k is nonzero only at free column k and at pivot columns left of it
@@ -511,24 +509,22 @@ def test_the_list_rref_core_equals_the_numpy_core(m):
 
 @settings(max_examples=300, deadline=None)
 @given(CORE_MATRICES)
-def test_the_list_null_rows_body_equals_the_numpy_body(m):
+def test_the_list_kernel_writer_equals_the_numpy_writer(m):
     r, _, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    if not free:
-        # null_rows returns an empty kernel before choosing a body
-        assert null_rows(r, pivots) == (Matrix.zeros(m.field, 0, m.cols), ())
-        return
-    got = exactla._null_lists(r.data[: len(pivots)].tolist(), pivots, free, m.cols, m.field.p)
-    want = exactla._null_rows_numpy(r, pivots, free)
-    _assert_same_array(np.array(got, dtype=m.field.dtype), want, m.field.dtype)
+    with mock.patch.object(exactla, "SMALL_ENTRIES", 10 ** 9):
+        got, got_free = exactla._eliminated_kernel(m.field, r.data, pivots, m.cols)
+    with mock.patch.object(exactla, "SMALL_ENTRIES", -1):
+        want, want_free = exactla._eliminated_kernel(m.field, r.data, pivots, m.cols)
+    assert got_free == want_free
+    _assert_same_array(got.data, want.data, m.field.dtype)
 
 
 @settings(max_examples=300, deadline=None)
 @given(CORE_MATRICES)
 def test_the_list_route_of_kernel_basis_equals_the_numpy_route(m):
-    # every CORE_MATRICES matrix is small enough for the list route
-    assert exactla._kernel_on_lists(m.field, m.rows, m.cols)
-    got, got_free = kernel_basis(m, with_free=True)
+    # every core and writer on lists, then every one with numpy
+    with mock.patch.object(exactla, "SMALL_ENTRIES", 10 ** 9):
+        got, got_free = kernel_basis(m, with_free=True)
     with mock.patch.object(exactla, "SMALL_ENTRIES", -1):
         want, want_free = kernel_basis(m, with_free=True)
     assert got_free == want_free
@@ -536,13 +532,17 @@ def test_the_list_route_of_kernel_basis_equals_the_numpy_route(m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(CORE_MATRICES, st.integers(0, 10 ** 6))
-def test_the_list_kernel_takes_entries_in_minus_p_to_p(m, seed):
+@given(CORE_MATRICES, st.integers(0, 10 ** 6), st.sampled_from([10 ** 9, -1]))
+def test_the_list_kernel_takes_entries_in_minus_p_to_p(m, seed, bound):
     # _kron_lists writes -x for x in [0, p), and y - x on a loop: the list
-    # kernel must read any representative of absolute value below p
+    # core and either writer must read any representative of absolute value
+    # below p
     p, rng = m.field.p, random.Random(seed)
     rows = [[x - p if x and rng.random() < 0.5 else x for x in row] for row in m.data.tolist()]
-    got, got_free = exactla._kernel_lists(m.field, rows, m.cols)
+    with mock.patch.object(exactla, "SMALL_ENTRIES", bound):
+        got, got_free = exactla._eliminated_kernel(
+            m.field, *exactla._eliminate_rows(m.field, rows, m.cols), m.cols
+        )
     want, want_free = kernel_basis(m, with_free=True)
     assert got_free == want_free
     _assert_same_array(got.data, want.data, m.field.dtype)
@@ -575,45 +575,71 @@ def test_the_elimination_core_is_chosen_by_size(monkeypatch):
     assert calls == {"_rref_lists": 2, "_rref_numpy": 2}
 
 
-def test_the_kernel_body_is_chosen_by_the_size_of_the_basis(monkeypatch):
-    calls = _spy_on(monkeypatch, "_null_lists", "_null_rows_numpy")
-    for field in (Field.prime(5), Field.rational()):
-        # [I | 0] with c columns is in rref and has a 1 x c kernel basis
-        for c in (exactla.SMALL_ENTRIES, exactla.SMALL_ENTRIES + 1):
-            r = hstack(field, [Matrix.identity(field, c - 1), Matrix.zeros(field, c - 1, 1)])
-            assert null_rows(r, range(c - 1))[1] == (c - 1,)
-    # the bound is inclusive, and Q writes with numpy
-    assert calls == {"_null_lists": 1, "_null_rows_numpy": 3}
-    # the choice reads the basis, not r: a 0 x n r has an n x n basis
-    n = isqrt(exactla.SMALL_ENTRIES) + 1
-    assert null_rows(Matrix.zeros(Field.prime(5), 0, n), ())[0] == Matrix.identity(Field.prime(5), n)
-    assert calls == {"_null_lists": 1, "_null_rows_numpy": 4}
-
-
 def test_kernel_basis_takes_a_small_matrix_straight_to_lists(monkeypatch):
-    # no rref or null_rows on arrays, nor their list bodies through them
+    # no rref matrix: the list core's rows go to the writer
     f5 = Field.prime(5)
-    calls = _spy_on(monkeypatch, "rref", "null_rows", "_kernel_lists")
+    calls = _spy_on(monkeypatch, "rref", "_rref_lists", "_eliminated_kernel")
     basis, free = kernel_basis(Matrix.from_rows(f5, [[1, 2, 3], [4, 0, 1]]), with_free=True)
-    assert calls == {"rref": 0, "null_rows": 0, "_kernel_lists": 1}
+    assert calls == {"rref": 0, "_rref_lists": 1, "_eliminated_kernel": 1}
     assert basis == Matrix.from_rows(f5, [[1, 3, 1]]) and free == (2,)
 
 
-@pytest.mark.parametrize("extra_rows, extra_cols", [(0, 0), (1, 0), (0, 1)], ids=["at", "rows", "cols"])
-def test_the_kernel_route_is_chosen_by_the_matrix_and_its_basis(monkeypatch, extra_rows, extra_cols):
-    # an n x n matrix with n^2 = SMALL_ENTRIES and its n x n basis are at the
-    # bound; one more row or column puts the matrix or the basis past it
-    n = isqrt(exactla.SMALL_ENTRIES)
-    assert n * n == exactla.SMALL_ENTRIES
-    calls = _spy_on(monkeypatch, "_kernel_lists", "rref")
-    m = Matrix.zeros(Field.prime(5), n + extra_rows, n + extra_cols)
-    assert kernel_basis(m) == Matrix.identity(m.field, m.cols)
-    on_lists = int(not extra_rows + extra_cols)
-    assert calls == {"_kernel_lists": on_lists, "rref": 1 - on_lists}
-    # Q always takes the list route, at any size
-    m = Matrix.zeros(Field.rational(), n + extra_rows, n + extra_cols)
-    assert kernel_basis(m) == Matrix.identity(m.field, m.cols)
-    assert calls == {"_kernel_lists": on_lists + 1, "rref": 1 - on_lists}
+# (rows, cols, rank, core, writer) on each side of SMALL_ENTRIES = 16^2 for
+# the matrix and for its (cols - rank) x cols basis; a full-rank matrix has
+# an empty basis, returned before a writer is chosen
+KERNEL_ROUTES = [
+    (0, 16, 0, "lists", "lists"),
+    (0, 17, 0, "lists", "numpy"),
+    (1, 17, 0, "lists", "numpy"),
+    (1, 17, 1, "lists", "numpy"),
+    (5, 40, 5, "lists", "numpy"),
+    (16, 16, 0, "lists", "lists"),
+    (16, 16, 15, "lists", "lists"),
+    (16, 16, 16, "lists", None),
+    (16, 17, 0, "numpy", "numpy"),
+    (16, 17, 16, "numpy", "lists"),
+    (17, 1, 0, "lists", "lists"),
+    (17, 1, 1, "lists", None),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank_, core, writer",
+    KERNEL_ROUTES,
+    ids=[f"{r}x{c}-rank{k}" for r, c, k, _, _ in KERNEL_ROUTES],
+)
+def test_the_core_reads_the_matrix_and_the_writer_its_basis(monkeypatch, rows, cols, rank_, core, writer):
+    """The matrix is the identity on its first rank_ diagonal entries and
+    zero elsewhere.  The numpy writer starts from field.zeros of the basis's
+    shape; the list writer makes no array before its last, and _rref_numpy's
+    zeros have the matrix's shape, never the basis's here."""
+    assert isqrt(exactla.SMALL_ENTRIES) == 16
+    calls = _spy_on(monkeypatch, "_rref_lists", "_rref_numpy", "_rref_rational")
+    shapes = []
+    zeros = Field.zeros
+
+    def spy(self, r, c):
+        shapes.append((r, c))
+        return zeros(self, r, c)
+
+    monkeypatch.setattr(Field, "zeros", spy)
+    for field in (Field.prime(5), Field.rational()):
+        data = [[int(i == j < rank_) for j in range(cols)] for i in range(rows)]
+        m = Matrix(field, np.array(data, dtype=object).reshape(rows, cols))
+        shapes.clear()
+        basis, free = kernel_basis(m, with_free=True)
+        assert free == tuple(range(rank_, cols))
+        assert basis.shape == (cols - rank_, cols)
+        # Q takes its own core, and writes on lists at any size
+        on_lists = field.kind == "prime" and core == "lists"
+        numpy_writer = field.kind == "prime" and writer == "numpy"
+        if writer:
+            assert ((cols - rank_, cols) in shapes) == numpy_writer
+        assert calls["_rref_lists"] == on_lists
+        assert calls["_rref_numpy"] == (field.kind == "prime" and core == "numpy")
+        assert calls["_rref_rational"] == (field.kind == "rational")
+        for name in calls:
+            calls[name] = 0
 
 
 def test_rref_leaves_a_matrix_with_no_rows_as_it_is():

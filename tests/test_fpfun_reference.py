@@ -17,7 +17,7 @@ import pytest
 from algebras import BUILDERS
 from stabhom.algebra import LEFT, RIGHT, AlgebraError, ModuleMap, zero_module
 from stabhom.cli.randmod import random_fp_morphism, random_hom_element, random_module
-from stabhom.exactla import Field, Subspace, solve_right
+from stabhom.exactla import Field, Matrix, Subspace, solve_matrix
 from stabhom.fpfun import (
     CONTRAVARIANT,
     COVARIANT,
@@ -62,8 +62,8 @@ def _extend_over(h, gamma):
     hom_bc = hom_basis(gamma.codomain, h.codomain)
     hom_ac = hom_basis(h.domain, h.codomain)
     t = push_coords(hom_bc, hom_ac, pre=gamma)
-    x = solve_right(t.transpose(), hom_ac.coords_of(h))
-    return None if x is None else hom_bc.element(x)
+    x = solve_matrix(t.transpose(), Matrix(t.field, hom_ac.coords_of(h).reshape(-1, 1)))
+    return None if x is None else hom_bc.element(x.data[:, 0])
 
 
 def _lift_along(h, s):
@@ -71,8 +71,8 @@ def _lift_along(h, s):
     hom_ab = hom_basis(h.domain, s.domain)
     hom_ac = hom_basis(h.domain, h.codomain)
     t = push_coords(hom_ab, hom_ac, post=s)
-    x = solve_right(t.transpose(), hom_ac.coords_of(h))
-    return None if x is None else hom_ab.element(x)
+    x = solve_matrix(t.transpose(), Matrix(t.field, hom_ac.coords_of(h).reshape(-1, 1)))
+    return None if x is None else hom_ab.element(x.data[:, 0])
 
 
 def _representable(m, variance):

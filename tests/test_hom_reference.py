@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
+from test_kernel_reference import assert_same_kernel, reference_kron_kernel
 from stabhom import exactla, homology
 from stabhom.algebra import (
     LEFT,
@@ -455,11 +456,11 @@ kron_cases = st.tuples(
 def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
     field, offs, total, terms = case
     with mock.patch.object(exactla, "SMALL_ENTRIES", 10 ** 9), \
-            mock.patch.object(exactla, "kernel_basis", wraps=kernel_basis) as numpy_route:
+            mock.patch.object(exactla, "_kron_rows") as numpy_route:
         got, got_free = exactla.kron_kernel(field, offs, total, terms)
     assert not numpy_route.called
     with mock.patch.object(exactla, "SMALL_ENTRIES", -1), \
-            mock.patch.object(exactla, "_kernel_lists") as list_route:
+            mock.patch.object(exactla, "_kron_lists") as list_route:
         want, want_free = exactla.kron_kernel(field, offs, total, terms)
     assert not list_route.called
     assert (want, want_free) == kernel_basis(exactla._kron_rows(field, offs, total, terms), with_free=True)
@@ -468,6 +469,9 @@ def test_the_list_route_of_the_kronecker_kernel_equals_the_numpy_route(case):
     assert got.data.dtype == want.data.dtype == field.dtype
     if field.dtype == object:
         assert all(type(x) is int for x in got.data.ravel().tolist() + want.data.ravel().tolist())
+    # and bit for bit the route it replaced, at the real bound
+    assert_same_kernel(exactla.kron_kernel(field, offs, total, terms),
+                       reference_kron_kernel(field, offs, total, terms))
 
 
 def _one_column_system(field, rows, total):
@@ -479,20 +483,28 @@ def _one_column_system(field, rows, total):
     return field, {"x": 0, "y": 1}, total, terms
 
 
-# the side of exactla's bound: N x N entries, with N^2 = SMALL_ENTRIES
+# the side of exactla's bound, rows x total = SMALL_ENTRIES = N^2
 N = isqrt(exactla.SMALL_ENTRIES)
-ROUTE_SIZES = [(N, N, True), (N, N + 1, False), (1, N, True), (1, N + 1, False), (0, N, True), (0, N + 1, False)]
+ROUTE_SIZES = [
+    (N, N, True),
+    (N, N + 1, False),
+    (1, N * N, True),
+    (1, N * N + 1, False),
+    (1, N + 1, True),
+    (0, N + 1, True),
+]
 
 
 @pytest.mark.parametrize(
     "rows, total, lists", ROUTE_SIZES, ids=[f"{r}x{t}" for r, t, _ in ROUTE_SIZES]
 )
 def test_the_kronecker_kernel_route_is_chosen_by_size(rows, total, lists):
-    # the system and any kernel basis of it (total x total) within the bound
+    # _eliminate's rule on the system's rows x total entries, whatever the
+    # size of its kernel basis
     assert N * N == exactla.SMALL_ENTRIES
     for field in (Field.prime(5), Field.rational()):
-        with mock.patch.object(exactla, "_kernel_lists", wraps=exactla._kernel_lists) as list_route, \
-                mock.patch.object(exactla, "kernel_basis", wraps=kernel_basis) as numpy_route:
+        with mock.patch.object(exactla, "_kron_lists", wraps=exactla._kron_lists) as list_route, \
+                mock.patch.object(exactla, "_kron_rows", wraps=exactla._kron_rows) as numpy_route:
             basis, free = exactla.kron_kernel(*_one_column_system(field, rows, total))
         # Q always takes the list route, at any size
         takes_lists = lists or field.p is None

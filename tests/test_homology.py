@@ -10,7 +10,9 @@ from oracles import ext1_brute_force_f2, ext1_cocycle_dim
 from stabhom.algebra import (
     LEFT,
     AlgebraError,
+    AlgebraTooLarge,
     ModuleMap,
+    Representation,
     RIGHT,
     direct_sum,
     indec_injective,
@@ -649,3 +651,15 @@ def test_direct_sum_hom_additivity(a3):
         hom_basis(p1, ds.module).dim
         == hom_basis(p1, s1).dim + hom_basis(p1, s2).dim
     )
+
+
+def test_a_hom_system_past_the_cap_is_refused_before_it_is_written(a2, monkeypatch):
+    # Hom(m, m) for m = S1^2 + S2^2: one arrow 1 -> 2, so 2 x 2 rows for the
+    # entries of phi_2 A over the 4 + 4 columns of phi_1 and phi_2
+    m = Representation(a2, LEFT, {"1": 2, "2": 2}, {})
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 32)
+    assert homology._build_hom(m, m).dim == 8
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 31)
+    monkeypatch.setattr(homology, "kron_kernel", None)
+    with pytest.raises(AlgebraTooLarge, match=r"\(2, 2\) and \(2, 2\) has 4 x 8 = 32 entries, more than 31"):
+        homology._build_hom(m, m)

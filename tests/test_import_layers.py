@@ -9,8 +9,11 @@ top: they may import every layer, and no layer may import them.
 
 exactla alone chooses between its list core and its numpy route for a
 kernel, and alone writes the rows a kernel on lists reads: no other module
-names the rule, the bound, the list core or the integer scaling.  The same
-holds for a relation's path sum, which runs on integer rows over Q.
+names the bound, the elimination entry, the cores, the kernel writer or
+the integer scaling.  The same holds for a relation's path sum, which runs
+on integer rows over Q.  Inside exactla the bound is read only where a core,
+a kernel writer or a Kronecker route is chosen, so the one size rule cannot
+fork again.
 """
 
 import ast
@@ -94,15 +97,15 @@ def test_function_level_and_submodule_imports_are_seen(tmp_path):
 # exactla alone decides which kernels run on its list core, writes their rows
 # and names its elimination cores and system writers
 LIST_ROUTE = {
-    "_kernel_on_lists",
-    "_kernel_lists",
     "_integers",
+    "_integer_rows",
     "SMALL_ENTRIES",
+    "_eliminate",
+    "_eliminate_rows",
+    "_eliminated_kernel",
     "_rref_lists",
     "_rref_numpy",
     "_rref_rational",
-    "_null_lists",
-    "_null_rows_numpy",
     "_kron_lists",
     "_kron_rows",
     "_rational_path_sum",
@@ -128,3 +131,36 @@ def test_only_exactla_names_its_list_route(path):
         return
     named = [f"line {line}: {name}" for line, name in _names(path) if name in LIST_ROUTE]
     assert not named, f"{_module_name(path)} names exactla's list route: {named}"
+
+
+# the functions of exactla that read the size bound: _eliminate chooses the
+# core, _eliminated_kernel the writer, and kron_kernel the Kronecker route
+SIZE_RULE_READERS = {"_eliminate", "_eliminated_kernel", "kron_kernel"}
+
+
+def _reads(source: str, name: str):
+    """(innermost enclosing function, or None at module level, line) for
+    every read of the name in the source."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                out.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_size_bound_is_read_only_where_a_route_is_chosen():
+    reads = _reads((SRC / "exactla.py").read_text(), "SMALL_ENTRIES")
+    assert {function for function, _ in reads} == SIZE_RULE_READERS, reads
+
+
+def test_reads_are_seen_in_nested_functions_and_at_module_level():
+    source = "B = 1\nC = B\ndef f():\n    def g():\n        return B\n    return B + 1\n"
+    assert sorted(_reads(source, "B"), key=lambda r: r[1]) == [(None, 2), ("g", 5), ("f", 6)]

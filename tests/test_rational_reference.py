@@ -11,12 +11,14 @@ be a Fraction with the same numerator and denominator as the reference's,
 and rank and pivots must agree: on negative entries and mixed
 denominators, on numerators and denominators past 2^63, on 1-D right
 operands, on zero-size shapes and on rank-deficient matrices with free
-columns left of later pivots.  null_rows negates the pivot block of a kernel
-basis with numpy's negation of the whole block; it must give the same
-kernel basis and free columns as the entrywise negation below.
-kernel_basis used to be that Fraction rref and then null_rows' numpy body;
-it now eliminates integer rows and makes Fractions only for the basis, and
-must give the same basis, free columns and Fraction entries.
+columns left of later pivots.  The kernel writer, which Subspace.quotient
+calls on its rref basis, used to negate the whole pivot block with numpy
+(null_rows), zeros included; it now makes a Fraction only for a nonzero
+entry, and must give the same kernel basis and free columns as the
+entrywise negation below.  kernel_basis used to be that Fraction rref and
+then that negation; it now eliminates integer rows and makes Fractions
+only for the basis, and must give the same basis, free columns and
+Fraction entries.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabhom import exactla
-from stabhom.exactla import Field, Matrix, kernel_basis, null_rows, rref
+from stabhom.exactla import Field, Matrix, Subspace, kernel_basis, rref
 
 Q = Field.rational()
 
@@ -215,32 +217,47 @@ def _fraction_null_rows(r, pivots):
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_null_rows_matches_the_entrywise_negation(kind, data):
+def test_the_quotient_matches_the_entrywise_negation(kind, data):
     m, _ = data.draw(_rank_deficient(ENTRIES[kind]))
     r, _, pivots = rref(m)
-    got, free = null_rows(r, pivots)
+    q = Subspace(Q, m.cols, m).quotient()
     want, want_free = _fraction_null_rows(r, pivots)
-    assert free == want_free
-    _assert_same_entries(got.data, want)
+    assert tuple(q.free) == want_free
+    _assert_same_entries(q.projection.data, want)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (2, 3), (0, 4)])
-def test_null_rows_of_zero_and_columnless_matrices(shape):
+def test_the_kernel_writer_of_zero_and_columnless_matrices(shape):
     r = Matrix.zeros(Q, *shape)
-    got, free = null_rows(r, ())
+    got, free = exactla._eliminated_kernel(Q, r.data, (), r.cols)
     want, want_free = _fraction_null_rows(r, ())
     assert free == want_free
     _assert_same_entries(got.data, want)
 
 
+def test_the_quotient_makes_no_fraction_for_a_zero_entry(monkeypatch):
+    """The pivot block of [[1, 0, 2, 0], [0, 1, 0, 0]] at the free columns
+    2 and 3 has one nonzero entry of four: one Fraction is negated."""
+    u = Subspace(Q, 4, _matrix([[Fraction(x) for x in row] for row in ([1, 0, 2, 0], [0, 1, 0, 0])]))
+    negated = []
+    neg = Fraction.__neg__
+
+    def counting(x):
+        negated.append(x)
+        return neg(x)
+
+    monkeypatch.setattr(Fraction, "__neg__", counting)
+    q = u.quotient()
+    monkeypatch.undo()
+    assert negated == [Fraction(2)]
+    _assert_same_entries(q.projection.data, _fraction_null_rows(u.basis, u.pivots)[0])
+
+
 def _kernel_by_fraction_rref(m):
     """kernel_basis(m, with_free=True) over Q as it was: the Fraction rref,
-    then null_rows' numpy body on its pivot rows."""
+    then the negated pivot block on its pivot rows."""
     r, _, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    if not free:
-        return Matrix.zeros(Q, 0, m.cols).data, ()
-    return exactla._null_rows_numpy(r, pivots, free), tuple(free)
+    return _fraction_null_rows(r, pivots)
 
 
 @st.composite
