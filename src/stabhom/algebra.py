@@ -954,20 +954,7 @@ def _build_projective_with_labels(algebra: BoundQuiverAlgebra, v: str, side: str
     for a in q.arrows:
         x, y = arrow_ends(a, side)
         maps[a.name] = extension_matrix(algebra, a, side, labels[x], labels[y])
-    rep = Representation(algebra, side, dims, maps)
-    _indec_vertices(algebra, "proj", side)[rep.key] = v
-    # I(v) on the other side is D P(v) (indec_injective)
-    _indec_vertices(algebra, "inj", other_side(side))[dual_module(rep).key] = v
-    return rep, labels
-
-
-def _indec_vertices(algebra: BoundQuiverAlgebra, kind: str, side: str) -> Dict[tuple, str]:
-    """Key -> vertex v of each indecomposable projective P(v) (kind "proj")
-    or injective I(v) ("inj") on this side built so far; I(v), the dual of
-    P(v) on the other side, is entered when that P(v) is built.  A module
-    with simple top or socle S(v) is P(v) or I(v) only for that v, so no
-    two vertices share a key."""
-    return algebra._cached(("indec_vertices", kind, side), dict)
+    return Representation(algebra, side, dims, maps), labels
 
 
 def indec_projective(algebra: BoundQuiverAlgebra, v: str, side: str = LEFT) -> Representation:

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..algebra import (
     LEFT,
     RIGHT,
+    AlgebraTooLarge,
     BoundQuiverAlgebra,
     Representation,
     indec_injective,
@@ -668,6 +669,8 @@ def run_laws(
     for name in sorted(selected):
         try:
             results.append(LAWS[name](ctx))
+        except AlgebraTooLarge:  # a refused input, not a failed law
+            raise
         except Exception as exc:  # honest failure: a law must never crash
             failed = LawResult(name, DESCRIPTIONS[name])
             failed.checks += 1

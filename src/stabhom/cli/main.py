@@ -245,12 +245,12 @@ def cmd_tensor(args) -> int:
             "tensor expects a right module then a left module, got "
             f"{a.side} (x) {b.side}"
         )
-    tr = transpose(a).module
+    # the tensor first: its Hom system is size-checked before the transpose is built
     report = {
         "command": "tensor",
         "tensor": tensor(a, b).dim,
         "substab": tensor_substab(a, b).dim,
-        "ext_of_transpose": ext1(tr, b).dim,
+        "ext_of_transpose": ext1(transpose(a).module, b).dim,
     }
     _emit(args, report)
     return EXIT_OK

@@ -68,8 +68,6 @@ Conventions:
     columns of the eliminated matrix.  So both kinds of basis are the
     identity on known columns, where coordinates are read off and then
     checked by a product at the other columns.
-    That kernel basis is unique, and _kernel_form writes it from any other
-    basis of the kernel, with no matrix to eliminate.
 """
 from __future__ import annotations
 
@@ -815,18 +813,6 @@ def _eliminated_kernel(
         flat += o
     out = np.array(flat, dtype=field.dtype).reshape(len(free), nc)
     return Matrix(field, out, _trusted=True), tuple(free)
-
-
-def _kernel_form(span: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
-    """kernel_basis(m, with_free=True) for any m whose kernel the independent
-    rows span.  That basis is the only one of the kernel that is the identity
-    on the free columns, and a column is free when some kernel vector ends
-    there, so it is the rref of span with its columns reversed, read with
-    rows and columns reversed back."""
-    n = span.cols
-    r, _, pivots = rref(Matrix(span.field, span.data[:, ::-1], _trusted=True))
-    basis = Matrix(span.field, r.data[::-1, ::-1].copy(), _trusted=True)
-    return basis, tuple(n - 1 - c for c in reversed(pivots))
 
 
 # -- Kronecker systems ---------------------------------------------------

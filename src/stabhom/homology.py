@@ -5,21 +5,12 @@ one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop): the kernel of one Kronecker system
 (exactla.kron_kernel), with terms (x, B, y, A^T), refused with
 AlgebraTooLarge past MAX_HOM_SYSTEM_ENTRIES before it is written; the
-tensor, read off a Hom space, takes the same cap.  No system is written
-for Hom(P(v), b) or Hom(a, I(v)), which fp_eval asks for at the standard
-probes: by Yoneda, Hom(P(v), b) = b_v, a basis map sending the generator
-e_v to a unit vector of b_v and each path label of P(v) to its action on
-it (_label_actions, as for a projective cover's generators), and
-Hom(a, I(v)) = Hom(P'(v), D a) with P' on the other side, transposed.  The
-kernel basis of the system is the only basis of that space that is the
-identity at its free columns, so the stack is the rref of these rows with
-their columns reversed, reversed back (exactla._kernel_form): bit for bit
-kernel_basis's.
+tensor, read off a Hom space, takes the same cap.
 The tensor product a (x) b is read off its dual: (a (x) b)* = Hom(b, D a)
 (the tensor-Hom adjunction, Auslander-Reiten-Smalo, Representation Theory
 of Artin Algebras, 1995), so TensorSpace's projection is the stack of
-hom_basis(b, D a), memo and Yoneda route included, and tensor_map is the
-dual pushforward psi -> D f psi g.  No tensor system or block is written.
+hom_basis(b, D a), memo included, and tensor_map is the dual pushforward
+psi -> D f psi g.  No tensor system or block is written.
 A pushforward (push_coords) is the matrix of g -> g pre or g -> post g
 between Hom spaces, made by one exact product per vertex for the whole
 basis; its composition body (_composites) takes a stack of k maps per
@@ -81,7 +72,6 @@ from .exactla import (
     QuotientSpace,
     Subspace,
     _dot,
-    _kernel_form,
     coordinates,
     kernel_basis,
     kron_kernel,
@@ -96,7 +86,6 @@ from .algebra import (
     ModuleMap,
     Representation,
     SubRep,
-    _indec_vertices,
     _projective_with_labels,
     arrow_ends,
     direct_sum,
@@ -186,27 +175,15 @@ def _stack_entries(hom: HomSpace) -> int:
 
 # Entries (rows x columns) of the largest intertwiner system _build_hom
 # writes: 32 MiB as int64.  The systems of the fixtures, the benchmark and
-# the tests hold at most 32,768 (a 256 x 128 system over F5), 128 times fewer.
+# the tests hold at most 32,768 (a 256 x 128 system over F5), 128 times
+# fewer, but for the tests that run into the cap on purpose.
 MAX_HOM_SYSTEM_ENTRIES = 2 ** 22
 
 
 def _build_hom(a: Representation, b: Representation) -> HomSpace:
-    """The kernel of the intertwiner system, or for Hom(P(v), b) and
-    Hom(a, I(v)) with P(v) or I(v) already built, its Yoneda basis put in
-    the same canonical form (the rref of the reversed rows, reversed back),
-    so both routes give kernel_basis's stack and free columns bit for bit.
-    A system of more than MAX_HOM_SYSTEM_ENTRIES entries raises
-    AlgebraTooLarge before any of it is written."""
-    v = _indec_vertices(a.algebra, "proj", a.side).get(a.key)
-    if v is not None:
-        labels = _projective_with_labels(a.algebra, v, a.side)[1]
-        return HomSpace(a, b, *_kernel_form(_yoneda_rows(b, v, labels, dual=False)))
-    v = _indec_vertices(a.algebra, "inj", a.side).get(b.key)
-    if v is not None:
-        # I(v) = D P'(v) with P' on the other side: a map a -> I(v) is the
-        # dual of one P'(v) -> D a, whose labels act on D a as on a, transposed
-        labels = _projective_with_labels(a.algebra, v, other_side(a.side))[1]
-        return HomSpace(a, b, *_kernel_form(_yoneda_rows(a, v, labels, dual=True)))
+    """The kernel of the intertwiner system.  A system of more than
+    MAX_HOM_SYSTEM_ENTRIES entries raises AlgebraTooLarge before any of it
+    is written."""
     offs, total = _block_offsets(a.vertices, b.dims, a.dims)
     terms = []
     for ar in a.algebra.quiver.arrows:
@@ -221,21 +198,6 @@ def _build_hom(a: Representation, b: Representation) -> HomSpace:
             f"has {rows} x {total} = {rows * total} entries, more than {MAX_HOM_SYSTEM_ENTRIES}"
         )
     return HomSpace(a, b, *kron_kernel(a.algebra.field, offs, total, terms))
-
-
-def _yoneda_rows(m: Representation, v: str, labels: Dict[str, List], dual: bool) -> Matrix:
-    """Row i is the flattened map P(v) -> m sending the generator e_v to unit
-    vector i of m_v, each path label to its action on it (labels: P(v)'s, on
-    m's side); dual, the map m -> D P'(v) dual to P'(v) -> D m sending e_v
-    to unit vector i (labels: P'(v)'s, on the other side)."""
-    d = m.dims[v]
-    parts = []
-    for w in m.vertices:
-        shape = (d, m.dims[w]) if dual else (m.dims[w], d)
-        acts = _label_actions(m, labels[w], shape)
-        block = acts.transpose(1, 0, 2) if dual else acts.transpose(2, 1, 0)
-        parts.append(block.reshape(d, block.shape[1] * block.shape[2]))
-    return Matrix(m.algebra.field, np.concatenate(parts, axis=1), _trusted=True)
 
 
 def _label_actions(m: Representation, paths: List, shape: Tuple[int, int]) -> np.ndarray:

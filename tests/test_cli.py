@@ -982,14 +982,16 @@ def test_verify_refuses_an_oversized_random_module_before_drawing_it(a2_file):
     [
         ("stablehom", {"kind": "rational"}, ("left", "left")),
         ("tensor", {"kind": "prime", "p": 5}, ("right", "left")),
+        ("tensor", {"kind": "rational"}, ("right", "left")),
     ],
-    ids=["stablehom-q", "tensor-f5"],
+    ids=["stablehom-q", "tensor-f5", "tensor-q"],
 )
 def test_an_oversized_hom_system_exits_with_usage_not_a_traceback(tmp_path, command, field, sides):
     # semisimple modules of dimension vector (300, 300) over A2: each holds
     # 90000 entries, but Hom between two of them (and the tensor, read off
     # Hom(b, D a)) is a 90000 x 180000 system, refused before any of it is
-    # written; it used to end in a MemoryError
+    # written; it used to end in a MemoryError.  tensor checks it before it
+    # builds the transpose, so each command exits in well under a second
     algebra = tmp_path / "a2.json"
     algebra.write_text(json.dumps(dict(A2_DOC, field=field)))
     paths = []
@@ -1000,9 +1002,20 @@ def test_an_oversized_hom_system_exits_with_usage_not_a_traceback(tmp_path, comm
         paths.append(str(path))
     start = time.perf_counter()
     proc = _run_capped([command, str(algebra), *paths])
-    assert time.perf_counter() - start < 30
+    assert time.perf_counter() - start < 5
     assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
     assert "has 90000 x 180000 = 16200000000 entries, more than 4194304" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_exits_with_usage_when_a_law_meets_an_oversized_hom_system(a2_file):
+    # at --max-dim 80 fp-kernel-cokernel asks for a Hom system past the cap:
+    # a refused input (exit 2), not a failed law (exit 1)
+    proc = _run_capped(["verify", a2_file, "--max-dim", "80", "--count", "2",
+                        "--laws", "fp-kernel-cokernel"])
+    assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
+    assert re.search(r"^error: the Hom system between dimension vectors .* more than 4194304$",
+                     proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
 
 

@@ -17,9 +17,9 @@ system), and whichever wrote it is compared with the reference.  Over Q
 the list writer writes integers, the system times d, the common
 denominator of the entries of its terms: they must be d times the
 reference, entry for entry.
-Hom(P(v), m) and Hom(m, I(v)) build no system at all: they are read off
-the path labels of P(v) (Yoneda).  Their stacks and free columns must
-still be the kernel of the Kronecker reference system, bit for bit.
+Every Hom space writes exactly one system, Hom(P(v), m) and Hom(m, I(v))
+included, and its stack and free columns are the kernel of the Kronecker
+reference system, bit for bit.
 """
 
 import random
@@ -54,7 +54,6 @@ from stabhom.exactla import (
     Field,
     Matrix,
     Subspace,
-    _kernel_form,
     kernel_basis,
     vstack,
 )
@@ -179,17 +178,6 @@ def _push_by_maps(source, target, transform):
 # -- assembly ---------------------------------------------------------------------------
 
 
-def _yoneda_shape(a, b):
-    """Whether a is an indecomposable projective or b an indecomposable
-    injective, building every one of them on their side first: the Yoneda
-    route knows those built so far."""
-    alg, side = a.algebra, a.side
-    return any(
-        a == indec_projective(alg, v, side) or b == indec_injective(alg, v, side)
-        for v in alg.quiver.vertices
-    )
-
-
 @contextmanager
 def _written_systems(field):
     """The Kronecker systems homology writes in this block, from either
@@ -236,21 +224,14 @@ def _assert_written(systems, want):
 
 
 def _assert_hom_matches(a, b):
-    yoneda_shape = _yoneda_shape(a, b)
     # the build itself: hom_basis may answer from its memo without a system
-    with _written_systems(a.algebra.field) as systems, \
-            mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda:
+    with _written_systems(a.algebra.field) as systems:
         hom = homology._build_hom(a, b)
     want = _hom_system_by_kron(a, b)
-    if yoneda_shape:
-        # read off the path labels of P(v): no system is built or eliminated
-        assert systems == []
-        assert yoneda.call_count == 1
-    else:
-        _assert_written(systems, want)
-        assert not yoneda.called
+    _assert_written(systems, want)
     ref = HomSpace(a, b, *kernel_basis(want, with_free=True))
     assert hom.stack == ref.stack
+    assert hom.stack.data.dtype == ref.stack.data.dtype
     assert hom.free == ref.free
     assert hom_basis(a, b).stack == ref.stack
 
@@ -281,7 +262,7 @@ def test_hom_system_equals_the_kronecker_reference_on_canonical_modules(name, si
 @pytest.mark.parametrize("k", range(len(FIELDS)), ids=[repr(f) for f in FIELDS])
 @pytest.mark.parametrize("side", [LEFT, RIGHT])
 @pytest.mark.parametrize("name", ALGEBRAS)
-def test_hom_from_a_projective_or_into_an_injective_is_read_off_path_labels(name, side, k):
+def test_hom_from_a_projective_or_into_an_injective_equals_the_kronecker_reference(name, side, k):
     alg = _algebra(name, k)
     mods = [zero_module(alg, side)] + _modules(alg, side, random.Random(k), 6)
     for v in alg.quiver.vertices:
@@ -290,7 +271,6 @@ def test_hom_from_a_projective_or_into_an_injective_is_read_off_path_labels(name
         p, i = indec_projective(alg, v, side), indec_injective(alg, v, side)
         for m in mods:
             for a, b in ((p, m), (m, i)):
-                assert _yoneda_shape(a, b)
                 _assert_hom_matches(a, b)
                 assert hom_basis(a, b).dim == m.dims[v]
 
@@ -321,12 +301,10 @@ FIXTURES = [name for name in BUILDERS if not name.endswith("_rational")]
 
 @pytest.mark.parametrize("k", range(len(FIELDS)), ids=[repr(f) for f in FIELDS])
 @pytest.mark.parametrize("name", FIXTURES)
-def test_a_tensor_with_a_projective_factor_takes_the_yoneda_route(name, k):
+def test_a_tensor_with_a_projective_factor_equals_the_kronecker_reference(name, k):
     # a fresh algebra: every Hom space below is built here, none remembered
     alg = BUILDERS[name](FIELDS[k])
     rng = random.Random(k)
-    for v in alg.quiver.vertices:
-        indec_injective(alg, v, LEFT)  # the route knows the I(v) built so far
     pairs, seen = [], set()
     for v in alg.quiver.vertices:
         p, pr = indec_projective(alg, v, LEFT), indec_projective(alg, v, RIGHT)
@@ -338,10 +316,7 @@ def test_a_tensor_with_a_projective_factor_takes_the_yoneda_route(name, k):
         if (a.key, b.key) in seen:
             continue
         seen.add((a.key, b.key))
-        with mock.patch.object(homology, "_kernel_form", wraps=_kernel_form) as yoneda, \
-                mock.patch.object(homology, "kron_kernel") as system:
-            ts = TensorSpace(a, b)
-        assert yoneda.call_count == 1 and not system.called
+        ts = TensorSpace(a, b)
         ref = Subspace(alg.field, ts.ambient_dim, _tensor_relations_by_kron(a, b)).quotient()
         assert ts.quotient.projection.data.dtype == ref.projection.data.dtype
         assert ts.quotient.projection == ref.projection
@@ -378,14 +353,13 @@ def test_q_systems_are_written_in_integers_d_times_the_reference(case):
 
 
 def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
-    """A Q Hom space not read off path labels is solved on integer rows: the
-    numpy writer (_kron_rows) is not called, and the only
-    Fractions made are the basis entries off its free columns, at most
-    free x pivots, one Fraction(0) and one Fraction(1)."""
+    """A Q Hom space is solved on integer rows: the numpy writer (_kron_rows)
+    is not called, and the only Fractions made are the basis entries off
+    its free columns, at most free x pivots, one Fraction(0) and one
+    Fraction(1)."""
     alg = _algebra("kronecker", FIELDS.index(Field.rational()))
     rng = random.Random(1)
     a, b = (_rescaled(direct_sum(_modules(alg, LEFT, rng, 3)).module, rng) for _ in range(2))
-    assert not _yoneda_shape(a, b)
     made = []
     make = Fraction.__new__
 

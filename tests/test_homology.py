@@ -663,3 +663,19 @@ def test_a_hom_system_past_the_cap_is_refused_before_it_is_written(a2, monkeypat
     monkeypatch.setattr(homology, "kron_kernel", None)
     with pytest.raises(AlgebraTooLarge, match=r"\(2, 2\) and \(2, 2\) has 4 x 8 = 32 entries, more than 31"):
         homology._build_hom(m, m)
+
+
+def test_a_hom_system_from_a_projective_or_into_an_injective_takes_the_cap(monkeypatch):
+    # a fresh A2, so no Hom space below is remembered.  With m = S1^2 + S2^2,
+    # Hom(P(1), m) has m_2 P(1)_1 = 2 rows over m_1 P(1)_1 + m_2 P(1)_2 = 4
+    # columns, and Hom(m, I(2)) has I(2)_2 m_1 = 2 rows over 4 columns
+    alg = BUILDERS["a2"](exactla.Field.prime(5))
+    m = Representation(alg, LEFT, {"1": 2, "2": 2}, {})
+    p, i = indec_projective(alg, "1"), indec_injective(alg, "2")
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 7)
+    with pytest.raises(AlgebraTooLarge, match=r"\(1, 1\) and \(2, 2\) has 2 x 4 = 8 entries, more than 7"):
+        hom_basis(p, m)
+    with pytest.raises(AlgebraTooLarge, match=r"\(2, 2\) and \(1, 1\) has 2 x 4 = 8 entries, more than 7"):
+        hom_basis(m, i)
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 8)
+    assert hom_basis(p, m).dim == hom_basis(m, i).dim == 2
