@@ -357,7 +357,7 @@ def _law_torsionless_embedding(ctx: LawContext, res: LawResult) -> None:
     for side, i, a in ctx.catalog():
         if bass_torsion(a, "reject").dim != 0:
             continue
-        gamma = left_proj_approximation(a, verify=False)
+        gamma = left_proj_approximation(a)
         res.record(
             gamma.is_injective(),
             _witness(i, a, side=side),

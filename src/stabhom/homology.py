@@ -4,8 +4,10 @@ Hom(a, b) is the kernel of the intertwiner equations phi_y A - B phi_x = 0,
 one block of rows per arrow x -> y (I (x) A^T at phi_y, -B (x) I at phi_x,
 adding up on a loop): the kernel of one Kronecker system
 (exactla.kron_kernel), with terms (x, B, y, A^T), refused with
-AlgebraTooLarge past MAX_HOM_SYSTEM_ENTRIES before it is written; the
-tensor, read off a Hom space, takes the same cap.
+AlgebraTooLarge past MAX_HOM_SYSTEM_ENTRIES before it is written
+(check_hom_system, which counts from the dimension vectors alone, so that
+randmod refuses a drawn dimension vector before drawing it); the tensor,
+read off a Hom space, takes the same cap.
 The tensor product a (x) b is read off its dual: (a (x) b)* = Hom(b, D a)
 (the tensor-Hom adjunction, Auslander-Reiten-Smalo, Representation Theory
 of Artin Algebras, 1995), so TensorSpace's projection is the stack of
@@ -84,6 +86,7 @@ from .algebra import (
     AlgebraTooLarge,
     BoundQuiverAlgebra,
     ModuleMap,
+    Quiver,
     Representation,
     SubRep,
     _projective_with_labels,
@@ -180,23 +183,33 @@ def _stack_entries(hom: HomSpace) -> int:
 MAX_HOM_SYSTEM_ENTRIES = 2 ** 22
 
 
+def check_hom_system(
+    quiver: Quiver, side: str, dims_a: Dict[str, int], dims_b: Dict[str, int]
+) -> None:
+    """Raise AlgebraTooLarge when the intertwiner system of Hom(a, b) for
+    modules of these dimensions would hold more than MAX_HOM_SYSTEM_ENTRIES
+    entries: one row per entry of phi_y A for each arrow x -> y, one column
+    per entry of phi.  Nothing is allocated to tell."""
+    rows = sum(dims_b[y] * dims_a[x] for x, y in (arrow_ends(ar, side) for ar in quiver.arrows))
+    total = sum(dims_b[v] * dims_a[v] for v in quiver.vertices)
+    if rows * total > MAX_HOM_SYSTEM_ENTRIES:
+        vectors = [tuple(dims[v] for v in quiver.vertices) for dims in (dims_a, dims_b)]
+        raise AlgebraTooLarge(
+            f"the Hom system between dimension vectors {vectors[0]} and {vectors[1]} "
+            f"has {rows} x {total} = {rows * total} entries, more than {MAX_HOM_SYSTEM_ENTRIES}"
+        )
+
+
 def _build_hom(a: Representation, b: Representation) -> HomSpace:
-    """The kernel of the intertwiner system.  A system of more than
-    MAX_HOM_SYSTEM_ENTRIES entries raises AlgebraTooLarge before any of it
-    is written."""
+    """The kernel of the intertwiner system, checked by check_hom_system
+    before any of it is written."""
+    check_hom_system(a.algebra.quiver, a.side, a.dims, b.dims)
     offs, total = _block_offsets(a.vertices, b.dims, a.dims)
     terms = []
     for ar in a.algebra.quiver.arrows:
         # phi_y A - B phi_x = 0, one row for each entry (i, j) of phi_y A
         x, y = arrow_ends(ar, a.side)
         terms.append((x, b.arrow_maps[ar.name].data, y, a.arrow_maps[ar.name].data.T))
-    rows = sum(m1.shape[0] * m2.shape[0] for _, m1, _, m2 in terms)
-    if rows * total > MAX_HOM_SYSTEM_ENTRIES:
-        vectors = [tuple(m.dims[v] for v in a.vertices) for m in (a, b)]
-        raise AlgebraTooLarge(
-            f"the Hom system between dimension vectors {vectors[0]} and {vectors[1]} "
-            f"has {rows} x {total} = {rows * total} entries, more than {MAX_HOM_SYSTEM_ENTRIES}"
-        )
     return HomSpace(a, b, *kron_kernel(a.algebra.field, offs, total, terms))
 
 

@@ -13,16 +13,16 @@ presented by an approximation a -> Q into projectives, defect the
 torsion) and Hom modulo injectives (contravariant, presented by an
 approximation I -> a from injectives, defect the cotorsion) mirror each
 other.  stable_hom computes either factoring subspace, extends_to_projectives
-and lifts_from_injectives are one check, and fp_certificate builds one
-four-term sequence, all through homology's variance rule (_ordered,
-_acting), the one fpfun reads.  The check reads the functor's value at each
-indecomposable through homology's _presented_value, the value body of
-fpfun's fp_eval.  The two approximations and the two halves
-of hereditary_split stay separate: a shared body would need a variance
-branch of its own (to stack the basis blocks below or beside each other;
-to pick a section or a retraction, hstack or vstack) and saves a few
-lines, and shared code that branches on its caller reads worse than two
-plain halves.
+and lifts_from_injectives are one check, _approximation is one body for
+Q = sum of P(v)^{dim Hom(a, P(v))} and I = sum of I(v)^{dim Hom(I(v), a)},
+and fp_certificate builds one four-term sequence, all through homology's
+variance rule (_ordered, _acting), the one fpfun reads.  The check reads
+the functor's value at each indecomposable through homology's
+_presented_value, the value body of fpfun's fp_eval.  The two halves of
+hereditary_split stay separate: a shared body would need a variance branch
+of its own (to pick a section or a retraction, hstack or vstack) and saves
+a few lines, and shared code that branches on its caller reads worse than
+two plain halves.
 
 One summand at a time.  The cover P -> b and the envelope a -> I are sums
 of copies of indecomposables P(v) and I(v), and Hom is additive
@@ -195,52 +195,42 @@ def lifts_from_injectives(gamma: ModuleMap) -> bool:
     return _kills_indecomposables(CONTRAVARIANT, gamma)
 
 
-def left_proj_approximation(a: Representation, verify: bool = True) -> ModuleMap:
-    """The map a -> (regular module)^k collecting a basis of Hom(a, regular).
+def _approximation(variance: str, a: Representation) -> ModuleMap:
+    """a -> Q = sum of P(v)^{dim Hom(a, P(v))} (covariant) or I = sum of
+    I(v)^{dim Hom(I(v), a)} -> a (contravariant), collecting a basis of the
+    Hom space between a and each indecomposable, vertex by vertex.
+    Unchecked: the wrappers below confirm the extension or lifting
+    property."""
+    alg, side = a.algebra, a.side
+    indecs = [_indecomposable(variance, alg, v, side) for v in a.vertices]
+    homs = [hom_basis(*_ordered(variance, a, x)) for x in indecs]
+    summands = [x for x, hom in zip(indecs, homs) for _ in range(hom.dim)]
+    if not summands:
+        return ModuleMap.zero(*_ordered(variance, a, zero_module(alg, side)))
+    # at each vertex, the basis maps below one another (into Q) or beside one another (out of I)
+    stack = np.vstack if variance == COVARIANT else np.hstack
+    maps = {
+        w: Matrix(alg.field, stack([g for hom in homs for g in hom.blocks(w)]), _trusted=True)
+        for w in a.vertices
+    }
+    return ModuleMap(*_ordered(variance, a, direct_sum(summands).module), maps)
 
-    With verify on, the extension property (every map to a projective
-    extends over the result) is confirmed; its failure would be a bug.
-    """
-    alg = a.algebra
-    field = alg.field
-    reg = regular_module(alg, a.side)
-    hom = hom_basis(a, reg)
-    if hom.dim == 0:
-        gamma = ModuleMap.zero(a, zero_module(alg, a.side))
-    else:
-        ds = direct_sum([reg] * hom.dim)
-        # at each vertex, the basis maps stacked one below the other
-        maps = {
-            v: Matrix(field, hom.blocks(v).reshape(ds.module.dims[v], a.dims[v]), _trusted=True)
-            for v in a.vertices
-        }
-        gamma = ModuleMap(a, ds.module, maps)
-    if verify and not extends_to_projectives(gamma):
+
+def left_proj_approximation(a: Representation) -> ModuleMap:
+    """a -> sum of P(v)^{dim Hom(a, P(v))}; every map from a to a projective
+    extends over it (confirmed: a failure would be a bug).  Its kernel is
+    the torsion of a."""
+    gamma = _approximation(COVARIANT, a)
+    if not extends_to_projectives(gamma):
         raise ExtensionFailure("projective approximation missed an extension")
     return gamma
 
 
 def right_inj_approximation(a: Representation) -> ModuleMap:
-    """The map (sum of indec injectives) -> a collecting bases of every
-    Hom(I(v), a); its image is the trace of the injectives in a.  The
-    lifting property is always confirmed; its failure would be a bug."""
-    alg = a.algebra
-    field = alg.field
-    homs = [hom_basis(indec_injective(alg, v, a.side), a) for v in a.vertices]
-    summands = [hom.domain for hom in homs for _ in range(hom.dim)]
-    if not summands:
-        gamma = ModuleMap.zero(zero_module(alg, a.side), a)
-    else:
-        ds = direct_sum(summands)
-        maps = {}
-        for w in a.vertices:
-            # the basis maps side by side, of Hom(I(v), a) for each v in turn
-            cols = [
-                hom.blocks(w).transpose(1, 0, 2).reshape(a.dims[w], hom.dim * hom.domain.dims[w])
-                for hom in homs
-            ]
-            maps[w] = Matrix(field, np.concatenate(cols, axis=1), _trusted=True)
-        gamma = ModuleMap(ds.module, a, maps)
+    """sum of I(v)^{dim Hom(I(v), a)} -> a; every map from an injective to a
+    lifts through it (confirmed: a failure would be a bug).  Its image is
+    the trace of the injectives in a."""
+    gamma = _approximation(CONTRAVARIANT, a)
     if not lifts_from_injectives(gamma):
         raise LiftFailure("injective approximation missed a lift")
     return gamma
@@ -271,8 +261,7 @@ def bass_torsion(a: Representation, method: str = "evaluation") -> SubRep:
             ker = kernel_map(f)
             subs = {v: subs[v].intersect(ker.subspaces[v]) for v in a.vertices}
         return SubRep(a, subs)
-    gamma = left_proj_approximation(a, verify=False)
-    return kernel_map(gamma)
+    return kernel_map(_approximation(COVARIANT, a))
 
 
 def torsionless_quotient(

@@ -15,6 +15,7 @@ from algebras import (
 from stabhom.algebra import (
     LEFT,
     RIGHT,
+    AlgebraTooLarge,
     ModuleMap,
     SubRep,
     indec_projective,
@@ -22,6 +23,7 @@ from stabhom.algebra import (
     simple,
     socle_subspaces,
 )
+from stabhom import homology
 from stabhom import stable as stable_mod
 from stabhom.cli import laws as laws_mod
 from stabhom.cli import main as main_mod
@@ -354,6 +356,18 @@ def test_invariants_checks_each_certificate_for_exactness_once(tmp_path, a2_file
     assert code == 0
     assert len(calls) == len(report["certificates"]) == 2
     assert all(c["exact"] and c["valid"] for c in report["certificates"].values())
+
+
+def test_invariants_of_a_projective_certify_it_as_its_own_approximation(tmp_path, a2_file, capsys):
+    # Q = P(1)^{dim Hom(P(1), P(1))} + P(2)^{dim Hom(P(1), P(2))} = P(1), so
+    # M = 0; into A^2 the sequence read [[0, 0], [1, 1], [1, 2], [0, 1]]
+    alg = a2_algebra()
+    mod_file = _module_file(tmp_path, "a2.json", indec_projective(alg, "1"), "p1.json")
+    code, report = _run_json(capsys, ["invariants", a2_file, mod_file])
+    assert code == 0
+    cert = report["certificates"]["covariant_underline"]
+    assert cert["valid"] and cert["exact"]
+    assert cert["sequence"] == [[0, 0], [1, 1], [1, 1], [0, 0]]
 
 
 def test_invariants_of_right_module(tmp_path, a2_file, capsys):
@@ -1009,13 +1023,40 @@ def test_an_oversized_hom_system_exits_with_usage_not_a_traceback(tmp_path, comm
 
 
 def test_verify_exits_with_usage_when_a_law_meets_an_oversized_hom_system(a2_file):
-    # at --max-dim 80 fp-kernel-cokernel asks for a Hom system past the cap:
-    # a refused input (exit 2), not a failed law (exit 1)
+    # at --max-dim 80 the first module drawn, of dimension vector (17, 72),
+    # has a Hom system with itself past the cap, so the draw refuses it
+    # before any law runs: a refused input (exit 2), not a failed law (exit
+    # 1).  The test below reaches a law's own refusal in process
     proc = _run_capped(["verify", a2_file, "--max-dim", "80", "--count", "2",
                         "--laws", "fp-kernel-cokernel"])
     assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
     assert re.search(r"^error: the Hom system between dimension vectors .* more than 4194304$",
                      proc.stderr, re.M)
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_laws_passes_a_refused_hom_system_through(monkeypatch):
+    # a fresh A2, so no Hom space is remembered; with the cap at 0 the
+    # law's first Hom(P(v), m) with a row is refused, and run_laws raises
+    # it rather than record a failed law
+    ctx = build_context(a2_algebra(), 1, 3, 2)
+    assert any(m.dims["2"] for m in ctx.left_modules)
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 0)
+    with pytest.raises(AlgebraTooLarge, match="more than 0$"):
+        run_laws(ctx, ["projective-representable"])
+
+
+def test_verify_refuses_a_random_module_whose_hom_system_passes_the_cap(a2_file):
+    # at --max-dim 2000 the first dimension vector drawn, (275, 1165), holds
+    # 320375 arrow entries, under the module cap, but its Hom system with
+    # itself holds 4.6 * 10^11: refused before any entry is drawn.  It used
+    # to be drawn and computed on, until a law's system met the cap (20 s)
+    start = time.perf_counter()
+    proc = _run_capped(["verify", a2_file, "--max-dim", "2000"])
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
+    assert re.search(r"^error: the Hom system between dimension vectors \((\d+, \d+)\) and \(\1\) "
+                     r"has .* more than 4194304$", proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
 
 

@@ -227,6 +227,28 @@ def test_left_approximation_kernel_is_torsion(all_algebras):
         assert kernel_map(gamma) == bass_torsion(m, "evaluation")
 
 
+def test_only_the_approximation_torsion_route_skips_the_extension_check(monkeypatch):
+    from stabhom import stable as stable_mod
+    from stabhom.cli.laws import LAWS, build_context
+
+    checked = []
+    real = stable_mod.extends_to_projectives
+    monkeypatch.setattr(
+        stable_mod, "extends_to_projectives", lambda gamma: checked.append(gamma) or real(gamma)
+    )
+    alg = BUILDERS["a3"]()
+    m = direct_sum([simple(alg, "1"), indec_projective(alg, "1")]).module
+    torsion = bass_torsion(m, "approximation")
+    assert torsion.dim_vector() == (1, 0, 0) and not checked
+    left_proj_approximation(m)
+    assert len(checked) == 1
+    # the torsionless-embedding law takes the checked map, one per
+    # torsionless catalog module
+    ctx = build_context(alg, 3, 3, 2)
+    result = LAWS["torsionless-embedding"](ctx)
+    assert result.failures == 0 and len(checked) == 1 + result.checks > 1
+
+
 def test_right_approximation_of_simple(a2):
     gamma = right_inj_approximation(simple(a2, "2"))
     assert gamma.domain.is_zero()

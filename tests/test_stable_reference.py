@@ -38,27 +38,39 @@ from stabhom.algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    ModuleMap,
     Representation,
     direct_sum,
     dual_module,
     indec_injective,
     indec_projective,
+    regular_module,
     simple,
     standard_probes,
     zero_module,
 )
 from stabhom.cli.randmod import random_catalog
 from stabhom.exactla import Field, Matrix, Subspace, kernel_basis
+from stabhom.fpfun import COVARIANT, FpFunctor, fp_eval
 from stabhom.homology import (
     TensorSpace,
+    cokernel_map,
     hom_basis,
     injective_envelope,
+    kernel_map,
     projective_cover,
     push_coords,
     tensor,
     tensor_map,
 )
-from stabhom.stable import MODULO_INJECTIVES, MODULO_PROJECTIVES, stable_hom, tensor_substab
+from stabhom.stable import (
+    MODULO_INJECTIVES,
+    MODULO_PROJECTIVES,
+    left_proj_approximation,
+    right_inj_approximation,
+    stable_hom,
+    tensor_substab,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FLAVORS = (MODULO_PROJECTIVES, MODULO_INJECTIVES)
@@ -103,6 +115,22 @@ def _summand_maps(approx, cover):
             offs[w] = o + g * d
         out.append((x, maps))
     return out
+
+
+def _regular_power_approximation(a):
+    """a -> A^k, k = dim Hom(a, A): at each vertex, a basis of Hom(a, A)
+    stacked one map below the other."""
+    alg = a.algebra
+    reg = regular_module(alg, a.side)
+    hom = hom_basis(a, reg)
+    if hom.dim == 0:
+        return ModuleMap.zero(a, zero_module(alg, a.side))
+    ds = direct_sum([reg] * hom.dim)
+    maps = {
+        v: Matrix(alg.field, hom.blocks(v).reshape(ds.module.dims[v], a.dims[v]), _trusted=True)
+        for v in a.vertices
+    }
+    return ModuleMap(a, ds.module, maps)
 
 
 def _whole_substab_kernel(a, b):
@@ -448,3 +476,49 @@ def test_the_cover_check_fires_on_every_route(monkeypatch):
         with pytest.raises(AlgebraError, match="^projective cover failed to surject$"):
             route()
     assert not alg._cache.get(("memo", "cover")) and not alg._cache.get(("memo", "envelope"))
+
+
+# -- the left approximation against the regular power it replaced --------------------
+
+
+def _dims(m):
+    return np.array(m.dim_vector())
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_the_left_approximation_is_the_regular_power_without_a_projective_summand(name):
+    alg = BUILDERS[name]()
+    for side in (LEFT, RIGHT):
+        probes = standard_probes(alg, side)
+        projectives = [indec_projective(alg, v, side) for v in alg.quiver.vertices]
+        for a in probes + _catalog(alg, side, 31, count=4):
+            old, new = _regular_power_approximation(a), left_proj_approximation(a)
+            assert kernel_map(new) == kernel_map(old)
+            for b in probes:
+                assert (
+                    fp_eval(FpFunctor(COVARIANT, new), b).dim
+                    == fp_eval(FpFunctor(COVARIANT, old), b).dim
+                )
+            ks = [hom_basis(a, p).dim for p in projectives]
+            missed = sum((sum(ks) - k) * _dims(p) for k, p in zip(ks, projectives))
+            assert (_dims(old.codomain) - _dims(new.codomain) == missed).all()
+            assert (_dims(cokernel_map(old)[0]) - _dims(cokernel_map(new)[0]) == missed).all()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_the_left_approximation_of_m_mirrors_the_right_one_of_its_dual(name):
+    alg = BUILDERS[name]()
+    for side in (LEFT, RIGHT):
+        for m in standard_probes(alg, side) + _catalog(alg, side, 32, count=4):
+            q = left_proj_approximation(m).codomain
+            assert q.dim_vector() == right_inj_approximation(dual_module(m)).domain.dim_vector()
+
+
+def test_the_left_approximation_of_a_projective_sum_on_a2():
+    # a = P(1) + S(2) = P(1) + P(2): Hom(a, P(1)) has dimension 2 and
+    # Hom(a, P(2)) dimension 1, so Q = P(1)^2 + P(2); A^3 was (3, 6)
+    alg = a2_algebra()
+    a = direct_sum([indec_projective(alg, "1", LEFT), simple(alg, "2", LEFT)]).module
+    assert left_proj_approximation(a).codomain.dim_vector() == (2, 3)
+    assert right_inj_approximation(dual_module(a)).domain.dim_vector() == (2, 3)
+    assert _regular_power_approximation(a).codomain.dim_vector() == (3, 6)
