@@ -16,6 +16,8 @@ from stabhom.algebra import (
     simple,
     zero_module,
 )
+from stabhom import stable as stable_mod
+from stabhom.cli.laws import LAWS, build_context
 from stabhom.cli.randmod import random_module
 from stabhom.homology import (
     ext1,
@@ -228,9 +230,6 @@ def test_left_approximation_kernel_is_torsion(all_algebras):
 
 
 def test_only_the_approximation_torsion_route_skips_the_extension_check(monkeypatch):
-    from stabhom import stable as stable_mod
-    from stabhom.cli.laws import LAWS, build_context
-
     checked = []
     real = stable_mod.extends_to_projectives
     monkeypatch.setattr(
