@@ -44,6 +44,7 @@ from ..fpfun import (
     present_underline_cov,
 )
 from ..homology import (
+    check_hom_system,
     cover_map,
     envelope_map,
     ext1,
@@ -142,15 +143,26 @@ class LawContext:
                 yield side, i, m
 
 
+def _own_hom_fits(m: Representation) -> None:
+    """The laws compute Hom(m, m) and larger systems on the modules drawn,
+    so a module whose Hom system with itself passes the cap is refused
+    with AlgebraTooLarge as soon as it is drawn, before any law runs."""
+    check_hom_system(m.algebra.quiver, m.side, m.dims, m.dims)
+
+
 def build_context(
     alg: BoundQuiverAlgebra, seed: int, count: int, max_dim: int
 ) -> LawContext:
     rng = random.Random(seed)
     ctx = LawContext(alg, seed, count, max_dim, rng=rng)
-    ctx.left_modules, gen_l = random_catalog(alg, LEFT, count, max_dim, rng)
-    ctx.right_modules, gen_r = random_catalog(alg, RIGHT, count, max_dim, rng)
-    extra_l, gen_pl = random_catalog(alg, LEFT, RANDOM_PROBES, max_dim, rng)
-    extra_r, gen_pr = random_catalog(alg, RIGHT, RANDOM_PROBES, max_dim, rng)
+
+    def draw(side, n):
+        return random_catalog(alg, side, n, max_dim, rng, admit=_own_hom_fits)
+
+    ctx.left_modules, gen_l = draw(LEFT, count)
+    ctx.right_modules, gen_r = draw(RIGHT, count)
+    extra_l, gen_pl = draw(LEFT, RANDOM_PROBES)
+    extra_r, gen_pr = draw(RIGHT, RANDOM_PROBES)
     ctx.probes_left = standard_probes(alg, LEFT) + extra_l
     ctx.probes_right = standard_probes(alg, RIGHT) + extra_r
     ctx.generation = {

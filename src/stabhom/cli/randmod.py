@@ -21,14 +21,13 @@ integers random_scalar makes Fractions) and its relations are decided on
 those arrays by exactla.path_sum_is_zero.  Only the accepted draw becomes
 Matrices (Fractions over Q) and one Representation, which checks the
 relations again.  A dimension vector whose arrow matrices would pass the
-module size cap, or whose Hom system with itself would pass the Hom
-system cap, is refused before any entry is drawn.
+module size cap is refused before any entry is drawn.
 
 Every module records which strategy produced it, and catalogs aggregate
 those counts so reports can show the generation statistics.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from ..exactla import (
     vstack,
 )
 from ..fpfun import CONTRAVARIANT, COVARIANT, FpFunctor, FpMorphism
-from ..homology import check_hom_system, hom_basis, hstack_maps, pushout
+from ..homology import hom_basis, hstack_maps, pushout
 
 MAX_REJECTION_TRIES = 60
 
@@ -230,12 +229,10 @@ def random_module(
     alg: BoundQuiverAlgebra, side: str, max_dim: int, rng
 ) -> Tuple[Representation, str, int]:
     """One random module plus the strategy used and the attempts spent.  A
-    dimension vector whose arrow matrices would pass the module size cap,
-    or whose own Hom system would pass the Hom system cap, raises
-    AlgebraTooLarge before any entry is drawn."""
+    dimension vector whose arrow matrices would pass the module size cap
+    raises AlgebraTooLarge before any entry is drawn."""
     dims = _random_dims(alg, max_dim, rng)
     check_module_entries(alg.quiver, dims)
-    check_hom_system(alg.quiver, side, dims, dims)
     if not alg.relations:
         return _module(alg, side, dims, _random_arrays(alg, side, dims, rng)), STRATEGY_DIRECT, 1
     target = _solvable_arrow(alg)
@@ -256,9 +253,16 @@ def random_module(
 
 
 def random_catalog(
-    alg: BoundQuiverAlgebra, side: str, count: int, max_dim: int, rng
+    alg: BoundQuiverAlgebra,
+    side: str,
+    count: int,
+    max_dim: int,
+    rng,
+    admit: Optional[Callable[[Representation], None]] = None,
 ) -> Tuple[List[Representation], Dict[str, int]]:
-    """count random modules with aggregated generation statistics."""
+    """count random modules with aggregated generation statistics.  admit,
+    when given, sees each module as soon as it is drawn and may raise to
+    refuse it before the next one is drawn."""
     stats = {
         STRATEGY_DIRECT: 0,
         STRATEGY_LINEAR: 0,
@@ -269,6 +273,8 @@ def random_catalog(
     modules = []
     for _ in range(count):
         rep, strategy, attempts = random_module(alg, side, max_dim, rng)
+        if admit is not None:
+            admit(rep)
         stats[strategy] += 1
         stats["attempts"] += attempts
         modules.append(rep)

@@ -6,8 +6,8 @@ adding up on a loop): the kernel of one Kronecker system
 (exactla.kron_kernel), with terms (x, B, y, A^T), refused with
 AlgebraTooLarge past MAX_HOM_SYSTEM_ENTRIES before it is written
 (check_hom_system, which counts from the dimension vectors alone, so that
-randmod refuses a drawn dimension vector before drawing it); the tensor,
-read off a Hom space, takes the same cap.
+verify refuses a drawn module before any law runs); the tensor, read off a
+Hom space, takes the same cap.
 The tensor product a (x) b is read off its dual: (a (x) b)* = Hom(b, D a)
 (the tensor-Hom adjunction, Auslander-Reiten-Smalo, Representation Theory
 of Artin Algebras, 1995), so TensorSpace's projection is the stack of

@@ -1022,16 +1022,28 @@ def test_an_oversized_hom_system_exits_with_usage_not_a_traceback(tmp_path, comm
     assert "Traceback" not in proc.stderr
 
 
-def test_verify_exits_with_usage_when_a_law_meets_an_oversized_hom_system(a2_file):
-    # at --max-dim 80 the first module drawn, of dimension vector (17, 72),
-    # has a Hom system with itself past the cap, so the draw refuses it
-    # before any law runs: a refused input (exit 2), not a failed law (exit
-    # 1).  The test below reaches a law's own refusal in process
-    proc = _run_capped(["verify", a2_file, "--max-dim", "80", "--count", "2",
-                        "--laws", "fp-kernel-cokernel"])
+@pytest.mark.parametrize(
+    "extra, dims",
+    [
+        (["--max-dim", "80", "--count", "2", "--laws", "fp-kernel-cokernel"], (17, 72)),
+        (["--max-dim", "2000"], (275, 1165)),
+    ],
+    ids=["max-dim-80", "max-dim-2000"],
+)
+def test_verify_refuses_a_drawn_module_whose_hom_system_passes_the_cap(a2_file, extra, dims):
+    # the first module drawn holds few enough arrow entries for the module
+    # cap, but its Hom system with itself passes the Hom cap, so verify
+    # refuses it as soon as it is drawn, before any law runs: a refused input
+    # (exit 2), not a failed law (exit 1).  At --max-dim 2000 a module used
+    # to be computed on until a law's system met the cap, after 20 s.  The
+    # test below reaches a law's own refusal in process
+    start = time.perf_counter()
+    proc = _run_capped(["verify", a2_file, *extra])
+    assert time.perf_counter() - start < 5
     assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
-    assert re.search(r"^error: the Hom system between dimension vectors .* more than 4194304$",
-                     proc.stderr, re.M)
+    vector = re.escape(str(dims))
+    assert re.search(rf"^error: the Hom system between dimension vectors {vector} and {vector} "
+                     r"has .* more than 4194304$", proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
 
 
@@ -1046,17 +1058,14 @@ def test_run_laws_passes_a_refused_hom_system_through(monkeypatch):
         run_laws(ctx, ["projective-representable"])
 
 
-def test_verify_refuses_a_random_module_whose_hom_system_passes_the_cap(a2_file):
-    # at --max-dim 2000 the first dimension vector drawn, (275, 1165), holds
-    # 320375 arrow entries, under the module cap, but its Hom system with
-    # itself holds 4.6 * 10^11: refused before any entry is drawn.  It used
-    # to be drawn and computed on, until a law's system met the cap (20 s)
-    start = time.perf_counter()
-    proc = _run_capped(["verify", a2_file, "--max-dim", "2000"])
-    assert time.perf_counter() - start < 5
-    assert proc.returncode == main_mod.EXIT_USAGE, proc.stderr
-    assert re.search(r"^error: the Hom system between dimension vectors \((\d+, \d+)\) and \(\1\) "
-                     r"has .* more than 4194304$", proc.stderr, re.M)
+def test_catalog_computes_on_modules_whose_own_hom_system_passes_the_cap(a2_file):
+    # the torsion search builds Hom(m, A) and Hom(m', A) for submodules, never
+    # Hom(m, m): the first module drawn, (17, 72), whose own Hom system
+    # verify refuses, has a Hom(m, A) system of 34 x 161 entries, so
+    # catalog computes on it
+    proc = _run_capped(["catalog", "--search", "t-nonidempotent", a2_file,
+                        "--max-dim", "80", "--count", "2"])
+    assert proc.returncode == main_mod.EXIT_OK, proc.stderr
     assert "Traceback" not in proc.stderr
 
 
