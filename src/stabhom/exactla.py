@@ -71,6 +71,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
@@ -138,7 +139,9 @@ class Field:
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == PRIME:
-            if p is None or not _is_prime(int(p)):
+            # a float or a string is refused, not truncated (2.5 would be F_2)
+            integral = isinstance(p, numbers.Integral) and not isinstance(p, bool)
+            if not integral or not _is_prime(int(p)):
                 raise ValueError(f"prime field needs a prime modulus, got {p!r}")
             self.p = int(p)
             # int64 holds every product of two reduced entries only while
@@ -531,18 +534,6 @@ def vstack(field: Field, mats: Sequence[Matrix], cols: Optional[int] = None) -> 
         if m.field != field or m.cols != c:
             raise ShapeMismatch("vstack shape/field mismatch")
     return Matrix(field, np.vstack([m.data for m in mats]), _trusted=True)
-
-
-def hstack(field: Field, mats: Sequence[Matrix], rows: Optional[int] = None) -> Matrix:
-    if not mats:
-        if rows is None:
-            raise ShapeMismatch("hstack of nothing needs an explicit row count")
-        return Matrix.zeros(field, rows, 0)
-    r = mats[0].rows
-    for m in mats:
-        if m.field != field or m.rows != r:
-            raise ShapeMismatch("hstack shape/field mismatch")
-    return Matrix(field, np.hstack([m.data for m in mats]), _trusted=True)
 
 
 def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
@@ -1003,12 +994,6 @@ class Subspace:
     def zero(cls, field: Field, n: int) -> "Subspace":
         return cls(field, n)
 
-    @classmethod
-    def full(cls, field: Field, n: int) -> "Subspace":
-        full = cls(field, n)
-        full.basis, full.pivots = Matrix.identity(field, n), tuple(range(n))
-        return full
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -1032,16 +1017,6 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace(self.field, self.ambient_dim, vstack(self.field, [self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # x in both spans: x = U^T a = V^T b; read a-part off the kernel of [U^T | -V^T]
-        stacked = hstack(self.field, [self.basis.transpose(), -other.basis.transpose()])
-        ker = kernel_basis(stacked)
-        acoef = Matrix(self.field, ker.data[:, : self.dim].copy(), _trusted=True)
-        return Subspace(self.field, self.ambient_dim, acoef @ self.basis)
 
     def _check(self, other: "Subspace"):
         if self.field != other.field:

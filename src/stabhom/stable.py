@@ -5,8 +5,8 @@ tensor product with its torsion radical.
 
 Conventions.  The torsion subrepresentation of a module is computed by
 three independent routes (evaluation into the double dual, joint reject
-of the regular module, kernel of the projective approximation) that are
-compared in the test suite rather than inside this module.
+of the regular module, kernel of the projective approximation) that the
+torsion-agreement law compares, not this module.
 
 One code path per stable flavor.  Hom modulo projectives (covariant,
 presented by an approximation a -> Q into projectives, defect the
@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactla import Matrix, QuotientSpace, Subspace, rank
+from .exactla import Matrix, QuotientSpace, Subspace, kernel_basis, rank
 from .algebra import (
     LEFT,
     RIGHT,
@@ -243,7 +243,8 @@ def bass_torsion(a: Representation, method: str = "evaluation") -> SubRep:
     """The torsion subrepresentation, by one of three routes.
 
     evaluation: kernel of the map into the double dual.
-    reject: joint kernel of a basis of Hom(a, regular module).
+    reject: joint kernel of a basis of Hom(a, A): at each vertex, the
+    kernel of the basis maps' matrices stacked one below the other.
     approximation: kernel of the projective approximation.
     """
     if method not in TORSION_METHODS:
@@ -252,15 +253,14 @@ def bass_torsion(a: Representation, method: str = "evaluation") -> SubRep:
         ev, _, _ = eval_double_dual(a)
         return kernel_map(ev)
     if method == "reject":
-        alg = a.algebra
-        field = alg.field
-        reg = regular_module(alg, a.side)
+        field, reg = a.algebra.field, regular_module(a.algebra, a.side)
         hom = hom_basis(a, reg)
-        subs = {v: Subspace.full(field, a.dims[v]) for v in a.vertices}
-        for f in hom.basis_maps():
-            ker = kernel_map(f)
-            subs = {v: subs[v].intersect(ker.subspaces[v]) for v in a.vertices}
-        return SubRep(a, subs)
+        # both counts given, as a.dims[w] may be 0
+        stacks = {w: hom.blocks(w).reshape(hom.dim * reg.dims[w], a.dims[w]) for w in a.vertices}
+        return SubRep(a, {
+            w: Subspace(field, a.dims[w], kernel_basis(Matrix(field, s, _trusted=True)))
+            for w, s in stacks.items()
+        })
     return kernel_map(_approximation(COVARIANT, a))
 
 
@@ -274,16 +274,10 @@ def torsionless_quotient(
 
 
 def cotorsion_trace(a: Representation) -> SubRep:
-    """The sum of all images of maps from indec injectives into a."""
-    alg = a.algebra
-    field = alg.field
-    subs = {v: Subspace.zero(field, a.dims[v]) for v in a.vertices}
-    for v in a.vertices:
-        inj = indec_injective(alg, v, a.side)
-        for f in hom_basis(inj, a).basis_maps():
-            im = image_map(f)
-            subs = {w: subs[w] + im.subspaces[w] for w in a.vertices}
-    return SubRep(a, subs)
+    """The sum of the images of all maps from injectives into a: the image
+    of the unchecked injective approximation I -> a, whose matrix at each
+    vertex is the basis maps of every Hom(I(v), a) side by side."""
+    return image_map(_approximation(CONTRAVARIANT, a))
 
 
 def cotorsion_quotient(

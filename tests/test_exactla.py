@@ -128,13 +128,10 @@ def test_subspace_ambient_mismatch_rejected():
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("n", [0, 1, 3])
-def test_zero_and_full_subspaces_equal_the_eliminated_ones(field, n):
-    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+def test_the_zero_subspace_equals_the_eliminated_one(field, n):
+    zero = Subspace.zero(field, n)
     assert zero == Subspace(field, n, Matrix.zeros(field, 0, n))
     assert zero.pivots == Subspace(field, n, Matrix.zeros(field, 0, n)).pivots == ()
-    assert full == Subspace(field, n, Matrix.identity(field, n))
-    assert full.pivots == Subspace(field, n, Matrix.identity(field, n)).pivots
-    assert full.pivots == tuple(range(n))
 
 
 def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):
@@ -154,7 +151,6 @@ def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):
 
     monkeypatch.setattr(exactla, "rref", counted)
     Subspace.zero(alg.field, 4)
-    Subspace.full(alg.field, 4)
     u.quotient()
     hom.coords_of_flats(hom.stack.scale(3))
     assert calls == []
@@ -260,9 +256,8 @@ def test_solve_none_means_inconsistent(m, seed):
     b = Matrix.from_rows(m.field, rng.randint(-3, 4, size=(m.rows, 1)).tolist())
     x = solve_matrix(m, b)
     if x is None:
-        from stabhom.exactla import hstack
-
-        assert rank(hstack(m.field, [m, b])) == rank(m) + 1
+        mb = Matrix(m.field, np.concatenate([m.data, b.data], axis=1))
+        assert rank(mb) == rank(m) + 1
     else:
         assert m @ x == b
 
@@ -278,10 +273,8 @@ def test_subspace_dimension_formula(m, seed):
     u = Subspace(field, m.cols, m)
     v = Subspace(field, m.cols, other)
     s = u + v
-    i = u.intersect(v)
-    assert s.dim + i.dim == u.dim + v.dim
     assert s.contains(u) and s.contains(v)
-    assert u.contains(i) and v.contains(i)
+    assert max(u.dim, v.dim) <= s.dim <= u.dim + v.dim
 
 
 @settings(max_examples=60, deadline=None)
@@ -870,6 +863,18 @@ def test_strong_pseudoprime_to_small_bases_is_rejected():
     assert not exactla._is_prime(3215031751)
     with pytest.raises(ValueError, match="prime modulus"):
         Field.prime(3215031751)
+
+
+@pytest.mark.parametrize("p", [2.5, 7.9, 5.0, "5", True, None], ids=repr)
+def test_a_modulus_that_is_not_an_integer_is_refused(p):
+    # int(p) would truncate 2.5 to F_2 and 7.9 to F_7
+    with pytest.raises(ValueError, match="prime field needs a prime modulus"):
+        Field.prime(p)
+
+
+def test_a_numpy_integer_modulus_is_accepted():
+    field = Field.prime(np.int64(5))
+    assert field == Field.prime(5) and type(field.p) is int and field.dtype == np.int64
 
 
 def test_large_prime_modulus_is_accepted_at_once():

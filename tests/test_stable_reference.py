@@ -21,7 +21,11 @@ The last tests check that stable Homs read the cover and envelope maps
 alone, building no syzygy or cosyzygy until projective_cover or
 injective_envelope asks for one, and that the cover's surjectivity check
 still refuses a cover one generator short on every route that builds a
-cover map.
+cover map.  The reject route of bass_torsion and cotorsion_trace read a Hom
+basis as one stack per vertex; they must give, bit for bit, the subspaces
+the loops they replaced built one basis map at a time, intersecting kernels
+(_reject_by_intersections, with the intersection Subspace.intersect used to
+compute) or summing images (_trace_by_sums).
 """
 
 import importlib.util
@@ -40,6 +44,7 @@ from stabhom.algebra import (
     AlgebraError,
     ModuleMap,
     Representation,
+    SubRep,
     direct_sum,
     dual_module,
     indec_injective,
@@ -56,6 +61,7 @@ from stabhom.homology import (
     TensorSpace,
     cokernel_map,
     hom_basis,
+    image_map,
     injective_envelope,
     kernel_map,
     projective_cover,
@@ -66,6 +72,8 @@ from stabhom.homology import (
 from stabhom.stable import (
     MODULO_INJECTIVES,
     MODULO_PROJECTIVES,
+    bass_torsion,
+    cotorsion_trace,
     left_proj_approximation,
     right_inj_approximation,
     stable_hom,
@@ -522,3 +530,87 @@ def test_the_left_approximation_of_a_projective_sum_on_a2():
     assert left_proj_approximation(a).codomain.dim_vector() == (2, 3)
     assert right_inj_approximation(dual_module(a)).domain.dim_vector() == (2, 3)
     assert _regular_power_approximation(a).codomain.dim_vector() == (3, 6)
+
+
+# -- the torsion reject and the injective trace against the loops they replaced ------
+
+
+def _full(field, n):
+    """k^n with the identity as its basis, as Subspace.full made it."""
+    full = Subspace(field, n)
+    full.basis, full.pivots = Matrix.identity(field, n), tuple(range(n))
+    return full
+
+
+def _intersect(u, v):
+    """u meet v as Subspace.intersect computed it: x = U^T a = V^T b, with
+    the a-part read off the kernel of [U^T | -V^T]."""
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(u.field, u.ambient_dim)
+    stacked = np.concatenate([u.basis.transpose().data, (-v.basis).transpose().data], axis=1)
+    ker = kernel_basis(Matrix(u.field, stacked, _trusted=True))
+    acoef = Matrix(u.field, ker.data[:, : u.dim].copy(), _trusted=True)
+    return Subspace(u.field, u.ambient_dim, acoef @ u.basis)
+
+
+def _reject_by_intersections(a):
+    """The joint kernel of a basis of Hom(a, A), one basis map at a time."""
+    alg = a.algebra
+    hom = hom_basis(a, regular_module(alg, a.side))
+    subs = {v: _full(alg.field, a.dims[v]) for v in a.vertices}
+    for f in hom.basis_maps():
+        ker = kernel_map(f)
+        subs = {v: _intersect(subs[v], ker.subspaces[v]) for v in a.vertices}
+    return SubRep(a, subs)
+
+
+def _trace_by_sums(a):
+    """The sum of the images of a basis of each Hom(I(v), a), one at a time."""
+    alg = a.algebra
+    subs = {v: Subspace.zero(alg.field, a.dims[v]) for v in a.vertices}
+    for v in a.vertices:
+        for f in hom_basis(indec_injective(alg, v, a.side), a).basis_maps():
+            im = image_map(f)
+            subs = {w: subs[w] + im.subspaces[w] for w in a.vertices}
+    return SubRep(a, subs)
+
+
+def _assert_same_subrep(new, ref):
+    assert new.parent is ref.parent and new == ref
+    for v, sub in ref.subspaces.items():
+        assert _bits(new.subspaces[v].basis) == _bits(sub.basis), v
+        assert new.subspaces[v].pivots == sub.pivots, v
+
+
+@pytest.mark.parametrize("name", sorted(SUMMAND_ALGEBRAS))
+def test_reject_and_trace_match_the_map_by_map_loops(name):
+    alg = SUMMAND_ALGEBRAS[name]()
+    for side in (LEFT, RIGHT):
+        catalog = _catalog(alg, side, 33, count=6)
+        # some vertex of a catalog module is 0: no reshape may read its count off the data
+        assert any(0 in m.dim_vector() for m in catalog)
+        for a in standard_probes(alg, side) + catalog + [zero_module(alg, side)]:
+            _assert_same_subrep(bass_torsion(a, "reject"), _reject_by_intersections(a))
+            _assert_same_subrep(cotorsion_trace(a), _trace_by_sums(a))
+
+
+def test_the_big_prime_references_hold_python_ints():
+    alg = SUMMAND_ALGEBRAS["square_big_prime"]()
+    subs = [
+        s
+        for a in _catalog(alg, LEFT, 33, count=6)
+        for sub in (bass_torsion(a, "reject"), cotorsion_trace(a))
+        for s in sub.subspaces.values()
+    ]
+    assert any(s.dim for s in subs)
+    assert all(s.basis.data.dtype == object for s in subs)
+
+
+def test_a_module_with_no_map_to_the_regular_module_is_all_torsion():
+    for alg in (a2_algebra(), a2_algebra(Field.rational())):
+        s1 = simple(alg, "1", LEFT)
+        assert hom_basis(s1, regular_module(alg, LEFT)).dim == 0
+        torsion = bass_torsion(s1, "reject")
+        assert torsion.is_full() and torsion.dim_vector() == (1, 0)
+        _assert_same_subrep(torsion, _reject_by_intersections(s1))
+        _assert_same_subrep(cotorsion_trace(s1), _trace_by_sums(s1))
