@@ -128,10 +128,13 @@ def test_subspace_ambient_mismatch_rejected():
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("n", [0, 1, 3])
-def test_the_zero_subspace_equals_the_eliminated_one(field, n):
+def test_zero_and_full_subspaces_equal_the_eliminated_ones(field, n):
     zero = Subspace.zero(field, n)
     assert zero == Subspace(field, n, Matrix.zeros(field, 0, n))
     assert zero.pivots == Subspace(field, n, Matrix.zeros(field, 0, n)).pivots == ()
+    # the whole space, as the torsion reject gives it when Hom(a, A) = 0
+    full = Subspace(field, n, kernel_basis(Matrix.zeros(field, 0, n)))
+    assert full.basis == Matrix.identity(field, n) and full.pivots == tuple(range(n))
 
 
 def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):

@@ -594,7 +594,7 @@ def test_reject_and_trace_match_the_map_by_map_loops(name):
             _assert_same_subrep(cotorsion_trace(a), _trace_by_sums(a))
 
 
-def test_the_big_prime_references_hold_python_ints():
+def test_reject_and_trace_hold_python_ints_past_int64():
     alg = SUMMAND_ALGEBRAS["square_big_prime"]()
     subs = [
         s
