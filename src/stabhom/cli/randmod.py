@@ -19,8 +19,10 @@ A candidate is drawn as raw integer arrays (Field.random_integers, the
 generator calls of random_scalar: residues mod p over F_p, over Q the
 integers random_scalar makes Fractions) and its relations are decided on
 those arrays by exactla.path_sum_is_zero.  Only the accepted draw becomes
-Matrices (Fractions over Q) and one Representation, which checks the
-relations again.  A dimension vector whose arrow matrices would pass the
+Matrices (Fractions over Q) and one Representation.  That Representation
+checks the relations again after a linear solve, which verifies the
+solve, and is trusted after a rejection draw, whose relations were just
+decided on the same integers.  A dimension vector whose arrow matrices would pass the
 module size cap is refused before any entry is drawn.
 
 Every module records which strategy produced it, and catalogs aggregate
@@ -92,14 +94,17 @@ def _random_arrays(alg, side, dims, rng, skip=None) -> Dict[str, np.ndarray]:
     }
 
 
-def _module(alg, side, dims, arrays, solved=None) -> Representation:
+def _module(alg, side, dims, arrays, solved=None, checked=False) -> Representation:
     """The module of drawn arrays, with the solved arrow's Matrix, if any:
-    the only Matrices and Representation a draw makes, and the module
-    checks the relations once more."""
+    the only Matrices and Representation a draw makes.  The module checks
+    the relations once more, on the Matrices, unless the caller has just
+    checked them on these arrays (checked): the arrays are the Matrices'
+    integers, so that check decides the same equations.  Its shapes are
+    checked either way."""
     maps = {name: Matrix.from_integers(alg.field, a) for name, a in arrays.items()}
     if solved is not None:
         maps.update(solved)
-    return Representation(alg, side, dims, maps)
+    return Representation(alg, side, dims, maps, _trusted=checked)
 
 
 def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
@@ -248,7 +253,7 @@ def random_module(
             path_sum_is_zero(field, _term_arrays(arrays, rel.terms, side))
             for rel in alg.relations
         ):
-            return _module(alg, side, dims, arrays), STRATEGY_REJECTION, attempt
+            return _module(alg, side, dims, arrays, checked=True), STRATEGY_REJECTION, attempt
     return _projective_quotient(alg, side, max_dim, rng), STRATEGY_QUOTIENT, 1
 
 

@@ -53,8 +53,8 @@ p = 46337, then int64; Python ints in object arrays beyond), swaps no
 rows, and delays reduction mod p: the whole array is reduced only as
 often as the dtype's range demands, and once at the end.  Over Q it is
 fraction-free on integer rows (_rref_rational), which a pivot changes
-from the first pivot column on: the one Q core, under rref's Fractions
-and under kernel_basis's.  The rref is unique, so the core chosen changes
+from the first pivot column on, each pivot the smallest entry of its
+column: the one Q core, under rref's Fractions and under kernel_basis's.  The rref is unique, so the core chosen changes
 no output.  rank counts the pivots of the same elimination (_eliminate)
 and makes no rref matrix, over Q no Fraction.
 
@@ -385,11 +385,12 @@ class Matrix:
         return _dot(self.field, self.data, vec)
 
     def __eq__(self, other) -> bool:
+        """Same field, shape and entries, the entries compared by _equal."""
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.shape == other.shape
-            and bool(np.array_equal(self.data, other.data))
+            and _equal(self.field, self.data, other.data)
         )
 
     def __repr__(self) -> str:
@@ -398,6 +399,19 @@ class Matrix:
     def entries(self) -> List:
         """Row-major flat list of entries."""
         return list(self.data.reshape(-1))
+
+
+def _equal(field: Field, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays over the field have one shape and equal entries.
+    Over Q it compares each entry's (numerator, denominator) pair, which
+    canonical Fractions and ints share exactly when they are equal, with no
+    Fraction.__eq__; over F_p it is np.array_equal, for int64 and object
+    arrays alike."""
+    if field.kind != RATIONAL:
+        return bool(np.array_equal(a, b))
+    return a.shape == b.shape and [x.as_integer_ratio() for x in a.ravel().tolist()] == [
+        x.as_integer_ratio() for x in b.ravel().tolist()
+    ]
 
 
 def _integers(xs: List[Fraction]) -> Tuple[List[int], int]:
@@ -707,30 +721,46 @@ def _rref_numpy(field: Field, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 
 def _rref_rational(a: List[List[int]], nc: int) -> Tuple[List[List[int]], List[int]]:
     """The Q elimination core: fraction-free on the rows a, Python lists of
-    nc ints, in place (scaling a row does not change its row space).  A
-    pivot x in row p turns each other row r hit at its column col into
-    x r - r[col] p, divided by its content (the gcd of its entries).  Every
-    row is zero left of the first pivot, so updates start there.  Pivot row
-    p ends with its pivot v and every other pivot column zero, so the rref
-    row is p / v; the rows past the rank are zero."""
+    nc ints, in place (scaling a row does not change its row space).  The
+    pivot of column col is the entry of least absolute value among the
+    unused rows, the first found; the search stops at a 1 or -1.  A pivot x
+    in row p turns each other row r hit at its column into x r - r[col] p,
+    which is r - r[col] p for x = 1 and r + r[col] p (the same row negated)
+    for x = -1, with no multiply of r; the new row is divided by its
+    content (the gcd of its entries).  Every row is zero left of the first
+    pivot, so updates start there.  Pivot row p ends with its pivot v and
+    every other pivot column zero, so the rref row is p / v; the rows past
+    the rank are zero.  The pivot columns are the matrix's rank profile,
+    whichever row is taken, and the rref is unique: every caller reads a
+    pivot row only as the ratios r[j] / r[pivot], so the choice of pivot
+    changes no output, only the size of the integers on the way."""
     nr = len(a)
     pivots: List[int] = []
     row = 0
     for col in range(nc):
         if row == nr:
             break
-        piv = next((i for i in range(row, nr) if a[i][col]), None)
+        piv, x = None, 0
+        for i in range(row, nr):
+            y = a[i][col]
+            if y and (piv is None or abs(y) < abs(x)):
+                piv, x = i, y
+                if y == 1 or y == -1:
+                    break
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        prow = a[row]
-        x = prow[col]
         lead = pivots[0] if pivots else col
-        tail = prow[lead:]
+        tail = a[row][lead:]
         for i, r in enumerate(a):
             y = r[col]
             if y and i != row:
-                new = [x * u - y * v for u, v in zip(r[lead:], tail)]
+                if x == 1:
+                    new = [u - y * v for u, v in zip(r[lead:], tail)]
+                elif x == -1:
+                    new = [u + y * v for u, v in zip(r[lead:], tail)]
+                else:
+                    new = [x * u - y * v for u, v in zip(r[lead:], tail)]
                 g = gcd(*new)  # 0 when a row below became zero
                 if g > 1:
                     new = [u // g for u in new]
@@ -884,13 +914,13 @@ def coordinates(basis: Matrix, cols: Sequence[int], vectors: Matrix) -> Optional
     """C with C @ basis = vectors, read off at columns cols where basis is the
     identity; None if the product shows some row is outside the span.  At
     cols the product is C itself, so only the other columns are multiplied
-    and compared."""
+    and compared, by _equal (over Q on integer pairs)."""
     basis._check(vectors)
     if vectors.cols != basis.cols:
         return None
     c = vectors.data[:, list(cols)]
     rest = _other_columns(basis.cols, cols)
-    if not np.array_equal(_dot(basis.field, c, basis.data[:, rest]), vectors.data[:, rest]):
+    if not _equal(basis.field, _dot(basis.field, c, basis.data[:, rest]), vectors.data[:, rest]):
         return None
     return Matrix(vectors.field, c, _trusted=True)
 

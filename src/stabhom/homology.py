@@ -445,11 +445,15 @@ def _build_envelope_map(m: Representation) -> CoverMap:
     """The dual of the cover map of the dual module: the dual of its P(v) on
     the other side is I(v) = indec_injective(alg, v, side), so the groups
     are the cover's.  D is exact, so the dual of that onto map is one to
-    one: the cover's rank check is the envelope's."""
+    one: the cover's rank check is the envelope's.  The map is built
+    trusted, with its shapes checked: its intertwiner equations are the
+    transposes of the cover's, which _build_cover_map checked on the same
+    matrices."""
     cov = cover_map(dual_module(m))
     denv = dual_map(cov.map)
     groups = [(v, dual_module(x), g) for v, x, g in cov.groups]
-    return CoverMap(ModuleMap(m, denv.codomain, denv.vertex_maps), groups, envelope=True)
+    env = ModuleMap(m, denv.codomain, denv.vertex_maps, _trusted=True)
+    return CoverMap(env, groups, envelope=True)
 
 
 def injective_envelope(m: Representation) -> ShortExactSequence:

@@ -889,3 +889,88 @@ def test_large_prime_modulus_is_accepted_at_once():
 def test_modulus_beyond_the_exact_bound_is_rejected():
     with pytest.raises(ValueError, match="too large"):
         Field.prime(exactla._MR_EXACT_BELOW + 2)
+
+
+# -- exact equality of arrays --------------------------------------------------------
+
+
+def _q_array(xs, shape):
+    out = np.empty(shape, dtype=object)
+    out.ravel()[:] = xs
+    return out
+
+
+BIG = 2 ** 70 + 1
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        Fraction(-3, 7),  # the sign
+        Fraction(4, 7),  # the numerator
+        Fraction(3, 8),  # the denominator
+        Fraction(BIG + 2, 7),  # a numerator past 2^64
+    ],
+    ids=["sign", "numerator", "denominator", "big_numerator"],
+)
+def test_q_arrays_differing_in_one_entry_are_unequal(changed):
+    q = Field.rational()
+    xs = [Fraction(1), Fraction(-2, 5), Fraction(BIG, 7), Fraction(3, 7), Fraction(0), Fraction(1, 10 ** 6)]
+    a = _q_array(xs, (2, 3))
+    b = _q_array(xs[:3] + [changed] + xs[4:], (2, 3))
+    assert exactla._equal(q, a, a.copy())
+    assert not exactla._equal(q, a, b) and not exactla._equal(q, b, a)
+    assert not np.array_equal(a, b)
+    assert Matrix(q, a, _trusted=True) != Matrix(q, b, _trusted=True)
+
+
+def test_q_int_entries_equal_their_fractions():
+    q = Field.rational()
+    ints = _q_array([0, 1, -2, BIG], (2, 2))
+    fracs = _q_array([Fraction(0), Fraction(1), Fraction(-2), Fraction(BIG)], (2, 2))
+    assert exactla._equal(q, ints, fracs) and exactla._equal(q, fracs, ints)
+    assert not exactla._equal(q, ints, _q_array([Fraction(0), Fraction(1), Fraction(-2), Fraction(BIG, 3)], (2, 2)))
+
+
+@pytest.mark.parametrize("field", FIELDS + [Field.prime(P32)], ids=repr)
+@pytest.mark.parametrize("left, right", [((0, 3), (0, 3)), ((0, 0), (0, 0)), ((3, 0), (3, 0)),
+                                         ((0, 3), (3, 0)), ((0, 3), (0, 2)), ((2, 2), (2, 3))])
+def test_arrays_of_any_shape_compare_as_numpy_does(field, left, right):
+    a, b = field.zeros(*left), field.zeros(*right)
+    assert exactla._equal(field, a, b) == np.array_equal(a, b) == (left == right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Field.prime(5), Field.prime(P32)]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 10 ** 6))
+def test_prime_arrays_compare_as_numpy_does(field, rows, cols, seed):
+    rng = random.Random(seed)
+    a = field.zeros(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            a[i, j] = rng.randrange(field.p)
+    b = a.copy()
+    if a.size and rng.random() < 0.7:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        b[i, j] = (b[i, j] + rng.randrange(1, field.p)) % field.p
+    assert a.dtype == b.dtype == field.dtype
+    assert exactla._equal(field, a, b) == bool(np.array_equal(a, b))
+    assert exactla._equal(field, a, a.copy())
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(5)], ids=repr)
+def test_coordinates_refuse_a_row_outside_the_span_at_a_non_free_column(field):
+    """The basis is the identity at columns 0 and 1; a row that agrees with
+    a vector of the span there and differs only at column 2 is outside."""
+    basis = Matrix.from_rows(field, [[1, 0, 2], [0, 1, 3]])
+    rows = [[1, 1, 5], [2, 4, 16]]
+    if field.kind == exactla.RATIONAL:
+        rows.append([Fraction(1, 2), Fraction(1, 3), Fraction(2)])
+    span = Matrix.from_rows(field, rows)
+    want = Matrix.from_rows(field, [r[:2] for r in rows])
+    assert coordinates(basis, (0, 1), span) == want
+    for i in range(len(rows)):
+        for delta in (1, Fraction(1, 10 ** 6)) if field.kind == exactla.RATIONAL else (1,):
+            moved = span.data.copy()
+            moved[i, 2] = field.add(moved[i, 2], field.coerce(delta))
+            assert coordinates(basis, (0, 1), Matrix(field, moved, _trusted=True)) is None

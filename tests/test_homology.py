@@ -28,7 +28,7 @@ from stabhom.algebra import (
 from stabhom import exactla, homology
 from stabhom.cli.laws import build_context, run_laws
 from stabhom.cli.randmod import random_catalog, random_module
-from stabhom.exactla import Matrix, rank
+from stabhom.exactla import Field, Matrix, rank
 from stabhom.fpfun import present_overline_cov, present_underline_contra
 from stabhom.homology import (
     cokernel_map,
@@ -209,7 +209,7 @@ def test_a_sequence_with_a_zero_end_map_is_not_exact(a2):
 def test_covers_and_envelopes_are_minimal(name):
     """A cover surjects, has the top of its module and its syzygy inside its
     radical; an envelope injects, has the socle of its module and its socle
-    inside the image."""
+    inside the image, and intertwines, though it is built unchecked."""
     alg = BUILDERS[name]()
     for side in (LEFT, RIGHT):
         for m in standard_probes(alg, side) + random_catalog(alg, side, 8, 3, random.Random(11))[0]:
@@ -219,6 +219,7 @@ def test_covers_and_envelopes_are_minimal(name):
             syz = image_map(cov.inclusion).subspaces
             env = injective_envelope(m)
             assert env.inclusion.is_injective()
+            env.inclusion._check_intertwiner()
             soc_i, soc_m = socle_subspaces(env.middle), socle_subspaces(m)
             img = image_map(env.inclusion).subspaces
             for v in alg.quiver.vertices:
@@ -226,6 +227,35 @@ def test_covers_and_envelopes_are_minimal(name):
                 assert rad_p[v].contains(syz[v])
                 assert soc_i[v].dim == soc_m[v].dim
                 assert img[v].contains(soc_i[v])
+
+
+def test_a_planted_defect_in_the_cover_fails_the_cover_and_the_envelope(monkeypatch):
+    """One entry of the first path action a cover reads is changed.  The
+    cover map then fails its intertwiner check, and the envelope map, built
+    unchecked, fails it too, in the cover of its dual module."""
+    real = homology._label_actions
+    calls = []
+
+    def planted(m, paths, shape):
+        acts = real(m, paths, shape)
+        if not calls:  # the first call of each build: 2 times the identity would intertwine
+            acts[(0,) * acts.ndim] += 1
+        calls.append(paths)
+        return acts
+
+    for field in (Field.prime(5), Field.rational()):
+        alg = algebras.a2_algebra(field)  # fresh, so no cover is memoized yet
+        m = indec_projective(alg, "1", LEFT)  # P(1) = I(2): 1 -> 1, both maps the identity
+        monkeypatch.setattr(homology, "_label_actions", planted)
+        with pytest.raises(AlgebraError, match="intertwiner"):
+            homology.cover_map(m)
+        calls.clear()
+        with pytest.raises(AlgebraError, match="intertwiner") as raised:
+            homology.envelope_map(m)
+        assert "_build_cover_map" in [entry.name for entry in raised.traceback]
+        monkeypatch.undo()
+        calls.clear()  # the next field's cover plants again
+        assert homology.envelope_map(m).map.is_injective()
 
 
 def test_building_a_cover_makes_no_solve_call(square):

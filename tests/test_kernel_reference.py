@@ -14,13 +14,23 @@ basis's.  A kernel basis is unique, so every route must give the same
 matrix, dtype, entry types and free columns as its reference, on each side
 of SMALL_ENTRIES for the matrix and for its basis, over F2, F5,
 F(2^31 - 1), F(4294967311) (Python ints) and Q.
+
+The Q core, _rref_rational, used to pivot on the first nonzero entry of
+each column; it now pivots on the entry of least absolute value.  The
+first-nonzero core is kept here (_first_nonzero_rref_rational), and every
+Q route, rref, rank, kernel_basis, solve_with_kernel and kron_kernel, must
+give the same Fractions, entry types, pivots and free columns on either
+core.
 """
 
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabhom import exactla
@@ -31,6 +41,7 @@ from stabhom.exactla import (
     Subspace,
     kernel_basis,
     kron_kernel,
+    rank,
     rref,
     solve_with_kernel,
 )
@@ -152,6 +163,38 @@ def reference_kron_kernel(field, offs, total, terms):
     return _kernel_lists(field, exactla._kron_lists(offs, total, terms), total)
 
 
+def _first_nonzero_rref_rational(a, nc):
+    """The Q core as it was: fraction-free on integer rows in place, with
+    the first nonzero entry of each column, among the unused rows, as its
+    pivot x, and each other row r hit there turned into x r - r[col] p,
+    divided by its content."""
+    nr = len(a)
+    pivots = []
+    row = 0
+    for col in range(nc):
+        if row == nr:
+            break
+        piv = next((i for i in range(row, nr) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        prow = a[row]
+        x = prow[col]
+        lead = pivots[0] if pivots else col
+        tail = prow[lead:]
+        for i, r in enumerate(a):
+            y = r[col]
+            if y and i != row:
+                new = [x * u - y * v for u, v in zip(r[lead:], tail)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [u // g for u in new]
+                a[i] = r[:lead] + new
+        pivots.append(col)
+        row += 1
+    return a, pivots
+
+
 def _reference_solve_with_kernel(m, b):
     solved = exactla._solve(m, b)
     if solved is None:
@@ -228,3 +271,100 @@ def test_every_kernel_route_equals_its_reference(case):
     u = Subspace(field, m.cols, m)
     q = u.quotient()
     assert_same_kernel((q.projection, tuple(q.free)), _null_rows(u.basis, u.pivots))
+
+
+# -- the Q core against the first-nonzero core ---------------------------------------
+
+
+def _rational_entry(draw):
+    """A Fraction of a numerator near +-3 or past +-2^70 over a denominator
+    up to 10^6."""
+    num = draw(st.one_of(
+        st.integers(-3, 3),
+        st.integers(2 ** 70, 2 ** 70 + 9).map(lambda n: n * draw(st.sampled_from([-1, 1]))),
+    ))
+    return Fraction(num, draw(st.one_of(st.just(1), st.integers(1, 10 ** 6))))
+
+
+@st.composite
+def rational_matrices(draw):
+    """A Q matrix of up to 6 x 7 with zero rows and columns, rows that are
+    combinations of others (rank-deficient), and columns given a 1 or -1
+    or none."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    data = [[_rational_entry(draw) if draw(st.booleans()) else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+    for i in range(1, rows):
+        kind = draw(st.sampled_from(["own", "zero", "combination"]))
+        if kind == "zero":
+            data[i] = [Fraction(0)] * cols
+        elif kind == "combination":
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+            j = draw(st.integers(0, i - 1))
+            data[i] = [c * x + d * y for x, y in zip(data[j], data[i - 1])]
+    for j in range(cols):
+        kind = draw(st.sampled_from(["unit", "zero", "as_drawn"]))
+        if kind == "unit" and rows:
+            data[draw(st.integers(0, rows - 1))][j] = Fraction(draw(st.sampled_from([-1, 1])))
+        elif kind == "zero":
+            for r in data:
+                r[j] = Fraction(0)
+    out = np.empty((rows, cols), dtype=object)
+    out.ravel()[:] = [x for r in data for x in r]
+    return Matrix(Field.rational(), out), draw(st.integers(0, 10 ** 6))
+
+
+def _bits(m):
+    """A Matrix's shape, dtype, entries and entry types."""
+    return m.shape, m.data.dtype, m.data.tolist(), [type(x) for x in m.data.ravel().tolist()]
+
+
+def _q_routes(m, seed):
+    """Every Q route's output on m, as comparable values."""
+    field, rng = m.field, random.Random(seed)
+    r, nrank, pivots = rref(m)
+    ker, free = kernel_basis(m, with_free=True)
+    out = [_bits(r), nrank, pivots, rank(m), _bits(ker), free]
+    terms = [("x", m.data, "y", np.zeros((1, 0), dtype=object))]
+    got, got_free = kron_kernel(field, {"x": 0, "y": m.cols}, m.cols, terms)
+    out += [_bits(got), got_free]
+    x0 = Matrix(field, np.array([[Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                                  for _ in range(2)] for _ in range(m.cols)],
+                                dtype=object).reshape(m.cols, 2))
+    drawn = Matrix(field, np.array([[Fraction(rng.randint(-5, 5))] for _ in range(m.rows)],
+                                   dtype=object).reshape(m.rows, 1))
+    for b in (m @ x0, drawn):
+        solved = solve_with_kernel(m, b)
+        out.append(None if solved is None else (_bits(solved[0]), _bits(solved[1])))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_every_q_route_gives_the_same_answer_on_either_core(case):
+    m, seed = case
+    got = _q_routes(m, seed)
+    with mock.patch.object(exactla, "_rref_rational", _first_nonzero_rref_rational):
+        want = _q_routes(m, seed)
+    assert got == want
+    # the consistent right side is solved on both
+    assert got[-2] is not None
+
+
+@pytest.mark.parametrize(
+    "column, pivot",
+    [
+        ([6, -4, 3], 3),
+        ([6, -1, 3], -1),
+        ([0, -4, 2, -2], 2),  # the first of least absolute value
+        ([2, 1, -1], 1),  # the search stops at the first 1 or -1
+        ([2, -1, 1], -1),
+        ([0, 0, 2 ** 70, -(2 ** 70) + 1], -(2 ** 70) + 1),
+    ],
+)
+def test_the_q_core_pivots_on_the_smallest_entry_of_its_column(column, pivot):
+    """One column with a second, zero, column: the pivot row comes first
+    and keeps the pivot; every other row becomes zero."""
+    a, pivots = exactla._rref_rational([[x, 0] for x in column], 2)
+    assert pivots == [0]
+    assert a == [[pivot, 0]] + [[0, 0]] * (len(column) - 1)

@@ -13,7 +13,9 @@ becomes Fractions and one Representation.
 """
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import stabhom.algebra as algebra_mod
@@ -90,3 +92,23 @@ def test_a_rejected_candidate_makes_no_module_and_no_fraction_matrix(monkeypatch
             # the accepted draw alone: one module and its one arrow matrix
             assert made == {"modules": 1, "fraction_matrices": 1}
     assert rejected >= 40
+
+
+def test_every_rejection_drawn_loop2_q_module_squares_to_zero():
+    """A module a rejection draw accepts is built unchecked, its relation
+    decided on the drawn integers.  Each one's x, as Fractions, squares to
+    zero by numpy's own product of the object array."""
+    alg = BUILDERS["loop2_rational"]()
+    (loop,) = alg.quiver.arrows
+    drawn = nonzero = 0
+    for seed in range(60):
+        for side in (LEFT, RIGHT):
+            rep, strategy, _ = random_module(alg, side, 3, random.Random(seed))
+            if strategy != STRATEGY_REJECTION:
+                continue
+            x = rep.arrow_maps[loop.name].data
+            assert all(type(e) is Fraction for e in x.ravel())
+            assert not np.dot(x, x).any()
+            drawn += 1
+            nonzero += bool(x.any())
+    assert drawn >= 80 and nonzero >= 20
