@@ -22,8 +22,8 @@ those arrays by exactla.path_sum_is_zero.  Only the accepted draw becomes
 Matrices (Fractions over Q) and one Representation.  That Representation
 checks the relations again after a linear solve, which verifies the
 solve, and is trusted after a rejection draw, whose relations were just
-decided on the same integers.  A dimension vector whose arrow matrices would pass the
-module size cap is refused before any entry is drawn.
+decided on the same integers.  A dimension vector whose arrow matrices
+would pass the module size cap is refused before any entry is drawn.
 
 Every module records which strategy produced it, and catalogs aggregate
 those counts so reports can show the generation statistics.

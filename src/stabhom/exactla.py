@@ -54,9 +54,10 @@ rows, and delays reduction mod p: the whole array is reduced only as
 often as the dtype's range demands, and once at the end.  Over Q it is
 fraction-free on integer rows (_rref_rational), which a pivot changes
 from the first pivot column on, each pivot the smallest entry of its
-column: the one Q core, under rref's Fractions and under kernel_basis's.  The rref is unique, so the core chosen changes
-no output.  rank counts the pivots of the same elimination (_eliminate)
-and makes no rref matrix, over Q no Fraction.
+column: the one Q core, under rref's Fractions and under kernel_basis's.
+The rref is unique, so the core chosen changes no output.  rank counts
+the pivots of the same elimination (_eliminate) and makes no rref
+matrix, over Q no Fraction.
 
 Conventions:
   * Matrices act on column vectors, so a matrix of shape (r, c) maps k^c

@@ -894,30 +894,28 @@ def test_modulus_beyond_the_exact_bound_is_rejected():
 # -- exact equality of arrays --------------------------------------------------------
 
 
-def _q_array(xs, shape):
-    out = np.empty(shape, dtype=object)
-    out.ravel()[:] = xs
-    return out
-
+_q_array = exactla._objects  # the Python objects, row-major, in an object array
 
 BIG = 2 ** 70 + 1
 
 
 @pytest.mark.parametrize(
-    "changed",
+    "index, changed",
     [
-        Fraction(-3, 7),  # the sign
-        Fraction(4, 7),  # the numerator
-        Fraction(3, 8),  # the denominator
-        Fraction(BIG + 2, 7),  # a numerator past 2^64
+        (3, Fraction(-3, 7)),
+        (3, Fraction(4, 7)),
+        (3, Fraction(3, 8)),
+        (2, Fraction(BIG + 2 ** 64, 7)),
+        (2, Fraction(BIG, 11)),
     ],
-    ids=["sign", "numerator", "denominator", "big_numerator"],
+    ids=["sign", "numerator", "denominator", "big_numerator", "big_denominator"],
 )
-def test_q_arrays_differing_in_one_entry_are_unequal(changed):
+def test_q_arrays_differing_in_one_entry_are_unequal(index, changed):
     q = Field.rational()
-    xs = [Fraction(1), Fraction(-2, 5), Fraction(BIG, 7), Fraction(3, 7), Fraction(0), Fraction(1, 10 ** 6)]
+    xs = [Fraction(1), Fraction(-2, 5), Fraction(BIG, 7),
+          Fraction(3, 7), Fraction(0), Fraction(1, 10 ** 6)]
     a = _q_array(xs, (2, 3))
-    b = _q_array(xs[:3] + [changed] + xs[4:], (2, 3))
+    b = _q_array(xs[:index] + [changed] + xs[index + 1:], (2, 3))
     assert exactla._equal(q, a, a.copy())
     assert not exactla._equal(q, a, b) and not exactla._equal(q, b, a)
     assert not np.array_equal(a, b)
@@ -929,7 +927,8 @@ def test_q_int_entries_equal_their_fractions():
     ints = _q_array([0, 1, -2, BIG], (2, 2))
     fracs = _q_array([Fraction(0), Fraction(1), Fraction(-2), Fraction(BIG)], (2, 2))
     assert exactla._equal(q, ints, fracs) and exactla._equal(q, fracs, ints)
-    assert not exactla._equal(q, ints, _q_array([Fraction(0), Fraction(1), Fraction(-2), Fraction(BIG, 3)], (2, 2)))
+    other = _q_array([Fraction(0), Fraction(1), Fraction(-2), Fraction(BIG, 3)], (2, 2))
+    assert not exactla._equal(q, ints, other)
 
 
 @pytest.mark.parametrize("field", FIELDS + [Field.prime(P32)], ids=repr)

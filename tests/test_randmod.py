@@ -20,7 +20,7 @@ import pytest
 
 import stabhom.algebra as algebra_mod
 from algebras import BUILDERS
-from stabhom.algebra import LEFT, RIGHT, AlgebraTooLarge, Representation
+from stabhom.algebra import LEFT, RIGHT, AlgebraError, AlgebraTooLarge, Representation
 from stabhom.cli.randmod import STRATEGY_REJECTION, random_catalog, random_module
 from stabhom.exactla import Matrix
 
@@ -112,3 +112,33 @@ def test_every_rejection_drawn_loop2_q_module_squares_to_zero():
             drawn += 1
             nonzero += bool(x.any())
     assert drawn >= 80 and nonzero >= 20
+
+
+def test_a_wrong_linear_solve_is_caught_by_the_module_check(monkeypatch):
+    """The linear-solve branch keeps the Representation's relation check:
+    a solution moved off the solution set is refused."""
+    from stabhom.cli import randmod
+
+    real = randmod.solve_with_kernel
+
+    def moved(system, rhs):
+        solved = real(system, rhs)
+        if solved is None:
+            return None
+        x, kernel = solved
+        if not x.data.size:
+            return solved
+        data = x.data.copy()
+        data[0, 0] = x.field.add(data[0, 0], x.field.one())
+        return Matrix(x.field, data, _trusted=True), Matrix.zeros(x.field, 0, kernel.cols)
+
+    monkeypatch.setattr(randmod, "solve_with_kernel", moved)
+    alg = BUILDERS["square"]()
+    refused = 0
+    for seed in range(20):
+        try:
+            random_module(alg, LEFT, 2, random.Random(seed))
+        except AlgebraError as exc:
+            assert "violates relation" in str(exc)
+            refused += 1
+    assert refused >= 5
