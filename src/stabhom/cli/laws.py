@@ -171,7 +171,42 @@ def build_context(
         "probes_left": gen_pl,
         "probes_right": gen_pr,
     }
+    _catalog_homs_fit(ctx)
     return ctx
+
+
+def _catalog_homs_fit(ctx: LawContext) -> None:
+    """Refuse, with AlgebraTooLarge before any law runs, a catalog in which
+    the Hom system between two modules on one side, catalog modules and
+    probes alike, or a tensor's Hom(b, D a) (D a has a's dimensions on the
+    other side) would pass the cap.  None of these systems is larger than
+    the one between two modules of the componentwise maximum D of every
+    dimension vector, so while that one fits, no pair is checked; only when
+    it does not are the pairs checked exactly, and the first one over the
+    cap is refused.  Laws also build Hom systems between modules derived
+    from these (transposes, syzygies, sums, pushouts of their own random
+    morphisms), which this check does not see: those meet the cap where
+    they are built."""
+    quiver = ctx.algebra.quiver
+    sides = {
+        LEFT: ctx.left_modules + ctx.probes_left,
+        RIGHT: ctx.right_modules + ctx.probes_right,
+    }
+    top = {v: max(m.dims[v] for ms in sides.values() for m in ms) for v in quiver.vertices}
+    try:
+        # (D, D) counts the same entries on either side
+        check_hom_system(quiver, LEFT, top, top)
+        return
+    except AlgebraTooLarge:
+        pass
+    for side, ms in sides.items():
+        for a in ms:
+            for b in ms:
+                check_hom_system(quiver, side, a.dims, b.dims)
+    for side, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        for a in sides[side]:
+            for b in sides[other]:
+                check_hom_system(quiver, other, b.dims, a.dims)
 
 
 def _witness(index, module, **detail):

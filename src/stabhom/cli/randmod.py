@@ -25,6 +25,14 @@ solve, and is trusted after a rejection draw, whose relations were just
 decided on the same integers.  A dimension vector whose arrow matrices
 would pass the module size cap is refused before any entry is drawn.
 
+What the relations say about a draw is worked out once per algebra and
+kept in its cache (BoundQuiverAlgebra._cached): the solvable arrow and,
+per side and target arrow, each relation's terms without the target as
+arrow names in application order and, for each term c L X R through the
+target X, the coerced c with the arrow names of L and R (_linear_plan).
+A linear-solve draw only looks up its arrays by those names and
+multiplies.
+
 Every module records which strategy produced it, and catalogs aggregate
 those counts so reports can show the generation statistics.
 """
@@ -50,6 +58,7 @@ from ..exactla import (
     RATIONAL,
     Matrix,
     Subspace,
+    _dot,
     path_sum,
     path_sum_is_zero,
     solve_with_kernel,
@@ -108,7 +117,12 @@ def _module(alg, side, dims, arrays, solved=None, checked=False) -> Representati
 
 
 def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
-    """First arrow mentioned by some relation but never twice in a term."""
+    """First arrow mentioned by some relation but never twice in a term,
+    worked out once per algebra."""
+    return alg._cached(("randmod", "solvable"), _find_solvable_arrow, alg)
+
+
+def _find_solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
     mentioned = set()
     doubled = set()
     for rel in alg.relations:
@@ -124,6 +138,46 @@ def _solvable_arrow(alg: BoundQuiverAlgebra) -> Optional[str]:
     return None
 
 
+def _term_values(arrays, terms) -> list:
+    """The terms (coeff, arrow names) as exactla's path sums take them."""
+    return [(c, tuple(arrays[name] for name in names)) for c, names in terms]
+
+
+def _linear_plan(alg: BoundQuiverAlgebra, side: str, target: str) -> Tuple:
+    """What _linear_system reads off the relations, worked out once per
+    algebra, side and target arrow: for each relation, its terms without
+    the target as (coeff, the arrow names in application order), and for
+    each term c L X R with the target X, the coerced c and the arrow names
+    of L and R in application order (empty for an identity)."""
+    return alg._cached(("randmod", "linear", side, target), _build_linear_plan, alg, side, target)
+
+
+def _build_linear_plan(alg, side, target) -> Tuple:
+    plan = []
+    for rel in alg.relations:
+        fixed = tuple(
+            (c, in_application_order(arrows, side)) for c, arrows in rel.terms if target not in arrows
+        )
+        solved = []
+        for coeff, arrows in rel.terms:
+            if target not in arrows:
+                continue
+            pos = arrows.index(target)
+            # R acts before the target arrow, L after it
+            applied_first, applied_last = in_application_order(
+                (arrows[:pos], arrows[pos + 1 :]), side
+            )
+            solved.append(
+                (
+                    alg.field.coerce(coeff),
+                    in_application_order(applied_last, side),
+                    in_application_order(applied_first, side),
+                )
+            )
+        plan.append((fixed, tuple(solved)))
+    return tuple(plan)
+
+
 def _linear_system(alg, side, dims, arrays, target: str):
     """Stacked system A vec(X) = rhs for the target arrow's matrix X, from
     the drawn arrays of the other arrows.
@@ -133,7 +187,8 @@ def _linear_system(alg, side, dims, arrays, target: str):
     Relations not mentioning the target must already hold;
     returns None when one fails so the caller resamples.  The target is
     _solvable_arrow's, which some relation mentions, so that relation
-    writes a block.
+    writes a block.  Which terms, coefficients and arrows go where is
+    _linear_plan's, so a draw only looks up its arrays and multiplies.
     """
     field = alg.field
     one = field.one()
@@ -141,47 +196,48 @@ def _linear_system(alg, side, dims, arrays, target: str):
     x_rows, x_cols = arrow_shape(dims, tgt_arrow, side)
     blocks = []
     rhs_parts = []
-    for rel in alg.relations:
-        fixed = [(c, arrows) for c, arrows in rel.terms if target not in arrows]
-        if len(fixed) == len(rel.terms):
-            if not path_sum_is_zero(field, _term_arrays(arrays, fixed, side)):
+    for fixed, solved in _linear_plan(alg, side, target):
+        if not solved:
+            if not path_sum_is_zero(field, _term_values(arrays, fixed)):
                 return None, None, (x_rows, x_cols)
             continue
         block = None
-        for coeff, arrows in rel.terms:
-            if target not in arrows:
-                continue
-            pos = arrows.index(target)
-            # the term is c L X R: R acts before the target arrow, L after it
-            applied_first, applied_last = in_application_order(
-                (arrows[:pos], arrows[pos + 1 :]), side
-            )
+        for c, applied_last, applied_first in solved:
             left, right = (
-                path_sum(field, _term_arrays(arrays, [(one, path)], side))
-                if path
+                path_sum(field, _term_values(arrays, [(one, names)]))
+                if names
                 else np.eye(n, dtype=field.dtype)
-                for path, n in ((applied_last, x_rows), (applied_first, x_cols))
+                for names, n in ((applied_last, x_rows), (applied_first, x_cols))
             )
             # c L is reduced first: a product of three reduced factors
             # overflows int64 near p = 2^31
-            cl = field.normalize(field.coerce(coeff) * left)
+            cl = left if c == 1 else field.normalize(c * left)
             kron = field.normalize(cl[:, None, :, None] * right.T[None, :, None, :])
             block = kron if block is None else field.normalize(block + kron)
         size = block.shape[0] * block.shape[1]
         block = block.reshape(size, x_rows * x_cols)
         blocks.append(block)
         if fixed:
-            const = path_sum(field, _term_arrays(arrays, fixed, side))
+            const = path_sum(field, _term_values(arrays, fixed))
             rhs_parts.extend(field.normalize(-const).ravel().tolist())
         else:
             rhs_parts.extend([field.zero()] * size)
     system = Matrix(field, np.concatenate(blocks, axis=0), _trusted=True)
-    rhs = Matrix(
-        field,
-        field.normalize(np.array([rhs_parts], dtype=field.dtype).T),
-        _trusted=True,
-    )
+    # every part is reduced already
+    rhs = Matrix(field, np.array([rhs_parts], dtype=field.dtype).T, _trusted=True)
     return system, rhs, (x_rows, x_cols)
+
+
+def _random_solution(field, particular: Matrix, free: Matrix, rng) -> np.ndarray:
+    """A uniformly random solution, as a 1-D array: the particular solution
+    (a column) plus sum_i c_i K_i over the kernel rows K_i, the c_i drawn
+    first, in row order, and added by one product _dot (a plain int64
+    product overflows at p = 2^31 - 1)."""
+    vec = particular.data[:, 0]
+    if not free.rows:
+        return vec
+    cs = np.array([[field.random_scalar(rng) for _ in range(free.rows)]], dtype=field.dtype)
+    return field.normalize(vec + _dot(field, cs, free.data)[0])
 
 
 def _try_linear_solve(alg, side, dims, rng, target: str):
@@ -197,13 +253,8 @@ def _try_linear_solve(alg, side, dims, rng, target: str):
     solved = solve_with_kernel(system, rhs)
     if solved is None:
         return None
-    particular, free = solved
-    vec = particular.data[:, 0].copy()
-    field = alg.field
-    for i in range(free.rows):
-        c = field.random_scalar(rng)
-        vec = field.normalize(vec + c * free.data[i])
-    x = Matrix(field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
+    vec = _random_solution(alg.field, *solved, rng)
+    x = Matrix(alg.field, vec.reshape(x_rows, x_cols).copy(), _trusted=True)
     return _module(alg, side, dims, arrays, {target: x})
 
 

@@ -36,7 +36,9 @@ A path sum, sum_t c_t (A_t,l ... A_t,1), the value of a relation on a
 module, is tested for zero (path_sum_is_zero) or valued (path_sum) with
 no Matrix: over F_p on _dot's products, reduced once, and over Q on
 integer rows, scaled by the arrays' common denominator (_integer_rows) and
-the coefficients', so no Fraction is made before a value is asked for.
+the coefficients', so no Fraction is made before a value is asked for;
+a sum of integer arrays with integral coefficients, as randmod draws
+them, is decided on the arrays' rows as they are.
 solve_with_kernel reads one solution of m X = b and the kernel of m off
 one elimination of [m | b], which shows an inconsistent system before
 either is written; solve_matrix reads the solution alone.
@@ -470,8 +472,19 @@ def path_sum_is_zero(field: Field, terms: Sequence) -> bool:
     arrays in application order, all of one length l and one product shape,
     as the terms of a relation are.  It makes no Matrix, and over Q no
     Fraction: over F_p the products are _dot's and the sum is reduced once
-    (_prime_path_sum), over Q they run on integer rows (_rational_path_sum)."""
+    (_prime_path_sum), over Q they run on integer rows (_rational_path_sum).
+    When every array has an integer dtype and every coefficient is
+    integral, as for randmod's draws, the sum itself is an integer array:
+    it is decided on the arrays' rows as they are, with no denominator to
+    clear."""
     if field.kind == RATIONAL:
+        live = _live_terms(terms)
+        if all(c.denominator == 1 for c, _ in live) and all(
+            m.dtype.kind == "i" for _, ms in live for m in ms
+        ):
+            return not live or not any(
+                _summed_products([(int(c), [m.tolist() for m in ms]) for c, ms in live])
+            )
         return not any(_rational_path_sum(terms)[0])
     return not _prime_path_sum(field, terms).any()
 
@@ -508,22 +521,37 @@ def _rational_path_sum(terms: Sequence) -> Tuple[List[int], int, Tuple[int, int]
     dimension 0 is zero and dropped, so every product multiplied has rows
     and columns."""
     shape = (terms[0][1][-1].shape[0], terms[0][1][0].shape[1])
-    live = [(c, ms) for c, ms in terms if all(m.size for m in ms)]
+    live = _live_terms(terms)
     if not live:
         return [0] * (shape[0] * shape[1]), 1, shape
     arrays = {id(m): m for _, ms in live for m in ms}
     ints, d = _integer_rows(list(arrays.values()))
     rows = dict(zip(arrays, ints))
     cs, e = _integers([c for c, _ in live])
-    total = None
-    for c, (_, ms) in zip(cs, live):
-        acc = rows[id(ms[0])]
-        for m in ms[1:]:
-            cols = list(zip(*acc))
-            acc = [[sum(map(mul, r, col)) for col in cols] for r in rows[id(m)]]
-        flat = [c * x for r in acc for x in r]
-        total = flat if total is None else list(map(add, total, flat))
+    total = _summed_products([(c, [rows[id(m)] for m in ms]) for c, (_, ms) in zip(cs, live)])
     return total, d ** len(live[0][1]) * e, shape
+
+
+def _live_terms(terms: Sequence) -> list:
+    """The terms through no space of dimension 0: a term through one is
+    zero, so every product left to multiply has rows and columns."""
+    return [(c, ms) for c, ms in terms if all(m.size for m in ms)]
+
+
+def _summed_products(terms: Sequence) -> List[int]:
+    """sum_t c_t (R_t,l ... R_t,1), row-major, for a nonempty list of terms
+    (c_t, [R_t,1, ..., R_t,l]) of Python ints and integer rows (lists of
+    lists of Python ints, none empty) in application order, multiplied on
+    lists."""
+    total = None
+    for c, rs in terms:
+        acc = rs[0]
+        for r in rs[1:]:
+            cols = list(zip(*acc))
+            acc = [[sum(map(mul, row, col)) for col in cols] for row in r]
+        flat = [c * x for row in acc for x in row]
+        total = flat if total is None else list(map(add, total, flat))
+    return total
 
 
 def _integer_rows(arrays: Sequence[np.ndarray]) -> Tuple[List[List[List[int]]], int]:

@@ -1047,6 +1047,43 @@ def test_verify_refuses_a_drawn_module_whose_hom_system_passes_the_cap(a2_file, 
     assert "Traceback" not in proc.stderr
 
 
+def _a2_hom_entries(a, b):
+    """Entries of the Hom(a, b) system over A2 (1 -a-> 2), on either side:
+    one row per entry of phi_2 A, one column per entry of phi."""
+    rows = b.dims["2"] * a.dims["1"] if a.side == LEFT else b.dims["1"] * a.dims["2"]
+    return rows * sum(b.dims[v] * a.dims[v] for v in ("1", "2"))
+
+
+def test_verify_refuses_a_catalog_pair_past_the_cap_before_any_law_runs(
+    a2_file, monkeypatch, capsys
+):
+    # with the cap at the largest Hom(m, m) system, every module drawn is
+    # admitted, but a catalog module and a probe have a larger system
+    # between them: verify refuses the catalog once it is drawn (exit 2),
+    # and no law body runs.  At seed 4 the largest own system, that of the
+    # right catalog module (3, 2), has 78 entries; Hom from the right probe
+    # (1, 3) into it has 81
+    ctx = build_context(load_algebra(a2_file), 4, 2, 3)
+    own = max(_a2_hom_entries(m, m) for ms in (ctx.left_modules, ctx.right_modules,
+                                                ctx.probes_left, ctx.probes_right) for m in ms)
+    pair = max(
+        _a2_hom_entries(a, b)
+        for ms, probes in ((ctx.left_modules, ctx.probes_left), (ctx.right_modules, ctx.probes_right))
+        for m in ms
+        for p in probes
+        for a, b in ((m, p), (p, m))
+    )
+    assert pair > own
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", own)
+    ran = []
+    for name in list(laws_mod.LAWS):
+        monkeypatch.setitem(laws_mod.LAWS, name, lambda ctx, name=name: ran.append(name))
+    code = main(["verify", a2_file, "--seed", "4", "--count", "2", "--max-dim", "3"])
+    assert code == main_mod.EXIT_USAGE
+    assert ran == []
+    assert re.search(rf"^error: the Hom system .* more than {own}$", capsys.readouterr().err, re.M)
+
+
 def test_run_laws_passes_a_refused_hom_system_through(monkeypatch):
     # a fresh A2, so no Hom space is remembered; with the cap at 0 the
     # law's first Hom(P(v), m) with a row is refused, and run_laws raises

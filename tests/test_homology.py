@@ -205,6 +205,31 @@ def test_a_sequence_with_a_zero_end_map_is_not_exact(a2):
     assert not no_mono.validate() and not no_epi.validate()
 
 
+def test_a_sequence_exact_at_its_middle_with_a_first_map_not_injective_is_not_exact(a2):
+    """S(2)^2 -> P(1) -> S(1) over F5 is exact at P(1), the kernel S(2) of
+    the cover map being the image of the doubled inclusion, and its last
+    map is onto; only its first map fails, being not injective.  validate
+    fails, as it would not if _is_exact joined its end checks by 'and'."""
+    cov = projective_cover(simple(a2, "1"))
+    doubled = hstack_maps(cov.inclusion, cov.inclusion)
+    seq = dataclasses.replace(cov, left=doubled.domain, inclusion=doubled)
+    assert doubled.codomain is cov.middle and not doubled.is_injective()
+    assert kernel_map(cov.surjection).subspaces == image_map(doubled).subspaces
+    assert not seq.validate()
+
+
+def test_a_sequence_exact_at_its_middle_with_a_last_map_not_onto_is_not_exact(a2):
+    """S(2) -> P(1) -> S(1)^2 over F5, the cover map doubled: exact at
+    P(1), its first map injective, its last not onto.  validate fails, as
+    it would not if _is_exact joined its end checks by 'and'."""
+    cov = projective_cover(simple(a2, "1"))
+    twice = vstack_maps(cov.surjection, cov.surjection)
+    seq = dataclasses.replace(cov, right=twice.codomain, surjection=twice)
+    assert cov.inclusion.is_injective() and not twice.is_surjective()
+    assert kernel_map(twice).subspaces == image_map(cov.inclusion).subspaces
+    assert not seq.validate()
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_covers_and_envelopes_are_minimal(name):
     """A cover surjects, has the top of its module and its syzygy inside its

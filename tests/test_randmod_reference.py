@@ -24,6 +24,14 @@ reads the solution and the kernel off one elimination (solve_with_kernel).
 The module, its strategy and attempts, and the generator's state after it
 must be the same: on every fixture, both sides, seeds 0-19 and max_dim
 0-3, and on algebras with relations over F(2^31-1) and F(4294967311).
+
+_try_linear_solve used to add the random combination sum_i c_i K_i of
+the kernel rows to the particular solution one row at a time, drawing c_i
+and normalizing after each.  _random_solution draws every c_i first, in
+the same order, and adds them with one product.  The solution and the
+generator's state after it must be the same over F2, F5, F(2^31-1),
+where a plain int64 product of the draws and the kernel would overflow,
+F(4294967311) and Q.
 """
 
 import random
@@ -31,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
 from stabhom.algebra import (
@@ -59,6 +68,7 @@ from stabhom.cli.randmod import (
     _linear_system,
     _projective_quotient,
     _random_arrays,
+    _random_solution,
     _solvable_arrow,
     random_module,
 )
@@ -379,3 +389,73 @@ def test_random_module_equals_the_candidate_reference(name, alg):
         assert STRATEGY_REJECTION in strategies
         if name == "loop2_rational":
             assert STRATEGY_QUOTIENT in strategies
+
+
+# -- the random solution -----------------------------------------------------------
+
+
+def _random_solution_by_rows(field, particular, free, rng):
+    """The random solution as _try_linear_solve added it: one kernel row at
+    a time, each coefficient drawn just before its row is added."""
+    vec = particular.data[:, 0].copy()
+    for i in range(free.rows):
+        c = field.random_scalar(rng)
+        vec = field.normalize(vec + c * free.data[i])
+    return vec
+
+
+SOLUTION_FIELDS = [
+    Field.prime(2),
+    Field.prime(5),
+    Field.prime(2147483647),
+    Field.prime(4294967311),
+    Field.rational(),
+]
+
+
+@st.composite
+def solutions(draw):
+    """(field, particular column, kernel rows, seed): entries reduced mod p,
+    or over Q Fractions with small denominators, as solve_with_kernel gives
+    them; up to 6 kernel rows (none included)."""
+    field = draw(st.sampled_from(SOLUTION_FIELDS))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    if field.kind == "rational":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    else:
+        entry = st.one_of(st.integers(0, field.p - 1), st.just(field.p - 1))
+
+    def matrix(rows, cols):
+        return Matrix.from_rows(field, [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]) if rows else Matrix.zeros(field, 0, cols)
+
+    return field, matrix(n, 1), matrix(k, n), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(solutions())
+def test_random_solution_equals_the_row_by_row_reference(case):
+    field, particular, free, seed = case
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = _random_solution(field, particular, free, got_rng)
+    want = _random_solution_by_rows(field, particular, free, want_rng)
+    assert got.dtype == want.dtype == field.dtype
+    assert got.tolist() == want.tolist()
+    if field.dtype is object:
+        assert [type(x) for x in got.tolist()] == [type(x) for x in want.tolist()]
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_a_random_solution_past_int64_equals_the_reference():
+    # at p = 2^31 - 1, six kernel rows of p - 1 weighted by the drawn
+    # coefficients sum to more than 2^63 at this seed: a plain int64
+    # product wraps, the one _random_solution makes does not
+    field = Field.prime(2147483647)
+    particular = Matrix.zeros(field, 3, 1)
+    free = Matrix.from_rows(field, [[field.p - 1] * 3 for _ in range(6)])
+    draws = random.Random(11)
+    cs = [field.random_scalar(draws) for _ in range(6)]
+    assert sum(c * (field.p - 1) for c in cs) > 2 ** 63 - 1
+    wrapped = np.dot(np.array([cs], dtype=np.int64), free.data)[0] % field.p
+    got = _random_solution(field, particular, free, random.Random(11))
+    want = _random_solution_by_rows(field, particular, free, random.Random(11))
+    assert got.tolist() == want.tolist() != wrapped.tolist()

@@ -13,7 +13,12 @@ dtype) and Q, with entries and coefficients that have denominators, and
 with vertices of dimension 0, where a product is empty.  Over Q randmod
 decides its candidates on int64 arrays of their integer draws, which
 must give the value of the Fraction matrices they become, for integers
-of any size: a product of int64 entries may pass 2^63.
+of any size: a product of int64 entries may pass 2^63.  Such a sum, of
+integer arrays with integral coefficients, is decided on the arrays' rows
+as they are; it must agree with _rational_path_sum, the generic route,
+which must still decide any sum with a coefficient that is not integral,
+and must drop a term through a space of dimension 0 wherever on its path
+that space is.
 
 random_matrix used to build a list of rows of draws and coerce each one
 into Matrix.from_rows; it now writes the same draws into one array.
@@ -21,6 +26,7 @@ into Matrix.from_rows; it now writes the same draws into one array.
 
 import operator
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -44,6 +50,7 @@ from stabhom.algebra import (
     compose_path,
 )
 from stabhom.cli.randmod import random_matrix, random_module
+from stabhom import exactla
 from stabhom.exactla import Field, Matrix, path_sum, path_sum_is_zero
 
 FIELDS = [
@@ -230,6 +237,97 @@ def test_rational_path_sums_of_integer_arrays_are_those_of_their_fractions(candi
                 assert path_sum_is_zero(field, _term_arrays(arrays, terms, side)) == (
                     not want.any()
                 )
+
+
+@contextmanager
+def _generic_calls():
+    """The calls path_sum_is_zero makes of _rational_path_sum, the generic
+    Q route, while the block runs."""
+    calls, real = [], exactla._rational_path_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_rational_path_sum", lambda terms: calls.append(terms) or real(terms))
+        yield calls
+
+
+def _decided_generically(terms) -> bool:
+    return not any(exactla._rational_path_sum(terms)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_candidates())
+def test_the_direct_rational_decision_agrees_with_the_generic_route(candidate):
+    # the diamond's coefficients 3/2 and -2/5 are not integral, so its sums
+    # take the generic route; the other relations' coefficients are +-1
+    alg, side, arrays = candidate
+    field = alg.field
+    for rel in alg.relations:
+        for k in range(1, len(rel.terms) + 1):
+            for terms in combinations(rel.terms, k):
+                values = _term_arrays(arrays, terms, side)
+                live = [c for c, ms in values if all(m.size for m in ms)]
+                with _generic_calls() as calls:
+                    got = path_sum_is_zero(field, values)
+                assert got == _decided_generically(values)
+                assert bool(calls) == any(c.denominator != 1 for c in live)
+
+
+@pytest.mark.parametrize(
+    "c, direct",
+    [(Fraction(3), True), (Fraction(1), True), (Fraction(3, 2), False)],
+    ids=["integral", "unit", "not-integral"],
+)
+def test_integral_fraction_coefficients_are_decided_directly(c, direct):
+    # c a.b - c d.b on int64 draws, which vanishes when d = a (half the
+    # draws) and mostly not otherwise: decided directly exactly when c is
+    # integral, and as the generic route and the Fraction arrays decide it
+    field, rng = Field.rational(), random.Random(3)
+
+    def draw():
+        return np.array([[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)], dtype=np.int64)
+
+    seen = set()
+    for _ in range(40):
+        a, b = draw(), draw()
+        d = a if rng.random() < 0.5 else draw()
+        values = [(c, (b, a)), (-c, (b, d))]
+        with _generic_calls() as calls:
+            got = path_sum_is_zero(field, values)
+        assert got == _decided_generically(values)
+        fractions = [(cf, tuple(Matrix.from_integers(field, m).data for m in ms)) for cf, ms in values]
+        assert got == path_sum_is_zero(field, fractions)
+        assert bool(calls) != direct
+        seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("term", [0, 1])
+@pytest.mark.parametrize("position", range(4))
+def test_a_term_through_a_zero_space_is_dropped_wherever_the_space_is(position, term):
+    # two paths of length 3, n0 -> n1 -> n2 -> n3 and n0 -> m1 -> m2 -> n3,
+    # with the space at one position of one term made 0: an inner space
+    # kills only its own term, whose empty rows must not cut the other
+    # term's sum short; n0 or n3 kill both
+    field, rng = Field.rational(), random.Random(position + 4 * term)
+    spaces = [[3, 2, 2, 3], [3, 2, 2, 3]]
+    for t in ([0, 1] if position in (0, 3) else [term]):
+        spaces[t][position] = 0
+    paths = []
+    for dims in spaces:
+        paths.append(tuple(
+            np.array([[rng.randrange(1, 3) for _ in range(dims[i])] for _ in range(dims[i + 1])],
+                     dtype=np.int64).reshape(dims[i + 1], dims[i])
+            for i in range(3)
+        ))
+    for coeffs in ((Fraction(1), Fraction(-1)), (Fraction(2), Fraction(1))):
+        values = list(zip(coeffs, paths))
+        with _generic_calls() as calls:
+            got = path_sum_is_zero(field, values)
+        assert not calls
+        assert got == _decided_generically(values)
+        fractions = [(c, tuple(Matrix.from_integers(field, m).data for m in ms)) for c, ms in values]
+        assert got == path_sum_is_zero(field, fractions)
+        # entries of 1 and 2 make every live product positive
+        assert got == (position in (0, 3))
 
 
 # -- random_matrix --------------------------------------------------------------

@@ -22,14 +22,17 @@ from stabhom.cli.randmod import random_module
 from stabhom.homology import (
     ext1,
     hom_basis,
+    hstack_maps,
     injective_envelope,
     is_projective,
+    projective_cover,
     star_dual,
     tensor,
     transpose,
 )
 from stabhom.stable import (
     Certificate,
+    FourTermSequence,
     NotHereditary,
     TORSION_METHODS,
     bass_torsion,
@@ -484,3 +487,32 @@ def test_hereditary_split_rejects_bound_algebras(loop2, square):
         hereditary_split(simple(loop2, "v"))
     with pytest.raises(NotHereditary):
         hereditary_split(simple(square, "1"))
+
+
+def _four_term(maps):
+    return FourTermSequence((maps[0].domain, *(f.codomain for f in maps)), tuple(maps))
+
+
+def test_a_four_term_sequence_not_exact_at_its_first_joint_fails_validate():
+    """0 -> S(2)^2 -> P(1) -> S(1) -> 0 -> 0 over A2 and F5: exact at P(1)
+    and at S(1), and its last map is onto, but at S(2)^2 the kernel of the
+    first map is S(2), not the image 0 of 0 -> S(2)^2.  validate fails, as
+    it would not if _is_exact joined its end checks by 'and'."""
+    alg = BUILDERS["a2"]()
+    cov = projective_cover(simple(alg, "1"))
+    doubled = hstack_maps(cov.inclusion, cov.inclusion)
+    last = ModuleMap.zero(cov.right, zero_module(alg, LEFT))
+    exact = _four_term([cov.inclusion, cov.surjection, last])
+    assert exact.validate()
+    assert not _four_term([doubled, cov.surjection, last]).validate()
+
+
+def test_a_four_term_sequence_not_exact_at_an_inner_joint_fails_validate():
+    """0 -> S(2) -> P(1) -> S(1) -> S(1) -> 0 over A2 and F5 with the
+    identity last: its first map is injective and its last onto, but at
+    the first S(1) the kernel 0 of the identity is not the image S(1)."""
+    alg = BUILDERS["a2"]()
+    cov = projective_cover(simple(alg, "1"))
+    seq = _four_term([cov.inclusion, cov.surjection, ModuleMap.identity(cov.right)])
+    assert cov.inclusion.is_injective() and seq.maps[-1].is_surjective()
+    assert not seq.validate()
