@@ -12,7 +12,12 @@ kept in one of two backends, chosen by the field (Field.dtype):
   * Q: fractions.Fraction objects in lowest terms inside object-dtype
     arrays.  Products (_dot) and elimination (rref) run on integer
     numerators, Python ints, and return canonical Fractions, so no
-    multiply-add is Fraction arithmetic.
+    multiply-add is Fraction arithmetic.  A Q entry crosses between
+    Fraction and integers in two places only: _integers reads entries (its
+    _ratios reads a Fraction's _numerator and _denominator slots) and
+    _fraction makes one from integers (one gcd, then those two slots set
+    on a bare Fraction).  Both rely on Fraction keeping its state in those
+    two slots, which tests/test_exactla.py checks by name.
 A kernel is found on one route, under one size rule.  Over F_p a job runs
 on Python lists of ints when the array it reads or writes holds at most
 SMALL_ENTRIES entries: at that size a numpy call costs more than the
@@ -78,7 +83,7 @@ import numbers
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,8 +227,8 @@ class Field:
     def format_scalar(self, x) -> str:
         if self.kind == PRIME:
             return str(int(x) % self.p)
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+        [n], d = _integers([self.coerce(x)])
+        return f"{n}/{d}"
 
     # -- array plumbing -------------------------------------------------
 
@@ -252,7 +257,7 @@ class Field:
     def random_scalar(self, rng):
         if self.kind == PRIME:
             return rng.randrange(self.p)
-        return Fraction(rng.randrange(*_RATIONAL_DRAWS))
+        return _fraction(rng.randrange(*_RATIONAL_DRAWS), 1)
 
     def random_integers(self, rng, n: int) -> List[int]:
         """The integers behind n draws of random_scalar, with the same
@@ -327,7 +332,7 @@ class Matrix:
         residues mod p in the field's dtype, over Q integers of any dtype,
         each made a Fraction."""
         if field.kind == RATIONAL:
-            data = _objects([Fraction(x) for x in data.ravel().tolist()], data.shape)
+            data = _objects([_fraction(x, 1) for x in data.ravel().tolist()], data.shape)
         return cls(field, data, _trusted=True)
 
     # -- shape ------------------------------------------------------------
@@ -406,26 +411,58 @@ class Matrix:
 
 def _equal(field: Field, a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two arrays over the field have one shape and equal entries.
-    Over Q it compares each entry's (numerator, denominator) pair, which
-    canonical Fractions and ints share exactly when they are equal, with no
-    Fraction.__eq__; over F_p it is np.array_equal, for int64 and object
-    arrays alike."""
+    Over Q it compares the entries' numerators and denominators (_ratios),
+    which canonical Fractions and ints share exactly when they are equal,
+    with no Fraction.__eq__; over F_p it is np.array_equal, for int64 and
+    object arrays alike."""
     if field.kind != RATIONAL:
         return bool(np.array_equal(a, b))
-    return a.shape == b.shape and [x.as_integer_ratio() for x in a.ravel().tolist()] == [
-        x.as_integer_ratio() for x in b.ravel().tolist()
-    ]
+    return a.shape == b.shape and _ratios(a.ravel().tolist()) == _ratios(b.ravel().tolist())
+
+
+_NUMERATOR = attrgetter("_numerator")
+_DENOMINATOR = attrgetter("_denominator")
+
+
+def _ratios(xs: List[Fraction]) -> Tuple[List[int], List[int]]:
+    """(ns, ds) with xs[i] = ns[i] / ds[i] in lowest terms: the one reader
+    of Q entries, under _integers and _equal.  A Fraction's numerator and
+    denominator are its _numerator and _denominator slots, read by
+    attrgetter; a list that holds an int is read by as_integer_ratio."""
+    try:
+        return list(map(_NUMERATOR, xs)), list(map(_DENOMINATOR, xs))
+    except AttributeError:
+        pairs = [x.as_integer_ratio() for x in xs]
+        return [n for n, _ in pairs], [e for _, e in pairs]
 
 
 def _integers(xs: List[Fraction]) -> Tuple[List[int], int]:
     """(ns, d) with xs[i] = ns[i] / d: d is the lcm of the denominators.
-    Each x is read once, and with every denominator 1 the numerators are
-    returned as they are."""
-    pairs = [x.as_integer_ratio() for x in xs]
-    d = lcm(*[e for _, e in pairs])
+    Each x is read once (_ratios), and with every denominator 1 the
+    numerators are returned as they are."""
+    ns, ds = _ratios(xs)
+    d = lcm(*ds)
     if d == 1:
-        return [n for n, _ in pairs], 1
-    return [n * (d // e) for n, e in pairs], d
+        return ns, 1
+    return [n * (d // e) for n, e in zip(ns, ds)], d
+
+
+_new_object = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d != 0, in lowest terms with d > 0:
+    the one maker of a Q entry from integers.  One gcd and a sign fix, then
+    a Fraction made by object.__new__ with its _numerator and _denominator
+    slots set, as CPython's own Fraction._from_coprime_ints (3.12+) does;
+    tests/test_exactla.py checks that Fraction has those two slots."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    f = _new_object(Fraction)
+    f._numerator = n // g
+    f._denominator = d // g
+    return f
 
 
 def _objects(xs: list, shape: Tuple[int, ...]) -> np.ndarray:
@@ -451,7 +488,8 @@ def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = np.dot(_objects(na, a.shape), _objects(nb, b.shape))
         flat = prod.ravel().tolist()
         # products repeat entries, so each distinct one is divided only once
-        over = {n: Fraction(n, da * db) for n in set(flat)}
+        d = da * db
+        over = {n: _fraction(n, d) for n in set(flat)}
         return _objects([over[n] for n in flat], prod.shape)
     if field.dtype is not np.int64:
         return field.normalize(np.dot(a, b))
@@ -494,7 +532,7 @@ def path_sum(field: Field, terms: Sequence) -> np.ndarray:
     the terms, in an array of the field's dtype."""
     if field.kind == RATIONAL:
         flat, scale, shape = _rational_path_sum(terms)
-        return _objects([Fraction(x, scale) for x in flat], shape)
+        return _objects([_fraction(x, scale) for x in flat], shape)
     return _prime_path_sum(field, terms)
 
 
@@ -619,7 +657,7 @@ def rref(m: Matrix) -> Tuple[Matrix, int, Tuple[int, ...]]:
         flat = []
         for r, col in zip(a, pivots):
             v = r[col]
-            flat += [Fraction(u, v) if u else zero for u in r]
+            flat += [_fraction(u, v) if u else zero for u in r]
         flat += [zero] * ((m.rows - len(pivots)) * m.cols)
         a = _objects(flat, m.shape)
     elif isinstance(a, list):
@@ -830,7 +868,7 @@ def _eliminated_kernel(
     columns are not read.  The one writer of a kernel basis: row f is the
     identity at free column f and -r[f] / r[c] at the pivot column c of
     each pivot row r.  Over Q that is a Fraction made only where r[f] is
-    nonzero: Fraction(-r[f], r[c]) on integer rows, and -r[f] on Fractions
+    nonzero: _fraction(-r[f], r[c]) on integer rows, and -r[f] on Fractions
     in rref, whose pivots are 1, which needs no gcd.  Over F_p, where
     r[c] = 1 and r[f] may be any int of absolute value below p, it is
     -r[f] mod p, written on Python lists when the basis has at most
@@ -859,7 +897,7 @@ def _eliminated_kernel(
             if x and p:
                 o[c] = -x % p
             elif x:  # integer rows over any pivot, or Fractions in rref over 1
-                o[c] = Fraction(-x, r[c]) if type(x) is int else -x
+                o[c] = _fraction(-x, r[c]) if type(x) is int else -x
         flat += o
     out = np.array(flat, dtype=field.dtype).reshape(len(free), nc)
     return Matrix(field, out, _trusted=True), tuple(free)
@@ -988,7 +1026,7 @@ def _solve(m: Matrix, b: Matrix):
         zero = Fraction(0)
         for r, c in zip(a, pivots):
             v = r[c]
-            out[c, :] = [Fraction(u, v) if u else zero for u in r[n:]]
+            out[c, :] = [_fraction(u, v) if u else zero for u in r[n:]]
     else:
         for r, c in zip(a, pivots):
             out[c, :] = r[n:]

@@ -1,7 +1,8 @@
+import pickle
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from unittest import mock
 
 import numpy as np
@@ -973,3 +974,63 @@ def test_coordinates_refuse_a_row_outside_the_span_at_a_non_free_column(field):
             moved = span.data.copy()
             moved[i, 2] = field.add(moved[i, 2], field.coerce(delta))
             assert coordinates(basis, (0, 1), Matrix(field, moved, _trusted=True)) is None
+
+
+# -- the Q entry boundary: _ratios and _integers read, _fraction makes --------------
+
+
+def test_fractions_keep_their_numerator_and_denominator_in_two_slots():
+    """_ratios reads and _fraction writes Fraction's _numerator and
+    _denominator slots: a Python whose Fraction lays out its state another
+    way fails here, by name, before any value is read wrong."""
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    f = Fraction(-6, 4)
+    assert (f._numerator, f._denominator) == (-3, 2) == f.as_integer_ratio()
+
+
+WIDE = st.integers(-(2 ** 80), 2 ** 80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WIDE, WIDE.filter(bool), WIDE, WIDE.filter(bool))
+def test_a_fraction_made_from_integers_is_the_one_fraction_makes(n, d, m, e):
+    got, want, other = exactla._fraction(n, d), Fraction(n, d), Fraction(m, e)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is type(got.denominator) is int
+    assert hash(got) == hash(want) and str(got) == str(want) and repr(got) == repr(want)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Fraction and back.as_integer_ratio() == want.as_integer_ratio()
+    assert got == want and not got != want and got <= want and got >= want
+    for op in ("__add__", "__sub__", "__mul__", "__radd__", "__rsub__", "__rmul__", "__neg__",
+               "__abs__"):
+        args = () if op in ("__neg__", "__abs__") else (other,)
+        assert getattr(got, op)(*args).as_integer_ratio() == getattr(want, op)(*args).as_integer_ratio()
+    assert (got / other).as_integer_ratio() == (want / other).as_integer_ratio()
+    if n:
+        assert (other / got).as_integer_ratio() == (other / want).as_integer_ratio()
+    assert (got ** 2).as_integer_ratio() == (want ** 2).as_integer_ratio()
+    assert (got < other) == (want < other) and (got + 1) == (want + 1)
+
+
+def _by_as_integer_ratio(xs):
+    """_integers as it read entries before the slots: each by as_integer_ratio."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = lcm(*[e for _, e in pairs])
+    return [n * (d // e) for n, e in pairs], d
+
+
+ENTRIES = st.one_of(st.builds(Fraction, WIDE, WIDE.filter(bool)), WIDE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["fractions", "ints", "mixed"]), st.lists(ENTRIES, max_size=12))
+def test_the_slot_reads_equal_as_integer_ratio(kind, xs):
+    if kind == "fractions":
+        xs = [Fraction(x) for x in xs]
+    elif kind == "ints":
+        xs = [x for x in xs if type(x) is int]
+    ns, ds = exactla._ratios(xs)
+    assert list(zip(ns, ds)) == [x.as_integer_ratio() for x in xs]
+    assert all(type(n) is int for n in ns + ds)
+    assert exactla._integers(xs) == _by_as_integer_ratio(xs)

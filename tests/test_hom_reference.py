@@ -356,19 +356,26 @@ def test_a_q_hom_system_makes_fractions_only_for_its_kernel_basis(monkeypatch):
     """A Q Hom space is solved on integer rows: the numpy writer (_kron_rows)
     is not called, and the only Fractions made are the basis entries off
     its free columns, at most free x pivots, one Fraction(0) and one
-    Fraction(1)."""
+    Fraction(1).  A Fraction is made either by Fraction.__new__ or, from
+    integers, by exactla._fraction, which does not call it: both are
+    counted."""
     alg = _algebra("kronecker", FIELDS.index(Field.rational()))
     rng = random.Random(1)
     a, b = (_rescaled(direct_sum(_modules(alg, LEFT, rng, 3)).module, rng) for _ in range(2))
     made = []
-    make = Fraction.__new__
+    make, make_from_integers = Fraction.__new__, exactla._fraction
 
     def counting(cls, *args, **kwargs):
         made.append(args)
         return make(cls, *args, **kwargs)
 
+    def counting_from_integers(n, d):
+        made.append((n, d))
+        return make_from_integers(n, d)
+
     with mock.patch.object(exactla, "_kron_rows") as rows:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        monkeypatch.setattr(exactla, "_fraction", counting_from_integers)
         hom = homology._build_hom(a, b)
         monkeypatch.undo()
     assert not rows.called

@@ -24,6 +24,7 @@ from stabhom.homology import (
     hom_basis,
     hstack_maps,
     injective_envelope,
+    is_injective_module,
     is_projective,
     projective_cover,
     star_dual,
@@ -304,6 +305,38 @@ def test_a_certificate_of_an_inexact_sequence_does_not_validate(a2):
     maps = (ModuleMap.zero(tor, a),) + cert.sequence.maps[1:]  # tor is S(1), not 0
     bad = dataclasses.replace(cert, sequence=dataclasses.replace(cert.sequence, maps=maps))
     assert cert.validate() and not bad.validate()
+
+
+@pytest.mark.parametrize("name", ["a2", "a2_rational"])
+def test_a_covariant_certificate_whose_q_is_not_projective_does_not_approximate(name):
+    """0 -> torsion(a) -> a -> Q -> M -> 0 with Q swapped for S(1), which is
+    not projective over A2 (its cover is P(1) of dims (1, 1)); the maps
+    stay exact, so only approximates can refuse it."""
+    alg = BUILDERS[name]()
+    cert = fp_certificate(indec_projective(alg, "1"), "covariant_underline")
+    tor, a, q, m = cert.sequence.modules
+    s1 = simple(alg, "1")
+    assert not q.is_zero() and is_projective(q) and not is_projective(s1)
+    seq = dataclasses.replace(cert.sequence, modules=(tor, a, s1, m))
+    bad = dataclasses.replace(cert, sequence=seq)
+    assert cert.approximates() and cert.validate() and seq.validate()
+    assert bad.approximates() is False and bad.validate() is False
+
+
+@pytest.mark.parametrize("name", ["a2", "a2_rational"])
+def test_a_contravariant_certificate_whose_i_is_not_injective_does_not_approximate(name):
+    """0 -> N -> I -> a -> cotorsion(a) -> 0 with I swapped for S(2), which is
+    not injective over A2 (its envelope is I(2) of dims (1, 1)); the maps
+    stay exact, so only approximates can refuse it."""
+    alg = BUILDERS[name]()
+    cert = fp_certificate(indec_injective(alg, "2"), "contravariant_overline")
+    n, i, a, q = cert.sequence.modules
+    s2 = simple(alg, "2")
+    assert not i.is_zero() and is_injective_module(i) and not is_injective_module(s2)
+    seq = dataclasses.replace(cert.sequence, modules=(n, s2, a, q))
+    bad = dataclasses.replace(cert, sequence=seq)
+    assert cert.approximates() and cert.validate() and seq.validate()
+    assert bad.approximates() is False and bad.validate() is False
 
 
 def test_certificate_over_loop(loop2):
