@@ -1014,7 +1014,8 @@ def test_a_fraction_made_from_integers_is_the_one_fraction_makes(n, d, m, e):
 
 
 def _by_as_integer_ratio(xs):
-    """_integers as it read entries before the slots: each by as_integer_ratio."""
+    """_integers with each entry read by as_integer_ratio: the reference for
+    the slot reads."""
     pairs = [x.as_integer_ratio() for x in xs]
     d = lcm(*[e for _, e in pairs])
     return [n * (d // e) for n, e in pairs], d
