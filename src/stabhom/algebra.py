@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,12 +114,6 @@ class Quiver:
             return True
 
         return all(color[v] != 0 or visit(v) for v in self.vertices)
-
-    def opposite(self) -> "Quiver":
-        return Quiver(
-            self.vertices,
-            [Arrow(a.name, a.target, a.source) for a in self.arrows],
-        )
 
 
 class Relation:
@@ -231,7 +225,6 @@ class BoundQuiverAlgebra:
         self.relations = tuple(self._validate_relation(r) for r in relations)
         self._build_basis()
         self._cache: Dict[object, object] = {}
-        self._opposite: Optional[BoundQuiverAlgebra] = None
 
     def _cached(self, key, build, *args):
         """build(*args), built once per key and kept; any stored value is a hit."""
@@ -374,20 +367,6 @@ class BoundQuiverAlgebra:
         for name in names:
             element = self._times(element, name)
         return [(c, self.basis[i]) for c, i in element]
-
-    def opposite(self) -> "BoundQuiverAlgebra":
-        """Opposite algebra; an involution up to object identity."""
-        if self._opposite is None:
-            rels = [
-                Relation([(c, tuple(reversed(p))) for c, p in r.terms])
-                for r in self.relations
-            ]
-            opp = BoundQuiverAlgebra(
-                self.quiver.opposite(), rels, self.field, self.nilpotency_bound
-            )
-            opp._opposite = self
-            self._opposite = opp
-        return self._opposite
 
     def is_hereditary(self) -> bool:
         return self.quiver.is_acyclic() and not self.relations
@@ -687,7 +666,7 @@ class SubRep:
         self.parent = parent
         field = parent.algebra.field
         self.subspaces = {
-            v: subspaces[v] if v in subspaces else Subspace.zero(field, parent.dims[v])
+            v: subspaces[v] if v in subspaces else Subspace(field, parent.dims[v])
             for v in parent.vertices
         }
         for v, s in self.subspaces.items():
@@ -705,9 +684,6 @@ class SubRep:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def is_full(self) -> bool:
-        return self.dim == self.parent.total_dim
 
     def __eq__(self, other) -> bool:
         return (
@@ -841,13 +817,6 @@ def dual_map(f: ModuleMap) -> ModuleMap:
         {v: mat.transpose() for v, mat in f.vertex_maps.items()},
         _trusted=True,
     )
-
-
-def to_opposite(m: Representation) -> Representation:
-    """Reinterpret a right module as a left module over the opposite algebra
-    (and vice versa).  The matrices are reused unchanged."""
-    return Representation(m.algebra.opposite(), other_side(m.side), m.dims,
-                          m.arrow_maps, _trusted=True)
 
 
 # -- direct sums ------------------------------------------------------------

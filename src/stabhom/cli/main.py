@@ -100,8 +100,6 @@ def _text_lines(value, indent: int = 0) -> List[str]:
                 lines.extend(_text_lines(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_inline(item)}")
-    else:
-        lines.append(f"{pad}{_inline(value)}")
     return lines
 
 

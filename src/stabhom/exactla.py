@@ -386,12 +386,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy(), _trusted=True)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix times column vector, given and returned as 1-D arrays."""
-        if vec.shape[0] != self.cols:
-            raise ShapeMismatch(f"{self.shape} applied to length-{vec.shape[0]} vector")
-        return _dot(self.field, self.data, vec)
-
     def __eq__(self, other) -> bool:
         """Same field, shape and entries, the entries compared by _equal."""
         return (
@@ -1039,10 +1033,10 @@ def _solve(m: Matrix, b: Matrix):
 class QuotientSpace:
     """A surjection k^n -> k^q whose kernel is a chosen subspace.
 
-    projection has shape (q, n) and is the identity on the q columns free;
-    section, of shape (n, q), is the unit vectors at those columns, so
-    projection @ section = identity, and m @ section is the columns of m at
-    free (after_section).
+    projection has shape (q, n) and is the identity on the q columns free.
+    Its section, the (n, q) matrix of unit vectors at those columns, is a
+    right inverse, and m @ section is the columns of m at free
+    (after_section).
     """
 
     __slots__ = ("projection", "free")
@@ -1058,13 +1052,6 @@ class QuotientSpace:
     @property
     def ambient_dim(self) -> int:
         return self.projection.cols
-
-    @property
-    def section(self) -> Matrix:
-        field = self.projection.field
-        sect = field.zeros(self.ambient_dim, self.dim)
-        sect[self.free, range(self.dim)] = field.one()
-        return Matrix(field, sect, _trusted=True)
 
     def after_section(self, m: Matrix) -> Matrix:
         """m @ section, selected instead of multiplied."""
@@ -1087,10 +1074,6 @@ class Subspace:
         r, nrank, self.pivots = rref(rows) if rows.rows else (rows, 0, ())
         self.basis = Matrix(field, r.data[:nrank].copy(), _trusted=True)
 
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -1105,21 +1088,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
-
-    def contains(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        return (self + other).dim == self.dim
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.field, self.ambient_dim, vstack(self.field, [self.basis, other.basis]))
-
-    def _check(self, other: "Subspace"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeMismatch("ambient dimensions differ")
 
     def quotient(self) -> QuotientSpace:
         """Canonical surjection of the ambient space with this as kernel."""

@@ -175,36 +175,6 @@ class FpMorphism:
             raise AlgebraError("morphism square does not commute")
 
 
-def fp_identity(func: FpFunctor) -> FpMorphism:
-    return FpMorphism(
-        func,
-        func,
-        ModuleMap.identity(func.entry),
-        ModuleMap.identity(func.relations),
-    )
-
-
-def fp_zero_morphism(source: FpFunctor, target: FpFunctor) -> FpMorphism:
-    var = source.variance
-    u = ModuleMap.zero(*_ordered(var, target.entry, source.entry))
-    v = ModuleMap.zero(*_ordered(var, target.relations, source.relations))
-    return FpMorphism(source, target, u, v)
-
-
-def fp_morphism_equal(a: FpMorphism, b: FpMorphism) -> bool:
-    """Homotopy equality: the u-difference factors through the target
-    presentation, hence the two squares act identically on every value."""
-    if a.source.presentation != b.source.presentation:
-        return False
-    if a.target.presentation != b.target.presentation:
-        return False
-    delta = a.u - b.u
-    if delta.is_zero():
-        return True
-    g = a.target.presentation
-    return factor_through(delta, **_acting(a.source.variance, g)) is not None
-
-
 def fp_eval_morphism(
     alpha: FpMorphism,
     b: Representation,

@@ -139,22 +139,10 @@ class HomSpace:
         off = self.offsets[v]
         return self.stack.data[:, off : off + r * c].reshape(self.dim, r, c)
 
-    def basis_maps(self) -> List[ModuleMap]:
-        """The basis as maps, built on each call: a memoized space holds its
-        stack alone, which is what the memo's budget counts."""
-        return [
-            map_from_flat(self.domain, self.codomain, self.stack.data[i])
-            for i in range(self.dim)
-        ]
-
     def element(self, coeffs: np.ndarray) -> ModuleMap:
         field = self.domain.algebra.field
         flat = (Matrix(field, np.asarray(coeffs).reshape(1, -1)) @ self.stack).data[0]
         return map_from_flat(self.domain, self.codomain, flat)
-
-    def coords_of(self, f: ModuleMap) -> np.ndarray:
-        flat = Matrix(self.stack.field, f.flat().reshape(1, -1))
-        return self.coords_of_flats(flat).data[0].copy()
 
     def coords_of_flats(self, flats: Matrix) -> Matrix:
         c = coordinates(self.stack, self.free, flats)

@@ -3,14 +3,41 @@
 The extension-group oracle here classifies extensions directly from
 upper-triangular arrow matrices, never touching the projective-cover
 route the library uses, so agreement between the two is meaningful.
+
+The rest are references the library no longer carries, since only tests
+compare against them:
+
+- the opposite algebra (opposite_quiver, opposite, to_opposite): right
+  modules are computed directly, and reading one as a left module over
+  the opposite algebra is the independent check of that orientation;
+- fp_identity, fp_zero_morphism and fp_morphism_equal, the identity,
+  the zero and homotopy equality of morphisms of finitely presented
+  functors;
+- section(q), the right inverse of a quotient's projection as a matrix,
+  the product that QuotientSpace.after_section selects instead;
+- basis_maps(hom), a Hom space's basis as maps, in the order of its
+  stack.
 """
 
 import itertools
 
 import numpy as np
 
-from stabhom.algebra import LEFT, AlgebraError, Representation
+from stabhom.algebra import (
+    LEFT,
+    AlgebraError,
+    Arrow,
+    BoundQuiverAlgebra,
+    ModuleMap,
+    Quiver,
+    Relation,
+    Representation,
+    map_from_flat,
+    other_side,
+)
 from stabhom.exactla import Matrix, rank
+from stabhom.fpfun import FpFunctor, FpMorphism
+from stabhom.homology import _acting, _ordered, factor_through
 
 
 def _block_arrows(m, n, cvals):
@@ -237,3 +264,80 @@ def ext1_brute_force_f2(m: Representation, n: Representation) -> int:
         dim += 1
     assert (1 << dim) == n_classes
     return dim
+
+
+# -- the opposite algebra ---------------------------------------------------
+
+
+def opposite_quiver(q: Quiver) -> Quiver:
+    return Quiver(q.vertices, [Arrow(a.name, a.target, a.source) for a in q.arrows])
+
+
+def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
+    """Opposite algebra; an involution up to object identity, kept in the
+    algebra's own cache."""
+    return alg._cached("opposite", _build_opposite, alg)
+
+
+def _build_opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
+    rels = [Relation([(c, tuple(reversed(p))) for c, p in r.terms]) for r in alg.relations]
+    opp = BoundQuiverAlgebra(opposite_quiver(alg.quiver), rels, alg.field, alg.nilpotency_bound)
+    opp._cached("opposite", lambda: alg)
+    return opp
+
+
+def to_opposite(m: Representation) -> Representation:
+    """Reinterpret a right module as a left module over the opposite algebra
+    (and vice versa).  The matrices are reused unchanged."""
+    return Representation(opposite(m.algebra), other_side(m.side), m.dims,
+                          m.arrow_maps, _trusted=True)
+
+
+# -- morphisms of finitely presented functors ------------------------------
+
+
+def fp_identity(func: FpFunctor) -> FpMorphism:
+    return FpMorphism(
+        func,
+        func,
+        ModuleMap.identity(func.entry),
+        ModuleMap.identity(func.relations),
+    )
+
+
+def fp_zero_morphism(source: FpFunctor, target: FpFunctor) -> FpMorphism:
+    var = source.variance
+    u = ModuleMap.zero(*_ordered(var, target.entry, source.entry))
+    v = ModuleMap.zero(*_ordered(var, target.relations, source.relations))
+    return FpMorphism(source, target, u, v)
+
+
+def fp_morphism_equal(a: FpMorphism, b: FpMorphism) -> bool:
+    """Homotopy equality: the u-difference factors through the target
+    presentation, hence the two squares act identically on every value."""
+    if a.source.presentation != b.source.presentation:
+        return False
+    if a.target.presentation != b.target.presentation:
+        return False
+    delta = a.u - b.u
+    if delta.is_zero():
+        return True
+    g = a.target.presentation
+    return factor_through(delta, **_acting(a.source.variance, g)) is not None
+
+
+# -- products the library selects instead of computing ---------------------
+
+
+def section(q) -> Matrix:
+    """The (n, q) unit vectors at a quotient's free columns: projection @
+    section is the identity, and m @ section is q.after_section(m)."""
+    field = q.projection.field
+    sect = field.zeros(q.ambient_dim, q.dim)
+    sect[q.free, range(q.dim)] = field.one()
+    return Matrix(field, sect, _trusted=True)
+
+
+def basis_maps(hom):
+    """A Hom space's basis as maps, in the order of its stack."""
+    return [map_from_flat(hom.domain, hom.codomain, row) for row in hom.stack.data]

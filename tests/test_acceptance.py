@@ -13,6 +13,7 @@ import time
 import pytest
 
 from algebras import BUILDERS
+from oracles import basis_maps
 from stabhom.algebra import (
     LEFT,
     RIGHT,
@@ -105,7 +106,7 @@ def _find_isomorphism(x, y, rng):
     if x.total_dim == 0:
         return ModuleMap.zero(x, y)
     hs = hom_basis(x, y)
-    maps = hs.basis_maps()
+    maps = basis_maps(hs)
     for f in maps:
         if f.is_isomorphism():
             return f

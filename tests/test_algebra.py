@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
+from oracles import opposite, to_opposite
 from stabhom import algebra as algebra_mod
 from stabhom.algebra import (
     AlgebraError,
@@ -25,7 +26,6 @@ from stabhom.algebra import (
     radical_top_socle,
     regular_module,
     simple,
-    to_opposite,
     zero_module,
 )
 from stabhom.cli.randmod import random_catalog
@@ -248,14 +248,14 @@ def test_object_module_keys_are_bytes_equal_for_equal_modules(field):
 
 
 def test_opposite_reverses_arrows(a2):
-    op = a2.opposite()
+    op = opposite(a2)
     (arrow,) = op.quiver.arrows
     assert (arrow.source, arrow.target) == ("2", "1")
     assert op.dim == a2.dim
 
 
 def test_opposite_involution(square):
-    opop = square.opposite().opposite()
+    opop = opposite(opposite(square))
     assert opop.dim == square.dim
     assert {(a.name, a.source, a.target) for a in opop.quiver.arrows} == {
         (a.name, a.source, a.target) for a in square.quiver.arrows
@@ -284,7 +284,7 @@ def test_right_projective_is_left_projective_over_opposite(a2):
     # One test loops over every fixture so that its id stays unchanged.
     for name in sorted(BUILDERS):
         alg = BUILDERS[name]()
-        op = alg.opposite()
+        op = opposite(alg)
         mods = []
         for v in alg.quiver.vertices:
             p, i = indec_projective(alg, v, RIGHT), indec_injective(alg, v, RIGHT)
@@ -377,7 +377,7 @@ def test_socle_of_semisimple_is_everything(a2):
     s = simple(a2, "1")
     parts = radical_top_socle(s)
     assert parts.radical.is_zero()
-    assert parts.socle.is_full()
+    assert parts.socle.dim == s.total_dim
 
 
 def test_zero_module_behaviour(a2):

@@ -17,17 +17,19 @@ from stabhom.algebra import (
     RIGHT,
     AlgebraTooLarge,
     ModuleMap,
+    Representation,
     SubRep,
     indec_projective,
     radical_subspaces,
     simple,
     socle_subspaces,
+    standard_probes,
 )
 from stabhom import homology
 from stabhom import stable as stable_mod
 from stabhom.cli import laws as laws_mod
 from stabhom.cli import main as main_mod
-from stabhom.cli.laws import LawResult, UnknownLaw, build_context, run_laws
+from stabhom.cli.laws import LawContext, LawResult, UnknownLaw, build_context, run_laws
 from stabhom.cli.main import main
 from stabhom.cli.randmod import random_catalog, random_module
 from stabhom.cli.serialize import (
@@ -166,6 +168,25 @@ def test_module_with_unknown_arrow_rejected():
     }
     with pytest.raises(ParseError, match="arrows: unknown key 'zz'"):
         module_from_dict(doc, algebra=alg)
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rational()], ids=repr)
+def test_an_omitted_arrow_loads_as_zero(field):
+    # README: "omitted arrows are zero"
+    alg = a2_algebra(field)
+    dims = {"1": 1, "2": 1}
+    doc = {"algebra": "a2.json", "side": "left", "dims": dims, "arrows": {}}
+    m = module_from_dict(doc, algebra=alg)
+    assert m == Representation(alg, LEFT, dims, {})
+    assert m.arrow_maps["a"] == Matrix.zeros(field, 1, 1)
+
+
+def test_stablehom_reads_a_module_with_an_omitted_arrow(tmp_path, a2_file, capsys):
+    path = tmp_path / "s.json"
+    doc = {"algebra": a2_file, "side": "left", "dims": {"1": 1, "2": 1}, "arrows": {}}
+    path.write_text(json.dumps(doc))
+    code, _ = _run(capsys, ["stablehom", a2_file, str(path), str(path)])
+    assert code == main_mod.EXIT_OK
 
 
 @pytest.mark.parametrize("field", ["dims", "arrows"])
@@ -552,6 +573,55 @@ def test_a_failed_law_reports_a_witness_that_loads_back(tmp_path, capsys, monkey
     alone = module_from_dict(witness["module"])
     assert algebra_to_dict(alone.algebra) == algebra_to_dict(ctx.algebra)
     assert alone.key == want.key
+
+
+def _one_too_many(real):
+    return lambda *args: SimpleNamespace(dim=real(*args).dim + 1)
+
+
+def _zero_approximation_torsion(real):
+    def torsion(a, method="evaluation"):
+        return SubRep(a, {}) if method == "approximation" else real(a, method)
+
+    return torsion
+
+
+def _zero_trace(real):
+    return lambda a: SubRep(a, {})
+
+
+# law -> (the construction it cross-checks, in laws_mod; the plant; the side
+# and index of the first catalog module it fails on).  On A2 over F5 at seed
+# 2, --count 3 and --max-dim 3, the first module with nonzero torsion is
+# right module 1, and the first with a nonzero trace of injectives is left
+# module 2, so the zero plants pass on the modules before them
+PLANTS = {
+    "tensor-ext": ("ext1", _one_too_many, RIGHT, 0),
+    "presentation-vs-direct": ("stable_hom", _one_too_many, LEFT, 0),
+    "torsion-agreement": ("bass_torsion", _zero_approximation_torsion, RIGHT, 1),
+    "certificates": ("cotorsion_trace", _zero_trace, LEFT, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTS))
+def test_a_planted_defect_fails_the_law_that_checks_it(name, a2_file, capsys, monkeypatch):
+    attr, plant, side, index = PLANTS[name]
+    monkeypatch.setattr(laws_mod, attr, plant(getattr(laws_mod, attr)))
+    argv = ["verify", a2_file, "--laws", name, "--seed", "2", "--count", "3", "--max-dim", "3"]
+    code, report = _run_json(capsys, argv)
+    assert code == 1
+    (law,) = report["laws"]
+    assert law["status"] == "fail" and 0 < law["failures"] <= law["checks"]
+    witness = law["witness"]
+    assert (witness["detail"].get("side", side), witness["module_index"]) == (side, index)
+    monkeypatch.undo()
+    ctx = build_context(load_algebra(a2_file), 2, 3, 3)
+    want = ctx.modules(side)[index]
+    assert module_from_dict(witness["module"], algebra=ctx.algebra) == want
+    if name == "torsion-agreement":
+        assert stable_mod.bass_torsion(want).dim > 0
+    elif name == "certificates":
+        assert stable_mod.cotorsion_trace(want).dim > 0
 
 
 def test_verify_law_filter(a2_file, capsys):
@@ -1082,6 +1152,27 @@ def test_verify_refuses_a_catalog_pair_past_the_cap_before_any_law_runs(
     assert code == main_mod.EXIT_USAGE
     assert ran == []
     assert re.search(rf"^error: the Hom system .* more than {own}$", capsys.readouterr().err, re.M)
+
+
+def test_the_catalog_check_refuses_a_tensor_system_past_the_cap(monkeypatch):
+    # one left module (4, 1) and one right module (1, 4) over A2, zero
+    # arrows, beside the standard probes: every Hom system on one side has
+    # at most 68 entries, a tensor's Hom(b, D a) between the two has
+    # 16 x 8 = 128, and the maximum vector (4, 4) has 512.  With the cap at
+    # 100 the pairs are checked, and only the tensor half refuses
+    alg = a2_algebra()
+    ctx = LawContext(
+        alg, 0, 1, 4,
+        left_modules=[Representation(alg, LEFT, {"1": 4, "2": 1}, {})],
+        right_modules=[Representation(alg, RIGHT, {"1": 1, "2": 4}, {})],
+        probes_left=standard_probes(alg, LEFT),
+        probes_right=standard_probes(alg, RIGHT),
+    )
+    for ms in (ctx.left_modules + ctx.probes_left, ctx.right_modules + ctx.probes_right):
+        assert max(_a2_hom_entries(a, b) for a in ms for b in ms) == 68
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 100)
+    with pytest.raises(AlgebraTooLarge, match=r"\(1, 4\) and \(4, 1\) has 16 x 8 = 128 entries"):
+        laws_mod._catalog_homs_fit(ctx)
 
 
 def test_run_laws_passes_a_refused_hom_system_through(monkeypatch):

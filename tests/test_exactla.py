@@ -22,7 +22,9 @@ from stabhom.exactla import (
     rank,
     rref,
     solve_matrix,
+    vstack,
 )
+from oracles import section
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational()]
 P31 = 2147483647  # largest prime whose products of two entries fit int64
@@ -89,7 +91,7 @@ def test_quotient_of_plane_by_diagonal():
     ).quotient()
     assert q.dim == 1
     assert q.ambient_dim == 2
-    assert (q.projection @ q.section) == Matrix.identity(Field.rational(), 1)
+    assert (q.projection @ section(q)) == Matrix.identity(Field.rational(), 1)
 
 
 def test_matrix_equality_and_scaling():
@@ -119,18 +121,10 @@ def test_shape_mismatch_rejected():
         Subspace(f, 3, a)
 
 
-def test_subspace_ambient_mismatch_rejected():
-    f = Field.prime(2)
-    u = Subspace(f, 2, Matrix.from_rows(f, [[1, 0]]))
-    v = Subspace(f, 3, Matrix.from_rows(f, [[1, 0, 0]]))
-    with pytest.raises(ShapeMismatch):
-        u + v
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_zero_and_full_subspaces_equal_the_eliminated_ones(field, n):
-    zero = Subspace.zero(field, n)
+    zero = Subspace(field, n)
     assert zero == Subspace(field, n, Matrix.zeros(field, 0, n))
     assert zero.pivots == Subspace(field, n, Matrix.zeros(field, 0, n)).pivots == ()
     # the whole space, as the torsion reject gives it when Hom(a, A) = 0
@@ -154,7 +148,7 @@ def test_reading_echelon_forms_makes_no_rref_call(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(exactla, "rref", counted)
-    Subspace.zero(alg.field, 4)
+    Subspace(alg.field, 4)
     u.quotient()
     hom.coords_of_flats(hom.stack.scale(3))
     assert calls == []
@@ -236,8 +230,7 @@ def test_coordinates_read_off_either_echelon_form(m, seed):
 @given(matrix_strategy())
 def test_kernel_vectors_annihilate(m):
     ker = kernel_basis(m)
-    for row in ker.data:
-        assert not m.apply(row).any()
+    assert (m @ ker.transpose()).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,8 +269,9 @@ def test_subspace_dimension_formula(m, seed):
     )
     u = Subspace(field, m.cols, m)
     v = Subspace(field, m.cols, other)
-    s = u + v
-    assert s.contains(u) and s.contains(v)
+    s = Subspace(field, m.cols, vstack(field, [m, other]))
+    for w in (u, v):
+        assert rank(vstack(field, [s.basis, w.basis])) == s.dim
     assert max(u.dim, v.dim) <= s.dim <= u.dim + v.dim
 
 
@@ -291,7 +285,7 @@ def test_quotient_kills_exactly_the_subspace(m):
     assert q.projection == kernel_basis(u.basis)
     if u.dim:
         assert (q.projection @ u.basis.transpose()).is_zero()
-    assert (q.projection @ q.section) == Matrix.identity(m.field, q.dim)
+    assert (q.projection @ section(q)) == Matrix.identity(m.field, q.dim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,7 +294,7 @@ def test_after_section_is_the_product_with_the_section_bit_for_bit(m, seed):
     q = Subspace(m.field, m.cols, m).quotient()
     rng = np.random.RandomState(seed)
     x = Matrix.from_rows(m.field, rng.randint(-3, 4, size=(3, m.cols)).tolist())
-    got, want = q.after_section(x), x @ q.section
+    got, want = q.after_section(x), x @ section(q)
     assert got.data.dtype == want.data.dtype
     assert got.data.tolist() == want.data.tolist()
     assert [type(e) for e in got.data.flat] == [type(e) for e in want.data.flat]
@@ -749,8 +743,6 @@ def test_large_prime_products_match_python_ints(p):
     a, b = Matrix.from_rows(field, rows), Matrix.from_rows(field, other)
     want = _python_int_product(rows, other, p)
     assert [[int(x) for x in row] for row in (a @ b).data] == want
-    vec = np.array([row[0] for row in other], dtype=field.dtype)
-    assert [int(x) for x in a.apply(vec)] == [row[0] for row in want]
 
 
 @pytest.mark.parametrize("p", [P31, P32])

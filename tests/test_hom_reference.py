@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebras import BUILDERS
+from oracles import basis_maps, section
 from test_kernel_reference import assert_same_kernel, reference_kron_kernel
 from stabhom import exactla, homology
 from stabhom.algebra import (
@@ -170,7 +171,7 @@ def _tensor_block_by_kron(src, dst, f, g):
 def _push_by_maps(source, target, transform):
     """push_coords as a ModuleMap per basis element, composed and flattened."""
     field = source.stack.field
-    flats = [transform(f).flat() for f in source.basis_maps()]
+    flats = [transform(f).flat() for f in basis_maps(source)]
     fm = np.array(flats, dtype=field.dtype).reshape(len(flats), target.stack.cols)
     return target.coords_of_flats(Matrix(field, fm))
 
@@ -293,7 +294,7 @@ def test_tensor_relations_and_blocks_equal_the_kronecker_reference(case):
         src, dst = TensorSpace(a, b), TensorSpace(*ends)
         want = _tensor_block_by_kron(src, dst, ff, gg)
         got = tensor_map(src, dst, ff, gg)
-        assert got == dst.quotient.projection @ want @ src.quotient.section
+        assert got == dst.quotient.projection @ want @ section(src.quotient)
 
 
 FIXTURES = [name for name in BUILDERS if not name.endswith("_rational")]

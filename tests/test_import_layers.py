@@ -14,9 +14,14 @@ the integer scaling.  The same holds for a relation's path sum, which runs
 on integer rows over Q.  Inside exactla the bound is read only where a core,
 a kernel writer or a Kronecker route is chosen, so the one size rule cannot
 fork again.
+
+Every function the package defines has a caller in the package or in the
+benchmark (perfbench/), so that API only tests read does not grow back:
+test references belong in tests/oracles.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -164,3 +169,112 @@ def test_the_size_bound_is_read_only_where_a_route_is_chosen():
 def test_reads_are_seen_in_nested_functions_and_at_module_level():
     source = "B = 1\nC = B\ndef f():\n    def g():\n        return B\n    return B + 1\n"
     assert sorted(_reads(source, "B"), key=lambda r: r[1]) == [(None, 2), ("g", 5), ("f", 6)]
+
+
+# -- every function has a caller in the library or the benchmark -------------
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+# functions kept with no caller in src/stabhom or perfbench/, each with why
+UNREFERENCED_ALLOWED = {
+    "functor_to_dict": "the JSON writer of a functor, kept beside its reader load_functor",
+}
+
+
+def _docstrings(tree):
+    bodies = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, bodies)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _referenced(tree):
+    """Every name, attribute and part of a dotted string constant other than
+    a docstring: the tracer names its targets in such strings."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and DOTTED.fullmatch(node.value)
+        ):
+            yield from node.value.split(".")
+
+
+def _is_law(function):
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "law"
+        for d in function.decorator_list
+    )
+
+
+def unreferenced_functions(src: Path = SRC, bench: Path = PERFBENCH):
+    """(module, name) for every function or method defined in src that no
+    code in src or bench names, leaving out dunders, @law bodies and the
+    package's exports."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.rglob("*.py"))}
+    used = {name for tree in trees.values() for name in _referenced(tree)}
+    for path in sorted(bench.rglob("*.py")):
+        used.update(_referenced(ast.parse(path.read_text(), str(path))))
+    exported = {
+        alias.name
+        for node in trees[src / "__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return sorted(
+        (_module_name(path, src), node.name)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in used
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_law(node)
+        and node.name not in exported
+    )
+
+
+def test_every_function_has_a_caller_in_the_library_or_the_benchmark():
+    found = unreferenced_functions()
+    assert {name for _, name in found} >= set(UNREFERENCED_ALLOWED), "allowlist is stale"
+    extra = [f"{module}.{name}" for module, name in found if name not in UNREFERENCED_ALLOWED]
+    assert not extra, f"defined in src/stabhom but named nowhere there or in perfbench/: {extra}"
+
+
+def test_names_in_dotted_strings_laws_and_exports_count_as_callers(tmp_path):
+    src, bench = tmp_path / "stabhom", tmp_path / "perfbench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .core import exported\n")
+    (src / "core.py").write_text(
+        '"""Module docstring naming docstring_only."""\n'
+        "def exported(): pass\n"
+        "def traced(): pass\n"
+        "def docstring_only(): pass\n"
+        "def lonely(): pass\n"
+        "def __repr__(): pass\n"
+        "@law('x', 'y')\n"
+        "def _law_x(ctx): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def unused_method(self):\n"
+        "        return self.method()\n"
+    )
+    (bench / "tracer.py").write_text("TARGETS = [('stabhom.core', 'C.traced')]\n")
+    found = unreferenced_functions(src, bench)
+    assert found == [
+        ("stabhom.core", "docstring_only"),
+        ("stabhom.core", "lonely"),
+        ("stabhom.core", "unused_method"),
+    ]

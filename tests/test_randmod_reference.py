@@ -73,7 +73,7 @@ from stabhom.cli.randmod import (
     random_module,
 )
 from stabhom.cli.serialize import module_to_dict
-from stabhom.exactla import Field, Matrix, Subspace, kernel_basis, solve_matrix
+from stabhom.exactla import Field, Matrix, Subspace, kernel_basis, solve_matrix, vstack
 from stabhom.homology import cokernel_map
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.rational(), Field.prime(2147483647)]
@@ -242,7 +242,7 @@ def _invariant_span(parent, vectors):
             if basis.rows == 0:
                 continue
             pushed = (parent.arrow_maps[a.name] @ basis.transpose()).transpose()
-            enlarged = spans[tgt] + Subspace(field, parent.dims[tgt], pushed)
+            enlarged = Subspace(field, parent.dims[tgt], vstack(field, [spans[tgt].basis, pushed]))
             if enlarged.dim != spans[tgt].dim:
                 spans[tgt] = enlarged
                 changed = True

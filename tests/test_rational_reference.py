@@ -132,25 +132,12 @@ def test_products_match_the_fraction_dot(kind, data):
     _assert_same_entries((a @ b).data, _fraction_dot(a.data, b.data))
 
 
-@pytest.mark.parametrize("kind", sorted(ENTRIES))
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_apply_matches_the_fraction_dot(kind, data):
-    a, b = data.draw(_product_operands(ENTRIES[kind]))
-    vec = b.data[:, 0].copy() if b.cols else Matrix.zeros(Q, b.rows, 1).data[:, 0]
-    got = a.apply(vec)
-    assert got.ndim == 1
-    _assert_same_entries(got, _fraction_dot(a.data, vec))
-
-
 @pytest.mark.parametrize("m, k, n", [(3, 0, 2), (0, 3, 2), (3, 2, 0), (0, 0, 0), (1, 0, 1)])
 def test_zero_size_products_give_fraction_zeros(m, k, n):
     a, b = Matrix.zeros(Q, m, k), Matrix.zeros(Q, k, n)
     prod = a @ b
     assert prod.shape == (m, n)
     _assert_same_entries(prod.data, _fraction_dot(a.data, b.data))
-    vec = b.data[:, 0].copy() if n else Matrix.zeros(Q, k, 1).data[:, 0]
-    _assert_same_entries(a.apply(vec), _fraction_dot(a.data, vec))
 
 
 # -- elimination ------------------------------------------------------------------

@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 
 from algebras import BUILDERS, a2_algebra, kronecker_algebra, square_algebra
+from oracles import basis_maps, section
 from stabhom import homology, stable
 from stabhom.algebra import (
     LEFT,
@@ -55,7 +56,7 @@ from stabhom.algebra import (
     zero_module,
 )
 from stabhom.cli.randmod import random_catalog
-from stabhom.exactla import Field, Matrix, Subspace, kernel_basis
+from stabhom.exactla import Field, Matrix, Subspace, kernel_basis, vstack
 from stabhom.fpfun import COVARIANT, FpFunctor, fp_eval
 from stabhom.homology import (
     TensorSpace,
@@ -174,7 +175,7 @@ def _assert_same_stable(a, b):
         assert _bits(new.factor.basis) == _bits(factor.basis), flavor
         assert new.factor.pivots == factor.pivots, flavor
         assert _bits(new.quotient.projection) == _bits(quotient.projection), flavor
-        assert _bits(new.quotient.section) == _bits(quotient.section), flavor
+        assert _bits(section(new.quotient)) == _bits(section(quotient)), flavor
 
 
 def _assert_same_substab(a, b):
@@ -471,7 +472,8 @@ def test_the_cover_check_fires_on_every_route(monkeypatch):
         v = next(v for v, sub in rad.items() if sub.dim < x.dims[v])
         unit = alg.field.zeros(1, x.dims[v])
         unit[0, next(c for c in range(x.dims[v]) if c not in rad[v].pivots)] = 1
-        rad[v] = rad[v] + Subspace(alg.field, x.dims[v], Matrix(alg.field, unit))
+        rows = vstack(alg.field, [rad[v].basis, Matrix(alg.field, unit)])
+        rad[v] = Subspace(alg.field, x.dims[v], rows)
         return rad
 
     monkeypatch.setattr(homology, "radical_subspaces", one_generator_short)
@@ -546,7 +548,7 @@ def _intersect(u, v):
     """u meet v as Subspace.intersect computed it: x = U^T a = V^T b, with
     the a-part read off the kernel of [U^T | -V^T]."""
     if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.field, u.ambient_dim)
+        return Subspace(u.field, u.ambient_dim)
     stacked = np.concatenate([u.basis.transpose().data, (-v.basis).transpose().data], axis=1)
     ker = kernel_basis(Matrix(u.field, stacked, _trusted=True))
     acoef = Matrix(u.field, ker.data[:, : u.dim].copy(), _trusted=True)
@@ -558,7 +560,7 @@ def _reject_by_intersections(a):
     alg = a.algebra
     hom = hom_basis(a, regular_module(alg, a.side))
     subs = {v: _full(alg.field, a.dims[v]) for v in a.vertices}
-    for f in hom.basis_maps():
+    for f in basis_maps(hom):
         ker = kernel_map(f)
         subs = {v: _intersect(subs[v], ker.subspaces[v]) for v in a.vertices}
     return SubRep(a, subs)
@@ -567,11 +569,14 @@ def _reject_by_intersections(a):
 def _trace_by_sums(a):
     """The sum of the images of a basis of each Hom(I(v), a), one at a time."""
     alg = a.algebra
-    subs = {v: Subspace.zero(alg.field, a.dims[v]) for v in a.vertices}
+    subs = {v: Subspace(alg.field, a.dims[v]) for v in a.vertices}
     for v in a.vertices:
-        for f in hom_basis(indec_injective(alg, v, a.side), a).basis_maps():
+        for f in basis_maps(hom_basis(indec_injective(alg, v, a.side), a)):
             im = image_map(f)
-            subs = {w: subs[w] + im.subspaces[w] for w in a.vertices}
+            subs = {
+                w: Subspace(alg.field, a.dims[w], vstack(alg.field, [subs[w].basis, im.subspaces[w].basis]))
+                for w in a.vertices
+            }
     return SubRep(a, subs)
 
 
@@ -611,6 +616,6 @@ def test_a_module_with_no_map_to_the_regular_module_is_all_torsion():
         s1 = simple(alg, "1", LEFT)
         assert hom_basis(s1, regular_module(alg, LEFT)).dim == 0
         torsion = bass_torsion(s1, "reject")
-        assert torsion.is_full() and torsion.dim_vector() == (1, 0)
+        assert torsion.dim == torsion.parent.total_dim and torsion.dim_vector() == (1, 0)
         _assert_same_subrep(torsion, _reject_by_intersections(s1))
         _assert_same_subrep(cotorsion_trace(s1), _trace_by_sums(s1))
