@@ -29,6 +29,7 @@ from .exactla import (
     Field,
     Matrix,
     Subspace,
+    _ratios,
     block_diag,
     coordinates,
     kernel_basis,
@@ -454,16 +455,24 @@ class Representation:
     @property
     def key(self) -> tuple:
         """The module's value within its algebra: side, dimension vector
-        and the exact arrow matrices, by arrow name, each one bytes string
-        (raw bytes for int64 entries, the ASCII of the entries joined by
-        commas for object ones, whose canonical form is their text), which
-        caches its hash as a tuple of Fractions would not."""
+        and the exact arrow matrices, by arrow name, each one bytes string,
+        which caches its hash as a tuple of Fractions would not.  Over F_p
+        it is the matrix's raw int64 bytes; over Q, those of the entries'
+        numerators and then their denominators in lowest terms
+        (exactla._ratios), so no entry is written as text.  The dimension
+        vector fixes how many entries each string holds, so a boundary
+        between entries cannot move.  An entry past int64 makes the part the
+        tuple of those integers instead, which never equals bytes."""
         if self._key is None:
             parts = []
             for name in sorted(self.arrow_maps):
                 data = self.arrow_maps[name].data
                 if data.dtype == object:
-                    parts.append(",".join(map(str, data.flat)).encode())
+                    ns, ds = _ratios(data.ravel().tolist())
+                    try:
+                        parts.append(np.array(ns + ds, dtype=np.int64).tobytes())
+                    except OverflowError:
+                        parts.append(tuple(ns + ds))
                 else:
                     parts.append(data.tobytes())
             self._key = (self.side, self.dim_vector(), tuple(parts))

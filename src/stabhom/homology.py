@@ -155,9 +155,16 @@ def hom_basis(a: Representation, b: Representation) -> HomSpace:
     """Basis of the space of module maps a -> b.  Memoized per pair of
     module values, within HOM_MEMO_BUDGET stack entries per algebra: the
     domain and codomain may be modules equal to a and b, seen first."""
+    _check_pair(a, b)
+    return _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, size=_stack_entries)
+
+
+def _check_pair(a: Representation, b: Representation) -> None:
+    """Refuse a pair over two algebra objects or two sides, before a memo
+    keyed by their values is read: equal keys over another algebra are not
+    the same modules."""
     if a.algebra is not b.algebra or a.side != b.side:
         raise AlgebraError("hom needs matching algebra and side")
-    return _memoized("hom", a.algebra, (a.key, b.key), _build_hom, a, b, size=_stack_entries)
 
 
 def _stack_entries(hom: HomSpace) -> int:
@@ -857,6 +864,12 @@ class TransposeData:
 
 
 def transpose(m: Representation) -> TransposeData:
+    """Memoized per module value: the result is the stored one, so its
+    cover.right may be a module equal to m, seen first."""
+    return _memoized("transpose", m.algebra, m.key, _build_transpose, m)
+
+
+def _build_transpose(m: Representation) -> TransposeData:
     cov0 = projective_cover(m)
     cov1 = projective_cover(cov0.left)
     pres = cov0.inclusion @ cov1.surjection

@@ -68,8 +68,10 @@ from .homology import (
     COVARIANT,
     HomSpace,
     TensorSpace,
+    _check_pair,
     _composites,
     _is_exact,
+    _memoized,
     _ordered,
     _presented_value,
     cokernel_map,
@@ -135,13 +137,32 @@ class StableHom:
 
 def stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
     """Hom(a, b) modulo the maps factoring through a projective or through
-    an injective.  Hom is additive, so the first are spanned by Hom(a, P(v))
-    composed with the cover P -> b at each copy of P(v), the second by
-    Hom(I(v), b) composed with the envelope a -> I at each copy of I(v), a
-    part of cover_map(b) or envelope_map(a) per group of copies; the
-    composites of all summands are read in Hom(a, b) at once."""
+    an injective.  Memoized per flavor and pair of module values, within
+    HOM_MEMO_BUDGET entries per algebra (see _stable_entries): the result
+    is the stored one, so its Hom space's domain and codomain may be modules
+    equal to a and b, seen first."""
     if flavor not in (MODULO_PROJECTIVES, MODULO_INJECTIVES):
         raise ValueError(f"unknown stable hom flavor: {flavor!r}")
+    _check_pair(a, b)
+    return _memoized(
+        "stable", a.algebra, (flavor, a.key, b.key), _build_stable_hom, a, b, flavor,
+        size=_stable_entries,
+    )
+
+
+def _stable_entries(s: StableHom) -> int:
+    """The entries a StableHom holds: its Hom space's stack (shared with the
+    Hom memo while that holds it), factor basis and quotient projection."""
+    return sum(x.rows * x.cols for x in (s.hom.stack, s.factor.basis, s.quotient.projection))
+
+
+def _build_stable_hom(a: Representation, b: Representation, flavor: str) -> StableHom:
+    """Hom is additive, so the maps factoring through a projective are
+    spanned by Hom(a, P(v)) composed with the cover P -> b at each copy of
+    P(v), those through an injective by Hom(I(v), b) composed with the
+    envelope a -> I at each copy of I(v), a part of cover_map(b) or
+    envelope_map(a) per group of copies; the composites of all summands are
+    read in Hom(a, b) at once."""
     hom = hom_basis(a, b)
     field = a.algebra.field
     post = flavor == MODULO_PROJECTIVES
@@ -337,9 +358,16 @@ def fp_certificate(a: Representation, kind: str) -> Certificate:
     """The four-term sequence kernel -> gamma.domain -> gamma.codomain ->
     cokernel of the kind's approximation gamma, certified by
     Ext^1(cokernel, P(v)) = 0 (covariant) or Ext^1(I(v), kernel) = 0
-    (contravariant) at every vertex v; VanishingCheckFailed otherwise."""
+    (contravariant) at every vertex v; VanishingCheckFailed otherwise.
+    Memoized per kind and module value: the result is the stored one, so
+    its approximation's domain (covariant) or codomain (contravariant) may
+    be a module equal to a, seen first.  A failed check stores nothing."""
     if kind not in _CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind: {kind!r}")
+    return _memoized("certificate", a.algebra, (kind, a.key), _build_fp_certificate, a, kind)
+
+
+def _build_fp_certificate(a: Representation, kind: str) -> Certificate:
     variance = _CERTIFICATE_KINDS[kind]
     covariant = variance == COVARIANT
     gamma = left_proj_approximation(a) if covariant else right_inj_approximation(a)

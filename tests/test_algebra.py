@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_a_module_past_the_entry_cap_is_refused_before_any_matrix(a2, kronecker,
 
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(4294967311)], ids=repr)
 def test_object_module_keys_are_bytes_equal_for_equal_modules(field):
-    # object entries are keyed by their text, one bytes string per arrow
+    # object entries are keyed by their integers, one bytes string per arrow
     alg = BUILDERS["kronecker"](field)
 
     def module(a, b):
@@ -245,6 +246,38 @@ def test_object_module_keys_are_bytes_equal_for_equal_modules(field):
     changed = module(Matrix.from_rows(field, [[2, -1]]), Matrix.from_rows(field, [[0, 4]]))
     assert changed.key != from_rows.key
     assert changed != from_rows
+
+
+@pytest.mark.parametrize(
+    "entries, other",
+    [
+        ([1, 23], [-1, 23]),  # one sign
+        ([1, 23], [2, 23]),  # one numerator
+        ([Fraction(1, 2), 23], [Fraction(1, 3), 23]),  # one denominator
+        ([1, 23], [12, 3]),  # where an entry boundary falls
+    ],
+)
+def test_rational_module_keys_tell_apart_modules_one_entry_apart(entries, other):
+    alg = BUILDERS["a2_rational"]()
+
+    def module(row):
+        return Representation(alg, LEFT, {"1": 2, "2": 1}, {"a": Matrix.from_rows(alg.field, [row])})
+
+    one, two = module(entries), module(other)
+    assert one.key != two.key and one != two
+    assert module(entries).key == one.key
+
+
+def test_rational_module_keys_hold_entries_past_int64():
+    alg = BUILDERS["a2_rational"]()
+    big = Fraction(2 ** 70 + 1, 3)
+
+    def module(x):
+        return Representation(alg, LEFT, {"1": 1, "2": 1}, {"a": Matrix.from_rows(alg.field, [[x]])})
+
+    assert module(big).key == module(big).key and module(big) == module(big)
+    assert module(big).key != module(big + 1).key
+    assert module(big).key != module(Fraction(1, 3)).key
 
 
 def test_opposite_reverses_arrows(a2):

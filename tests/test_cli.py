@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -19,6 +20,7 @@ from stabhom.algebra import (
     ModuleMap,
     Representation,
     SubRep,
+    direct_sum,
     indec_projective,
     radical_subspaces,
     simple,
@@ -48,6 +50,7 @@ from stabhom.cli.serialize import (
 from stabhom.exactla import Field, Matrix, Subspace
 from stabhom.fpfun import COVARIANT, present_tensor
 from stabhom.homology import projective_cover
+from stabhom.stable import StableHom
 
 
 A2_DOC = {
@@ -590,25 +593,51 @@ def _zero_trace(real):
     return lambda a: SubRep(a, {})
 
 
+def _doubled_transpose(real):
+    # Tr a twice over: three transposes then give Tr a eight times over
+    def transpose(m):
+        td = real(m)  # the memo's result, left as it is
+        return dataclasses.replace(td, module=direct_sum([td.module, td.module]).module)
+
+    return transpose
+
+
+def _factoring_nothing(real):
+    # Hom itself: no map counts as factoring through a projective or an injective
+    def stable_hom(a, b, flavor):
+        hom = real(a, b, flavor).hom
+        factor = Subspace(a.algebra.field, hom.dim)
+        return StableHom(hom, factor, factor.quotient())
+
+    return stable_hom
+
+
 # law -> (the construction it cross-checks, in laws_mod; the plant; the side
 # and index of the first catalog module it fails on).  On A2 over F5 at seed
 # 2, --count 3 and --max-dim 3, the first module with nonzero torsion is
 # right module 1, and the first with a nonzero trace of injectives is left
-# module 2, so the zero plants pass on the modules before them
+# module 2, so the zero plants pass on the modules before them.  Right module
+# 1 is also the first that is not projective, so the first with a nonzero
+# transpose to double; left module 0 is zero, so a stable Hom that factors
+# nothing out first shows on left module 1, out of the regular module
 PLANTS = {
     "tensor-ext": ("ext1", _one_too_many, RIGHT, 0),
     "presentation-vs-direct": ("stable_hom", _one_too_many, LEFT, 0),
     "torsion-agreement": ("bass_torsion", _zero_approximation_torsion, RIGHT, 1),
     "certificates": ("cotorsion_trace", _zero_trace, LEFT, 2),
+    "double-transpose": ("transpose", _doubled_transpose, RIGHT, 1),
+    "stable-dim-formula": ("stable_hom", _factoring_nothing, LEFT, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLANTS))
 def test_a_planted_defect_fails_the_law_that_checks_it(name, a2_file, capsys, monkeypatch):
     attr, plant, side, index = PLANTS[name]
-    monkeypatch.setattr(laws_mod, attr, plant(getattr(laws_mod, attr)))
     argv = ["verify", a2_file, "--laws", name, "--seed", "2", "--count", "3", "--max-dim", "3"]
     code, report = _run_json(capsys, argv)
+    assert code == 0 and report["laws"][0]["status"] == "pass"  # the law holds unpatched
+    monkeypatch.setattr(laws_mod, attr, plant(getattr(laws_mod, attr)))
+    code, report = _run_json(capsys, argv)  # a fresh algebra: no memo entry from the run before
     assert code == 1
     (law,) = report["laws"]
     assert law["status"] == "fail" and 0 < law["failures"] <= law["checks"]

@@ -1,12 +1,15 @@
 """The per-algebra memo of projective covers, injective envelopes, star
-duals and Hom spaces.
+duals, Hom spaces, transposes, finite-presentation certificates and stable
+Homs.
 
 A memo hit must give what a fresh build gives, bit for bit, and is the
 stored result itself, also for an equal copy of the module it was built
 for; equal modules share one build, algebras share nothing, each memo stays
 within its capacity, and the Hom memo within its budget of stack entries,
 evicting the least recently used; a Hom space over the whole budget is
-returned but not stored.  The law-run tests count builds on a full law run,
+returned but not stored, and so is a stable Hom, whose memo counts its Hom
+stack, factor basis and quotient projection under the same budget.  A
+refused or failed build stores nothing, so it is refused again.  The law-run tests count builds on a full law run,
 and run every law twice over equal but distinct catalogs, so the second
 run's hits carry the first run's modules; a dense pair's Hom space is built
 once for both stable Homs, and a tensor space, read off a Hom space, once
@@ -17,15 +20,18 @@ the benchmark.
 import importlib.util
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from algebras import BUILDERS, a2_algebra, square_algebra
 from oracles import basis_maps
-from stabhom import homology
+from stabhom import homology, stable
 from stabhom.algebra import (
     LEFT,
     RIGHT,
+    AlgebraError,
+    AlgebraTooLarge,
     ModuleMap,
     Representation,
     indec_projective,
@@ -46,14 +52,21 @@ from stabhom.homology import (
     projective_cover,
     star_dual,
     tensor,
+    transpose,
 )
-from stabhom.stable import MODULO_INJECTIVES, MODULO_PROJECTIVES, stable_hom
+from stabhom.stable import (
+    MODULO_INJECTIVES,
+    MODULO_PROJECTIVES,
+    VanishingCheckFailed,
+    fp_certificate,
+    stable_hom,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
-KINDS = ("cover", "envelope", "star", "hom")
+KINDS = ("cover", "envelope", "star", "hom", "transpose", "certificate", "stable")
 
 
 def _copy(m: Representation) -> Representation:
@@ -258,6 +271,8 @@ def test_a_full_law_run_builds_each_cover_once(monkeypatch):
     memos = {key[1]: memo for key, memo in alg._cache.items() if key[0] == "memo"}
     assert set(memos) == set(KINDS)
     assert all(len(memo) <= MEMO_CAPACITY for memo in memos.values())
+    held = memos["stable"]
+    assert 0 < held.held == sum(map(_stable_entries, held.values())) <= HOM_MEMO_BUDGET
     received = tracer.stats["homology.projective_cover"]
     assert received.calls > len(received.keys)  # the run repeats values
     assert counter["builds"] == len(received.keys)
@@ -443,3 +458,177 @@ def test_a_full_law_run_builds_each_hom_space_once_while_it_is_held(monkeypatch)
     assert memo.held == sum(_entries(h) for h in memo.values()) <= HOM_MEMO_BUDGET
     received = tracer.stats["homology.hom_basis"]
     assert received.calls > len(built)  # the run's repeats were answered from the memo
+
+
+# -- transposes, certificates and stable Homs -----------------------------------
+
+CERTIFICATE_KINDS = ("covariant_underline", "contravariant_overline")
+FLAVORS = (MODULO_PROJECTIVES, MODULO_INJECTIVES)
+
+
+def _same_values(f: ModuleMap, g: ModuleMap) -> bool:
+    """The same map over two algebra objects: equal module keys and the
+    same matrices."""
+    return (
+        f.domain.key == g.domain.key
+        and f.codomain.key == g.codomain.key
+        and all(_same_matrix(f.vertex_maps[v], g.vertex_maps[v]) for v in f.vertex_maps)
+    )
+
+
+def _same_transpose(s, t) -> bool:
+    return s.module.key == t.module.key and _same_values(s.f_star, t.f_star)
+
+
+def _same_certificate(c, d) -> bool:
+    return (
+        [m.dim_vector() for m in c.sequence.modules] == [m.dim_vector() for m in d.sequence.modules]
+        and c.ext_witness == d.ext_witness
+        and _same_values(c.approximation, d.approximation)
+    )
+
+
+def _same_stable(s, t) -> bool:
+    return (
+        _same_matrix(s.hom.stack, t.hom.stack)
+        and _same_matrix(s.factor.basis, t.factor.basis)
+        and s.factor.pivots == t.factor.pivots
+        and _same_matrix(s.quotient.projection, t.quotient.projection)
+        and s.quotient.free == t.quotient.free
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_transpose_certificate_and_stable_hits_equal_a_fresh_build_bit_for_bit(name):
+    alg = BUILDERS[name]()  # a fresh algebra, so the memos start empty
+    fresh = BUILDERS[name]()  # the direct builds' own algebra: none of alg's entries
+    for side in (LEFT, RIGHT):
+        mods, others = _modules(alg, side), _modules(fresh, side)
+        assert [m.key for m in mods] == [n.key for n in others]
+        for m, n in zip(mods, others):
+            transpose(m)  # a miss, or a hit from an equal probe
+            assert _same_transpose(transpose(_copy(m)), homology._build_transpose(n))
+            for kind in CERTIFICATE_KINDS:
+                fp_certificate(m, kind)
+                direct = stable._build_fp_certificate(n, kind)
+                assert _same_certificate(fp_certificate(_copy(m), kind), direct)
+        for a, c in zip(mods, others):
+            for b, d in zip(mods, others):
+                for flavor in FLAVORS:
+                    stable_hom(a, b, flavor)
+                    direct = stable._build_stable_hom(c, d, flavor)
+                    assert _same_stable(stable_hom(_copy(a), _copy(b), flavor), direct)
+
+
+def _count_calls(monkeypatch, module, attr):
+    calls = []
+    orig = getattr(module, attr)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_transpose_and_certificate_hits_for_an_equal_copy_are_the_stored_results(monkeypatch):
+    alg = square_algebra()
+    m = random_catalog(alg, RIGHT, 1, 2, random.Random(6))[0][0]
+    twin = _copy(m)
+    assert twin is not m and twin == m
+    built = _count_calls(monkeypatch, homology, "_build_transpose")
+    certified = _count_calls(monkeypatch, stable, "_build_fp_certificate")
+    tr = transpose(m)
+    assert transpose(twin) is tr and tr.cover.right is m  # the module seen first
+    cov, contra = (fp_certificate(m, kind) for kind in CERTIFICATE_KINDS)
+    assert fp_certificate(twin, CERTIFICATE_KINDS[0]) is cov
+    assert fp_certificate(twin, CERTIFICATE_KINDS[1]) is contra
+    assert cov.approximation.domain is m and contra.approximation.codomain is m
+    assert len(built) == 1 and len(certified) == 2
+
+
+def _stable_entries(s) -> int:
+    return sum(x.rows * x.cols for x in (s.hom.stack, s.factor.basis, s.quotient.projection))
+
+
+def test_a_stable_hom_over_the_whole_budget_is_returned_but_not_stored(monkeypatch):
+    alg = a2_algebra()
+    big, small = _points(alg, 3), simple(alg, "1")
+    monkeypatch.setattr(homology, "HOM_MEMO_BUDGET", 100)
+    built = _count_calls(monkeypatch, stable, "_build_stable_hom")
+    kept = stable_hom(small, small, MODULO_PROJECTIVES)
+    over = stable_hom(big, big, MODULO_PROJECTIVES)
+    assert _stable_entries(over) > 100 >= _stable_entries(kept)
+    again = stable_hom(_copy(big), big, MODULO_PROJECTIVES)
+    assert _same_stable(again, over) and again is not over
+    assert len(built) == 3  # built again: nothing was stored
+    memo = alg._cache[("memo", "stable")]
+    assert list(memo) == [(MODULO_PROJECTIVES, small.key, small.key)]  # nothing evicted
+    assert memo.held == _stable_entries(kept)
+    assert stable_hom(_copy(small), small, MODULO_PROJECTIVES) is kept
+    assert len(built) == 3
+
+
+def test_the_stable_memo_evicts_the_least_recently_used_past_its_budget(monkeypatch):
+    alg = a2_algebra()
+    pairs = [(_points(alg, p), _points(alg, q)) for p, q in ((2, 2), (1, 3), (2, 1))]
+    sizes = [_stable_entries(stable._build_stable_hom(a, b, MODULO_PROJECTIVES)) for a, b in pairs]
+    # the first two fit together, the third only after the least recently used goes
+    budget = sizes[0] + sizes[1]
+    assert sizes[0] + sizes[2] <= budget < sizes[0] + sizes[1] + sizes[2]
+    monkeypatch.setattr(homology, "HOM_MEMO_BUDGET", budget)
+    for a, b in pairs[:2]:
+        stable_hom(a, b, MODULO_PROJECTIVES)
+    stable_hom(_copy(pairs[0][0]), pairs[0][1], MODULO_PROJECTIVES)  # a hit: now most recent
+    stable_hom(*pairs[2], MODULO_PROJECTIVES)
+    memo = alg._cache[("memo", "stable")]
+    assert list(memo) == [(MODULO_PROJECTIVES, a.key, b.key) for a, b in (pairs[0], pairs[2])]
+    assert memo.held == sizes[0] + sizes[2] == sum(map(_stable_entries, memo.values()))
+
+
+def test_a_refused_transpose_is_refused_again(monkeypatch):
+    alg = square_algebra()
+    m = random_catalog(alg, LEFT, 1, 2, random.Random(5))[0][0]
+    built = _count_calls(monkeypatch, homology, "_build_transpose")
+    monkeypatch.setattr(homology, "MAX_HOM_SYSTEM_ENTRIES", 0)
+    for _ in range(2):
+        with pytest.raises(AlgebraTooLarge):
+            transpose(m)
+    assert len(built) == 2  # nothing was stored for it
+    memo = alg._cache[("memo", "transpose")]
+    assert m.key not in memo
+    monkeypatch.undo()  # the cap as it was
+    transpose(m)
+    assert m.key in memo
+
+
+def test_a_failed_certificate_stores_nothing(monkeypatch):
+    alg = square_algebra()
+    m = random_catalog(alg, LEFT, 1, 2, random.Random(5))[0][0]
+    monkeypatch.setattr(stable, "ext1", lambda *args: SimpleNamespace(dim=1))
+    for kind in CERTIFICATE_KINDS:
+        with pytest.raises(VanishingCheckFailed):
+            fp_certificate(m, kind)
+    assert not alg._cache[("memo", "certificate")]
+    monkeypatch.undo()
+    assert all(fp_certificate(m, kind).validate() for kind in CERTIFICATE_KINDS)
+
+
+def test_refused_stable_and_certificate_calls_read_no_memo():
+    one, two = a2_algebra(), a2_algebra()
+    a, b = simple(one, "1"), indec_projective(one, "1", LEFT)
+    for flavor in FLAVORS:
+        stable_hom(a, b, flavor)  # held for the values of (a, b)
+    fp_certificate(a, CERTIFICATE_KINDS[0])
+    # b's value over another algebra or on another side is not b
+    with pytest.raises(AlgebraError):
+        stable_hom(a, indec_projective(two, "1", LEFT), MODULO_PROJECTIVES)
+    with pytest.raises(AlgebraError):
+        stable_hom(simple(one, "1", RIGHT), b, MODULO_INJECTIVES)
+    with pytest.raises(ValueError, match="unknown stable hom flavor"):
+        stable_hom(a, b, "modulo_nothing")
+    with pytest.raises(ValueError, match="unknown certificate kind"):
+        fp_certificate(a, "no_kind")
+    assert len(one._cache[("memo", "stable")]) == 2
+    assert len(one._cache[("memo", "certificate")]) == 1
