@@ -43,23 +43,29 @@ dimension sum g_v dim n_v by Yoneda, so ext1 builds no Hom system over P.
 ShortExactSequence.validate checks exactness through _is_exact, the check
 of any chain of maps that stable's four-term sequences share.
 
-Modules are immutable values, so cover_map, envelope_map, star_dual and
-hom_basis build each result once per value: _memoized keeps one bounded
+Modules are immutable values, so cover_map, envelope_map, star_dual,
+hom_basis and transpose (and stable's fp_certificate and stable_hom)
+build each result once per value: _memoized keeps one bounded
 least-recently-used memo per kind in the algebra (through
 BoundQuiverAlgebra._cached, as for projectives and simples), with
 MEMO_CAPACITY entries, keyed by Representation.key (by the pair of keys of
-domain and codomain for Hom spaces).  The cover and envelope memos hold
+domain and codomain for Hom spaces, with the kind or flavor in front for
+certificates and stable Homs).  The cover and envelope memos hold
 CoverMaps, the maps with their summands; projective_cover and
 injective_envelope build the whole sequence on their first call for a
 value and keep it on that CoverMap, so it shares the map's slot and goes
 with it.  A memo hit is the stored result itself, so its modules (a
-cover's right, an envelope's left, a Hom space's domain and codomain) may
-be equal copies of the caller's, seen first; every module comparison reads
-values (==, with `is` only as a shortcut before it).  The Hom memo is
-bounded by what it holds as well: its stacks
-have at most HOM_MEMO_BUDGET entries in all, so Hom(a, b) is solved once
-for hom_basis and both stable Homs of a pair, dense or not, and a stack
-over the whole budget is not stored.
+cover's right, an envelope's left, a Hom space's domain and codomain, a
+transpose's cover.right, a certificate's approximation domain or
+codomain) may be equal copies of the caller's, seen first; every module
+comparison reads values (==, with `is` only as a shortcut before it).  The
+Hom memo is bounded by what it holds as well: its stacks have at most
+HOM_MEMO_BUDGET entries in all, so Hom(a, b) is solved once for hom_basis
+and both stable Homs of a pair, dense or not, and a stack over the whole
+budget is not stored; the stable memo holds as many entries, counted over
+each stable Hom's stack, factor basis and quotient projection.  A build
+that raises stores nothing, and a pair is checked for one algebra and side
+(_check_pair) before its keys are looked up.
 """
 from __future__ import annotations
 

@@ -38,6 +38,18 @@ unique rref), so every output is what the whole sum gives, bit for bit.
 The sub-stabilized tensor product is a stable Hom read dually:
 (a (x) b)* = Hom(b, D a), and tensor_substab is the annihilator of the
 maps b -> D a that factor through an injective.
+
+Once per value.  stable_hom and fp_certificate look their result up in
+homology's per-algebra memos (_memoized) and build it (_build_stable_hom,
+_build_fp_certificate) on a miss: stable Homs keyed by (flavor, a.key,
+b.key), within HOM_MEMO_BUDGET entries counted over each one's Hom stack,
+factor basis and quotient projection, and certificates by (kind, a.key),
+within MEMO_CAPACITY.  A hit is the stored result, so a certificate's
+approximation domain (covariant) or codomain (contravariant), or a stable
+Hom's Hom space's domain and codomain, may be an equal copy seen first.
+An unknown flavor or kind, a pair over two algebras or sides, a size cap
+and a failed vanishing check raise as they would unmemoized, and store
+nothing.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 import random
-from fractions import Fraction
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
